@@ -974,7 +974,9 @@ impl Default for DurationSpec {
 /// and replace `path` only once fully written, so a crash or full disk
 /// mid-write can never destroy the previous good checkpoint — losing the
 /// last restart point to an interruption is the exact failure checkpoints
-/// exist to survive.
+/// exist to survive. The JSON streams through a buffered writer straight
+/// from the checkpoint, never held whole in memory. On any error the `.tmp`
+/// sibling is removed and `path` keeps its previous contents.
 pub fn write_checkpoint(cp: &Checkpoint, path: &str) -> Result<(), String> {
     let path = std::path::Path::new(path);
     if let Some(dir) = path.parent() {
@@ -985,18 +987,28 @@ pub fn write_checkpoint(cp: &Checkpoint, path: &str) -> Result<(), String> {
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
     let tmp = std::path::PathBuf::from(tmp);
-    // Write + fsync the sibling before the rename: without the sync a
-    // power loss can journal the rename ahead of the data blocks and leave
-    // a zero-length file at `path` (process crashes and full disks are
-    // covered by the rename alone).
-    {
-        use std::io::Write;
-        let mut f =
-            std::fs::File::create(&tmp).map_err(|e| format!("cannot create {tmp:?}: {e}"))?;
-        f.write_all(cp.to_json().as_bytes()).map_err(|e| format!("cannot write {tmp:?}: {e}"))?;
-        f.sync_all().map_err(|e| format!("cannot sync {tmp:?}: {e}"))?;
+    let written = write_synced(cp, &tmp).and_then(|()| {
+        std::fs::rename(&tmp, path).map_err(|e| format!("cannot move {tmp:?} over {path:?}: {e}"))
+    });
+    if written.is_err() {
+        // Best effort: the sibling may never have been created.
+        let _ = std::fs::remove_file(&tmp);
     }
-    std::fs::rename(&tmp, path).map_err(|e| format!("cannot move {tmp:?} over {path:?}: {e}"))
+    written
+}
+
+/// Streams `cp` into a new file at `tmp` and fsyncs it: without the sync a
+/// power loss can journal the rename ahead of the data blocks and leave a
+/// zero-length file at the target (process crashes and full disks are
+/// covered by the rename alone).
+fn write_synced(cp: &Checkpoint, tmp: &std::path::Path) -> Result<(), String> {
+    let f = std::fs::File::create(tmp).map_err(|e| format!("cannot create {tmp:?}: {e}"))?;
+    let mut out = std::io::BufWriter::new(f);
+    cp.write_json(&mut out).map_err(|e| format!("cannot write {tmp:?}: {e}"))?;
+    // `into_inner` flushes and reports a failed flush; dropping the writer
+    // would swallow it.
+    let f = out.into_inner().map_err(|e| format!("cannot write {tmp:?}: {}", e.error()))?;
+    f.sync_all().map_err(|e| format!("cannot sync {tmp:?}: {e}"))
 }
 
 /// A complete, self-contained experiment description.
@@ -1275,9 +1287,38 @@ mod tests {
         // from it re-runs only the drain and lands on the same report.
         let cp = ScenarioSpec::read_checkpoint(&path).expect("file parses");
         assert_eq!(cp.round, spec.duration.rounds);
+        // The streamed file holds exactly the canonical rendering, and the
+        // atomic-rename sibling is gone.
+        assert_eq!(std::fs::read_to_string(&path).expect("file reads"), cp.to_json());
+        assert!(!std::path::Path::new(&format!("{path}.tmp")).exists());
         let resumed = spec.run_from_checkpoint(&cp).expect("resume");
         assert_eq!(resumed, plain);
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn write_checkpoint_failures_return_err_and_leave_no_tmp() {
+        let mut engine = busy_spec().build_engine().expect("engine");
+        engine.run_rounds(2);
+        let cp = engine.checkpoint();
+        let dir = std::env::temp_dir().join(format!("pp-spec-unwritable-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("scratch dir");
+        // A directory as the target: the `.tmp` sibling is written and
+        // synced, then the rename over the directory fails.
+        let target = dir.to_string_lossy().into_owned();
+        assert!(write_checkpoint(&cp, &target).is_err());
+        assert!(!std::path::Path::new(&format!("{target}.tmp")).exists());
+        // A regular file where a parent directory must go: creation fails.
+        let blocker = dir.join("blocker");
+        std::fs::write(&blocker, b"x").expect("blocker file");
+        let nested = blocker.join("ckpt.json").to_string_lossy().into_owned();
+        assert!(write_checkpoint(&cp, &nested).is_err());
+        // A writable target succeeds with the canonical bytes.
+        let ok = dir.join("ok.ckpt.json").to_string_lossy().into_owned();
+        write_checkpoint(&cp, &ok).expect("writable target");
+        assert_eq!(std::fs::read_to_string(&ok).expect("reads"), cp.to_json());
+        assert!(!std::path::Path::new(&format!("{ok}.tmp")).exists());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -58,12 +58,22 @@ use crate::state::StatSnapshot;
 use pp_metrics::ledger::MigrationRecord;
 use pp_metrics::shard::ShardAccum;
 use pp_tasking::task::{Task, TaskId};
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Value};
+use serde_json::Writer;
+use std::io;
 
 /// The current checkpoint format version. Bump on any incompatible change
 /// to the serialized shape and teach [`Checkpoint::from_json`] to either
 /// migrate or reject the older versions explicitly.
 pub const CHECKPOINT_VERSION: u32 = 1;
+
+/// How far below zero [`Engine::restore`](crate::engine::Engine::restore)
+/// accepts a checkpoint's accumulated `in_flight_load`, relative to its
+/// resident load `Σh` (floored at 1). Adding and subtracting the same task
+/// sizes leaves the total a few ulps off zero once every load has landed:
+/// about −2e-12 on 4,096-node churn runs. A relative 1e-9 sits orders of
+/// magnitude above that drift and still rejects a missing task's worth.
+pub const IN_FLIGHT_DRIFT_TOLERANCE: f64 = 1e-9;
 
 /// One in-flight load, captured slot-exactly from the engine's flight slab
 /// (pending [`Event::LoadArrival`] entries reference slots by index, so the
@@ -94,7 +104,8 @@ pub struct FlightSnap {
 
 /// A complete dynamic-state snapshot of a running engine. Build with
 /// [`Engine::checkpoint`](crate::engine::Engine::checkpoint), persist with
-/// [`Checkpoint::to_json`], and apply to a freshly built engine with
+/// [`Checkpoint::write_json`] (or [`Checkpoint::to_json`] for the text),
+/// and apply to a freshly built engine with
 /// [`Engine::restore`](crate::engine::Engine::restore).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Checkpoint {
@@ -170,11 +181,130 @@ pub struct Checkpoint {
 impl Checkpoint {
     /// The canonical byte-stable rendering: pretty JSON plus a trailing
     /// newline (same convention as golden reports, so committed fixtures
-    /// diff cleanly). Same engine state ⇒ identical bytes.
+    /// diff cleanly). Same engine state ⇒ identical bytes. These are the
+    /// bytes [`Checkpoint::write_json`] streams.
     pub fn to_json(&self) -> String {
-        let mut s = serde_json::to_string_pretty(self).expect("checkpoint serialization is total");
-        s.push('\n');
-        s
+        let mut buf = Vec::new();
+        self.write_json(&mut buf).expect("writing to a Vec cannot fail");
+        String::from_utf8(buf).expect("the JSON writer emits UTF-8")
+    }
+
+    /// Streams the canonical rendering (see [`Checkpoint::to_json`]) into
+    /// `out` straight from the engine state: no intermediate JSON tree and
+    /// no whole-document buffer, so writing a checkpoint costs memory
+    /// independent of its size. Fails only when `out` does.
+    pub fn write_json(&self, out: impl io::Write) -> io::Result<()> {
+        let mut w = Writer::pretty(out);
+        w.begin_object()?;
+        w.field("version", CHECKPOINT_VERSION)?;
+        w.field("nodes", self.nodes)?;
+        w.field("edges", self.edges)?;
+        w.field("trace_len", self.trace_len)?;
+        w.field("balancer", self.balancer.as_str())?;
+        w.field("time", self.time)?;
+        w.field("next_tick", self.next_tick)?;
+        w.field("round", self.round)?;
+        w.key("engine_rng")?;
+        w.scalars(self.engine_rng)?;
+        w.key("node_rngs")?;
+        w.begin_array()?;
+        for words in &self.node_rngs {
+            w.scalars(words)?;
+        }
+        w.end_array()?;
+        w.key("node_tasks")?;
+        w.begin_array()?;
+        for list in &self.node_tasks {
+            w.begin_array()?;
+            for t in list {
+                write_task(&mut w, t)?;
+            }
+            w.end_array()?;
+        }
+        w.end_array()?;
+        w.key("node_heights")?;
+        w.scalars(&self.node_heights)?;
+        let s = &self.stats;
+        w.key("stats")?;
+        w.begin_object()?;
+        w.field("height_sum", s.height_sum)?;
+        w.field("height_sq_sum", s.height_sq_sum)?;
+        w.field("stat_ops", s.stat_ops)?;
+        w.field("stat_peak_sum", s.stat_peak_sum)?;
+        w.field("stat_peak_sq", s.stat_peak_sq)?;
+        w.end_object()?;
+        w.field("idgen_next", self.idgen_next)?;
+        w.key("down_words")?;
+        w.scalars(&self.down_words)?;
+        w.key("flights")?;
+        w.begin_array()?;
+        for f in &self.flights {
+            match f {
+                Some(f) => write_flight(&mut w, f)?,
+                None => w.value(&Value::Null)?,
+            }
+        }
+        w.end_array()?;
+        w.key("free_slots")?;
+        w.scalars(&self.free_slots)?;
+        w.field("in_flight_load", self.in_flight_load)?;
+        w.field("completed_tasks", self.completed_tasks)?;
+        w.field("queue_seq", self.queue_seq)?;
+        w.key("queue")?;
+        w.begin_array()?;
+        for (time, seq, event) in &self.queue {
+            w.begin_array()?;
+            w.scalar(time)?;
+            w.scalar(seq)?;
+            write_event(&mut w, event)?;
+            w.end_array()?;
+        }
+        w.end_array()?;
+        w.key("ledger")?;
+        w.begin_array()?;
+        for r in &self.ledger {
+            w.begin_object()?;
+            w.field("time", r.time)?;
+            w.field("from", r.from)?;
+            w.field("to", r.to)?;
+            w.field("size", r.size)?;
+            w.field("link_weight", r.link_weight)?;
+            w.field("heat", r.heat)?;
+            w.field("faulted", r.faulted)?;
+            w.end_object()?;
+        }
+        w.end_array()?;
+        w.key("series")?;
+        w.begin_array()?;
+        for &(t, cov) in &self.series {
+            w.scalars([t, cov])?;
+        }
+        w.end_array()?;
+        w.field("shard_layout_k", self.shard_layout_k)?;
+        w.key("shard_dirty")?;
+        w.scalars(&self.shard_dirty)?;
+        w.key("shard_accums")?;
+        w.begin_array()?;
+        for a in &self.shard_accums {
+            w.begin_object()?;
+            w.field("ticks_evaluated", a.ticks_evaluated)?;
+            w.field("ticks_skipped", a.ticks_skipped)?;
+            w.field("nodes_evaluated", a.nodes_evaluated)?;
+            w.field("intents_emitted", a.intents_emitted)?;
+            w.end_object()?;
+        }
+        w.end_array()?;
+        w.key("balancer_state")?;
+        w.value(self.balancer_state.as_ref().unwrap_or(&Value::Null))?;
+        // Omitted (not null) when zero: churn-free checkpoints keep the
+        // exact pre-churn byte layout, so committed fixtures never churn.
+        if self.churn_len > 0 {
+            w.field("churn_len", self.churn_len)?;
+        }
+        w.end_object()?;
+        let mut out = w.into_inner();
+        out.write_all(b"\n")?;
+        out.flush()
     }
 
     /// Parses a checkpoint from JSON text. Returns `Err` — never panics —
@@ -186,19 +316,46 @@ impl Checkpoint {
     }
 }
 
-/// Shorthand for one object entry.
-fn entry<T: Serialize>(key: &str, v: T) -> (String, Value) {
-    (key.to_string(), v.to_value())
+fn write_task<W: io::Write>(w: &mut Writer<W>, t: &Task) -> io::Result<()> {
+    w.begin_object()?;
+    w.field("id", t.id.0)?;
+    w.field("size", t.size)?;
+    w.field("work", t.work)?;
+    w.field("created_at", t.created_at)?;
+    w.field("origin", t.origin)?;
+    w.end_object()
 }
 
-fn task_to_value(t: &Task) -> Value {
-    Value::Object(vec![
-        entry("id", t.id.0),
-        entry("size", t.size),
-        entry("work", t.work),
-        entry("created_at", t.created_at),
-        entry("origin", t.origin),
-    ])
+fn write_flight<W: io::Write>(w: &mut Writer<W>, f: &FlightSnap) -> io::Result<()> {
+    w.begin_object()?;
+    w.key("task")?;
+    write_task(w, &f.task)?;
+    w.field("flag", f.flag)?;
+    w.field("hops", f.hops)?;
+    w.field("source", f.source)?;
+    w.field("from", f.from)?;
+    w.field("to", f.to)?;
+    w.field("link_weight", f.link_weight)?;
+    w.field("heat", f.heat)?;
+    w.field("attempts", f.attempts)?;
+    w.field("bounced", f.bounced)?;
+    w.end_object()
+}
+
+/// Events serialize as `{"kind": ..., "idx": ...}`. `BalanceTick` is never
+/// queued (rounds are driven by `run_rounds`), so it has no encoding and is
+/// rejected on parse — a checkpoint carrying one is corrupt by definition.
+fn write_event<W: io::Write>(w: &mut Writer<W>, e: &Event) -> io::Result<()> {
+    let (kind, idx) = match *e {
+        Event::LoadArrival { flight } => ("load", flight),
+        Event::TaskArrival => ("task", 0),
+        Event::TraceArrival { record } => ("trace", record),
+        Event::BalanceTick => unreachable!("balance ticks are never queued"),
+    };
+    w.begin_object()?;
+    w.field("kind", kind)?;
+    w.field("idx", idx)?;
+    w.end_object()
 }
 
 fn task_from_value(v: &Value) -> Result<Task, String> {
@@ -217,18 +374,6 @@ fn task_from_value(v: &Value) -> Result<Task, String> {
     Ok(Task { id: TaskId(v.field("id")?), size, work, created_at, origin: v.field("origin")? })
 }
 
-fn record_to_value(r: &MigrationRecord) -> Value {
-    Value::Object(vec![
-        entry("time", r.time),
-        entry("from", r.from),
-        entry("to", r.to),
-        entry("size", r.size),
-        entry("link_weight", r.link_weight),
-        entry("heat", r.heat),
-        entry("faulted", r.faulted),
-    ])
-}
-
 fn record_from_value(v: &Value) -> Result<MigrationRecord, String> {
     Ok(MigrationRecord {
         time: v.field("time")?,
@@ -241,15 +386,6 @@ fn record_from_value(v: &Value) -> Result<MigrationRecord, String> {
     })
 }
 
-fn accum_to_value(a: &ShardAccum) -> Value {
-    Value::Object(vec![
-        entry("ticks_evaluated", a.ticks_evaluated),
-        entry("ticks_skipped", a.ticks_skipped),
-        entry("nodes_evaluated", a.nodes_evaluated),
-        entry("intents_emitted", a.intents_emitted),
-    ])
-}
-
 fn accum_from_value(v: &Value) -> Result<ShardAccum, String> {
     Ok(ShardAccum {
         ticks_evaluated: v.field("ticks_evaluated")?,
@@ -257,19 +393,6 @@ fn accum_from_value(v: &Value) -> Result<ShardAccum, String> {
         nodes_evaluated: v.field("nodes_evaluated")?,
         intents_emitted: v.field("intents_emitted")?,
     })
-}
-
-/// Events serialize as `{"kind": ..., "idx": ...}`. `BalanceTick` is never
-/// queued (rounds are driven by `run_rounds`), so it has no encoding and is
-/// rejected on parse — a checkpoint carrying one is corrupt by definition.
-fn event_to_value(e: &Event) -> Value {
-    let (kind, idx) = match *e {
-        Event::LoadArrival { flight } => ("load", flight),
-        Event::TaskArrival => ("task", 0),
-        Event::TraceArrival { record } => ("trace", record),
-        Event::BalanceTick => unreachable!("balance ticks are never queued"),
-    };
-    Value::Object(vec![entry("kind", kind), entry("idx", idx)])
 }
 
 fn event_from_value(v: &Value) -> Result<Event, String> {
@@ -282,18 +405,6 @@ fn event_from_value(v: &Value) -> Result<Event, String> {
     }
 }
 
-impl Serialize for StatSnapshot {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            entry("height_sum", self.height_sum),
-            entry("height_sq_sum", self.height_sq_sum),
-            entry("stat_ops", self.stat_ops),
-            entry("stat_peak_sum", self.stat_peak_sum),
-            entry("stat_peak_sq", self.stat_peak_sq),
-        ])
-    }
-}
-
 impl Deserialize for StatSnapshot {
     fn from_value(v: &Value) -> Result<Self, String> {
         Ok(StatSnapshot {
@@ -303,23 +414,6 @@ impl Deserialize for StatSnapshot {
             stat_peak_sum: v.field("stat_peak_sum")?,
             stat_peak_sq: v.field("stat_peak_sq")?,
         })
-    }
-}
-
-impl Serialize for FlightSnap {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            entry("task", task_to_value(&self.task)),
-            entry("flag", self.flag),
-            entry("hops", self.hops),
-            entry("source", self.source),
-            entry("from", self.from),
-            entry("to", self.to),
-            entry("link_weight", self.link_weight),
-            entry("heat", self.heat),
-            entry("attempts", self.attempts),
-            entry("bounced", self.bounced),
-        ])
     }
 }
 
@@ -338,78 +432,6 @@ impl Deserialize for FlightSnap {
             attempts: v.field("attempts")?,
             bounced: v.field("bounced")?,
         })
-    }
-}
-
-impl Serialize for Checkpoint {
-    fn to_value(&self) -> Value {
-        let mut fields = vec![
-            entry("version", CHECKPOINT_VERSION),
-            entry("nodes", self.nodes),
-            entry("edges", self.edges),
-            entry("trace_len", self.trace_len),
-            entry("balancer", &self.balancer),
-            entry("time", self.time),
-            entry("next_tick", self.next_tick),
-            entry("round", self.round),
-            entry("engine_rng", self.engine_rng),
-            entry("node_rngs", &self.node_rngs),
-            (
-                "node_tasks".to_string(),
-                Value::Array(
-                    self.node_tasks
-                        .iter()
-                        .map(|list| Value::Array(list.iter().map(task_to_value).collect()))
-                        .collect(),
-                ),
-            ),
-            entry("node_heights", &self.node_heights),
-            entry("stats", self.stats),
-            entry("idgen_next", self.idgen_next),
-            entry("down_words", &self.down_words),
-            (
-                "flights".to_string(),
-                Value::Array(
-                    self.flights
-                        .iter()
-                        .map(|f| match f {
-                            Some(f) => f.to_value(),
-                            None => Value::Null,
-                        })
-                        .collect(),
-                ),
-            ),
-            entry("free_slots", &self.free_slots),
-            entry("in_flight_load", self.in_flight_load),
-            entry("completed_tasks", self.completed_tasks),
-            entry("queue_seq", self.queue_seq),
-            (
-                "queue".to_string(),
-                Value::Array(
-                    self.queue
-                        .iter()
-                        .map(|&(t, s, ref e)| {
-                            Value::Array(vec![t.to_value(), s.to_value(), event_to_value(e)])
-                        })
-                        .collect(),
-                ),
-            ),
-            ("ledger".to_string(), Value::Array(self.ledger.iter().map(record_to_value).collect())),
-            entry("series", &self.series),
-            entry("shard_layout_k", self.shard_layout_k),
-            entry("shard_dirty", &self.shard_dirty),
-            (
-                "shard_accums".to_string(),
-                Value::Array(self.shard_accums.iter().map(accum_to_value).collect()),
-            ),
-            entry("balancer_state", &self.balancer_state),
-        ];
-        // Omitted (not null) when zero: churn-free checkpoints keep the
-        // exact pre-churn byte layout, so committed fixtures never churn.
-        if self.churn_len > 0 {
-            fields.push(entry("churn_len", self.churn_len));
-        }
-        Value::Object(fields)
     }
 }
 
@@ -599,6 +621,54 @@ mod tests {
         let back = Checkpoint::from_json(&text).expect("round trip");
         assert_eq!(back, cp);
         assert_eq!(back.to_json(), text, "re-serialization must be byte-identical");
+    }
+
+    #[test]
+    fn streamed_bytes_keep_the_renderers_canonical_layout() {
+        // `write_json` bypasses the `Value` tree, so pin it to the one
+        // renderer: re-rendering the parsed text must reproduce it byte for
+        // byte, across the shapes the committed fixture does not cover.
+        let mut empty = tiny_checkpoint();
+        empty.node_tasks = vec![vec![], vec![]];
+        empty.flights = vec![None, None];
+        empty.free_slots = vec![0, 1];
+        let mut floats = tiny_checkpoint();
+        floats.node_heights = vec![-0.0, f64::MIN_POSITIVE / 8.0];
+        floats.in_flight_load = 1.0 + f64::EPSILON;
+        floats.series.push((2.0, -0.0));
+        let mut nested = tiny_checkpoint();
+        nested.balancer_state = Some(Value::Object(vec![
+            ("pressure".to_string(), Value::Array(vec![Value::Float(0.5), Value::Int(-3)])),
+            (
+                "inner".to_string(),
+                Value::Object(vec![
+                    ("empty_list".to_string(), Value::Array(vec![])),
+                    ("empty_map".to_string(), Value::Object(vec![])),
+                    ("label".to_string(), Value::Str("a\"b\n\u{1}µ".into())),
+                    ("flag".to_string(), Value::Bool(true)),
+                    ("none".to_string(), Value::Null),
+                ]),
+            ),
+        ]));
+        let mut stateless = tiny_checkpoint();
+        stateless.balancer_state = None;
+        let variants = [
+            ("tiny", tiny_checkpoint()),
+            ("empty", empty),
+            ("floats", floats),
+            ("nested", nested),
+            ("stateless", stateless),
+        ];
+        for (name, base) in variants {
+            for churn_len in [0, 7] {
+                let cp = Checkpoint { churn_len, ..base.clone() };
+                let text = cp.to_json();
+                let tree = serde_json::from_str(&text).expect("streamed text parses");
+                let rendered = serde_json::to_string_pretty(&tree).expect("renders") + "\n";
+                assert_eq!(rendered, text, "{name}, churn_len {churn_len}");
+                assert_eq!(Checkpoint::from_json(&text).expect("lifts"), cp, "{name}");
+            }
+        }
     }
 
     #[test]

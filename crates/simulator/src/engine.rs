@@ -48,7 +48,7 @@
 use crate::balancer::{
     build_view, GlobalView, LinkView, LoadBalancer, MigratingLoad, MigrationIntent, ViewScratch,
 };
-use crate::checkpoint::{Checkpoint, FlightSnap};
+use crate::checkpoint::{Checkpoint, FlightSnap, IN_FLIGHT_DRIFT_TOLERANCE};
 use crate::churn::{ChurnEvent, ChurnPlan};
 use crate::events::{Event, EventQueue};
 use crate::pool::ShardPool;
@@ -828,12 +828,21 @@ impl Engine {
         if cp.engine_rng == [0; 4] || cp.node_rngs.contains(&[0; 4]) {
             return Err("checkpoint carries an all-zero RNG state (corrupt snapshot)".into());
         }
-        for (key, v) in
-            [("time", cp.time), ("next_tick", cp.next_tick), ("in_flight_load", cp.in_flight_load)]
-        {
+        for (key, v) in [("time", cp.time), ("next_tick", cp.next_tick)] {
             if !(v.is_finite() && v >= 0.0) {
                 return Err(format!("checkpoint `{key}` = {v} must be finite and non-negative"));
             }
+        }
+        // The in-flight total is an accumulated sum, so with every load
+        // landed it can read a few ulps below zero. That drift is exact
+        // state and restores verbatim; anything further below is corrupt.
+        let floor = -IN_FLIGHT_DRIFT_TOLERANCE * cp.stats.height_sum.abs().max(1.0);
+        if !(cp.in_flight_load.is_finite() && cp.in_flight_load >= floor) {
+            return Err(format!(
+                "checkpoint `in_flight_load` = {} must be finite and at least {floor} \
+                 (float drift below zero)",
+                cp.in_flight_load
+            ));
         }
         if cp.node_heights.iter().any(|h| !h.is_finite()) {
             return Err("checkpoint node heights must be finite".into());
@@ -2402,6 +2411,35 @@ mod tests {
         e.run_rounds(6);
         assert_eq!(r.shard_stats(), e.shard_stats());
         assert_eq!(r.shard_stats().ticks_evaluated, 4, "no re-evaluation after restore");
+    }
+
+    #[test]
+    fn restore_accepts_in_flight_drift_below_zero_verbatim() {
+        // Once every load has landed the accumulated in-flight total can
+        // read a few ulps below zero. Such a checkpoint is correct state:
+        // it must restore, keep the value bit-for-bit (later `+=`/`-=`
+        // start from it), and finish exactly like the straight run.
+        let mut straight = busy_engine(1, 1);
+        straight.run_rounds(9);
+        straight.drain(20.0);
+        assert!(straight.flights.iter().all(Option::is_none), "slab must be empty");
+        straight.in_flight_load = -2.2e-12;
+        let cp = Checkpoint::from_json(&straight.checkpoint().to_json()).expect("round trip");
+        let mut resumed = busy_engine(1, 1);
+        resumed.restore(&cp).expect("drift within tolerance restores");
+        assert_eq!(resumed.in_flight_load.to_bits(), (-2.2e-12f64).to_bits());
+        for e in [&mut straight, &mut resumed] {
+            e.run_rounds(15);
+            e.drain(20.0);
+        }
+        assert_eq!(resumed.report(), straight.report());
+        // Real negative load, and non-finite totals, stay corrupt.
+        for bad_total in [-1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut bad = cp.clone();
+            bad.in_flight_load = bad_total;
+            let err = busy_engine(1, 1).restore(&bad).unwrap_err();
+            assert!(err.contains("in_flight_load"), "{bad_total}: {err}");
+        }
     }
 
     #[test]
