@@ -216,8 +216,8 @@ pub fn registry() -> Vec<ScenarioSpec> {
         // the 16k-node sharded torus writing a restart point every 16
         // rounds (capture is read-only, so the report is identical to an
         // uncheckpointed run — asserted by the golden gate). Redistribution
-        // only (no consumption): with consume_rate > 0 every arrival event
-        // pays an O(n) consume sweep, which at 16k nodes dominates the run.
+        // only (no consumption): the spec predates the resident-work consume
+        // sweep, and its golden pins the consumption-free run.
         ScenarioSpec {
             topology: TopologySpec::Torus { dims: vec![128, 128] },
             workload: WorkloadSpec::UniformRandom { max_per_node: 8.0, seed: 20 },
@@ -233,10 +233,12 @@ pub fn registry() -> Vec<ScenarioSpec> {
         // 21. The event-strategy showcase: a million-node torus over a
         // 50,000-round horizon. The small hotspot drains (and the balancer
         // quiesces) within tens of rounds; the event strategy fast-forwards
-        // everything after in closed form. With consume_rate > 0 the tick
-        // strategy pays an O(n) consume sweep on every one of the 50,000
-        // rounds — ~5·10^10 node visits — so this entry completes in CI
-        // smoke mode under `--strategy event` where Tick cannot.
+        // everything after in closed form. The tick strategy would execute
+        // all 50,000 rounds, each sampling the drained surface's CoV with
+        // the drift guard's exact O(n) pass, so this entry completes in CI
+        // smoke mode under `--strategy event` where Tick cannot. (While the
+        // hotspot holds work, the consume sweep costs n/64 chunk tests plus
+        // the occupied nodes per event, in either strategy.)
         ScenarioSpec {
             topology: TopologySpec::Torus { dims: vec![1024, 1024] },
             workload: WorkloadSpec::Hotspot { node: 0, total: 64.0, task_size: 1.0 },
@@ -254,11 +256,11 @@ pub fn registry() -> Vec<ScenarioSpec> {
         },
         // 22./23. The adaptive-repartitioning A/B pair: a moving hotspot on
         // the 16k-node torus, 64 shards, redistribution only (consume_rate
-        // 0 — a consume sweep would pay O(n) per round and drown the sweep
-        // savings the pair exists to measure). The specs differ in exactly
-        // one knob, so their reports are byte-identical (repartitioning is
-        // unobservable in report bytes, ADR-008); only the sweep cost —
-        // what BENCH_8 measures — differs.
+        // 0 — consumption re-dirties every working node's shard each round
+        // and would blur the sweep savings the pair exists to measure). The
+        // specs differ in exactly one knob, so their reports are
+        // byte-identical (repartitioning is unobservable in report bytes,
+        // ADR-008); only the sweep cost — what BENCH_8 measures — differs.
         hotspot16k(
             "hotspot16k-static",
             "moving hotspot on the 64-shard 16k torus, fixed uniform layout",

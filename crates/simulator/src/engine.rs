@@ -43,7 +43,10 @@
 //!
 //! Between events each node optionally consumes work (`consume_rate`),
 //! completing and removing tasks, and a dynamic [`ArrivalProcess`] may
-//! inject new tasks — the non-quiescent regime of §1.
+//! inject new tasks — the non-quiescent regime of §1. The consume sweep's
+//! cost follows the resident work, not the domain: one vectorised test per
+//! 64-node chunk of the task-count array plus the occupied nodes, and
+//! nothing at all while no task is resident.
 
 use crate::balancer::{
     build_view, GlobalView, LinkView, LoadBalancer, MigratingLoad, MigrationIntent, ViewScratch,
@@ -69,6 +72,32 @@ use pp_topology::partition::{Partition, RepartitionPolicy};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt;
+
+/// Nodes per chunk of the consume sweep's occupancy scan (one `u64` word
+/// of the consume memo).
+const CONSUME_CHUNK: usize = 64;
+
+/// Bit `k` of the result is set iff `counts[k] != 0`, for one chunk of at
+/// most [`CONSUME_CHUNK`] task counts. Shaped for the auto-vectoriser and
+/// branch-free past the empty-chunk early out: an OR-reduction rejects an
+/// all-zero chunk, the counts narrow to 0/1 bytes, and one multiply per
+/// eight bytes gathers them into bits (byte `i` of `w` lands on bit
+/// `56 + i` of `w × 0x0102_0408_1020_4080`, and no partial products
+/// overlap).
+#[inline]
+fn occupancy(counts: &[u32]) -> u64 {
+    if counts.iter().fold(0, |a, &k| a | k) == 0 {
+        return 0;
+    }
+    let mut flags = [0u8; CONSUME_CHUNK];
+    for (flag, &k) in flags.iter_mut().zip(counts) {
+        *flag = u8::from(k != 0);
+    }
+    flags.chunks_exact(8).enumerate().fold(0, |mask, (j, bytes)| {
+        let word = u64::from_le_bytes(bytes.try_into().expect("eight bytes"));
+        mask | (word.wrapping_mul(0x0102_0408_1020_4080) >> 56) << (8 * j)
+    })
+}
 
 /// Dynamic link fault process: at every balance tick each up link goes down
 /// with probability `p_down`, each down link recovers with probability
@@ -325,6 +354,15 @@ pub struct Engine {
     speeds: Vec<f64>,
     /// Recorded arrival trace being replayed (indexed by `TraceArrival`).
     trace: Vec<TraceEvent>,
+    /// Consumers already marked dirty in the current tick window, one bit
+    /// per node (word `c` covers the consume sweep's chunk `c`; empty when
+    /// `consume_rate` is 0). Invariant: a set bit implies the node's shard
+    /// and its neighbours' shards are dirty. Only `eval_shard` clears
+    /// dirty flags, so the memo is cleared at the top of
+    /// `collect_decisions` and on `restore`; `apply_ranges` re-derives the
+    /// flags as a superset (every node of an old dirty shard lands in a
+    /// new dirty shard), which keeps the invariant.
+    consume_marked: Vec<u64>,
     in_flight_load: f64,
     completed_tasks: usize,
 }
@@ -622,8 +660,9 @@ impl Engine {
             return true;
         }
         // Resident work decays between rounds; the O(1) counter gates the
-        // O(n) consumption sweep. (On an empty system the sweep is a no-op:
-        // `consume_work` on a task-less node mutates nothing.)
+        // consumption sweep (n/64 chunk tests plus the occupied nodes). On
+        // an empty system the sweep is a no-op: `consume_work` on a
+        // task-less node mutates nothing.
         if self.config.consume_rate > 0.0 && self.state.resident_tasks() > 0 {
             return true;
         }
@@ -1021,9 +1060,11 @@ impl Engine {
         }
         // Pending wakes belong to the abandoned timeline; the next round
         // re-derives them from the restored dirty flags. The memoized skip
-        // CoV belongs to it too, and so does the repartition load window.
+        // CoV belongs to it too, and so do the repartition load window and
+        // the consume memo (the restored flags need not back its bits).
         self.wakes.clear();
         self.skip_cov = None;
+        self.consume_marked.fill(0);
         for (base, slot) in self.repartition_base.iter_mut().zip(&self.shards) {
             *base = slot.accum.nodes_evaluated;
         }
@@ -1112,33 +1153,52 @@ impl Engine {
         }
     }
 
-    /// Advances the clock to `t`, consuming work on every node (scaled by
-    /// the node's speed multiplier when heterogeneous speeds are set).
+    /// Advances the clock to `t`, consuming work on every node that holds
+    /// any (scaled by the node's speed multiplier when heterogeneous speeds
+    /// are set).
+    ///
+    /// Consuming on an empty node is a no-op (nothing completes, nothing is
+    /// used, nothing is marked dirty), so the sweep is skipped outright
+    /// while no task is resident, and otherwise reads the flat task-count
+    /// array one 64-node chunk at a time: an all-zero chunk costs one
+    /// OR-reduction, an occupied one becomes an [`occupancy`] mask whose
+    /// set bits are the nodes to visit. That is n/64 chunk tests per call
+    /// plus O(resident nodes). Consuming at one node never changes another
+    /// node's count, and the bits are visited in ascending id order, so Σh
+    /// and Σh² accumulate exactly as in a node-by-node scan.
     fn advance_time_to(&mut self, t: f64) {
         let dt = t - self.time;
         debug_assert!(dt >= -1e-9, "time went backwards: {} -> {}", self.time, t);
-        if dt > 0.0 && self.config.consume_rate > 0.0 {
+        if dt > 0.0 && self.config.consume_rate > 0.0 && self.state.resident_tasks() > 0 {
             let amount = dt * self.config.consume_rate;
-            for i in 0..self.state.node_count() {
-                // SoA gate: consuming on an empty node is a no-op (nothing
-                // completes, nothing is used, nothing is marked dirty), so
-                // the sweep streams the flat task-count array and skips the
-                // node-record walk entirely for idle nodes.
-                if self.state.task_count_slice()[i] == 0 {
-                    continue;
-                }
-                // A churned-out node consumes nothing: its frozen tasks (the
-                // no-live-receiver leave case) wait for it to rejoin.
-                if !self.down_nodes.is_empty() && self.down_nodes[i] {
-                    continue;
-                }
-                let scaled = if self.speeds.is_empty() { amount } else { amount * self.speeds[i] };
-                if scaled > 0.0 {
-                    let v = NodeId(i as u32);
-                    let (done, used) = self.state.consume_work(v, scaled);
-                    self.completed_tasks += done;
-                    if done > 0 || used > 0.0 {
-                        self.mark_node_dirty(v);
+            let n = self.state.node_count();
+            for c in 0..n.div_ceil(CONSUME_CHUNK) {
+                let lo = c * CONSUME_CHUNK;
+                let hi = (lo + CONSUME_CHUNK).min(n);
+                let mut occupied = occupancy(&self.state.task_count_slice()[lo..hi]);
+                // Set bits in ascending order: the occupied nodes by id.
+                while occupied != 0 {
+                    let k = occupied.trailing_zeros() as usize;
+                    occupied &= occupied - 1;
+                    let i = lo + k;
+                    // A churned-out node consumes nothing: its frozen tasks
+                    // (the no-live-receiver leave case) wait for it to rejoin.
+                    if !self.down_nodes.is_empty() && self.down_nodes[i] {
+                        continue;
+                    }
+                    let scaled =
+                        if self.speeds.is_empty() { amount } else { amount * self.speeds[i] };
+                    if scaled > 0.0 {
+                        let v = NodeId(i as u32);
+                        let (done, used) = self.state.consume_work(v, scaled);
+                        self.completed_tasks += done;
+                        // Marking is idempotent until the next sweep clears
+                        // the flags, so each consumer marks once per window.
+                        let bit = 1u64 << k;
+                        if (done > 0 || used > 0.0) && self.consume_marked[c] & bit == 0 {
+                            self.consume_marked[c] |= bit;
+                            self.mark_node_dirty(v);
+                        }
                     }
                 }
             }
@@ -1317,6 +1377,9 @@ impl Engine {
     fn collect_decisions(&mut self) {
         let round = self.round;
         let time = self.time;
+        // `eval_shard` is about to clear dirty flags, so the consume memo's
+        // invariant no longer holds for what it recorded.
+        self.consume_marked.fill(0);
         // Shard-level activity tracking only has resolution at K ≥ 2; the
         // single-shard pipeline stays the skip-free sequential reference.
         let skip_ok = self.shards.len() >= 2 && self.balancer.quiescence_stable();
@@ -1858,6 +1921,11 @@ impl EngineBuilder {
             churn_next: 0,
             speeds: self.speeds,
             trace: self.trace,
+            consume_marked: if self.config.consume_rate > 0.0 {
+                vec![0; n.div_ceil(CONSUME_CHUNK)]
+            } else {
+                Vec::new()
+            },
             in_flight_load: 0.0,
             completed_tasks: 0,
         };
@@ -2668,6 +2736,84 @@ mod tests {
     }
 
     #[test]
+    fn occupancy_mask_matches_a_per_node_scan() {
+        let naive = |counts: &[u32]| {
+            counts.iter().enumerate().fold(0u64, |m, (k, &c)| m | u64::from(c != 0) << k)
+        };
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for len in 1..=CONSUME_CHUNK {
+            for trial in 0..40 {
+                let counts: Vec<u32> = (0..len)
+                    .map(|k| match trial {
+                        0 => 0,
+                        1 => u32::MAX,
+                        2 => u32::from(k == len - 1),
+                        _ => (next() % 4 == 0) as u32 * (next() as u32 >> (next() % 32)),
+                    })
+                    .collect();
+                assert_eq!(occupancy(&counts), naive(&counts), "{counts:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn consume_memo_is_cleared_by_every_sweep_and_by_restore() {
+        // One long task on node 5 keeps consuming without completing, under
+        // a policy that never emits: its shard is swept clean every round
+        // and must be re-dirtied by the next window's consumption.
+        let build = |strategy| {
+            let mut loads = [0.0; 64];
+            loads[5] = 8.0;
+            EngineBuilder::new(Topology::torus(&[8, 8]))
+                .workload(Workload::from_loads(&loads, 8.0))
+                .balancer(NullBalancer)
+                .config(EngineConfig {
+                    consume_rate: 0.25,
+                    shards: 4,
+                    strategy,
+                    ..Default::default()
+                })
+                .seed(3)
+                .build()
+        };
+        let mut ev = build(SimulationStrategy::Event);
+        let s = ev.partition.shard_of(NodeId(5));
+        ev.run_rounds(2);
+        assert!(ev.shards.iter().all(|slot| !slot.dirty), "zero intents leave every shard clean");
+        assert!(ev.consume_marked.iter().all(|&w| w == 0), "the sweep clears the memo");
+        let cp = ev.checkpoint();
+
+        // The next window: consuming on node 5 must mark its shard again.
+        let t = ev.time + 0.5;
+        ev.advance_time_to(t);
+        assert!(ev.shards[s].dirty, "consumption after a clean sweep re-dirties the shard");
+        assert_eq!(ev.consume_marked[0], 1 << 5);
+
+        // A restore between windows drops the memo with the timeline, so
+        // the first consumption after it marks the (restored clean) shard.
+        ev.restore(&cp).unwrap();
+        assert!(ev.consume_marked.iter().all(|&w| w == 0), "restore clears the memo");
+        assert!(!ev.shards[s].dirty);
+        let swept = ev.shards[s].accum.ticks_evaluated;
+        ev.run_rounds(1);
+        assert_eq!(ev.shards[s].accum.ticks_evaluated, swept + 1, "the consumer's shard ran");
+
+        ev.run_rounds(37);
+        ev.drain(5.0);
+        let mut tick = build(SimulationStrategy::Tick);
+        tick.run_rounds(40);
+        tick.drain(5.0);
+        assert_eq!(format!("{:?}", ev.report()), format!("{:?}", tick.report()));
+        assert_eq!(ev.heights(), tick.heights());
+    }
+
+    #[test]
     fn event_strategy_with_full_mix_falls_back_to_tick_path() {
         // Faults + a non-stable policy: nothing is skippable, so the event
         // engine must traverse the identical code path round for round.
@@ -2930,6 +3076,60 @@ mod tests {
         // Rejoined at round 5: consumption resumed.
         assert_eq!(e.down_node_count(), 2);
         assert!(e.heights()[0] < 2.0, "{:?}", e.heights());
+    }
+
+    #[test]
+    fn consume_sweep_covers_the_partial_final_chunk_and_skips_down_nodes() {
+        // 8×9 torus: 72 nodes, so the sweep's last chunk holds 8. Work sits
+        // on both sides of the first chunk boundary (63, 64) and at both
+        // ends (0, 71). Node 71's neighbours leave at round 1 and node 71
+        // at round 2, so its tasks freeze; neighbour 63 rejoins at round 3
+        // and takes a trace arrival at t = 3.5.
+        let build = |shards, threads| {
+            let mut loads = [0.0; 72];
+            loads[0] = 8.0;
+            loads[64] = 8.0;
+            loads[71] = 4.0;
+            let ev = |round, node, leave| ChurnEvent { round, node, leave };
+            let plan = ChurnPlan::new(vec![
+                ev(1, 8, true),
+                ev(1, 62, true),
+                ev(1, 63, true),
+                ev(1, 70, true),
+                ev(2, 71, true),
+                ev(3, 63, false),
+            ]);
+            EngineBuilder::new(Topology::torus(&[8, 9]))
+                .workload(Workload::from_loads(&loads, 1.0))
+                .balancer(NullBalancer)
+                .config(EngineConfig { consume_rate: 1.0, shards, threads, ..Default::default() })
+                .churn(plan)
+                .arrival_trace(vec![TraceEvent { time: 3.5, node: 63, size: 2.0 }])
+                .seed(0)
+                .build()
+        };
+        let mut e = build(1, 1);
+        let mut nbrs = e.state().topo.neighbors(NodeId(71)).to_vec();
+        nbrs.sort();
+        assert_eq!(nbrs, [NodeId(8), NodeId(62), NodeId(63), NodeId(70)]);
+        e.run_rounds(5);
+        // By t = 5: nodes 0 and 64 ran five unit tasks each; node 71 ran two
+        // before it froze; node 63 is 1.5 into its 2-unit arrival.
+        let h = e.heights();
+        assert_eq!((h[0], h[63], h[64], h[71]), (3.0, 2.0, 3.0, 2.0), "{h:?}");
+        assert_eq!(e.state().node(NodeId(63)).tasks()[0].work, 0.5);
+        assert_eq!(e.report().completed_tasks, 12);
+        assert_eq!(e.state().total_load(), 10.0);
+        e.run_rounds(3);
+        assert_eq!(e.heights()[71], 2.0, "frozen tasks are not consumed");
+        assert_eq!(e.state().node(NodeId(71)).task_count(), 2);
+        assert_eq!(e.heights()[0], 0.0);
+
+        let want = format!("{:?}", e.report());
+        let mut sharded = build(4, 2);
+        sharded.run_rounds(8);
+        assert_eq!(format!("{:?}", sharded.report()), want, "K=4 threads=2");
+        assert_eq!(sharded.heights(), e.heights());
     }
 
     #[test]

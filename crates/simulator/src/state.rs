@@ -214,9 +214,18 @@ impl SystemState {
         self.resident_tasks -= out.0;
         self.task_counts[v.idx()] -= out.0 as u32;
         // A completed zero-work task changes the height without consuming
-        // anything, so refresh on either signal.
-        if out.0 > 0 || out.1 > 0.0 {
+        // anything, so refresh whenever a task completes. A step that only
+        // eats into the front task leaves the height bit-identical, and a
+        // refresh would then add +0.0 to Σh and Σh² and leave both peaks
+        // alone: counting the operation is all that remains of it, which
+        // keeps the drift bound (and checkpointed `stat_ops`) exact. Only a
+        // negative height, which just a restored checkpoint can carry, lets
+        // the zero clamp move the height without a completion.
+        let moved = self.nodes[v.idx()].height.to_bits() != old.to_bits();
+        if out.0 > 0 || (out.1 > 0.0 && moved) {
             self.refresh_height(v, old);
+        } else if out.1 > 0.0 {
+            self.stat_ops += 1;
         }
         out
     }
@@ -516,6 +525,37 @@ mod tests {
         assert_eq!(s.height_slice()[1], 0.0);
         assert_eq!(s.total_load(), 0.0);
         assert_eq!(s.cov(), 0.0);
+    }
+
+    #[test]
+    fn non_completing_consume_step_only_counts_the_operation() {
+        let mut s = small_state();
+        s.add_task(NodeId(0), task(0, 3.0));
+        s.add_task(NodeId(1), task(1, 0.7));
+        s.add_task(NodeId(1), task(2, 0.2));
+        let before = s.stat_snapshot();
+        let heights: Vec<u64> = s.height_slice().iter().map(|h| h.to_bits()).collect();
+        assert_eq!(s.consume_work(NodeId(0), 1.25), (0, 1.25));
+        let after = s.stat_snapshot();
+        assert_eq!(after.stat_ops, before.stat_ops + 1);
+        assert_eq!(after.height_sum.to_bits(), before.height_sum.to_bits());
+        assert_eq!(after.height_sq_sum.to_bits(), before.height_sq_sum.to_bits());
+        assert_eq!(after.stat_peak_sum.to_bits(), before.stat_peak_sum.to_bits());
+        assert_eq!(after.stat_peak_sq.to_bits(), before.stat_peak_sq.to_bits());
+        let now: Vec<u64> = s.height_slice().iter().map(|h| h.to_bits()).collect();
+        assert_eq!(now, heights);
+        assert_eq!(s.node(NodeId(0)).tasks()[0].work, 1.75);
+
+        // A completing step still refreshes with the same float operations.
+        let old = s.height_slice()[1];
+        let new = old - 0.7;
+        assert_eq!(s.consume_work(NodeId(1), 0.7), (1, 0.7));
+        let done = s.stat_snapshot();
+        assert_eq!(done.stat_ops, after.stat_ops + 1);
+        assert_eq!(s.height_slice()[1].to_bits(), new.to_bits());
+        assert_eq!(done.height_sum.to_bits(), (after.height_sum + (new - old)).to_bits());
+        let sq = after.height_sq_sum + (new * new - old * old);
+        assert_eq!(done.height_sq_sum.to_bits(), sq.to_bits());
     }
 
     #[test]
