@@ -132,13 +132,15 @@ impl Arbiter {
         // Explore: linear weights in relative steepness.
         let am = scores.iter().map(|&(_, a)| a).fold(f64::INFINITY, f64::min);
         let span = (a1 - am).max(1e-12);
-        let weights: Vec<f64> =
-            scores.iter().map(|&(_, a)| 1.0 - (a1 - a) / span + W_FLOOR).collect();
-        let total: f64 = weights.iter().sum();
+        // Weights are recomputed in the pick loop rather than collected:
+        // the same expression folded in the same order, with no allocation.
+        let w = |&(_, a): &(T, f64)| 1.0 - (a1 - a) / span + W_FLOOR;
+        let total: f64 = scores.iter().map(w).sum();
         let mut pick = rng.gen_range(0.0..total);
-        for (i, w) in weights.iter().enumerate() {
-            if pick < *w {
-                return Some(scores[i].0);
+        for s in scores {
+            let w = w(s);
+            if pick < w {
+                return Some(s.0);
             }
             pick -= w;
         }
@@ -312,6 +314,82 @@ mod tests {
         let hits = (0..20_000).filter(|_| a.choose(&scores, 10.0, &mut r) == Some(1)).count();
         let emp = hits as f64 / 20_000.0;
         assert!((p - emp).abs() < 0.02, "analytic {p} empirical {emp}");
+    }
+
+    /// `choose` as it was when the explore draw collected its weights into
+    /// a `Vec` — the reference the allocation-free draw must match.
+    fn choose_with_weight_vec<T: Copy>(
+        arb: &Arbiter,
+        scores: &[(T, f64)],
+        t: f64,
+        rng: &mut StdRng,
+    ) -> Option<T> {
+        if scores.is_empty() {
+            return None;
+        }
+        let (best_idx, &(best, a1)) =
+            scores.iter().enumerate().max_by(|x, y| x.1 .1.total_cmp(&y.1 .1)).expect("non-empty");
+        if scores.len() == 1 {
+            return Some(best);
+        }
+        let beta = arb.exploration(t);
+        if beta <= 0.0 || !rng.gen_bool(beta.min(1.0)) {
+            return Some(arb.steepest_untied(scores, a1, best, rng));
+        }
+        let am = scores.iter().map(|&(_, a)| a).fold(f64::INFINITY, f64::min);
+        let span = (a1 - am).max(1e-12);
+        let weights: Vec<f64> =
+            scores.iter().map(|&(_, a)| 1.0 - (a1 - a) / span + W_FLOOR).collect();
+        let total: f64 = weights.iter().sum();
+        let mut pick = rng.gen_range(0.0..total);
+        for (i, w) in weights.iter().enumerate() {
+            if pick < *w {
+                return Some(scores[i].0);
+            }
+            pick -= w;
+        }
+        Some(scores[best_idx].0)
+    }
+
+    #[test]
+    fn explore_draw_matches_weight_vec_reference() {
+        // Many seeds × random score sets (some drawn from a four-value
+        // palette so ties are common), early times so most draws explore:
+        // the pick and the RNG stream position must match after every call.
+        let arbs = [
+            Arbiter::Stochastic { beta0: 0.95, c: 1.0, t_max: 100.0 },
+            Arbiter::default(),
+            Arbiter::Deterministic,
+        ];
+        let mut gen = StdRng::seed_from_u64(7);
+        let mut explored = 0usize;
+        for seed in 0..200u64 {
+            let len = gen.gen_range(1..9usize);
+            let tied = gen.gen_bool(0.5);
+            let scores: Vec<(u32, f64)> = (0..len as u32)
+                .map(|i| {
+                    let a = if tied {
+                        [0.5, 1.0, 2.0, 2.0][gen.gen_range(0..4usize)]
+                    } else {
+                        gen.gen_range(-3.0..5.0)
+                    };
+                    (i, a)
+                })
+                .collect();
+            for arb in &arbs {
+                let (mut r_new, mut r_old) =
+                    (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+                for step in 0..50 {
+                    let t = step as f64;
+                    let got = arb.choose(&scores, t, &mut r_new);
+                    let want = choose_with_weight_vec(arb, &scores, t, &mut r_old);
+                    assert_eq!(got, want, "seed {seed} step {step} {arb:?} {scores:?}");
+                    assert_eq!(r_new.state(), r_old.state(), "stream diverged");
+                    explored += (arb.exploration(t) > 0.5 && len > 1) as usize;
+                }
+            }
+        }
+        assert!(explored > 1000, "too few explore-heavy draws: {explored}");
     }
 
     #[test]

@@ -5,6 +5,8 @@
 //! traffic is the bytes (load units) moved times the hops (link weight)
 //! used. The ledger records both so experiment `exp10` can correlate them.
 
+use std::sync::Arc;
+
 /// One recorded migration hop.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MigrationRecord {
@@ -26,9 +28,13 @@ pub struct MigrationRecord {
 }
 
 /// Accumulated migration/traffic statistics.
+///
+/// The record list is copy-on-write: cloning a ledger (as every engine
+/// report does) shares it, and the next [`TrafficLedger::record`] on a
+/// ledger whose list is shared copies it once before appending.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TrafficLedger {
-    records: Vec<MigrationRecord>,
+    records: Arc<Vec<MigrationRecord>>,
     total_load_moved: f64,
     total_weighted_traffic: f64,
     total_heat: f64,
@@ -49,7 +55,7 @@ impl TrafficLedger {
         if rec.faulted {
             self.fault_count += 1;
         }
-        self.records.push(rec);
+        Arc::make_mut(&mut self.records).push(rec);
     }
 
     /// Number of migration hops.
@@ -154,6 +160,24 @@ mod tests {
         assert_eq!(l.total_load_moved(), 3.0);
         assert_eq!(l.total_weighted_traffic(), 7.0);
         assert_eq!(l.total_heat(), 1.5);
+    }
+
+    #[test]
+    fn clone_is_unaffected_by_later_records() {
+        let mut l = TrafficLedger::new();
+        l.record(rec(2.0, 3.0, 1.0));
+        let snap = l.clone();
+        assert!(std::ptr::eq(snap.records(), l.records()), "a clone shares the records");
+        l.record(MigrationRecord { faulted: true, ..rec(1.0, 1.0, 0.5) });
+        // The clone keeps its one record and its totals.
+        assert_eq!(snap.records(), &[rec(2.0, 3.0, 1.0)]);
+        assert_eq!(snap.migration_count(), 1);
+        assert_eq!((snap.total_load_moved(), snap.fault_count()), (2.0, 0));
+        // The original carries on with both.
+        assert_eq!(l.migration_count(), 2);
+        assert_eq!(l.records()[..1], snap.records()[..]);
+        assert_eq!((l.total_load_moved(), l.fault_count()), (3.0, 1));
+        assert_ne!(l, snap);
     }
 
     #[test]

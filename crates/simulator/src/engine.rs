@@ -2281,6 +2281,27 @@ mod tests {
     }
 
     #[test]
+    fn mid_run_report_leaves_the_run_unchanged() {
+        // A report shares the ledger's record list; the next hop copies it
+        // first, so the earlier report keeps its records and the finished
+        // run matches one that was never interrupted.
+        let mut straight = busy_engine(1, 1);
+        straight.run_rounds(24);
+        straight.drain(20.0);
+
+        let mut e = busy_engine(1, 1);
+        e.run_rounds(9);
+        let mid = e.report();
+        let mid_records = mid.ledger.records().to_vec();
+        e.run_rounds(15);
+        e.drain(20.0);
+        assert_eq!(mid.ledger.records(), &mid_records[..]);
+        let end = e.report();
+        assert!(end.ledger.migration_count() > mid.ledger.migration_count());
+        assert_eq!(end, straight.report());
+    }
+
+    #[test]
     #[should_panic(expected = "workload node count")]
     fn mismatched_workload_rejected() {
         let topo = Topology::ring(4);

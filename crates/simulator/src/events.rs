@@ -1,8 +1,16 @@
-//! The discrete-event queue: a binary heap of time-stamped events with
-//! deterministic FIFO tie-breaking.
+//! The discrete-event queue: time-stamped events popped in one total
+//! `(time, seq)` order, ties broken FIFO by insertion sequence.
+//!
+//! The queue has two parts. Landings that arrive in time order (the common
+//! case: every launch lands `now + d` later, and on uniform links `d` is one
+//! constant) append to a FIFO *lane*, so a hop costs O(1) instead of a heap
+//! sift. Every other event, and any landing that would land before the
+//! lane's tail, goes to a binary heap. Both parts are sorted by the same
+//! `(time, seq)` order — the lane because `seq` only grows — so popping the
+//! earlier of the two heads yields exactly the sequence one heap would.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Kinds of simulation events.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,6 +62,10 @@ impl PartialOrd for Entry {
 /// A time-ordered event queue.
 #[derive(Debug, Default)]
 pub struct EventQueue {
+    /// In-order landings. Invariant: sorted by `(time, seq)` and holding
+    /// only `LoadArrival`s.
+    lane: VecDeque<Entry>,
+    /// Everything else.
     heap: BinaryHeap<Entry>,
     seq: u64,
 }
@@ -76,27 +88,55 @@ impl EventQueue {
         assert!(valid_time(time), "event time must be finite and non-negative, got {time}");
         let seq = self.seq;
         self.seq += 1;
-        self.heap.push(Entry { time, seq, event });
+        self.insert(Entry { time, seq, event });
+    }
+
+    /// Files an entry. Callers guarantee its `seq` tops the lane tail's
+    /// (`push` hands out growing `seq`s, `from_entries` feeds pop order), so
+    /// a landing at or after the tail's time keeps the lane sorted and
+    /// appends to it; anything else goes to the heap.
+    fn insert(&mut self, entry: Entry) {
+        let in_order = match self.lane.back() {
+            Some(tail) => entry.time.total_cmp(&tail.time) != Ordering::Less,
+            None => true,
+        };
+        if in_order && matches!(entry.event, Event::LoadArrival { .. }) {
+            self.lane.push_back(entry);
+        } else {
+            self.heap.push(entry);
+        }
+    }
+
+    /// Whether the earliest pending entry is the lane's head. `Entry`'s
+    /// order is reversed (the heap is a max-heap), so the earlier of two
+    /// entries compares greater.
+    fn lane_first(&self) -> bool {
+        match (self.lane.front(), self.heap.peek()) {
+            (Some(l), Some(h)) => l > h,
+            (l, _) => l.is_some(),
+        }
     }
 
     /// Pops the earliest event as `(time, event)`.
     pub fn pop(&mut self) -> Option<(f64, Event)> {
-        self.heap.pop().map(|e| (e.time, e.event))
+        let e = if self.lane_first() { self.lane.pop_front() } else { self.heap.pop() };
+        e.map(|e| (e.time, e.event))
     }
 
     /// Time of the next event without removing it.
     pub fn peek_time(&self) -> Option<f64> {
-        self.heap.peek().map(|e| e.time)
+        let e = if self.lane_first() { self.lane.front() } else { self.heap.peek() };
+        e.map(|e| e.time)
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.lane.len() + self.heap.len()
     }
 
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.lane.is_empty() && self.heap.is_empty()
     }
 
     /// Deterministic snapshot of every pending entry as `(time, seq, event)`
@@ -104,10 +144,11 @@ impl EventQueue {
     /// checkpointable representation of the queue. Pop order is a total
     /// order (ties break by the unique `seq`), so rebuilding a heap from
     /// this list via [`EventQueue::from_entries`] reproduces exactly the
-    /// same pop sequence whatever the original heap's internal layout was.
+    /// same pop sequence whatever the original lane/heap split and heap
+    /// layout were.
     pub fn snapshot(&self) -> (u64, Vec<(f64, u64, Event)>) {
         let mut entries: Vec<(f64, u64, Event)> =
-            self.heap.iter().map(|e| (e.time, e.seq, e.event)).collect();
+            self.lane.iter().chain(self.heap.iter()).map(|e| (e.time, e.seq, e.event)).collect();
         entries.sort_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
         (self.seq, entries)
     }
@@ -124,7 +165,7 @@ impl EventQueue {
     /// would otherwise restore to a *different* FIFO than the file claims
     /// to carry, and no later check would ever notice.
     pub fn from_entries(seq: u64, entries: &[(f64, u64, Event)]) -> Result<EventQueue, String> {
-        let mut heap = BinaryHeap::with_capacity(entries.len());
+        let mut queue = EventQueue { seq, ..EventQueue::default() };
         let mut seen: Vec<u64> = Vec::with_capacity(entries.len());
         for pair in entries.windows(2) {
             let (t0, s0, _) = pair[0];
@@ -143,7 +184,9 @@ impl EventQueue {
                 return Err(format!("event seq {s} not below the restored counter {seq}"));
             }
             seen.push(s);
-            heap.push(Entry { time, seq: s, event });
+            // Entries come in pop order, so each one's `seq` tops the
+            // lane's on a time tie and `insert` keeps the lane sorted.
+            queue.insert(Entry { time, seq: s, event });
         }
         // Pop order is strict on (time, seq), but a seq may still repeat
         // across *different* times — catch that separately.
@@ -151,7 +194,7 @@ impl EventQueue {
         if seen.windows(2).any(|w| w[0] == w[1]) {
             return Err("duplicate event sequence numbers in snapshot".into());
         }
-        Ok(EventQueue { heap, seq })
+        Ok(queue)
     }
 }
 
@@ -286,6 +329,131 @@ mod tests {
         for want in 0..6 {
             assert_eq!(r.pop(), Some((2.5, Event::LoadArrival { flight: want })));
         }
+    }
+
+    /// Reference model: every pending entry in a `Vec`, popped by a linear
+    /// scan for the least `(time, seq)`.
+    #[derive(Clone, Default)]
+    struct Reference {
+        seq: u64,
+        entries: Vec<(f64, u64, Event)>,
+    }
+
+    impl Reference {
+        fn push(&mut self, time: f64, event: Event) {
+            self.entries.push((time, self.seq, event));
+            self.seq += 1;
+        }
+
+        fn sorted(&self) -> Vec<(f64, u64, Event)> {
+            let mut v = self.entries.clone();
+            v.sort_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
+            v
+        }
+
+        fn pop(&mut self) -> Option<(f64, Event)> {
+            let first = self.sorted().first().map(|&(_, s, _)| s)?;
+            let at = self.entries.iter().position(|&(_, s, _)| s == first).unwrap();
+            let (t, _, e) = self.entries.remove(at);
+            Some((t, e))
+        }
+
+        fn peek_time(&self) -> Option<f64> {
+            self.sorted().first().map(|&(t, _, _)| t)
+        }
+    }
+
+    fn assert_same(q: &EventQueue, r: &Reference, ctx: &str) {
+        assert_eq!(q.len(), r.entries.len(), "{ctx}: len");
+        assert_eq!(q.is_empty(), r.entries.is_empty(), "{ctx}: is_empty");
+        assert_eq!(q.peek_time().map(f64::to_bits), r.peek_time().map(f64::to_bits), "{ctx}");
+    }
+
+    #[test]
+    fn lane_and_heap_pop_like_one_sorted_list() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        // The clock follows the pops, as in the engine. Landings mostly
+        // use one duration (in order, often tied), sometimes a shorter or
+        // longer one (out of order); task and trace arrivals land ahead of
+        // and behind the lane's tail.
+        let mut both_parts = 0;
+        for seed in 0..40u64 {
+            let mut g = StdRng::seed_from_u64(seed);
+            let (mut q, mut r) = (EventQueue::new(), Reference::default());
+            let mut now = 0.0f64;
+            for step in 0..600 {
+                let ctx = format!("seed {seed} step {step}");
+                if g.gen_bool(0.55) {
+                    let (d, event) = match g.gen_range(0..10u32) {
+                        0..=5 => (1.0, Event::LoadArrival { flight: step }),
+                        6 => (
+                            [0.0, 0.25, 2.5][g.gen_range(0..3usize)],
+                            Event::LoadArrival { flight: step },
+                        ),
+                        7 | 8 => ([0.0, 0.5, 1.0, 3.0][g.gen_range(0..4usize)], Event::TaskArrival),
+                        _ => (g.gen_range(0.0..4.0), Event::TraceArrival { record: step }),
+                    };
+                    q.push(now + d, event);
+                    r.push(now + d, event);
+                } else {
+                    let got = q.pop();
+                    assert_eq!(got, r.pop(), "{ctx}: pop");
+                    if let Some((t, _)) = got {
+                        now = t;
+                    }
+                }
+                assert_same(&q, &r, &ctx);
+                if step % 25 == 0 {
+                    both_parts += (!q.lane.is_empty() && !q.heap.is_empty()) as usize;
+                    let (seq, entries) = q.snapshot();
+                    assert_eq!((seq, &entries), (r.seq, &r.sorted()), "{ctx}: snapshot");
+                    // The restored queue pops the same sequence and keeps
+                    // numbering where the original left off.
+                    let mut restored = EventQueue::from_entries(seq, &entries).expect("valid");
+                    let mut reference = r.clone();
+                    restored.push(now + 1.0, Event::LoadArrival { flight: usize::MAX });
+                    reference.push(now + 1.0, Event::LoadArrival { flight: usize::MAX });
+                    while let Some(want) = reference.pop() {
+                        assert_eq!(restored.pop(), Some(want), "{ctx}: restored pop");
+                    }
+                    assert!(restored.is_empty(), "{ctx}");
+                }
+            }
+        }
+        assert!(both_parts > 100, "lane and heap rarely both held entries: {both_parts}");
+    }
+
+    #[test]
+    fn uniform_landings_never_touch_the_heap() {
+        // Every landing scheduled `now + d` with one `d` goes to the lane,
+        // ties included, even with a task arrival pending in the heap.
+        let mut q = EventQueue::new();
+        q.push(2.0, Event::TaskArrival);
+        let mut now = 0.0;
+        for flight in 0..100 {
+            q.push(now + 1.5, Event::LoadArrival { flight });
+            q.push(now + 1.5, Event::LoadArrival { flight: flight + 1000 });
+            if flight % 2 == 1 {
+                now = q.pop().unwrap().0;
+            }
+            assert!(q.heap.iter().all(|e| e.event == Event::TaskArrival), "flight {flight}");
+        }
+    }
+
+    #[test]
+    fn negative_zero_landing_sorts_before_zero() {
+        // The lane compares with `total_cmp`, the heap's order, so a -0.0
+        // landing behind a 0.0 tail is out of order and goes to the heap.
+        let mut q = EventQueue::new();
+        q.push(0.0, Event::LoadArrival { flight: 0 });
+        q.push(-0.0, Event::LoadArrival { flight: 1 });
+        assert_eq!((q.lane.len(), q.heap.len()), (1, 1));
+        assert_eq!(
+            q.pop().map(|(t, e)| (t.to_bits(), e)),
+            Some(((-0.0f64).to_bits(), Event::LoadArrival { flight: 1 }))
+        );
+        assert_eq!(q.pop(), Some((0.0, Event::LoadArrival { flight: 0 })));
     }
 
     #[test]

@@ -68,8 +68,13 @@ impl LinkAttrs {
     }
 
     /// Probability that a transfer occupying the link for `duration` time
-    /// units completes without a fault: `(1 − f)^duration`.
+    /// units completes without a fault: `(1 − f)^duration`. A fault-free
+    /// link skips the `powf`: `pow(1, y) = 1` for every `y` (IEEE 754), so
+    /// the shortcut is exact.
     pub fn success_probability(&self, duration: f64) -> f64 {
+        if self.fault_prob == 0.0 {
+            return 1.0;
+        }
         (1.0 - self.fault_prob).powf(duration.max(0.0))
     }
 }
@@ -273,6 +278,23 @@ mod tests {
         let p = a.success_probability(2.0);
         assert!((p - 0.81).abs() < 1e-12);
         assert_eq!(a.success_probability(0.0), 1.0);
+    }
+
+    #[test]
+    fn success_probability_shortcut_is_exact() {
+        // Fault-free: exactly 1.0 however long the link is held.
+        let clean = LinkAttrs::default();
+        for d in [0.0, 0.5, 1e300] {
+            assert_eq!(clean.success_probability(d).to_bits(), 1.0f64.to_bits(), "d = {d}");
+        }
+        // Faulty: bit for bit the `powf` formula.
+        for f in [1e-9, 0.05, 0.3, 0.999] {
+            let a = LinkAttrs { fault_prob: f, ..Default::default() };
+            for d in [0.0, 0.5, 1.0, 2.75, 1e3, 1e300] {
+                let want = (1.0 - f).powf(f64::max(d, 0.0));
+                assert_eq!(a.success_probability(d).to_bits(), want.to_bits(), "f = {f}, d = {d}");
+            }
+        }
     }
 
     #[test]
