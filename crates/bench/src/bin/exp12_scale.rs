@@ -1,6 +1,6 @@
 //! E12 — scalability: network sizes from 16 to 1024 nodes on square tori;
 //! rounds-to-balance, wall time per round, and traffic per node. Sizes run
-//! concurrently through the crossbeam sweep runner; each size is the same
+//! concurrently through the `par_map` sweep runner; each size is the same
 //! [`ScenarioSpec`] with a different torus extent.
 
 use pp_bench::{banner, dump_json, initial_cov};

@@ -5,13 +5,14 @@
 //! committed under `golden/` and diffed on every push.
 
 use pp_sim::engine::RunReport;
-use serde::{Serialize, Value};
+use serde_json::Writer;
+use std::io;
 
 /// Everything observable about a finished run, flattened for JSON. Field
-/// order is fixed — the report is compared byte-for-byte. `Serialize` is
-/// hand-written so that `shard_layout` is *omitted* (not `null`) when the
-/// scenario does not request explicit sharding, keeping default-layout
-/// goldens byte-identical to those emitted before the field existed.
+/// order is fixed — the report is compared byte-for-byte. `shard_layout` is
+/// *omitted* (not `null`) when the scenario does not request explicit
+/// sharding, keeping default-layout goldens byte-identical to those emitted
+/// before the field existed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GoldenReport {
     /// Scenario name.
@@ -57,35 +58,6 @@ pub struct GoldenReport {
     pub cov_series: Vec<(f64, f64)>,
 }
 
-impl Serialize for GoldenReport {
-    fn to_value(&self) -> Value {
-        let mut entries = vec![
-            ("scenario".to_string(), self.scenario.to_value()),
-            ("balancer".to_string(), self.balancer.to_value()),
-            ("seed".to_string(), self.seed.to_value()),
-            ("nodes".to_string(), self.nodes.to_value()),
-            ("rounds".to_string(), self.rounds.to_value()),
-            ("time".to_string(), self.time.to_value()),
-            ("final_cov".to_string(), self.final_cov.to_value()),
-            ("final_mean".to_string(), self.final_mean.to_value()),
-            ("final_spread".to_string(), self.final_spread.to_value()),
-            ("migrations".to_string(), self.migrations.to_value()),
-            ("load_moved".to_string(), self.load_moved.to_value()),
-            ("weighted_traffic".to_string(), self.weighted_traffic.to_value()),
-            ("heat".to_string(), self.heat.to_value()),
-            ("hop_faults".to_string(), self.hop_faults.to_value()),
-            ("total_load".to_string(), self.total_load.to_value()),
-            ("in_flight_load".to_string(), self.in_flight_load.to_value()),
-            ("completed_tasks".to_string(), self.completed_tasks.to_value()),
-        ];
-        if let Some(layout) = &self.shard_layout {
-            entries.push(("shard_layout".to_string(), layout.to_value()));
-        }
-        entries.push(("cov_series".to_string(), self.cov_series.to_value()));
-        Value::Object(entries)
-    }
-}
-
 impl GoldenReport {
     /// Flattens a [`RunReport`].
     pub fn from_run(scenario: &str, seed: u64, nodes: usize, r: &RunReport) -> GoldenReport {
@@ -120,11 +92,46 @@ impl GoldenReport {
     }
 
     /// The canonical byte-stable rendering (pretty JSON + trailing
-    /// newline, so committed files diff cleanly).
+    /// newline, so committed files diff cleanly), streamed field by field
+    /// through the JSON writer without building a value tree.
     pub fn to_canonical_json(&self) -> String {
-        let mut s = serde_json::to_string_pretty(self).expect("report serialization is total");
-        s.push('\n');
-        s
+        // A pretty series point takes about 60 bytes.
+        let mut w = Writer::pretty(Vec::with_capacity(1024 + 64 * self.cov_series.len()));
+        self.write(&mut w).expect("writing to a Vec cannot fail");
+        let mut bytes = w.into_inner();
+        bytes.push(b'\n');
+        String::from_utf8(bytes).expect("the writer emits UTF-8")
+    }
+
+    fn write<W: io::Write>(&self, w: &mut Writer<W>) -> io::Result<()> {
+        w.begin_object()?;
+        w.field("scenario", self.scenario.as_str())?;
+        w.field("balancer", self.balancer.as_str())?;
+        w.field("seed", self.seed)?;
+        w.field("nodes", self.nodes)?;
+        w.field("rounds", self.rounds)?;
+        w.field("time", self.time)?;
+        w.field("final_cov", self.final_cov)?;
+        w.field("final_mean", self.final_mean)?;
+        w.field("final_spread", self.final_spread)?;
+        w.field("migrations", self.migrations)?;
+        w.field("load_moved", self.load_moved)?;
+        w.field("weighted_traffic", self.weighted_traffic)?;
+        w.field("heat", self.heat)?;
+        w.field("hop_faults", self.hop_faults)?;
+        w.field("total_load", self.total_load)?;
+        w.field("in_flight_load", self.in_flight_load)?;
+        w.field("completed_tasks", self.completed_tasks)?;
+        if let Some(layout) = &self.shard_layout {
+            w.field("shard_layout", layout.as_str())?;
+        }
+        w.key("cov_series")?;
+        w.begin_array()?;
+        for &(time, cov) in &self.cov_series {
+            w.scalars([time, cov])?;
+        }
+        w.end_array()?;
+        w.end_object()
     }
 
     /// Checks that `text` parses as a golden report: valid JSON carrying
@@ -172,6 +179,47 @@ mod tests {
         assert!(text.contains("\"shard_layout\": \"shards=4 boundary=32\""));
         // Metadata rides along without disturbing the checker.
         assert_eq!(GoldenReport::check_text(&text).expect("checks"), "hotspot-torus");
+    }
+
+    #[test]
+    fn streamed_json_matches_the_value_tree_rendering() {
+        use serde::{Serialize, Value};
+        let tree = |g: &GoldenReport| {
+            let mut entries = vec![
+                ("scenario".to_string(), g.scenario.to_value()),
+                ("balancer".to_string(), g.balancer.to_value()),
+                ("seed".to_string(), g.seed.to_value()),
+                ("nodes".to_string(), g.nodes.to_value()),
+                ("rounds".to_string(), g.rounds.to_value()),
+                ("time".to_string(), g.time.to_value()),
+                ("final_cov".to_string(), g.final_cov.to_value()),
+                ("final_mean".to_string(), g.final_mean.to_value()),
+                ("final_spread".to_string(), g.final_spread.to_value()),
+                ("migrations".to_string(), g.migrations.to_value()),
+                ("load_moved".to_string(), g.load_moved.to_value()),
+                ("weighted_traffic".to_string(), g.weighted_traffic.to_value()),
+                ("heat".to_string(), g.heat.to_value()),
+                ("hop_faults".to_string(), g.hop_faults.to_value()),
+                ("total_load".to_string(), g.total_load.to_value()),
+                ("in_flight_load".to_string(), g.in_flight_load.to_value()),
+                ("completed_tasks".to_string(), g.completed_tasks.to_value()),
+            ];
+            if let Some(layout) = &g.shard_layout {
+                entries.push(("shard_layout".to_string(), layout.to_value()));
+            }
+            entries.push(("cov_series".to_string(), g.cov_series.to_value()));
+            serde_json::to_string_pretty(&Value::Object(entries)).unwrap() + "\n"
+        };
+        let spec = registry::by_name("hotspot-torus").expect("registered").smoke(4, 10.0);
+        let r = spec.run().expect("run");
+        let mut g = GoldenReport::from_run(&spec.name, spec.seed, spec.topology.node_count(), &r);
+        g.final_spread = f64::NAN;
+        g.scenario = "quote \" and tab \t".into();
+        assert_eq!(g.to_canonical_json(), tree(&g));
+        let tagged = g.clone().with_shard_layout("shards=2 boundary=8".into());
+        assert_eq!(tagged.to_canonical_json(), tree(&tagged));
+        g.cov_series.clear();
+        assert_eq!(g.to_canonical_json(), tree(&g));
     }
 
     #[test]

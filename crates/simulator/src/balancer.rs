@@ -92,7 +92,7 @@ impl ViewScratch {
 /// edges currently down.
 #[derive(Debug, Clone, Copy)]
 pub struct LinkView<'a> {
-    /// Link attributes by edge id (see [`pp_topology::links::LinkTable`]).
+    /// Link attributes by edge id (see [`pp_topology::links::LinkMap`]).
     pub attrs: &'a [LinkAttrs],
     /// Precomputed weights by edge id; `None` computes `attrs.weight(c)`
     /// per neighbour (fine for tests, avoided on the engine hot path).

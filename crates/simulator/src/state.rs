@@ -13,7 +13,7 @@ use pp_tasking::graph::TaskGraph;
 use pp_tasking::resources::ResourceMatrix;
 use pp_tasking::task::{Task, TaskId};
 use pp_topology::graph::{NodeId, Topology};
-use pp_topology::links::{LinkMap, LinkTable};
+use pp_topology::links::LinkMap;
 
 /// One processor's resident tasks.
 #[derive(Debug, Clone, Default)]
@@ -112,7 +112,7 @@ pub struct SystemState {
     pub task_graph: TaskGraph,
     /// The resource matrix `R`.
     pub resources: ResourceMatrix,
-    links: LinkTable,
+    links: LinkMap,
     nodes: Vec<NodeState>,
     /// Height cache, mirrored exactly from `nodes[i].height()`.
     heights: Vec<f64>,
@@ -140,9 +140,11 @@ pub struct SystemState {
 }
 
 impl SystemState {
-    /// Creates a state with empty nodes. Link attributes are flattened over
-    /// the topology's stable edge ids at construction; they are immutable
-    /// afterwards.
+    /// Creates a state with empty nodes. It takes the edge-indexed link
+    /// attributes as they are; they are immutable afterwards.
+    ///
+    /// # Panics
+    /// Panics if `links` does not hold one entry per edge of `topo`.
     pub fn new(
         topo: Topology,
         links: LinkMap,
@@ -150,7 +152,11 @@ impl SystemState {
         resources: ResourceMatrix,
     ) -> Self {
         let n = topo.node_count();
-        let links = LinkTable::new(&topo, &links);
+        assert_eq!(
+            links.len(),
+            topo.edge_count(),
+            "link map must hold one entry per edge of the topology"
+        );
         SystemState {
             topo,
             task_graph,
@@ -179,7 +185,7 @@ impl SystemState {
     }
 
     /// The edge-indexed link attribute table.
-    pub fn links(&self) -> &LinkTable {
+    pub fn links(&self) -> &LinkMap {
         &self.links
     }
 
@@ -681,10 +687,18 @@ mod tests {
     }
 
     #[test]
-    fn link_table_flattened_at_construction() {
+    fn link_map_is_edge_indexed() {
         let s = small_state();
         assert_eq!(s.links().len(), s.topo.edge_count());
         let e = s.topo.edge_index(NodeId(0), NodeId(1)).unwrap();
         assert_eq!(s.links().get(e), LinkAttrs::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "one entry per edge")]
+    fn link_map_for_another_topology_is_refused() {
+        let links = LinkMap::uniform(&Topology::ring(3), LinkAttrs::default());
+        let _ =
+            SystemState::new(Topology::ring(4), links, TaskGraph::new(), ResourceMatrix::none());
     }
 }

@@ -41,10 +41,9 @@ pub fn embed(topo: &Topology) -> Vec<Point2> {
     match topo.kind() {
         TopologyKind::Mesh(dims) | TopologyKind::Torus(dims) if dims.len() <= 2 => (0..n)
             .map(|i| {
-                let c = crate::generators::index_to_coords(i, dims);
-                let x = c.first().copied().unwrap_or(0) as f64;
-                let y = c.get(1).copied().unwrap_or(0) as f64;
-                Point2::new(x, y)
+                // Row-major coordinates; a 1-D grid lies on the x axis.
+                let cols = dims.get(1).copied().unwrap_or(1);
+                Point2::new((i / cols) as f64, (i % cols) as f64)
             })
             .collect(),
         TopologyKind::Hypercube(dim) => {

@@ -1,28 +1,9 @@
 //! Constructors for the standard multiprocessor interconnection topologies
 //! the load-balancing literature evaluates on (mesh, torus, hypercube, …).
 
-use crate::graph::{NodeId, Topology, TopologyKind};
+use crate::graph::{Topology, TopologyKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// Converts mixed-radix coordinates to a linear node index.
-fn coords_to_index(coords: &[usize], dims: &[usize]) -> usize {
-    let mut idx = 0;
-    for (c, d) in coords.iter().zip(dims) {
-        idx = idx * d + c;
-    }
-    idx
-}
-
-/// Converts a linear node index to mixed-radix coordinates.
-pub(crate) fn index_to_coords(mut idx: usize, dims: &[usize]) -> Vec<usize> {
-    let mut coords = vec![0; dims.len()];
-    for i in (0..dims.len()).rev() {
-        coords[i] = idx % dims[i];
-        idx /= dims[i];
-    }
-    coords
-}
 
 impl Topology {
     /// k-ary n-dimensional mesh: nodes at integer coordinates, links between
@@ -37,69 +18,58 @@ impl Topology {
         Self::grid(dims, true, TopologyKind::Torus(dims.to_vec()))
     }
 
+    /// Emits each undirected grid link once by stride arithmetic. In
+    /// row-major order an axis with stride `s` and extent `k` cuts the
+    /// nodes into blocks of `s·k`; inside a block it links `u` to `u + s`,
+    /// and with `wrap` the block's first `s` nodes to its last `s` (an
+    /// extent-2 wraparound would duplicate the mesh link, so it only
+    /// exists from extent 3).
     fn grid(dims: &[usize], wrap: bool, kind: TopologyKind) -> Topology {
         assert!(!dims.is_empty(), "need at least one dimension");
         assert!(dims.iter().all(|&d| d >= 1), "dimensions must be ≥ 1");
         let n: usize = dims.iter().product();
-        let mut adj = vec![Vec::new(); n];
-        for (idx, list) in adj.iter_mut().enumerate() {
-            let coords = index_to_coords(idx, dims);
-            for (axis, &extent) in dims.iter().enumerate() {
-                if extent < 2 {
-                    continue;
-                }
-                let mut fwd = coords.clone();
-                if coords[axis] + 1 < extent {
-                    fwd[axis] += 1;
-                    list.push(NodeId(coords_to_index(&fwd, dims) as u32));
-                } else if wrap && extent > 2 {
-                    fwd[axis] = 0;
-                    list.push(NodeId(coords_to_index(&fwd, dims) as u32));
-                } else if wrap && extent == 2 && coords[axis] + 1 < extent {
-                    // extent-2 wraparound duplicates the mesh edge; skip.
-                }
-                let mut back = coords.clone();
-                if coords[axis] > 0 {
-                    back[axis] -= 1;
-                    list.push(NodeId(coords_to_index(&back, dims) as u32));
-                } else if wrap && extent > 2 {
-                    back[axis] = extent - 1;
-                    list.push(NodeId(coords_to_index(&back, dims) as u32));
+        let mut edges = Vec::with_capacity(n * dims.len());
+        let mut stride = 1;
+        for &extent in dims.iter().rev() {
+            let block = stride * extent;
+            // Coordinate `k - 1` of a block starts `span` nodes after its
+            // coordinate 0.
+            let span = block - stride;
+            for base in (0..n).step_by(block) {
+                edges.extend((base..base + span).map(|u| (u as u32, (u + stride) as u32)));
+                if wrap && extent > 2 {
+                    edges.extend((base..base + stride).map(|u| (u as u32, (u + span) as u32)));
                 }
             }
+            stride = block;
         }
-        Topology::from_adjacency(kind, adj)
+        Topology::build(kind, n, &edges)
     }
 
     /// n-dimensional hypercube with `2^dim` nodes; node `u` links to `u ^ (1<<b)`.
     pub fn hypercube(dim: usize) -> Topology {
         assert!(dim <= 20, "hypercube dimension unreasonably large");
-        let n = 1usize << dim;
-        let mut adj = vec![Vec::new(); n];
-        for (u, list) in adj.iter_mut().enumerate() {
-            for b in 0..dim {
-                list.push(NodeId((u ^ (1 << b)) as u32));
-            }
-        }
-        Topology::from_adjacency(TopologyKind::Hypercube(dim), adj)
+        let n = 1u32 << dim;
+        let edges: Vec<(u32, u32)> = (0..n)
+            .flat_map(|u| {
+                (0..dim).filter(move |&b| u & (1 << b) == 0).map(move |b| (u, u | 1 << b))
+            })
+            .collect();
+        Topology::build(TopologyKind::Hypercube(dim), n as usize, &edges)
     }
 
     /// Simple cycle of `n ≥ 3` nodes.
     pub fn ring(n: usize) -> Topology {
         assert!(n >= 3, "a ring needs at least 3 nodes");
         let edges: Vec<(u32, u32)> = (0..n as u32).map(|i| (i, (i + 1) % n as u32)).collect();
-        let mut t = Topology::from_edges(n, &edges);
-        t.set_kind(TopologyKind::Ring);
-        t
+        Topology::build(TopologyKind::Ring, n, &edges)
     }
 
     /// Star: node 0 is the hub, all others are leaves.
     pub fn star(n: usize) -> Topology {
         assert!(n >= 2, "a star needs at least 2 nodes");
         let edges: Vec<(u32, u32)> = (1..n as u32).map(|i| (0, i)).collect();
-        let mut t = Topology::from_edges(n, &edges);
-        t.set_kind(TopologyKind::Star);
-        t
+        Topology::build(TopologyKind::Star, n, &edges)
     }
 
     /// Complete graph on `n` nodes.
@@ -110,9 +80,7 @@ impl Topology {
                 edges.push((u, v));
             }
         }
-        let mut t = Topology::from_edges(n, &edges);
-        t.set_kind(TopologyKind::Complete);
-        t
+        Topology::build(TopologyKind::Complete, n, &edges)
     }
 
     /// Balanced tree: root 0, each internal node has `arity` children, down
@@ -133,9 +101,7 @@ impl Topology {
             }
             level = next_level;
         }
-        let mut t = Topology::from_edges(next_id as usize, &edges);
-        t.set_kind(TopologyKind::Tree(arity));
-        t
+        Topology::build(TopologyKind::Tree(arity), next_id as usize, &edges)
     }
 
     /// Connected random graph: a random spanning tree (guaranteeing
@@ -158,9 +124,7 @@ impl Topology {
                 }
             }
         }
-        let mut t = Topology::from_edges(n, &edges);
-        t.set_kind(TopologyKind::Random);
-        t
+        Topology::build(TopologyKind::Random, n, &edges)
     }
 
     /// Barabási–Albert preferential-attachment scale-free graph: a
@@ -200,9 +164,7 @@ impl Topology {
                 endpoints.push(v);
             }
         }
-        let mut t = Topology::from_edges(n, &edges);
-        t.set_kind(TopologyKind::ScaleFree(m));
-        t
+        Topology::build(TopologyKind::ScaleFree(m), n, &edges)
     }
 
     /// Random geometric graph: `n` seeded points uniform in the unit
@@ -268,19 +230,14 @@ impl Topology {
             parent[ru] = rv;
             components -= 1;
         }
-        let mut t = Topology::from_edges(n, &edges);
-        t.set_kind(TopologyKind::Geometric);
-        t
-    }
-
-    pub(crate) fn set_kind(&mut self, kind: TopologyKind) {
-        *self.kind_mut() = kind;
+        Topology::build(TopologyKind::Geometric, n, &edges)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::NodeId;
 
     #[test]
     fn mesh_2d_structure() {

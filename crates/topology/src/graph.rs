@@ -112,75 +112,83 @@ pub struct Topology {
 }
 
 impl Topology {
-    /// Builds a topology from adjacency lists. Neighbour lists are sorted and
-    /// deduplicated; self-loops are removed.
-    pub fn from_adjacency(kind: TopologyKind, mut adj: Vec<Vec<NodeId>>) -> Self {
-        let n = adj.len() as u32;
-        for (i, list) in adj.iter_mut().enumerate() {
-            list.retain(|v| v.0 != i as u32 && v.0 < n);
-            list.sort_unstable();
-            list.dedup();
-        }
-        // Symmetrise: if u lists v, v must list u.
-        let pairs: Vec<(u32, u32)> = adj
-            .iter()
-            .enumerate()
-            .flat_map(|(u, list)| list.iter().map(move |v| (u as u32, v.0)))
-            .collect();
-        for (u, v) in pairs {
-            let back = &mut adj[v as usize];
-            if back.binary_search(&NodeId(u)).is_err() {
-                let pos = back.partition_point(|x| x.0 < u);
-                back.insert(pos, NodeId(u));
+    /// Builds from an explicit edge list over `n` nodes. Self-loops and
+    /// duplicate edges (in either direction) are dropped.
+    ///
+    /// # Panics
+    /// Panics if an endpoint is `≥ n`.
+    pub fn from_edges(n: usize, edges: &[(u32, u32)]) -> Self {
+        Topology::build(TopologyKind::Custom, n, edges)
+    }
+
+    /// The one CSR constructor, by counting sort: count each node's slots,
+    /// prefix-sum the counts into offsets, scatter both directions of every
+    /// edge, then sort, dedup and compact each node's slice in place. Edge
+    /// ids are assigned in `(u, v)`, `u < v` order. Every node's lower
+    /// neighbours sit at the front of its sorted slice in the order their
+    /// edges receive ids, so one cursor per node files each back slot
+    /// without a search.
+    pub(crate) fn build(kind: TopologyKind, n: usize, edges: &[(u32, u32)]) -> Self {
+        let mut offsets = vec![0u32; n + 1];
+        for &(u, v) in edges {
+            assert!((u as usize) < n && (v as usize) < n, "edge endpoint out of range");
+            if u != v {
+                offsets[u as usize + 1] += 1;
+                offsets[v as usize + 1] += 1;
             }
         }
-        // Flatten to CSR and assign edge ids in (u, v), u < v order. For a
-        // back slot (u > v) the id was already assigned while walking v's
-        // list, and v < u means v's slice is fully built — look it up there.
-        let mut offsets = Vec::with_capacity(adj.len() + 1);
-        let total: usize = adj.iter().map(Vec::len).sum();
-        let mut targets = Vec::with_capacity(total);
-        let mut slot_edges = vec![EdgeId(0); total];
-        let mut edge_list = Vec::with_capacity(total / 2);
-        offsets.push(0u32);
-        for list in &adj {
-            targets.extend_from_slice(list);
-            offsets.push(targets.len() as u32);
+        for i in 0..n {
+            offsets[i + 1] += offsets[i];
         }
-        for (u, list) in adj.iter().enumerate() {
-            let base = offsets[u] as usize;
-            for (slot, &v) in list.iter().enumerate() {
+        let mut cursor = offsets[..n].to_vec();
+        let mut targets = vec![NodeId(0); offsets[n] as usize];
+        for &(u, v) in edges {
+            if u != v {
+                targets[cursor[u as usize] as usize] = NodeId(v);
+                cursor[u as usize] += 1;
+                targets[cursor[v as usize] as usize] = NodeId(u);
+                cursor[v as usize] += 1;
+            }
+        }
+        // Sort, dedup and compact: the write head never passes the read
+        // head, so each slice moves down in place.
+        let (mut lo, mut len) = (0, 0);
+        for u in 0..n {
+            let hi = offsets[u + 1] as usize;
+            targets[lo..hi].sort_unstable();
+            let start = len;
+            offsets[u] = start as u32;
+            for i in lo..hi {
+                if len == start || targets[len - 1] != targets[i] {
+                    targets[len] = targets[i];
+                    len += 1;
+                }
+            }
+            lo = hi;
+        }
+        offsets[n] = len as u32;
+        targets.truncate(len);
+        let mut slot_edges = vec![EdgeId(0); len];
+        let mut edge_list = Vec::with_capacity(len / 2);
+        cursor.copy_from_slice(&offsets[..n]);
+        for u in 0..n {
+            for slot in offsets[u] as usize..offsets[u + 1] as usize {
+                let v = targets[slot];
                 if (u as u32) < v.0 {
-                    slot_edges[base + slot] = EdgeId(edge_list.len() as u32);
+                    let e = EdgeId(edge_list.len() as u32);
                     edge_list.push((NodeId(u as u32), v));
-                } else {
-                    let vbase = offsets[v.idx()] as usize;
-                    let pos = adj[v.idx()].binary_search(&NodeId(u as u32)).expect("symmetric");
-                    slot_edges[base + slot] = slot_edges[vbase + pos];
+                    slot_edges[slot] = e;
+                    slot_edges[cursor[v.idx()] as usize] = e;
+                    cursor[v.idx()] += 1;
                 }
             }
         }
         Topology { kind, offsets, targets, slot_edges, edge_list }
     }
 
-    /// Builds from an explicit edge list over `n` nodes.
-    pub fn from_edges(n: usize, edges: &[(u32, u32)]) -> Self {
-        let mut adj = vec![Vec::new(); n];
-        for &(u, v) in edges {
-            assert!((u as usize) < n && (v as usize) < n, "edge endpoint out of range");
-            adj[u as usize].push(NodeId(v));
-            adj[v as usize].push(NodeId(u));
-        }
-        Topology::from_adjacency(TopologyKind::Custom, adj)
-    }
-
     /// The topology family.
     pub fn kind(&self) -> &TopologyKind {
         &self.kind
-    }
-
-    pub(crate) fn kind_mut(&mut self) -> &mut TopologyKind {
-        &mut self.kind
     }
 
     /// Number of nodes `|V|`.
@@ -329,11 +337,9 @@ mod tests {
     }
 
     #[test]
-    fn one_sided_adjacency_is_symmetrised() {
-        let adj = vec![vec![NodeId(1)], vec![]];
-        let t = Topology::from_adjacency(TopologyKind::Custom, adj);
-        assert!(t.has_edge(NodeId(1), NodeId(0)));
-        assert_eq!(t.edge_count(), 1);
+    #[should_panic(expected = "edge endpoint out of range")]
+    fn out_of_range_endpoint_panics() {
+        let _ = Topology::from_edges(2, &[(0, 2)]);
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! * [`graph::Topology`] — the network graph with the standard families
 //!   (mesh, torus, hypercube, ring, star, tree, complete, random);
 //! * [`embedding::embed`] — the `M₂` ground-plane embedding;
-//! * [`links::LinkMap`] — the attribute matrices and the `e_{i,j}` weight;
+//! * [`links::LinkMap`] — the attribute matrices as one edge-indexed table,
+//!   and the `e_{i,j}` weight;
 //! * [`partition::Partition`] — deterministic contiguous sharding with
 //!   interior/boundary classification and halo maps, the domain
 //!   decomposition under `pp-sim`'s sharded tick pipeline;
@@ -22,8 +23,9 @@
 //! let topo = Topology::torus(&[4, 4]);
 //! assert_eq!(topo.node_count(), 16);
 //! let links = LinkMap::uniform(&topo, LinkAttrs::default());
-//! let e = links.weight(NodeId(0), NodeId(1), 1.0).unwrap();
-//! assert!((e - 1.0).abs() < 1e-12);
+//! // Link tables are indexed by edge id; a node pair resolves to its id.
+//! let e = topo.edge_index(NodeId(0), NodeId(1)).unwrap();
+//! assert!((links.get(e).weight(1.0) - 1.0).abs() < 1e-12);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -46,7 +48,7 @@ pub mod prelude {
     pub use crate::edgeset::EdgeBitSet;
     pub use crate::embedding::{embed, Point2};
     pub use crate::graph::{EdgeId, NodeId, Topology, TopologyKind};
-    pub use crate::links::{LinkAttrs, LinkMap, LinkTable};
+    pub use crate::links::{LinkAttrs, LinkMap};
     pub use crate::partition::{HaloEdge, Partition};
     pub use crate::paths::{dijkstra, mean_path_weight, reachable_within, weighted_diameter};
     pub use crate::spec::TopologySpec;

@@ -14,10 +14,9 @@
 //! link, the more likely it is to hit a fault, hence the heavier the link).
 
 use crate::embedding::Point2;
-use crate::graph::{EdgeId, NodeId, Topology};
+use crate::graph::{EdgeId, Topology};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
 
 /// Attributes of one physical link.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -54,9 +53,16 @@ impl LinkAttrs {
     /// The paper's link weight `e_{i,j}` (see module docs). `c` is the
     /// configuration constant scaling the fault exposure; larger `c` means
     /// faults weigh less.
+    ///
+    /// A fault-free link skips the `powf` and returns `d / bw`: the divisor
+    /// `pow(1, y)` is exactly 1 for every `y` (IEEE 754), so the shortcut is
+    /// exact.
     pub fn weight(&self, c: f64) -> f64 {
         assert!(c > 0.0, "link weight constant c must be positive");
         let base = self.distance / self.bandwidth;
+        if self.fault_prob == 0.0 {
+            return base;
+        }
         let exposure = self.distance / (c * self.bandwidth);
         base / (1.0 - self.fault_prob).powf(exposure)
     }
@@ -79,44 +85,39 @@ impl LinkAttrs {
     }
 }
 
-/// Symmetric per-link attribute storage for a topology (the `BW`, `D`, `F`
-/// matrices of §4.2, stored sparsely).
+/// Per-link attributes for a topology (the `BW`, `D`, `F` matrices of
+/// §4.2), stored as one flat array indexed by the topology's stable
+/// [`EdgeId`]s: no hashing, and the engine reads it as is. Resolve a node
+/// pair with [`Topology::edge_index`].
 #[derive(Debug, Clone)]
 pub struct LinkMap {
-    attrs: HashMap<(u32, u32), LinkAttrs>,
-}
-
-fn key(u: NodeId, v: NodeId) -> (u32, u32) {
-    if u.0 <= v.0 {
-        (u.0, v.0)
-    } else {
-        (v.0, u.0)
-    }
+    attrs: Vec<LinkAttrs>,
 }
 
 impl LinkMap {
     /// All links of `topo` share the same attributes.
     pub fn uniform(topo: &Topology, attrs: LinkAttrs) -> Self {
         attrs.validate().expect("invalid link attributes");
-        let map = topo.edges().into_iter().map(|(u, v)| (key(u, v), attrs)).collect();
-        LinkMap { attrs: map }
+        LinkMap { attrs: vec![attrs; topo.edge_count()] }
     }
 
     /// Distances derived from an embedding (Euclidean length of each link),
     /// uniform bandwidth, no faults.
     pub fn from_embedding(topo: &Topology, points: &[Point2], bandwidth: f64) -> Self {
-        let mut attrs = HashMap::new();
-        for (u, v) in topo.edges() {
-            let d = points[u.idx()].distance(&points[v.idx()]).max(1e-9);
-            attrs.insert(key(u, v), LinkAttrs { bandwidth, distance: d, fault_prob: 0.0 });
-        }
+        let attrs = topo
+            .edge_slice()
+            .iter()
+            .map(|&(u, v)| {
+                let d = points[u.idx()].distance(&points[v.idx()]).max(1e-9);
+                LinkAttrs { bandwidth, distance: d, fault_prob: 0.0 }
+            })
+            .collect();
         LinkMap { attrs }
     }
 
     /// Heterogeneous random attributes (seeded): bandwidth in
     /// `[bw_min, bw_max]`, distance in `[d_min, d_max]`, fault probability in
-    /// `[0, f_max]`.
-    #[allow(clippy::too_many_arguments)]
+    /// `[0, f_max]`. Draws edge by edge in edge-id order.
     pub fn random(
         topo: &Topology,
         seed: u64,
@@ -128,42 +129,42 @@ impl LinkMap {
         assert!(d_range.0 > 0.0 && d_range.1 >= d_range.0);
         assert!((0.0..1.0).contains(&f_max));
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut attrs = HashMap::new();
-        for (u, v) in topo.edges() {
-            attrs.insert(
-                key(u, v),
-                LinkAttrs {
-                    bandwidth: rng.gen_range(bw_range.0..=bw_range.1),
-                    distance: rng.gen_range(d_range.0..=d_range.1),
-                    fault_prob: if f_max > 0.0 { rng.gen_range(0.0..f_max) } else { 0.0 },
-                },
-            );
-        }
+        let attrs = (0..topo.edge_count())
+            .map(|_| LinkAttrs {
+                bandwidth: rng.gen_range(bw_range.0..=bw_range.1),
+                distance: rng.gen_range(d_range.0..=d_range.1),
+                fault_prob: if f_max > 0.0 { rng.gen_range(0.0..f_max) } else { 0.0 },
+            })
+            .collect();
         LinkMap { attrs }
     }
 
-    /// Attributes of the `(u, v)` link, if it exists.
-    pub fn get(&self, u: NodeId, v: NodeId) -> Option<&LinkAttrs> {
-        self.attrs.get(&key(u, v))
+    /// Attributes of the edge, by id.
+    #[inline]
+    pub fn get(&self, e: EdgeId) -> LinkAttrs {
+        self.attrs[e.idx()]
     }
 
-    /// Mutable attributes of the `(u, v)` link (e.g. to inject a fault).
-    pub fn get_mut(&mut self, u: NodeId, v: NodeId) -> Option<&mut LinkAttrs> {
-        self.attrs.get_mut(&key(u, v))
-    }
-
-    /// Overwrites the attributes of the `(u, v)` link.
-    pub fn set(&mut self, u: NodeId, v: NodeId, attrs: LinkAttrs) {
+    /// Overwrites the attributes of the edge.
+    pub fn set(&mut self, e: EdgeId, attrs: LinkAttrs) {
         attrs.validate().expect("invalid link attributes");
-        self.attrs.insert(key(u, v), attrs);
+        self.attrs[e.idx()] = attrs;
     }
 
-    /// The paper's `e_{i,j}` weight for the `(u, v)` link.
-    pub fn weight(&self, u: NodeId, v: NodeId, c: f64) -> Option<f64> {
-        self.get(u, v).map(|a| a.weight(c))
+    /// The whole edge-indexed attribute slice.
+    #[inline]
+    pub fn attrs(&self) -> &[LinkAttrs] {
+        &self.attrs
     }
 
-    /// Number of links with attributes.
+    /// The paper's `e_{i,j}` weight of every edge for the configuration
+    /// constant `c`, by edge id — computed once at engine build instead of
+    /// once per neighbour per node per tick.
+    pub fn weights(&self, c: f64) -> Vec<f64> {
+        self.attrs.iter().map(|a| a.weight(c)).collect()
+    }
+
+    /// Number of links.
     pub fn len(&self) -> usize {
         self.attrs.len()
     }
@@ -174,62 +175,10 @@ impl LinkMap {
     }
 }
 
-/// Edge-id-indexed link attributes: the hot-path view of a [`LinkMap`],
-/// flattened over a topology's stable edge ids so the per-tick loops address
-/// link attributes and precomputed weights by array index instead of hashing
-/// `(u, v)` pairs.
-#[derive(Debug, Clone)]
-pub struct LinkTable {
-    attrs: Vec<LinkAttrs>,
-}
-
-impl LinkTable {
-    /// Flattens `map` over `topo`'s edge ids.
-    ///
-    /// # Panics
-    /// Panics if any edge of `topo` is missing from `map`.
-    pub fn new(topo: &Topology, map: &LinkMap) -> Self {
-        let attrs = topo
-            .edge_slice()
-            .iter()
-            .map(|&(u, v)| *map.get(u, v).expect("link attributes missing for an edge"))
-            .collect();
-        LinkTable { attrs }
-    }
-
-    /// Attributes of the edge, by id.
-    #[inline]
-    pub fn get(&self, e: EdgeId) -> LinkAttrs {
-        self.attrs[e.idx()]
-    }
-
-    /// The whole edge-indexed attribute slice.
-    #[inline]
-    pub fn attrs(&self) -> &[LinkAttrs] {
-        &self.attrs
-    }
-
-    /// Precomputes the paper's `e_{i,j}` weight for every edge with the
-    /// configuration constant `c` — one `powf` per edge at build time
-    /// instead of one per neighbour per node per tick.
-    pub fn weights(&self, c: f64) -> Vec<f64> {
-        self.attrs.iter().map(|a| a.weight(c)).collect()
-    }
-
-    /// Number of edges.
-    pub fn len(&self) -> usize {
-        self.attrs.len()
-    }
-
-    /// Whether the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.attrs.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::NodeId;
 
     #[test]
     fn default_attrs_weight_is_one() {
@@ -295,6 +244,48 @@ mod tests {
                 assert_eq!(a.success_probability(d).to_bits(), want.to_bits(), "f = {f}, d = {d}");
             }
         }
+        // The weight's shortcut: bit for bit the full formula on every
+        // link, fault-free or not.
+        let formula = |a: &LinkAttrs, c: f64| {
+            let exposure = a.distance / (c * a.bandwidth);
+            (a.distance / a.bandwidth) / (1.0 - a.fault_prob).powf(exposure)
+        };
+        for f in [0.0, 1e-9, 0.05, 0.3, 0.999] {
+            for (bandwidth, distance) in [(1.0, 1.0), (0.1, 5.0), (3.0, 1e-9), (1e9, 1e-9)] {
+                let a = LinkAttrs { bandwidth, distance, fault_prob: f };
+                for c in [1e-6, 0.5, 1.0, 7.25] {
+                    let want = formula(&a, c);
+                    assert_eq!(a.weight(c).to_bits(), want.to_bits(), "{a:?}, c = {c}");
+                }
+            }
+        }
+    }
+
+    /// `(u, v, bandwidth, distance, fault_prob)` per edge of
+    /// `LinkMap::random(&torus([2, 3]), 5, (0.5, 2.0), (1.0, 3.0), 0.1)`,
+    /// as the map drew them when it was keyed by node pair: the draws run
+    /// in edge-id order, so scenarios keep their link attributes.
+    const RANDOM_TORUS_2X3: [(u32, u32, f64, f64, f64); 9] = [
+        (0, 1, 0.9380343073107011, 2.2228788281620506, 0.009796325663560502),
+        (0, 2, 0.5879168033643831, 2.054112853719169, 0.07032057560901199),
+        (0, 3, 1.189574044960734, 1.13598191511777, 0.08829595844113519),
+        (1, 2, 1.7800755077999926, 2.813140797974344, 0.0888268517706753),
+        (1, 4, 1.8994339859299911, 1.8775456689685242, 0.05997242434017228),
+        (2, 5, 1.9721802159317638, 2.4709956047187056, 0.06624552136139428),
+        (3, 4, 0.6278612693711765, 2.084544898318094, 0.046749533457545414),
+        (3, 5, 0.8585212315356987, 2.381580429646375, 0.046853375570307734),
+        (4, 5, 0.6053933540981802, 2.32409036259083, 0.04781481251078643),
+    ];
+
+    #[test]
+    fn random_map_values_are_pinned() {
+        let t = Topology::torus(&[2, 3]);
+        let m = LinkMap::random(&t, 5, (0.5, 2.0), (1.0, 3.0), 0.1);
+        assert_eq!(m.len(), RANDOM_TORUS_2X3.len());
+        for (i, &(u, v, bandwidth, distance, fault_prob)) in RANDOM_TORUS_2X3.iter().enumerate() {
+            assert_eq!(t.edge_endpoints(EdgeId(i as u32)), (NodeId(u), NodeId(v)));
+            assert_eq!(m.get(EdgeId(i as u32)), LinkAttrs { bandwidth, distance, fault_prob });
+        }
     }
 
     #[test]
@@ -302,20 +293,26 @@ mod tests {
         let t = Topology::mesh(&[3, 3]);
         let m = LinkMap::uniform(&t, LinkAttrs::default());
         assert_eq!(m.len(), t.edge_count());
-        for (u, v) in t.edges() {
-            assert!(m.get(u, v).is_some());
-            assert!(m.get(v, u).is_some()); // symmetric access
-        }
+        assert!(m.attrs().iter().all(|&a| a == LinkAttrs::default()));
     }
 
     #[test]
-    fn map_set_and_get_mut() {
+    fn map_set_is_per_edge() {
         let t = Topology::ring(4);
         let mut m = LinkMap::uniform(&t, LinkAttrs::default());
-        m.set(NodeId(0), NodeId(1), LinkAttrs { bandwidth: 9.0, ..Default::default() });
-        assert_eq!(m.get(NodeId(1), NodeId(0)).unwrap().bandwidth, 9.0);
-        m.get_mut(NodeId(0), NodeId(1)).unwrap().fault_prob = 0.5;
-        assert_eq!(m.get(NodeId(0), NodeId(1)).unwrap().fault_prob, 0.5);
+        let e = t.edge_index(NodeId(1), NodeId(0)).unwrap();
+        m.set(e, LinkAttrs { bandwidth: 9.0, ..Default::default() });
+        assert_eq!(m.get(t.edge_index(NodeId(0), NodeId(1)).unwrap()).bandwidth, 9.0);
+        let others = (0..m.len() as u32).map(EdgeId).filter(|&f| f != e);
+        assert!(others.into_iter().all(|f| m.get(f) == LinkAttrs::default()));
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid link attributes")]
+    fn set_rejects_invalid_attrs() {
+        let t = Topology::ring(3);
+        let mut m = LinkMap::uniform(&t, LinkAttrs::default());
+        m.set(EdgeId(0), LinkAttrs { fault_prob: 1.0, ..Default::default() });
     }
 
     #[test]
@@ -323,8 +320,9 @@ mod tests {
         let t = Topology::mesh(&[2, 2]);
         let pts = crate::embedding::embed(&t);
         let m = LinkMap::from_embedding(&t, &pts, 1.0);
-        for (u, v) in t.edges() {
-            assert!((m.get(u, v).unwrap().distance - 1.0).abs() < 1e-9);
+        assert_eq!(m.len(), t.edge_count());
+        for a in m.attrs() {
+            assert!((a.distance - 1.0).abs() < 1e-9);
         }
     }
 
@@ -333,9 +331,7 @@ mod tests {
         let t = Topology::hypercube(3);
         let a = LinkMap::random(&t, 5, (0.5, 2.0), (1.0, 3.0), 0.1);
         let b = LinkMap::random(&t, 5, (0.5, 2.0), (1.0, 3.0), 0.1);
-        for (u, v) in t.edges() {
-            assert_eq!(a.get(u, v), b.get(u, v));
-        }
+        assert_eq!(a.attrs(), b.attrs());
     }
 
     #[test]
@@ -346,25 +342,14 @@ mod tests {
     }
 
     #[test]
-    fn link_table_matches_map() {
+    fn weights_are_per_edge_attr_weights() {
         let t = Topology::torus(&[3, 3]);
         let m = LinkMap::random(&t, 11, (0.5, 2.0), (1.0, 3.0), 0.2);
-        let table = LinkTable::new(&t, &m);
-        assert_eq!(table.len(), t.edge_count());
-        let weights = table.weights(2.0);
-        for (i, &(u, v)) in t.edge_slice().iter().enumerate() {
-            let e = t.edge_index(u, v).unwrap();
-            assert_eq!(table.get(e), *m.get(u, v).unwrap());
-            assert_eq!(weights[i], m.get(u, v).unwrap().weight(2.0));
+        let weights = m.weights(2.0);
+        assert_eq!(weights.len(), t.edge_count());
+        for (w, a) in weights.iter().zip(m.attrs()) {
+            assert_eq!(w.to_bits(), a.weight(2.0).to_bits());
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "link attributes missing")]
-    fn link_table_rejects_partial_map() {
-        let t = Topology::ring(4);
-        let partial = LinkMap::uniform(&Topology::ring(3), LinkAttrs::default());
-        let _ = LinkTable::new(&t, &partial);
     }
 
     #[test]

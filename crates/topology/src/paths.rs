@@ -46,9 +46,8 @@ pub fn dijkstra(topo: &Topology, links: &LinkMap, c: f64, from: NodeId) -> Vec<f
             continue;
         }
         done[u.idx()] = true;
-        for &v in topo.neighbors(u) {
-            let w = links.weight(u, v, c).expect("link attrs missing");
-            let nd = d + w;
+        for (&v, &e) in topo.neighbors(u).iter().zip(topo.neighbor_edge_ids(u)) {
+            let nd = d + links.get(e).weight(c);
             if nd < dist[v.idx()] {
                 dist[v.idx()] = nd;
                 heap.push(HeapEntry { dist: nd, node: v });
@@ -142,11 +141,8 @@ mod tests {
         // two-hop route wins.
         let topo = Topology::from_edges(3, &[(0, 1), (1, 2), (0, 2)]);
         let mut links = unit_links(&topo);
-        links.set(
-            NodeId(0),
-            NodeId(2),
-            LinkAttrs { bandwidth: 0.1, distance: 5.0, fault_prob: 0.0 },
-        );
+        let heavy = topo.edge_index(NodeId(0), NodeId(2)).unwrap();
+        links.set(heavy, LinkAttrs { bandwidth: 0.1, distance: 5.0, fault_prob: 0.0 });
         let d = dijkstra(&topo, &links, 1.0, NodeId(0));
         assert!((d[2] - 2.0).abs() < 1e-12, "route should go via node 1: {}", d[2]);
     }

@@ -1,7 +1,7 @@
 //! The §6 tuning story: the framework is configured for a concrete system
 //! by "fine-tuning the configuration parameters". This example sweeps the
 //! friction scale over a heterogeneous cluster (zipf task sizes, random
-//! link attributes) with the crossbeam sweep runner and prints the
+//! link attributes) with the `par_map` sweep runner and prints the
 //! balance-versus-traffic frontier that the operator picks from. The
 //! cluster is one declarative scenario; the sweep rewrites only the
 //! balancer's `mu_s_base`.
