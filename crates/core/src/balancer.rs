@@ -83,6 +83,69 @@ impl ParticlePlaneBalancer {
     pub fn arbiter(&self) -> &Arbiter {
         &self.arbiter
     }
+
+    /// The full per-task sweep of a stationary node (§5.1): friction, the
+    /// jitter draw, Eq. 1's candidate kernel and the arbiter for every
+    /// resident task, until each link has carried one load. `decide_into`
+    /// skips it for a [`provably_inert`] node; `jitter_amp` is `A(t)`.
+    fn sweep_into(
+        &self,
+        view: &NodeView<'_>,
+        jitter_amp: Option<f64>,
+        rng: &mut StdRng,
+        out: &mut Vec<MigrationIntent>,
+    ) {
+        let cfg = &self.cfg;
+        SCRATCH.with(|cell| {
+            let scratch = &mut *cell.borrow_mut();
+            let DecideScratch { h_eff, candidates } = scratch;
+            // Effective heights: updated as this tick commits migrations so
+            // that later decisions see the planned post-transfer surface.
+            // One copy of the view's SoA height slice per node; each task's
+            // feasibility pass then streams `h_eff` + `nbr_weights` flat,
+            // instead of rebuilding a masked pair list per task.
+            let mut h_i = view.height;
+            h_eff.clear();
+            h_eff.extend_from_slice(view.nbr_heights);
+            let weights = view.nbr_weights;
+            let mut links_left = view.neighbors.len();
+
+            for task in view.tasks {
+                if links_left == 0 {
+                    break;
+                }
+                let mut mu_s = static_friction(
+                    cfg,
+                    task.id,
+                    view.node,
+                    view.tasks,
+                    view.task_graph,
+                    view.resources,
+                );
+                if let Some(a) = jitter_amp {
+                    mu_s = FrictionJitter::apply_amp(mu_s, a, rng);
+                }
+                let mu_k = kinetic_friction(cfg, mu_s);
+                stationary_candidates_soa_into(
+                    cfg, task.size, mu_s, h_i, h_eff, weights, candidates,
+                );
+                let Some(pick) = self.arbiter.choose(candidates, view.round as f64, rng) else {
+                    continue;
+                };
+                let e = weights[pick];
+                // The flag starts at the departure height h₀ = h_i and pays
+                // the first hop's toll up front (§5.1).
+                let flag = updated_flag(cfg, h_i, mu_k, e);
+                let heat = hop_heat(cfg, mu_k, e, task.size);
+                out.push(MigrationIntent { task: task.id, to: view.neighbors[pick], flag, heat });
+                h_i -= task.size;
+                // One load per link per tick: an infinite effective height
+                // masks the used link for the rest of the sweep.
+                h_eff[pick] = f64::INFINITY;
+                links_left -= 1;
+            }
+        })
+    }
 }
 
 impl LoadBalancer for ParticlePlaneBalancer {
@@ -114,65 +177,23 @@ impl LoadBalancer for ParticlePlaneBalancer {
     /// state allocates nothing. `decide` above delegates here.
     fn decide_into(&self, view: &NodeView<'_>, rng: &mut StdRng, out: &mut Vec<MigrationIntent>) {
         let cfg = &self.cfg;
-        let m = view.neighbors.len();
-        if m == 0 || view.tasks.is_empty() {
+        if view.neighbors.is_empty() || view.tasks.is_empty() {
             return;
         }
         // The jitter amplitude A(t) depends only on the round, so the `exp`
         // is hoisted out of the per-task loop; `apply_amp` keeps the draw
         // discipline (and the draws themselves) bitwise identical.
         let jitter_amp = cfg.jitter.as_ref().map(|j| j.amplitude_at(view.round as f64));
-        SCRATCH.with(|cell| {
-            let scratch = &mut *cell.borrow_mut();
-            let DecideScratch { h_eff, candidates } = scratch;
-            // Effective heights: updated as this tick commits migrations so
-            // that later decisions see the planned post-transfer surface.
-            // One copy of the view's SoA height slice per node; each task's
-            // feasibility pass then streams `h_eff` + `nbr_weights` flat,
-            // instead of rebuilding a masked pair list per task.
-            let mut h_i = view.height;
-            h_eff.clear();
-            h_eff.extend_from_slice(view.nbr_heights);
-            let weights = view.nbr_weights;
-            let mut links_left = m;
-
-            for task in view.tasks {
-                if links_left == 0 {
-                    break;
-                }
-                let mut mu_s = static_friction(
-                    cfg,
-                    task.id,
-                    view.node,
-                    view.tasks,
-                    view.task_graph,
-                    view.resources,
-                );
-                if let Some(a) = jitter_amp {
-                    mu_s = FrictionJitter::apply_amp(mu_s, a, rng);
-                }
-                let mu_k = kinetic_friction(cfg, mu_s);
-                stationary_candidates_soa_into(
-                    cfg, task.size, mu_s, h_i, h_eff, weights, candidates,
-                );
-                let Some(pick) = self.arbiter.choose(candidates, view.round as f64, rng) else {
-                    continue;
-                };
-                let nb = &view.neighbors[pick];
-                // The flag starts at the departure height h₀ = h_i and pays
-                // the first hop's toll up front (§5.1).
-                let flag = updated_flag(cfg, h_i, mu_k, nb.link_weight);
-                let heat = hop_heat(cfg, mu_k, nb.link_weight, task.size);
-                out.push(MigrationIntent { task: task.id, to: nb.id, flag, heat });
-                h_i -= task.size;
-                // One load per link per tick: an infinite effective height
-                // masks the used link for the rest of the sweep (the AoS
-                // kernel's `+= task.size` on a masked entry was dead — the
-                // entry was never read again).
-                h_eff[pick] = f64::INFINITY;
-                links_left -= 1;
+        if provably_inert(cfg, view, jitter_amp) {
+            // Nothing can move, so the only observable effect of the full
+            // sweep is its per-task jitter draws (the arbiter draws nothing
+            // on an empty candidate set): replay those and stop.
+            if let Some(a) = jitter_amp {
+                FrictionJitter::skip_amp(a, view.tasks.len(), rng);
             }
-        })
+            return;
+        }
+        self.sweep_into(view, jitter_amp, rng, out);
     }
 
     fn on_arrival(
@@ -212,15 +233,54 @@ impl LoadBalancer for ParticlePlaneBalancer {
                 candidates,
             );
             let pick = self.arbiter.choose(candidates, view.round as f64, rng)?;
-            let nb = &view.neighbors[pick];
+            let e = view.nbr_weights[pick];
             Some(MigrationIntent {
                 task: load.task.id,
-                to: nb.id,
-                flag: updated_flag(cfg, load.flag, mu_k, nb.link_weight),
-                heat: hop_heat(cfg, mu_k, nb.link_weight, load.task.size),
+                to: view.neighbors[pick],
+                flag: updated_flag(cfg, load.flag, mu_k, e),
+                heat: hop_heat(cfg, mu_k, e, load.task.size),
             })
         })
     }
+}
+
+/// The inert-node certificate: `true` only if no resident task of `view`
+/// can pass Eq. 1 this round, whatever its friction, jitter draw or place
+/// in the sweep.
+///
+/// It bounds every slope the per-task kernel could compute by the
+/// steepest one toward any neighbour for the smallest resident task,
+/// `B_j = (h_i − h_j − 2·s_min)/e_j`, and every `µ_s` it could compare
+/// against by the friction floor `F = µ_base·(1 − A(t))` (`µ_base` without
+/// jitter). The bound is exact in floating point, not merely in the reals:
+///
+/// * until a node emits an intent its `h_i` and effective neighbour
+///   heights are the view's, and `2·s ≥ 2·s_min`; `−`, `/` by `e_j > 0` and
+///   rounding are all monotone, so each task's slope toward `j` is `≤ B_j`;
+/// * every addend of [`static_friction`] is `≥ 0` (validated constants,
+///   non-negative dependency and resource weights), so `µ_s ≥ µ_base`;
+///   `fl(A·u) ≥ −A` for `u ∈ [−1, 1]`, so the jitter factor is
+///   `≥ fl(1 − A) > 0` and a jittered `µ_s` is `≥ F`;
+/// * a NaN slope, size or friction never passes `a > µ_s`, and a NaN in
+///   `B_j` or `F` fails `B_j ≤ F`, which falls through to the full path.
+///
+/// So when every `B_j ≤ F`, every task's candidate set is empty.
+fn provably_inert(cfg: &PhysicsConfig, view: &NodeView<'_>, jitter_amp: Option<f64>) -> bool {
+    let floor = match jitter_amp {
+        Some(a) if a > 0.0 => cfg.mu_s_base * (1.0 - a),
+        _ => cfg.mu_s_base,
+    };
+    // The kernel's own correction expression, at the smallest size.
+    let correction = if cfg.self_correction {
+        2.0 * view.tasks.iter().map(|t| t.size).fold(f64::INFINITY, f64::min)
+    } else {
+        0.0
+    };
+    let h_i = view.height;
+    view.nbr_heights
+        .iter()
+        .zip(view.nbr_weights)
+        .all(|(&h, &e)| (h_i - h - correction) / e <= floor)
 }
 
 #[cfg(test)]
@@ -231,7 +291,8 @@ mod tests {
     use pp_tasking::graph::TaskGraph;
     use pp_tasking::resources::ResourceMatrix;
     use pp_tasking::task::{Task, TaskId};
-    use pp_topology::graph::{NodeId, Topology};
+    use pp_topology::edgeset::EdgeBitSet;
+    use pp_topology::graph::{EdgeId, NodeId, Topology};
     use pp_topology::links::{LinkAttrs, LinkMap};
     use rand::SeedableRng;
 
@@ -453,6 +514,230 @@ mod tests {
         assert!(b.decide(&view, &mut rng).is_empty());
         use rand::Rng;
         assert_eq!(rng.gen_range(0.0f64..1.0), witness.gen_range(0.0f64..1.0));
+    }
+
+    /// `decide_into` without the inert-node certificate: the per-task
+    /// sweep for every node, the reference the certificate must match.
+    fn reference_decide_into(
+        b: &ParticlePlaneBalancer,
+        view: &NodeView<'_>,
+        rng: &mut StdRng,
+        out: &mut Vec<MigrationIntent>,
+    ) {
+        let amp = b.cfg.jitter.as_ref().map(|j| j.amplitude_at(view.round as f64));
+        b.sweep_into(view, amp, rng, out);
+    }
+
+    fn intent_bits(out: &[MigrationIntent]) -> Vec<(TaskId, NodeId, u64, u64)> {
+        out.iter().map(|i| (i.task, i.to, i.flag.to_bits(), i.heat.to_bits())).collect()
+    }
+
+    /// A 4×4 torus drawn from `seed`: 0–6 tasks per node with fractional
+    /// sizes, a sparse dependency graph and resource pins, non-uniform link
+    /// weights and a few links down.
+    fn random_instance(seed: u64) -> (SystemState, Vec<f64>, EdgeBitSet) {
+        use rand::Rng;
+        let mut r = StdRng::seed_from_u64(seed);
+        let topo = Topology::torus(&[4, 4]);
+        let n = topo.node_count();
+        let edges = topo.edge_count();
+        let links = LinkMap::uniform(&topo, LinkAttrs::default());
+        let mut s = SystemState::new(topo, links, TaskGraph::new(), ResourceMatrix::none());
+        let mut id = 0u64;
+        for v in 0..n {
+            for _ in 0..r.gen_range(0..=6usize) {
+                let size = if r.gen_bool(0.3) { 1.0 } else { r.gen_range(0.05..3.0) };
+                s.add_task(NodeId(v as u32), Task::new(TaskId(id), size, v as u32));
+                id += 1;
+            }
+        }
+        let mut tg = TaskGraph::new();
+        let mut res = ResourceMatrix::none();
+        if id > 1 && r.gen_bool(0.5) {
+            for _ in 0..id / 2 {
+                let (a, b) = (r.gen_range(0..id), r.gen_range(0..id));
+                if a != b {
+                    tg.set_dependency(TaskId(a), TaskId(b), r.gen_range(0.0..2.0));
+                }
+            }
+        }
+        if id > 0 && r.gen_bool(0.5) {
+            for _ in 0..id / 3 {
+                let (t, v) = (r.gen_range(0..id), r.gen_range(0..n));
+                res.set(TaskId(t), NodeId(v as u32), r.gen_range(0.0..2.0));
+            }
+        }
+        s.task_graph = tg;
+        s.resources = res;
+        let weights = (0..edges).map(|_| r.gen_range(0.25..3.0)).collect();
+        let mut down = EdgeBitSet::new(edges);
+        for e in 0..edges {
+            if r.gen_bool(0.15) {
+                down.insert(EdgeId(e as u32));
+            }
+        }
+        (s, weights, down)
+    }
+
+    /// Runs `decide_into` and the reference on every node of instance
+    /// `seed` and asserts identical intents and RNG states. Returns how
+    /// many deciding nodes (tasks and a live link) were certified inert
+    /// and how many took the full sweep.
+    fn check_certificate(b: &ParticlePlaneBalancer, seed: u64, round: u64) -> (usize, usize) {
+        let (s, weights, down) = random_instance(seed);
+        let h = s.heights();
+        let links =
+            LinkView { weights: Some(&weights), down: Some(&down), ..LinkView::all_up(&s, 1.0) };
+        let amp = b.cfg.jitter.as_ref().map(|j| j.amplitude_at(round as f64));
+        let (mut inert, mut full) = (0, 0);
+        let mut scratch = ViewScratch::new();
+        for v in 0..s.node_count() {
+            let view = build_view(&mut scratch, &s, NodeId(v as u32), &h, &links, round, 0.0);
+            let mut rng = StdRng::seed_from_u64(seed ^ (v as u64) << 32);
+            let mut witness = rng.clone();
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            b.decide_into(&view, &mut rng, &mut got);
+            reference_decide_into(b, &view, &mut witness, &mut want);
+            assert_eq!(intent_bits(&got), intent_bits(&want), "seed {seed} node {v}");
+            assert_eq!(rng.state(), witness.state(), "seed {seed} node {v}");
+            if !view.tasks.is_empty() && !view.neighbors.is_empty() {
+                if provably_inert(&b.cfg, &view, amp) {
+                    inert += 1;
+                } else {
+                    full += 1;
+                }
+            }
+        }
+        (inert, full)
+    }
+
+    /// The balancer for one combination of the soundness test's knobs.
+    fn knob_balancer(
+        self_correction: bool,
+        jitter: u8,
+        mu_base: u8,
+        stochastic: bool,
+    ) -> ParticlePlaneBalancer {
+        let cfg = PhysicsConfig {
+            self_correction,
+            mu_s_base: [0.0, 1.0, 0.35][mu_base as usize],
+            jitter: match jitter {
+                0 => None,
+                1 => Some(FrictionJitter::new(0.0, 1.0, 100.0)),
+                _ => Some(FrictionJitter::new(0.3, 1.0, 100.0)),
+            },
+            ..Default::default()
+        };
+        let arbiter = if stochastic { Arbiter::default() } else { Arbiter::Deterministic };
+        ParticlePlaneBalancer::new(cfg).with_arbiter(arbiter)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(192))]
+
+        #[test]
+        fn certificate_matches_the_full_sweep_bit_for_bit(
+            seed in 0u64..u64::MAX,
+            self_correction in 0u8..2,
+            jitter in 0u8..3,
+            mu_base in 0u8..3,
+            stochastic in 0u8..2,
+            round in 0u64..300,
+        ) {
+            let b = knob_balancer(self_correction == 1, jitter, mu_base, stochastic == 1);
+            check_certificate(&b, seed, round);
+        }
+    }
+
+    #[test]
+    fn certificate_test_exercises_both_paths_for_every_knob() {
+        // Guards the property above against passing vacuously: under each
+        // knob combination the random instances hold both certified-inert
+        // nodes and nodes that need the full sweep.
+        for sc in [false, true] {
+            for jitter in 0..3 {
+                for mu_base in 0..3 {
+                    for stochastic in [false, true] {
+                        let b = knob_balancer(sc, jitter, mu_base, stochastic);
+                        let (mut inert, mut full) = (0, 0);
+                        for seed in 0..24 {
+                            let (i, f) = check_certificate(&b, seed, seed * 7);
+                            inert += i;
+                            full += f;
+                        }
+                        let knobs = (sc, jitter, mu_base, stochastic);
+                        assert!(inert > 0 && full > 0, "{knobs:?}: {inert} inert, {full} full");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn certificate_is_tight_at_the_friction_floor() {
+        // One unit task on node 0, neighbour 1 at height 0 over a unit link,
+        // µ_s = 1: at h_0 = 3 the slope is exactly µ_s (certified, blocked);
+        // one ulp higher it beats µ_s (not certified, and the load moves).
+        let s = ring_state(&[1.0, 0.0, 0.0, 0.0]);
+        let b = det(PhysicsConfig::default());
+        for (h0, moves) in [(3.0, false), (3.0 + f64::EPSILON * 2.0, true)] {
+            let h = [h0, 0.0, 9.0, 9.0];
+            let mut scratch = ViewScratch::new();
+            let view =
+                build_view(&mut scratch, &s, NodeId(0), &h, &LinkView::all_up(&s, 1.0), 0, 0.0);
+            assert_eq!(provably_inert(&b.cfg, &view, None), !moves, "h_0 = {h0}");
+            let mut rng = StdRng::seed_from_u64(0);
+            assert_eq!(b.decide(&view, &mut rng).len(), usize::from(moves), "h_0 = {h0}");
+        }
+    }
+
+    #[test]
+    fn certificate_fires_on_a_converged_dense_sweep_torus() {
+        // The dense-sweep shape: a uniform-random torus under annealed
+        // jitter, where nearly every decision emits nothing. Once the
+        // surface has settled, the certificate must clear most nodes, and
+        // each cleared node must still advance its RNG one draw per task.
+        use pp_sim::engine::EngineBuilder;
+        use pp_tasking::workload::Workload;
+        let cfg = PhysicsConfig {
+            jitter: Some(FrictionJitter::new(0.3, 1.0, 1e9)),
+            ..PhysicsConfig::default()
+        };
+        let topo = Topology::torus(&[16, 16]);
+        let mut engine = EngineBuilder::new(topo)
+            .workload(Workload::uniform_random(256, 8.0, 5))
+            .balancer(ParticlePlaneBalancer::new(cfg))
+            .seed(5)
+            .build();
+        engine.run_rounds(40);
+        let (s, round) = (engine.state(), engine.round());
+        let b = ParticlePlaneBalancer::new(cfg);
+        let h = s.heights();
+        let links = LinkView::all_up(s, 1.0);
+        let amp = cfg.jitter.map(|j| j.amplitude_at(round as f64));
+        let mut scratch = ViewScratch::new();
+        let mut inert = 0;
+        for v in 0..s.node_count() {
+            let view = build_view(&mut scratch, s, NodeId(v as u32), &h, &links, round, 0.0);
+            if !provably_inert(&b.cfg, &view, amp) {
+                continue;
+            }
+            inert += 1;
+            let mut rng = StdRng::seed_from_u64(v as u64);
+            let mut witness = rng.clone();
+            let mut out = Vec::new();
+            b.decide_into(&view, &mut rng, &mut out);
+            assert!(out.is_empty());
+            for _ in view.tasks {
+                FrictionJitter::apply_amp(1.0, amp.unwrap(), &mut witness);
+            }
+            assert_eq!(rng.state(), witness.state(), "node {v}");
+        }
+        assert!(
+            inert * 10 >= s.node_count() * 9,
+            "only {inert}/{} nodes certified inert",
+            s.node_count()
+        );
     }
 
     #[test]

@@ -31,7 +31,7 @@ impl LoadBalancer for CwnBalancer {
             return Vec::new();
         }
         let mut h_i = view.height;
-        let mut h_eff: Vec<f64> = view.neighbors.iter().map(|n| n.height).collect();
+        let mut h_eff = view.nbr_heights.to_vec();
         let mut intents = Vec::new();
         for task in view.tasks {
             // Least-loaded neighbour under the current plan.
@@ -45,7 +45,7 @@ impl LoadBalancer for CwnBalancer {
             }
             intents.push(MigrationIntent {
                 task: task.id,
-                to: view.neighbors[idx].id,
+                to: view.neighbors[idx],
                 flag: 0.0,
                 heat: 0.0,
             });

@@ -52,11 +52,11 @@ impl LoadBalancer for DiffusionBalancer {
     fn decide(&self, view: &NodeView<'_>, _rng: &mut StdRng) -> Vec<MigrationIntent> {
         let mut intents = Vec::new();
         let mut used: HashSet<u64> = HashSet::new();
-        for nb in view.neighbors {
-            if view.height <= nb.height {
+        for (&to, &h_j) in view.neighbors.iter().zip(view.nbr_heights) {
+            if view.height <= h_j {
                 continue;
             }
-            let quota = self.alpha * (view.height - nb.height);
+            let quota = self.alpha * (view.height - h_j);
             let mut sent = 0.0;
             for task in view.tasks {
                 if used.contains(&task.id.0) {
@@ -65,12 +65,7 @@ impl LoadBalancer for DiffusionBalancer {
                 if sent + task.size <= quota + 1e-9 {
                     used.insert(task.id.0);
                     sent += task.size;
-                    intents.push(MigrationIntent {
-                        task: task.id,
-                        to: nb.id,
-                        flag: 0.0,
-                        heat: 0.0,
-                    });
+                    intents.push(MigrationIntent { task: task.id, to, flag: 0.0, heat: 0.0 });
                 }
             }
         }

@@ -61,19 +61,20 @@ impl LoadBalancer for DimensionExchangeBalancer {
             return Vec::new();
         };
         // The partner must be a live neighbour this round.
-        let Some(nb) = view.neighbors.iter().find(|n| n.id == partner) else {
+        let Some(k) = view.neighbors.iter().position(|&j| j == partner) else {
             return Vec::new();
         };
-        if view.height <= nb.height {
+        let h_j = view.nbr_heights[k];
+        if view.height <= h_j {
             return Vec::new(); // the lighter side stays passive
         }
-        let target = (view.height - nb.height) / 2.0;
+        let target = (view.height - h_j) / 2.0;
         let mut sent = 0.0;
         let mut intents = Vec::new();
         for task in view.tasks {
             if sent + task.size <= target + 1e-9 {
                 sent += task.size;
-                intents.push(MigrationIntent { task: task.id, to: nb.id, flag: 0.0, heat: 0.0 });
+                intents.push(MigrationIntent { task: task.id, to: partner, flag: 0.0, heat: 0.0 });
             }
         }
         intents

@@ -80,7 +80,7 @@ impl LoadBalancer for GradientModelBalancer {
         let best = view
             .neighbors
             .iter()
-            .map(|nb| (self.proximity(nb.id.idx()), nb.id))
+            .map(|&j| (self.proximity(j.idx()), j))
             .min_by(|a, b| a.0.cmp(&b.0).then(a.1 .0.cmp(&b.1 .0)));
         let Some((prox, to)) = best else { return Vec::new() };
         if prox >= my_prox || prox == u32::MAX {

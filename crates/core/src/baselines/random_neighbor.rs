@@ -31,9 +31,10 @@ impl LoadBalancer for RandomNeighborBalancer {
         if view.neighbors.is_empty() || view.tasks.is_empty() {
             return Vec::new();
         }
-        let nb = &view.neighbors[rng.gen_range(0..view.neighbors.len())];
-        if view.height - nb.height > self.threshold {
-            vec![MigrationIntent { task: view.tasks[0].id, to: nb.id, flag: 0.0, heat: 0.0 }]
+        let k = rng.gen_range(0..view.neighbors.len());
+        if view.height - view.nbr_heights[k] > self.threshold {
+            let to = view.neighbors[k];
+            vec![MigrationIntent { task: view.tasks[0].id, to, flag: 0.0, heat: 0.0 }]
         } else {
             Vec::new()
         }

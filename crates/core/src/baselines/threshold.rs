@@ -40,11 +40,11 @@ impl LoadBalancer for SenderInitiatedBalancer {
             return Vec::new();
         }
         for _ in 0..self.probes {
-            let nb = &view.neighbors[rng.gen_range(0..view.neighbors.len())];
-            if nb.height < self.t_accept {
+            let k = rng.gen_range(0..view.neighbors.len());
+            if view.nbr_heights[k] < self.t_accept {
                 return vec![MigrationIntent {
                     task: view.tasks[0].id,
-                    to: nb.id,
+                    to: view.neighbors[k],
                     flag: 0.0,
                     heat: 0.0,
                 }];

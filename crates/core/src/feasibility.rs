@@ -12,79 +12,19 @@
 //! stochastic arbiter of §5.2.
 
 use crate::energy::{flag_decrement, updated_flag};
-use crate::params::{gradient, PhysicsConfig};
+use crate::params::PhysicsConfig;
 
-/// A candidate destination: `(index into the neighbour list, steepness)`.
+/// A candidate destination: `(index into the neighbour slices, steepness)`.
 pub type Candidate = (usize, f64);
 
 /// Stationary candidates for a task of size `load` with static friction
-/// `mu_s` on a node of height `h_i`. `neighbors` supplies `(h_j, e_ij)` per
-/// neighbour (already restricted to live links).
-pub fn stationary_candidates(
-    cfg: &PhysicsConfig,
-    load: f64,
-    mu_s: f64,
-    h_i: f64,
-    neighbors: &[(f64, f64)],
-) -> Vec<Candidate> {
-    let mut out = Vec::new();
-    stationary_candidates_into(cfg, load, mu_s, h_i, neighbors, &mut out);
-    out
-}
-
-/// [`stationary_candidates`] into a caller-owned buffer (cleared first) —
-/// the allocation-free form the balancer's hot path uses.
-pub fn stationary_candidates_into(
-    cfg: &PhysicsConfig,
-    load: f64,
-    mu_s: f64,
-    h_i: f64,
-    neighbors: &[(f64, f64)],
-    out: &mut Vec<Candidate>,
-) {
-    out.clear();
-    out.extend(neighbors.iter().enumerate().filter_map(|(idx, &(h_j, e_ij))| {
-        let a = gradient(cfg, h_i, h_j, load, e_ij);
-        (a > mu_s).then_some((idx, a))
-    }));
-}
-
-/// In-motion candidates for a load carrying potential-height `flag` with
-/// kinetic friction `mu_k`. The steepness is the headroom
-/// `a_{i,j} = h*_{t−1} − c₀·µ_k·e_{i,j} − h(v_j)` (§5.2's in-motion `a`),
-/// and a candidate is feasible iff it is positive.
-pub fn motion_candidates(
-    cfg: &PhysicsConfig,
-    flag: f64,
-    mu_k: f64,
-    neighbors: &[(f64, f64)],
-) -> Vec<Candidate> {
-    let mut out = Vec::new();
-    motion_candidates_into(cfg, flag, mu_k, neighbors, &mut out);
-    out
-}
-
-/// [`motion_candidates`] into a caller-owned buffer (cleared first).
-pub fn motion_candidates_into(
-    cfg: &PhysicsConfig,
-    flag: f64,
-    mu_k: f64,
-    neighbors: &[(f64, f64)],
-    out: &mut Vec<Candidate>,
-) {
-    out.clear();
-    out.extend(neighbors.iter().enumerate().filter_map(|(idx, &(h_j, e_ij))| {
-        let a = updated_flag(cfg, flag, mu_k, e_ij) - h_j;
-        (a > 0.0).then_some((idx, a))
-    }));
-}
-
-/// [`stationary_candidates_into`] over structure-of-arrays neighbour state:
-/// `h_j[idx]` and `e_ij[idx]` are parallel slices instead of a packed pair
-/// list. Same filter, same scores, same order — the `self_correction`
-/// branch is hoisted out of the loop but the gradient arithmetic keeps
-/// [`gradient`]'s exact operation order, so the scores are bitwise
-/// identical to the pair form.
+/// `mu_s` on a node of height `h_i`, written into `out` (cleared first).
+/// Neighbour `idx` sits at height `h_j[idx]` over a link of weight
+/// `e_ij[idx]` (the view's structure-of-arrays slices, already restricted
+/// to live links). The `self_correction` branch is hoisted out of the loop,
+/// but each score keeps the operation order of
+/// [`gradient`](crate::params::gradient), so it is bitwise the paper's
+/// `tan β`.
 pub fn stationary_candidates_soa_into(
     cfg: &PhysicsConfig,
     load: f64,
@@ -104,9 +44,11 @@ pub fn stationary_candidates_soa_into(
     }));
 }
 
-/// [`motion_candidates_into`] over structure-of-arrays neighbour state;
-/// bitwise identical to the pair form (see
-/// [`stationary_candidates_soa_into`]).
+/// In-motion candidates for a load carrying potential-height `flag` with
+/// kinetic friction `mu_k`, over the same slices as
+/// [`stationary_candidates_soa_into`]. The steepness is the headroom
+/// `a_{i,j} = h*_{t−1} − c₀·µ_k·e_{i,j} − h(v_j)` (§5.2's in-motion `a`),
+/// and a candidate is feasible iff it is positive.
 pub fn motion_candidates_soa_into(
     cfg: &PhysicsConfig,
     flag: f64,
@@ -144,10 +86,32 @@ pub fn max_hops_bound(cfg: &PhysicsConfig, flag0: f64, h_floor: f64, mu_k: f64, 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::params::PhysicsConfig;
+    use crate::params::gradient;
 
     fn cfg() -> PhysicsConfig {
         PhysicsConfig::default()
+    }
+
+    /// Runs the stationary kernel over `(h_j, e_ij)` pairs.
+    fn stationary(
+        c: &PhysicsConfig,
+        load: f64,
+        mu_s: f64,
+        h_i: f64,
+        n: &[(f64, f64)],
+    ) -> Vec<Candidate> {
+        let (h, e): (Vec<f64>, Vec<f64>) = n.iter().copied().unzip();
+        let mut out = Vec::new();
+        stationary_candidates_soa_into(c, load, mu_s, h_i, &h, &e, &mut out);
+        out
+    }
+
+    /// Runs the in-motion kernel over `(h_j, e_ij)` pairs.
+    fn motion(c: &PhysicsConfig, flag: f64, mu_k: f64, n: &[(f64, f64)]) -> Vec<Candidate> {
+        let (h, e): (Vec<f64>, Vec<f64>) = n.iter().copied().unzip();
+        let mut out = Vec::new();
+        motion_candidates_soa_into(c, flag, mu_k, &h, &e, &mut out);
+        out
     }
 
     #[test]
@@ -155,8 +119,8 @@ mod tests {
         let c = cfg();
         // h_i = 10, neighbour at 0, e = 1, l = 1 ⇒ a = 8. µ_s = 8 blocks.
         let n = [(0.0, 1.0)];
-        assert!(stationary_candidates(&c, 1.0, 8.0, 10.0, &n).is_empty());
-        let got = stationary_candidates(&c, 1.0, 7.9, 10.0, &n);
+        assert!(stationary(&c, 1.0, 8.0, 10.0, &n).is_empty());
+        let got = stationary(&c, 1.0, 7.9, 10.0, &n);
         assert_eq!(got.len(), 1);
         assert!((got[0].1 - 8.0).abs() < 1e-12);
     }
@@ -165,7 +129,7 @@ mod tests {
     fn stationary_filters_uphill_neighbors() {
         let c = cfg();
         let n = [(20.0, 1.0), (0.0, 1.0), (9.0, 1.0)];
-        let got = stationary_candidates(&c, 1.0, 0.5, 10.0, &n);
+        let got = stationary(&c, 1.0, 0.5, 10.0, &n);
         // Only the height-0 neighbour: (10−0−2)/1 = 8 > 0.5.
         // The 9.0 neighbour gives (10−9−2)/1 = −1.
         assert_eq!(got.len(), 1);
@@ -175,8 +139,8 @@ mod tests {
     #[test]
     fn heavier_links_flatten_gradients() {
         let c = cfg();
-        let cheap = stationary_candidates(&c, 1.0, 1.0, 10.0, &[(0.0, 1.0)]);
-        let costly = stationary_candidates(&c, 1.0, 1.0, 10.0, &[(0.0, 8.0)]);
+        let cheap = stationary(&c, 1.0, 1.0, 10.0, &[(0.0, 1.0)]);
+        let costly = stationary(&c, 1.0, 1.0, 10.0, &[(0.0, 8.0)]);
         assert_eq!(cheap.len(), 1);
         assert!(costly.is_empty(), "(10−0−2)/8 = 1 is not > µ_s = 1");
     }
@@ -186,7 +150,7 @@ mod tests {
         let c = cfg();
         // flag 5, µ_k = 1, e = 1 ⇒ flag' = 4: can enter nodes below 4.
         let n = [(3.9, 1.0), (4.0, 1.0), (10.0, 1.0)];
-        let got = motion_candidates(&c, 5.0, 1.0, &n);
+        let got = motion(&c, 5.0, 1.0, &n);
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].0, 0);
         assert!((got[0].1 - 0.1).abs() < 1e-12);
@@ -196,7 +160,7 @@ mod tests {
     fn motion_prefers_lowest_destination() {
         let c = cfg();
         let n = [(2.0, 1.0), (0.0, 1.0)];
-        let got = motion_candidates(&c, 5.0, 0.5, &n);
+        let got = motion(&c, 5.0, 0.5, &n);
         assert_eq!(got.len(), 2);
         // Headroom toward the lower node is larger.
         let s: Vec<f64> = got.iter().map(|&(_, a)| a).collect();
@@ -204,9 +168,10 @@ mod tests {
     }
 
     #[test]
-    fn soa_kernels_are_bitwise_identical_to_pair_kernels() {
-        // Awkward magnitudes on purpose: any re-association in the SoA
-        // gradient would show up as a last-ulp difference.
+    fn soa_kernel_scores_are_bitwise_the_scalar_formulas() {
+        // Awkward magnitudes on purpose: any re-association in the kernels
+        // would show up as a last-ulp difference from `gradient` and
+        // `updated_flag`, the scalar references.
         for self_correction in [true, false] {
             let c = PhysicsConfig { self_correction, ..cfg() };
             let pairs: Vec<(f64, f64)> = (0..17)
@@ -215,21 +180,34 @@ mod tests {
                     (10.0 + (k * 0.7).sin() * 9.3 + k * 1e-13, 0.3 + (k * 1.3).cos().abs() * 2.0)
                 })
                 .collect();
-            let heights: Vec<f64> = pairs.iter().map(|&(h, _)| h).collect();
-            let weights: Vec<f64> = pairs.iter().map(|&(_, e)| e).collect();
             for (load, mu, h_i, flag) in
                 [(1.0, 0.5, 14.2, 15.0), (0.37, 3.1, 11.0 + 1e-12, 9.5), (5.0, 0.01, 25.0, 30.0)]
             {
-                let (mut a, mut b) = (Vec::new(), Vec::new());
-                stationary_candidates_into(&c, load, mu, h_i, &pairs, &mut a);
-                stationary_candidates_soa_into(&c, load, mu, h_i, &heights, &weights, &mut b);
-                let bits = |v: &Vec<Candidate>| {
-                    v.iter().map(|&(i, s)| (i, s.to_bits())).collect::<Vec<_>>()
+                let bits = |v: Vec<Candidate>| {
+                    v.into_iter().map(|(i, s)| (i, s.to_bits())).collect::<Vec<_>>()
                 };
-                assert_eq!(bits(&a), bits(&b), "stationary sc={self_correction}");
-                motion_candidates_into(&c, flag, mu, &pairs, &mut a);
-                motion_candidates_soa_into(&c, flag, mu, &heights, &weights, &mut b);
-                assert_eq!(bits(&a), bits(&b), "motion sc={self_correction}");
+                let want: Vec<Candidate> = pairs
+                    .iter()
+                    .map(|&(h, e)| gradient(&c, h_i, h, load, e))
+                    .enumerate()
+                    .filter(|&(_, a)| a > mu)
+                    .collect();
+                assert_eq!(
+                    bits(stationary(&c, load, mu, h_i, &pairs)),
+                    bits(want),
+                    "sc={self_correction}"
+                );
+                let want: Vec<Candidate> = pairs
+                    .iter()
+                    .map(|&(h, e)| updated_flag(&c, flag, mu, e) - h)
+                    .enumerate()
+                    .filter(|&(_, a)| a > 0.0)
+                    .collect();
+                assert_eq!(
+                    bits(motion(&c, flag, mu, &pairs)),
+                    bits(want),
+                    "motion sc={self_correction}"
+                );
             }
         }
     }

@@ -94,6 +94,20 @@ impl FrictionJitter {
         let u: f64 = rng.gen_range(-1.0..=1.0);
         value * (1.0 + a * u)
     }
+
+    /// Advances `rng` past `n` calls of [`FrictionJitter::apply_amp`] at
+    /// amplitude `a` without computing their values: the same draws in the
+    /// same order (none when `a ≤ 0`), so a caller that can prove `n`
+    /// jittered values irrelevant keeps its stream bitwise in step.
+    #[inline]
+    pub fn skip_amp(a: f64, n: usize, rng: &mut StdRng) {
+        if a <= 0.0 {
+            return;
+        }
+        for _ in 0..n {
+            let _: f64 = rng.gen_range(-1.0..=1.0);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -139,6 +153,18 @@ mod tests {
         let n = 50_000;
         let mean: f64 = (0..n).map(|_| j.apply(1.0, 0.0, &mut r)).sum::<f64>() / n as f64;
         assert!((mean - 1.0).abs() < 0.01, "mean {mean}");
+    }
+
+    #[test]
+    fn skip_amp_draws_exactly_what_apply_amp_draws() {
+        for (a, n) in [(0.0, 5), (-0.1, 3), (0.3, 0), (0.3, 1), (1e-300, 7), (0.99, 4)] {
+            let (mut applied, mut skipped) = (rng(), rng());
+            for _ in 0..n {
+                FrictionJitter::apply_amp(1.5, a, &mut applied);
+            }
+            FrictionJitter::skip_amp(a, n, &mut skipped);
+            assert_eq!(applied.state(), skipped.state(), "a = {a}, n = {n}");
+        }
     }
 
     #[test]

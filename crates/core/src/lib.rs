@@ -51,9 +51,7 @@ pub mod prelude {
         RandomNeighborBalancer, SenderInitiatedBalancer,
     };
     pub use crate::energy::{can_climb, flag_decrement, hop_heat, updated_flag};
-    pub use crate::feasibility::{
-        max_hops_bound, motion_candidates, movement_threshold, stationary_candidates,
-    };
+    pub use crate::feasibility::{max_hops_bound, movement_threshold};
     pub use crate::jitter::FrictionJitter;
     pub use crate::params::{gradient, kinetic_friction, static_friction, PhysicsConfig};
 }

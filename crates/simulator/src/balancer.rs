@@ -23,19 +23,6 @@ use pp_topology::graph::{NodeId, Topology};
 use pp_topology::links::LinkAttrs;
 use rand::rngs::StdRng;
 
-/// What a node knows about one of its (up) neighbours.
-#[derive(Debug, Clone, Copy)]
-pub struct NeighborInfo {
-    /// The neighbour's id.
-    pub id: NodeId,
-    /// The neighbour's current height `h(v_j)`.
-    pub height: f64,
-    /// The paper's link weight `e_{i,j}` (with the engine's constant `c`).
-    pub link_weight: f64,
-    /// Raw link attributes (bandwidth, distance, fault probability).
-    pub attrs: LinkAttrs,
-}
-
 /// A node's local view at decision time.
 #[derive(Debug)]
 pub struct NodeView<'a> {
@@ -45,17 +32,17 @@ pub struct NodeView<'a> {
     pub height: f64,
     /// Its resident tasks.
     pub tasks: &'a [Task],
-    /// Its live neighbours (links currently down are omitted — this is how
-    /// fault awareness reaches the policy). Borrowed from the
-    /// [`ViewScratch`] the view was built into.
-    pub neighbors: &'a [NeighborInfo],
-    /// `neighbors[k].height` as a flat slice — the structure-of-arrays form
-    /// of the same data, so feasibility kernels can stream heights without
-    /// striding over [`NeighborInfo`] records. Index-aligned with
+    /// Its live neighbours' ids (links currently down are omitted — this is
+    /// how fault awareness reaches the policy). Borrowed from the
+    /// [`ViewScratch`] the view was built into. The view is
+    /// structure-of-arrays: neighbour `k` is `neighbors[k]`, at height
+    /// `nbr_heights[k]` over a link of weight `nbr_weights[k]`.
+    pub neighbors: &'a [NodeId],
+    /// Each live neighbour's current height `h(v_j)`, index-aligned with
     /// `neighbors`.
     pub nbr_heights: &'a [f64],
-    /// `neighbors[k].link_weight` as a flat slice, index-aligned with
-    /// `neighbors`.
+    /// The paper's link weight `e_{i,j}` (with the engine's constant `c`)
+    /// toward each live neighbour, index-aligned with `neighbors`.
     pub nbr_weights: &'a [f64],
     /// The task dependency graph `T`.
     pub task_graph: &'a TaskGraph,
@@ -67,15 +54,12 @@ pub struct NodeView<'a> {
     pub time: f64,
 }
 
-/// Reusable backing storage for a [`NodeView`]'s neighbour list. One
+/// Reusable backing storage for a [`NodeView`]'s neighbour slices. One
 /// instance per decision thread; [`build_view`] overwrites it each call, so
 /// steady-state view construction performs no heap allocation.
 #[derive(Debug, Default)]
 pub struct ViewScratch {
-    neighbors: Vec<NeighborInfo>,
-    /// SoA mirrors of the neighbour list (heights / link weights), filled by
-    /// the same [`build_view`] pass and exposed as [`NodeView::nbr_heights`]
-    /// / [`NodeView::nbr_weights`].
+    neighbors: Vec<NodeId>,
     nbr_heights: Vec<f64>,
     nbr_weights: Vec<f64>,
 }
@@ -266,11 +250,11 @@ impl LoadBalancer for NullBalancer {
 /// Builds the [`NodeView`] of `node` into `scratch` (helper shared by the
 /// engine and by balancer unit tests).
 ///
-/// The neighbour list is written into `scratch` and borrowed by the
+/// The neighbour slices are written into `scratch` and borrowed by the
 /// returned view, so steady-state calls allocate nothing. Neighbours and
-/// their edge ids come from the topology's CSR slices; link attributes and
-/// weights are read from the edge-indexed tables in `links` — no hashing
-/// anywhere on the path.
+/// their edge ids come from the topology's CSR slices; link weights are
+/// read from the edge-indexed tables in `links` — no hashing anywhere on
+/// the path.
 pub fn build_view<'a>(
     scratch: &'a mut ViewScratch,
     state: &'a SystemState,
@@ -289,14 +273,12 @@ pub fn build_view<'a>(
         if !links.is_up(e) {
             continue;
         }
-        let attrs = links.attrs[e.idx()];
         let link_weight = match links.weights {
             Some(w) => w[e.idx()],
-            None => attrs.weight(links.weight_c),
+            None => links.attrs[e.idx()].weight(links.weight_c),
         };
-        let height = heights[j.idx()];
-        scratch.neighbors.push(NeighborInfo { id: j, height, link_weight, attrs });
-        scratch.nbr_heights.push(height);
+        scratch.neighbors.push(j);
+        scratch.nbr_heights.push(heights[j.idx()]);
         scratch.nbr_weights.push(link_weight);
     }
     NodeView {
@@ -363,9 +345,8 @@ mod tests {
         );
         assert_eq!(view.neighbors.len(), 2);
         assert_eq!(view.round, 3);
-        let ids: Vec<u32> = view.neighbors.iter().map(|n| n.id.0).collect();
-        assert_eq!(ids, vec![1, 3]);
-        assert_eq!(view.neighbors[0].height, 2.0);
+        assert_eq!(view.neighbors, [NodeId(1), NodeId(3)]);
+        assert_eq!(view.nbr_heights, [2.0, 4.0]);
     }
 
     #[test]
@@ -377,8 +358,7 @@ mod tests {
         let links = LinkView { down: Some(&down), ..LinkView::all_up(&state, 1.0) };
         let mut scratch = ViewScratch::new();
         let view = build_view(&mut scratch, &state, NodeId(0), &heights, &links, 0, 0.0);
-        let ids: Vec<u32> = view.neighbors.iter().map(|n| n.id.0).collect();
-        assert_eq!(ids, vec![3]);
+        assert_eq!(view.neighbors, [NodeId(3)]);
     }
 
     #[test]
@@ -409,14 +389,14 @@ mod tests {
         let links = LinkView { weights: Some(&table), ..LinkView::all_up(&state, 1.0) };
         let mut scratch = ViewScratch::new();
         let view = build_view(&mut scratch, &state, NodeId(0), &heights, &links, 0, 0.0);
-        for nb in view.neighbors {
-            let e = state.topo.edge_index(NodeId(0), nb.id).unwrap();
-            assert_eq!(nb.link_weight, table[e.idx()]);
+        for (&j, &w) in view.neighbors.iter().zip(view.nbr_weights) {
+            let e = state.topo.edge_index(NodeId(0), j).unwrap();
+            assert_eq!(w, table[e.idx()]);
         }
     }
 
     #[test]
-    fn soa_mirrors_stay_aligned_with_the_neighbor_list() {
+    fn soa_slices_stay_aligned_with_the_neighbor_ids() {
         let state = ring_state();
         let heights = vec![1.0, 2.0, 3.0, 4.0];
         let mut down = EdgeBitSet::new(state.topo.edge_count());
@@ -427,9 +407,13 @@ mod tests {
             let view = build_view(&mut scratch, &state, node, &heights, &links, 0, 0.0);
             assert_eq!(view.nbr_heights.len(), view.neighbors.len());
             assert_eq!(view.nbr_weights.len(), view.neighbors.len());
-            for (k, nb) in view.neighbors.iter().enumerate() {
-                assert_eq!(view.nbr_heights[k].to_bits(), nb.height.to_bits());
-                assert_eq!(view.nbr_weights[k].to_bits(), nb.link_weight.to_bits());
+            for (k, &j) in view.neighbors.iter().enumerate() {
+                let e = state.topo.edge_index(node, j).unwrap();
+                assert_eq!(view.nbr_heights[k].to_bits(), heights[j.idx()].to_bits());
+                assert_eq!(
+                    view.nbr_weights[k].to_bits(),
+                    links.attrs[e.idx()].weight(2.0).to_bits()
+                );
             }
         }
     }

@@ -993,6 +993,22 @@ impl Engine {
                 }
             }
         }
+        // A finite size can still be too large to move: a hop lands at
+        // `time + (distance + size/bandwidth)·attempts`, and a non-finite
+        // landing time would panic the event queue rounds later. Every
+        // size is at most the total load, so bounding the total's hop over
+        // the slowest link covers every resident and in-flight task.
+        let total: f64 = cp.node_tasks.iter().flatten().map(|t| t.size).sum::<f64>()
+            + cp.flights.iter().flatten().map(|f| f.task.size).sum::<f64>();
+        let slowest_hop =
+            self.state.links().attrs().iter().map(|a| a.transfer_time(total)).fold(0.0, f64::max);
+        let attempts = f64::from(self.config.max_attempts.max(1));
+        if !(cp.time + slowest_hop * attempts).is_finite() {
+            return Err(format!(
+                "checkpoint task sizes total {total}: a hop of that load would land at a \
+                 non-finite time"
+            ));
+        }
         for rec in &cp.ledger {
             if ![rec.time, rec.size, rec.link_weight, rec.heat].iter().all(|v| v.is_finite()) {
                 return Err("checkpoint ledger records must be finite".into());
@@ -1954,12 +1970,12 @@ mod tests {
         }
         fn decide(&self, view: &NodeView<'_>, _rng: &mut StdRng) -> Vec<MigrationIntent> {
             let Some(task) = view.tasks.first() else { return Vec::new() };
-            let Some(lowest) = view.neighbors.iter().min_by(|a, b| a.height.total_cmp(&b.height))
-            else {
+            let h = view.nbr_heights;
+            let Some(k) = (0..h.len()).min_by(|&a, &b| h[a].total_cmp(&h[b])) else {
                 return Vec::new();
             };
-            if view.height - lowest.height > 1.0 {
-                vec![MigrationIntent { task: task.id, to: lowest.id, flag: 0.0, heat: 0.0 }]
+            if view.height - h[k] > 1.0 {
+                vec![MigrationIntent { task: task.id, to: view.neighbors[k], flag: 0.0, heat: 0.0 }]
             } else {
                 Vec::new()
             }

@@ -29,8 +29,8 @@ pub mod strategy;
 /// One-stop imports.
 pub mod prelude {
     pub use crate::balancer::{
-        build_view, GlobalView, LinkView, LoadBalancer, MigratingLoad, MigrationIntent,
-        NeighborInfo, NodeView, NullBalancer, ViewScratch,
+        build_view, GlobalView, LinkView, LoadBalancer, MigratingLoad, MigrationIntent, NodeView,
+        NullBalancer, ViewScratch,
     };
     pub use crate::checkpoint::{Checkpoint, CHECKPOINT_VERSION};
     pub use crate::churn::{ChurnEvent, ChurnPlan};

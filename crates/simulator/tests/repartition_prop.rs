@@ -32,12 +32,12 @@ impl LoadBalancer for GreedyDiffusion {
 
     fn decide(&self, view: &NodeView<'_>, _rng: &mut StdRng) -> Vec<MigrationIntent> {
         let Some(task) = view.tasks.first() else { return Vec::new() };
-        let Some(lowest) = view.neighbors.iter().min_by(|a, b| a.height.total_cmp(&b.height))
-        else {
+        let h = view.nbr_heights;
+        let Some(k) = (0..h.len()).min_by(|&a, &b| h[a].total_cmp(&h[b])) else {
             return Vec::new();
         };
-        if view.height - lowest.height > 1.0 {
-            vec![MigrationIntent { task: task.id, to: lowest.id, flag: 0.0, heat: 0.0 }]
+        if view.height - h[k] > 1.0 {
+            vec![MigrationIntent { task: task.id, to: view.neighbors[k], flag: 0.0, heat: 0.0 }]
         } else {
             Vec::new()
         }

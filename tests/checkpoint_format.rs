@@ -117,6 +117,41 @@ fn structurally_valid_but_mismatched_checkpoint_is_refused_by_restore() {
     assert_eq!(other.round(), 2);
 }
 
+#[test]
+fn huge_task_size_anywhere_is_refused_or_runs_never_panics() {
+    // A size of 1e308 is finite, so it parses, but the launch or landing
+    // time it implies (size / bandwidth, plus the clock) need not be.
+    // Every `"size"` in the fixture — resident tasks, tasks in flight,
+    // ledger records — is corrupted in turn: restore must refuse it or
+    // the resumed run must step on without panicking.
+    let text = fixture_text();
+    let key = "\"size\": ";
+    let sites: Vec<usize> = text.match_indices(key).map(|(at, _)| at + key.len()).collect();
+    assert!(sites.len() > 100, "fixture shape changed: {} sizes", sites.len());
+    let (mut refused, mut panics) = (0, Vec::new());
+    for &at in &sites {
+        let end = at + text[at..].find([',', '\n']).expect("value ends");
+        let bad = format!("{}1e308{}", &text[..at], &text[end..]);
+        let Ok(cp) = Checkpoint::from_json(&bad) else {
+            refused += 1;
+            continue;
+        };
+        let mut e = fixture_spec().build_engine().expect("engine");
+        if e.restore(&cp).is_err() {
+            refused += 1;
+            continue;
+        }
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            e.run_rounds(3);
+        }));
+        if run.is_err() {
+            panics.push(at);
+        }
+    }
+    assert!(panics.is_empty(), "{} of {} size corruptions panicked", panics.len(), sites.len());
+    assert!(refused > 0, "no corruption was refused — is the fixture still exercised?");
+}
+
 /// Regenerates the committed fixture. Run manually after an intended
 /// format change; `fixture_parses_resumes_and_stays_byte_stable` keeps it
 /// honest on every CI run.

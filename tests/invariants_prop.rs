@@ -2,6 +2,7 @@
 //! conservation, no negative heights, determinism, arbiter probability
 //! bounds, feasibility strictness, and the energy flag's monotonic decay.
 
+use particle_plane::core::feasibility::stationary_candidates_soa_into;
 use particle_plane::prelude::*;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -115,12 +116,12 @@ proptest! {
         mu_s in 0.0f64..10.0,
     ) {
         let cfg = PhysicsConfig::default();
-        let neigh = [(h_j, e)];
-        let cands = stationary_candidates(&cfg, l, mu_s, h_i, &neigh);
+        let (mut cands, mut cands_stricter) = (Vec::new(), Vec::new());
+        stationary_candidates_soa_into(&cfg, l, mu_s, h_i, &[h_j], &[e], &mut cands);
         let a = gradient(&cfg, h_i, h_j, l, e);
         prop_assert_eq!(!cands.is_empty(), a > mu_s);
         // Raising µ_s can only remove candidates.
-        let cands_stricter = stationary_candidates(&cfg, l, mu_s + 1.0, h_i, &neigh);
+        stationary_candidates_soa_into(&cfg, l, mu_s + 1.0, h_i, &[h_j], &[e], &mut cands_stricter);
         prop_assert!(cands_stricter.len() <= cands.len());
     }
 
