@@ -17,7 +17,9 @@ pub struct ShardAccum {
     pub ticks_evaluated: u64,
     /// Ticks in which the shard was skipped as quiescent.
     pub ticks_skipped: u64,
-    /// Total node decisions evaluated.
+    /// Total node decisions evaluated: every node of the shard on each
+    /// evaluated tick, including the empty ones the sweep never asks (an
+    /// empty node has nothing to decide, so it counts as decided).
     pub nodes_evaluated: u64,
     /// Total migration intents emitted.
     pub intents_emitted: u64,

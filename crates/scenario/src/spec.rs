@@ -168,17 +168,83 @@ pub enum WorkloadSpec {
     },
 }
 
+/// The most tasks a valid [`WorkloadSpec`] may place initially, as bounded
+/// in closed form from its parameters: one task per node of the largest
+/// valid topology ([`pp_topology::spec::MAX_NODES`]).
+pub const MAX_INITIAL_TASKS: usize = 1 << 24;
+
+/// `x` is a finite, non-negative load quantity.
+fn is_quantity(x: f64) -> bool {
+    x.is_finite() && x >= 0.0
+}
+
+/// `x` is a finite, positive size.
+fn is_size(x: f64) -> bool {
+    x.is_finite() && x > 0.0
+}
+
 impl WorkloadSpec {
-    /// Parameter check against a node count.
+    /// Parameter check against a node count. Beyond the ranges, it bounds
+    /// the placement in closed form before anything is allocated: at most
+    /// [`MAX_INITIAL_TASKS`] tasks, and a total load whose square (the
+    /// imbalance statistics sum `h²`) is finite.
     pub fn validate(&self, n: usize) -> Result<(), String> {
+        self.validate_params(n)?;
+        let (tasks, load) = self.bounds(n);
+        if !(tasks.is_finite() && tasks <= MAX_INITIAL_TASKS as f64) {
+            return Err(format!(
+                "up to {tasks:e} initial tasks exceeds the cap of {MAX_INITIAL_TASKS}"
+            ));
+        }
+        if !(load * load).is_finite() {
+            return Err(format!("total initial load {load:e} is too large to measure"));
+        }
+        Ok(())
+    }
+
+    /// Closed-form upper bounds `(tasks, total load)` on the placement
+    /// [`WorkloadSpec::build`] makes for `n` nodes. Each node's quantity `q`
+    /// splits into at most `q / task_size + 1` tasks.
+    fn bounds(&self, n: usize) -> (f64, f64) {
+        let nodes = n as f64;
+        match self {
+            WorkloadSpec::Empty => (0.0, 0.0),
+            WorkloadSpec::Hotspot { total, task_size, .. } => (total / task_size + 1.0, *total),
+            WorkloadSpec::MultiHotspot { nodes: hot, total } => (total + hot.len() as f64, *total),
+            WorkloadSpec::UniformRandom { max_per_node, .. } => {
+                (nodes * (max_per_node + 1.0), nodes * max_per_node)
+            }
+            WorkloadSpec::Bimodal { high, low, .. } => {
+                let top = high.max(*low);
+                (nodes * (top + 1.0), nodes * top)
+            }
+            WorkloadSpec::Ramp { step } => {
+                let load = step * nodes * (nodes - 1.0).max(0.0) / 2.0;
+                (load + nodes, load)
+            }
+            WorkloadSpec::Zipf { count, base, .. } => (*count as f64, *count as f64 * base),
+            WorkloadSpec::Loads { loads, task_size } => {
+                let load: f64 = loads.iter().sum();
+                (load / task_size + nodes, load)
+            }
+            WorkloadSpec::Trace { records } => {
+                (records.len() as f64, records.iter().map(|&(_, s)| s).sum())
+            }
+        }
+    }
+
+    /// The per-variant parameter ranges.
+    fn validate_params(&self, n: usize) -> Result<(), String> {
         match self {
             WorkloadSpec::Empty => Ok(()),
             WorkloadSpec::Hotspot { node, total, task_size } => {
                 if *node >= n {
                     return Err(format!("hot node {node} out of range (n={n})"));
                 }
-                if *total < 0.0 || *task_size <= 0.0 {
-                    return Err("hotspot total must be ≥ 0 and task size > 0".into());
+                if !is_quantity(*total) || !is_size(*task_size) {
+                    return Err(
+                        "hotspot total must be finite and ≥ 0, task size finite and > 0".into()
+                    );
                 }
                 Ok(())
             }
@@ -189,14 +255,14 @@ impl WorkloadSpec {
                 if let Some(&bad) = nodes.iter().find(|&&v| v >= n) {
                     return Err(format!("hot node {bad} out of range (n={n})"));
                 }
-                if *total < 0.0 {
-                    return Err("total load must be ≥ 0".into());
+                if !is_quantity(*total) {
+                    return Err("total load must be finite and ≥ 0".into());
                 }
                 Ok(())
             }
             WorkloadSpec::UniformRandom { max_per_node, .. } => {
-                if *max_per_node <= 0.0 {
-                    return Err("max_per_node must be > 0".into());
+                if !is_size(*max_per_node) {
+                    return Err("max_per_node must be finite and > 0".into());
                 }
                 Ok(())
             }
@@ -204,20 +270,26 @@ impl WorkloadSpec {
                 if !(0.0..=1.0).contains(fraction) {
                     return Err(format!("fraction {fraction} not in [0, 1]"));
                 }
-                if *high < 0.0 || *low < 0.0 {
-                    return Err("bimodal loads must be ≥ 0".into());
+                if !is_quantity(*high) || !is_quantity(*low) {
+                    return Err("bimodal loads must be finite and ≥ 0".into());
                 }
                 Ok(())
             }
             WorkloadSpec::Ramp { step } => {
-                if *step < 0.0 {
-                    return Err("ramp step must be ≥ 0".into());
+                if !is_quantity(*step) {
+                    return Err("ramp step must be finite and ≥ 0".into());
                 }
                 Ok(())
             }
             WorkloadSpec::Zipf { count, base, skew, .. } => {
-                if *count == 0 || *base <= 0.0 || *skew < 0.0 {
-                    return Err("zipf needs count > 0, base > 0, skew ≥ 0".into());
+                if *count == 0 || !is_size(*base) || !is_quantity(*skew) {
+                    return Err("zipf needs count > 0, finite base > 0, finite skew ≥ 0".into());
+                }
+                // The smallest task, rank `count`, must keep a positive size.
+                if !is_size(base / (*count as f64).powf(*skew)) {
+                    return Err(format!(
+                        "zipf task sizes underflow to 0 (base {base}, skew {skew})"
+                    ));
                 }
                 Ok(())
             }
@@ -225,11 +297,11 @@ impl WorkloadSpec {
                 if loads.len() != n {
                     return Err(format!("loads length {} ≠ node count {n}", loads.len()));
                 }
-                if loads.iter().any(|&l| l < 0.0 || !l.is_finite()) {
+                if !loads.iter().all(|&l| is_quantity(l)) {
                     return Err("loads must be finite and ≥ 0".into());
                 }
-                if *task_size <= 0.0 {
-                    return Err("task size must be > 0".into());
+                if !is_size(*task_size) {
+                    return Err("task size must be finite and > 0".into());
                 }
                 Ok(())
             }
@@ -237,7 +309,7 @@ impl WorkloadSpec {
                 if let Some(&(bad, _)) = records.iter().find(|&&(v, _)| v >= n) {
                     return Err(format!("trace node {bad} out of range (n={n})"));
                 }
-                if records.iter().any(|&(_, s)| s <= 0.0 || !s.is_finite()) {
+                if !records.iter().all(|&(_, s)| is_size(s)) {
                     return Err("trace sizes must be finite and > 0".into());
                 }
                 Ok(())
@@ -1421,5 +1493,131 @@ mod tests {
         assert!(spec.validate().unwrap_err().contains("path"));
         spec.checkpoint = Some(CheckpointSpec { every: 5, path: "x.json".into() });
         assert!(spec.validate().is_ok());
+    }
+
+    /// Every copy of `v` with one numeric leaf replaced by `huge`, labelled
+    /// by its path; `kind` tags and seeds (any `u64` is a valid seed) are
+    /// left alone.
+    fn numeric_mutants(v: &serde::Value, huge: &serde::Value) -> Vec<(String, serde::Value)> {
+        use serde::Value;
+        match v {
+            Value::Int(_) | Value::UInt(_) | Value::Float(_) => vec![(String::new(), huge.clone())],
+            Value::Array(items) => (0..items.len())
+                .flat_map(|i| {
+                    numeric_mutants(&items[i], huge).into_iter().map(move |(path, m)| {
+                        let mut copy = items.clone();
+                        copy[i] = m;
+                        (format!("[{i}]{path}"), Value::Array(copy))
+                    })
+                })
+                .collect(),
+            Value::Object(fields) => (0..fields.len())
+                .filter(|&i| fields[i].0 != "kind" && fields[i].0 != "seed")
+                .flat_map(|i| {
+                    numeric_mutants(&fields[i].1, huge).into_iter().map(move |(path, m)| {
+                        let mut copy = fields.clone();
+                        copy[i].1 = m;
+                        (format!(".{}{path}", fields[i].0), Value::Object(copy))
+                    })
+                })
+                .collect(),
+            _ => Vec::new(),
+        }
+    }
+
+    #[test]
+    fn oversized_workload_and_topology_fields_are_rejected_never_panic() {
+        use serde::{Serialize, Value};
+        let workloads = [
+            WorkloadSpec::Hotspot { node: 0, total: 8.0, task_size: 1.0 },
+            WorkloadSpec::MultiHotspot { nodes: vec![0, 5], total: 8.0 },
+            WorkloadSpec::UniformRandom { max_per_node: 4.0, seed: 1 },
+            WorkloadSpec::Bimodal { fraction: 0.25, high: 6.0, low: 1.0, seed: 1 },
+            WorkloadSpec::Ramp { step: 0.5 },
+            WorkloadSpec::Zipf { count: 20, base: 4.0, skew: 1.0, seed: 1 },
+            WorkloadSpec::Loads { loads: vec![1.0; 16], task_size: 1.0 },
+            WorkloadSpec::Trace { records: vec![(0, 1.0), (3, 2.0)] },
+        ];
+        let topologies = [
+            TopologySpec::Mesh { dims: vec![4, 4] },
+            TopologySpec::Torus { dims: vec![4, 4] },
+            TopologySpec::Hypercube { dim: 4 },
+            TopologySpec::Ring { n: 16 },
+            TopologySpec::Star { n: 16 },
+            TopologySpec::Complete { n: 16 },
+            TopologySpec::Tree { arity: 2, depth: 3 },
+            TopologySpec::Random { n: 16, p: 0.2, seed: 1 },
+            TopologySpec::ScaleFree { n: 16, m: 2, seed: 1 },
+            TopologySpec::Geometric { n: 16, radius: 0.4, seed: 1 },
+        ];
+        // Values that are simply a coarse granularity, one big task or a
+        // radius past the unit square: the spec is valid, and it must build
+        // and run.
+        let legitimate = [
+            ("geometric", ".radius"),
+            ("hotspot", ".task_size"),
+            ("loads", ".task_size"),
+            ("zipf", ".base=4294967296"),
+            ("trace", ".records[0][1]=4294967296"),
+            ("trace", ".records[1][1]=4294967296"),
+        ];
+        let base = |topology: TopologySpec, workload: WorkloadSpec| {
+            let mut spec = ScenarioSpec {
+                name: "oversized".into(),
+                topology,
+                workload,
+                ..ScenarioSpec::default()
+            };
+            spec.duration = DurationSpec { rounds: 3, drain: 1.0 };
+            assert!(spec.validate().is_ok(), "{spec:?}");
+            spec.to_value()
+        };
+        let set = |spec: &Value, key: &str, part: Value| match spec {
+            Value::Object(fields) => Value::Object(
+                fields
+                    .iter()
+                    .map(|(k, v)| (k.clone(), if k == key { part.clone() } else { v.clone() }))
+                    .collect(),
+            ),
+            _ => unreachable!("a spec renders as an object"),
+        };
+        let mut checked = 0;
+        for huge in [Value::Float(1e308), Value::UInt(4_294_967_296)] {
+            let cases = workloads
+                .iter()
+                .map(|w| ("workload", base(TopologySpec::Torus { dims: vec![4, 4] }, w.clone())))
+                .chain(
+                    topologies.iter().map(|t| ("topology", base(t.clone(), workloads[0].clone()))),
+                );
+            for (key, spec) in cases {
+                let part = spec.get(key).expect("rendered part").clone();
+                let kind = match part.get("kind") {
+                    Some(Value::Str(k)) => k.clone(),
+                    _ => unreachable!("tagged"),
+                };
+                for (path, mutated) in numeric_mutants(&part, &huge) {
+                    let text = serde_json::to_string(&set(&spec, key, mutated)).expect("renders");
+                    let label =
+                        format!("{key} {kind}{path}={}", serde_json::to_string(&huge).unwrap());
+                    let result =
+                        ScenarioSpec::from_json(&text).and_then(|s| s.validate().map(|()| s));
+                    checked += 1;
+                    let ok = legitimate
+                        .iter()
+                        .any(|&(k, p)| k == kind && label.contains(&format!("{k}{p}")));
+                    match result {
+                        Err(_) if !ok => {}
+                        Ok(spec) if ok => {
+                            spec.run().unwrap_or_else(|e| panic!("{label}: {e}"));
+                        }
+                        other => panic!(
+                            "{label}: expected {}, got {other:?}",
+                            if ok { "a valid spec" } else { "Err" }
+                        ),
+                    }
+                }
+            }
+        }
+        assert!(checked > 40, "only {checked} mutations");
     }
 }

@@ -2,9 +2,9 @@
 //! particle-plane algorithm or a baseline) sees and may do.
 //!
 //! Policies are *node-local*: at each balance tick the engine calls
-//! [`LoadBalancer::decide`] once per node with that node's [`NodeView`]
-//! (its own tasks plus neighbour heights/link weights — exactly the
-//! information a decentralized agent would have). Once per tick,
+//! [`LoadBalancer::decide`] once per node that holds a task, with that
+//! node's [`NodeView`] (its own tasks plus neighbour heights/link weights —
+//! exactly the information a decentralized agent would have). Once per tick,
 //! [`LoadBalancer::begin_round`] lets a policy refresh internal per-round
 //! state (e.g. the gradient model's propagated pressure map) from the
 //! round's global snapshot — modelling the per-round neighbour message
@@ -147,6 +147,13 @@ pub struct MigrationIntent {
 ///
 /// `decide`/`on_arrival` take `&self` so the engine may evaluate nodes in
 /// parallel; per-round mutable state belongs in `begin_round`.
+///
+/// **Empty-node contract.** The engine asks only nodes that hold a task to
+/// decide. An intent moves one of the deciding node's own tasks, so an
+/// empty node has nothing to emit, and a policy must draw nothing from the
+/// RNG when `view.tasks` is empty: then not asking an empty node is
+/// unobservable — no intent and no RNG stream differs from asking it.
+/// Every policy in `pp-core` returns before touching its RNG in that case.
 pub trait LoadBalancer: Send + Sync {
     /// Human-readable policy name (used in reports and tables).
     fn name(&self) -> &str;
@@ -154,7 +161,9 @@ pub trait LoadBalancer: Send + Sync {
     /// Per-round refresh from the global snapshot (optional).
     fn begin_round(&mut self, _global: &GlobalView<'_>) {}
 
-    /// Migration decisions for a stationary node at a balance tick.
+    /// Migration decisions for a stationary node at a balance tick. Called
+    /// only for a node with at least one resident task (see the empty-node
+    /// contract above).
     fn decide(&self, view: &NodeView<'_>, rng: &mut StdRng) -> Vec<MigrationIntent>;
 
     /// Appends this node's migration decisions to `out` — the allocation-

@@ -73,23 +73,23 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt;
 
-/// Nodes per chunk of the consume sweep's occupancy scan (one `u64` word
+/// Nodes per chunk of an [`OccupiedWalk`] (one `u64` mask, and one word
 /// of the consume memo).
-const CONSUME_CHUNK: usize = 64;
+const NODE_CHUNK: usize = 64;
 
 /// Bit `k` of the result is set iff `counts[k] != 0`, for one chunk of at
-/// most [`CONSUME_CHUNK`] task counts. Shaped for the auto-vectoriser and
+/// most [`NODE_CHUNK`] task counts. Shaped for the auto-vectoriser and
 /// branch-free past the empty-chunk early out: an OR-reduction rejects an
 /// all-zero chunk, the counts narrow to 0/1 bytes, and one multiply per
 /// eight bytes gathers them into bits (byte `i` of `w` lands on bit
 /// `56 + i` of `w × 0x0102_0408_1020_4080`, and no partial products
 /// overlap).
 #[inline]
-fn occupancy(counts: &[u32]) -> u64 {
+fn occupied_mask(counts: &[u32]) -> u64 {
     if counts.iter().fold(0, |a, &k| a | k) == 0 {
         return 0;
     }
-    let mut flags = [0u8; CONSUME_CHUNK];
+    let mut flags = [0u8; NODE_CHUNK];
     for (flag, &k) in flags.iter_mut().zip(counts) {
         *flag = u8::from(k != 0);
     }
@@ -97,6 +97,43 @@ fn occupancy(counts: &[u32]) -> u64 {
         let word = u64::from_le_bytes(bytes.try_into().expect("eight bytes"));
         mask | (word.wrapping_mul(0x0102_0408_1020_4080) >> 56) << (8 * j)
     })
+}
+
+/// The one occupied-node walk both node sweeps (decide and consume) use:
+/// yields, in ascending order, every index whose task count is non-zero.
+/// It reads the counts one [`NODE_CHUNK`]-node chunk at a time: an
+/// all-zero chunk costs one OR-reduction, an occupied one becomes an
+/// [`occupied_mask`] whose set bits are the indices to visit. A sweep over
+/// n counts therefore costs n/64 chunk tests plus O(occupied nodes).
+///
+/// The walk holds no borrow between steps, and a chunk's mask is taken
+/// when the walk enters it, so a caller may change the counts of indices
+/// it has already been handed; the caller passes the same slice each step.
+#[derive(Debug, Default)]
+struct OccupiedWalk {
+    /// First index of the current chunk.
+    base: usize,
+    /// First index past the current chunk.
+    end: usize,
+    /// The current chunk's occupied indices not yet handed out.
+    mask: u64,
+}
+
+impl OccupiedWalk {
+    #[inline]
+    fn next(&mut self, counts: &[u32]) -> Option<usize> {
+        while self.mask == 0 {
+            if self.end >= counts.len() {
+                return None;
+            }
+            self.base = self.end;
+            self.end = (self.base + NODE_CHUNK).min(counts.len());
+            self.mask = occupied_mask(&counts[self.base..self.end]);
+        }
+        let k = self.mask.trailing_zeros() as usize;
+        self.mask &= self.mask - 1;
+        Some(self.base + k)
+    }
 }
 
 /// Dynamic link fault process: at every balance tick each up link goes down
@@ -210,16 +247,18 @@ impl fmt::Display for ShardLayout {
 /// Per-shard execution state: everything a sweep worker touches for one
 /// shard, owned by that shard so no two workers share mutable data.
 struct ShardSlot {
-    /// Shard-local intent arena (the shard's *outbox*): every owned node's
-    /// migration intents for the current sweep, appended in ascending node
-    /// order. One allocation per shard, kept across ticks — in steady
-    /// state the sweep reuses its capacity and never touches the global
-    /// allocator. Drained by the commit phase after the round barrier.
+    /// Shard-local intent arena (the shard's *outbox*): every deciding
+    /// node's migration intents for the current sweep, appended in
+    /// ascending node order. One allocation per shard, kept across ticks —
+    /// in steady state the sweep reuses its capacity and never touches the
+    /// global allocator. Drained by the commit phase after the round
+    /// barrier.
     intents: Vec<MigrationIntent>,
-    /// Per-owned-node prefix ends into `intents`: node `k`'s intents are
-    /// `intents[spans[k-1]..spans[k]]` (with `spans[-1] = 0`), so the
+    /// `(local node, prefix end)` into `intents`, one pair per node that
+    /// emitted, in ascending node order: pair `p`'s node emitted
+    /// `intents[spans[p-1].1..spans[p].1]` (with `spans[-1].1 = 0`), so the
     /// commit phase can attribute each intent to its emitting node.
-    spans: Vec<u32>,
+    spans: Vec<(u32, u32)>,
     /// Per-owned-node RNG streams (seeded exactly as the flat engine did,
     /// so sharding never changes a node's stream).
     rngs: Vec<StdRng>,
@@ -1175,46 +1214,34 @@ impl Engine {
     ///
     /// Consuming on an empty node is a no-op (nothing completes, nothing is
     /// used, nothing is marked dirty), so the sweep is skipped outright
-    /// while no task is resident, and otherwise reads the flat task-count
-    /// array one 64-node chunk at a time: an all-zero chunk costs one
-    /// OR-reduction, an occupied one becomes an [`occupancy`] mask whose
-    /// set bits are the nodes to visit. That is n/64 chunk tests per call
-    /// plus O(resident nodes). Consuming at one node never changes another
-    /// node's count, and the bits are visited in ascending id order, so Σh
-    /// and Σh² accumulate exactly as in a node-by-node scan.
+    /// while no task is resident, and otherwise visits only the nodes the
+    /// [`OccupiedWalk`] yields: n/64 chunk tests per call plus O(resident
+    /// nodes). Consuming at one node never changes another node's count,
+    /// and the walk is in ascending id order, so Σh and Σh² accumulate
+    /// exactly as in a node-by-node scan.
     fn advance_time_to(&mut self, t: f64) {
         let dt = t - self.time;
         debug_assert!(dt >= -1e-9, "time went backwards: {} -> {}", self.time, t);
         if dt > 0.0 && self.config.consume_rate > 0.0 && self.state.resident_tasks() > 0 {
             let amount = dt * self.config.consume_rate;
-            let n = self.state.node_count();
-            for c in 0..n.div_ceil(CONSUME_CHUNK) {
-                let lo = c * CONSUME_CHUNK;
-                let hi = (lo + CONSUME_CHUNK).min(n);
-                let mut occupied = occupancy(&self.state.task_count_slice()[lo..hi]);
-                // Set bits in ascending order: the occupied nodes by id.
-                while occupied != 0 {
-                    let k = occupied.trailing_zeros() as usize;
-                    occupied &= occupied - 1;
-                    let i = lo + k;
-                    // A churned-out node consumes nothing: its frozen tasks
-                    // (the no-live-receiver leave case) wait for it to rejoin.
-                    if !self.down_nodes.is_empty() && self.down_nodes[i] {
-                        continue;
-                    }
-                    let scaled =
-                        if self.speeds.is_empty() { amount } else { amount * self.speeds[i] };
-                    if scaled > 0.0 {
-                        let v = NodeId(i as u32);
-                        let (done, used) = self.state.consume_work(v, scaled);
-                        self.completed_tasks += done;
-                        // Marking is idempotent until the next sweep clears
-                        // the flags, so each consumer marks once per window.
-                        let bit = 1u64 << k;
-                        if (done > 0 || used > 0.0) && self.consume_marked[c] & bit == 0 {
-                            self.consume_marked[c] |= bit;
-                            self.mark_node_dirty(v);
-                        }
+            let mut walk = OccupiedWalk::default();
+            while let Some(i) = walk.next(self.state.task_count_slice()) {
+                // A churned-out node consumes nothing: its frozen tasks
+                // (the no-live-receiver leave case) wait for it to rejoin.
+                if !self.down_nodes.is_empty() && self.down_nodes[i] {
+                    continue;
+                }
+                let scaled = if self.speeds.is_empty() { amount } else { amount * self.speeds[i] };
+                if scaled > 0.0 {
+                    let v = NodeId(i as u32);
+                    let (done, used) = self.state.consume_work(v, scaled);
+                    self.completed_tasks += done;
+                    // Marking is idempotent until the next sweep clears the
+                    // flags, so each consumer marks once per window.
+                    let (word, bit) = (i / NODE_CHUNK, 1u64 << (i % NODE_CHUNK));
+                    if (done > 0 || used > 0.0) && self.consume_marked[word] & bit == 0 {
+                        self.consume_marked[word] |= bit;
+                        self.mark_node_dirty(v);
                     }
                 }
             }
@@ -1253,12 +1280,12 @@ impl Engine {
             let intents = std::mem::take(&mut self.shards[s].intents);
             let spans = std::mem::take(&mut self.shards[s].spans);
             let mut next = 0usize;
-            for (k, &end) in spans.iter().enumerate() {
-                let node = NodeId(start + k as u32);
-                while next < end as usize {
-                    self.launch(node, intents[next]);
-                    next += 1;
+            for &(k, end) in &spans {
+                let node = NodeId(start + k);
+                for &intent in &intents[next..end as usize] {
+                    self.launch(node, intent);
                 }
+                next = end as usize;
             }
             let slot = &mut self.shards[s];
             slot.intents = intents;
@@ -1687,9 +1714,16 @@ fn prefetch_halo(state: &SystemState, heights: &[f64], start: u32, end: u32) {
     std::hint::black_box(touched);
 }
 
-/// Sweeps one shard: evaluates `decide` for every owned node into the
-/// shard's decision buffers, using the shard's scratch and per-node RNGs.
-/// Shared by the inline and pooled paths, so both are trivially identical.
+/// Sweeps one shard: evaluates `decide` for every owned node that holds a
+/// task into the shard's decision buffers, using the shard's scratch and
+/// per-node RNGs. Shared by the inline and pooled paths, so both are
+/// trivially identical.
+///
+/// An empty node is never asked: an intent moves one of the deciding
+/// node's own tasks, and the [`LoadBalancer`] contract has a policy draw
+/// nothing from its RNG when `view.tasks` is empty, so skipping the view
+/// build and the call changes no intent and no RNG stream (ADR-004 §3).
+/// The shard's counters still record every owned node as evaluated.
 #[allow(clippy::too_many_arguments)] // one hot call site, flat args beat a context struct
 fn eval_shard(
     slot: &mut ShardSlot,
@@ -1704,11 +1738,16 @@ fn eval_shard(
 ) {
     slot.intents.clear();
     slot.spans.clear();
-    for (k, i) in (start..end).enumerate() {
-        let node = NodeId(i);
+    let counts = &state.task_count_slice()[start as usize..end as usize];
+    let mut walk = OccupiedWalk::default();
+    while let Some(k) = walk.next(counts) {
+        let node = NodeId(start + k as u32);
         let view = build_view(&mut slot.scratch, state, node, heights, links, round, time);
+        let before = slot.intents.len();
         balancer.decide_into(&view, &mut slot.rngs[k], &mut slot.intents);
-        slot.spans.push(slot.intents.len() as u32);
+        if slot.intents.len() > before {
+            slot.spans.push((k as u32, slot.intents.len() as u32));
+        }
     }
     let intents = slot.intents.len() as u64;
     slot.accum.record_evaluated((end - start) as u64, intents);
@@ -1938,7 +1977,7 @@ impl EngineBuilder {
             speeds: self.speeds,
             trace: self.trace,
             consume_marked: if self.config.consume_rate > 0.0 {
-                vec![0; n.div_ceil(CONSUME_CHUNK)]
+                vec![0; n.div_ceil(NODE_CHUNK)]
             } else {
                 Vec::new()
             },
@@ -2773,7 +2812,22 @@ mod tests {
     }
 
     #[test]
-    fn occupancy_mask_matches_a_per_node_scan() {
+    fn occupied_walk_yields_every_nonzero_index_in_order() {
+        for len in [0, 1, 63, 64, 65, 128, 130, 200] {
+            for stride in 1..=5 {
+                // Every other 64-node chunk is left empty.
+                let counts: Vec<u32> =
+                    (0..len).map(|i| u32::from(i % stride == 0 && i / 64 % 2 == 0) * 3).collect();
+                let want: Vec<usize> = (0..len).filter(|&i| counts[i] != 0).collect();
+                let mut walk = OccupiedWalk::default();
+                let got: Vec<usize> = std::iter::from_fn(|| walk.next(&counts)).collect();
+                assert_eq!(got, want, "len {len}, stride {stride}");
+            }
+        }
+    }
+
+    #[test]
+    fn occupied_mask_matches_a_per_node_scan() {
         let naive = |counts: &[u32]| {
             counts.iter().enumerate().fold(0u64, |m, (k, &c)| m | u64::from(c != 0) << k)
         };
@@ -2784,7 +2838,7 @@ mod tests {
             x ^= x << 17;
             x
         };
-        for len in 1..=CONSUME_CHUNK {
+        for len in 1..=NODE_CHUNK {
             for trial in 0..40 {
                 let counts: Vec<u32> = (0..len)
                     .map(|k| match trial {
@@ -2794,7 +2848,7 @@ mod tests {
                         _ => (next() % 4 == 0) as u32 * (next() as u32 >> (next() % 32)),
                     })
                     .collect();
-                assert_eq!(occupancy(&counts), naive(&counts), "{counts:?}");
+                assert_eq!(occupied_mask(&counts), naive(&counts), "{counts:?}");
             }
         }
     }
@@ -3167,6 +3221,55 @@ mod tests {
         sharded.run_rounds(8);
         assert_eq!(format!("{:?}", sharded.report()), want, "K=4 threads=2");
         assert_eq!(sharded.heights(), e.heights());
+    }
+
+    #[test]
+    fn decision_sweep_launches_from_chunk_edge_nodes_and_counts_the_whole_shard() {
+        // Ring of 300 in two shards: each shard's length is not a multiple
+        // of 64, and each holds work at local indices 0, 63, 64 and its
+        // last node — both sides of the first chunk boundary and both ends
+        // of the partial final chunk. Every occupied node has exactly one
+        // occupied ring neighbour, so greedy emits one intent per node.
+        let topo = Topology::ring(300);
+        let ranges: Vec<(u32, u32)> = {
+            let p = Partition::new(&topo, 2);
+            (0..p.shard_count()).map(|s| p.range(s)).collect()
+        };
+        assert_eq!(ranges.len(), 2);
+        let mut occupied = Vec::new();
+        for &(start, end) in &ranges {
+            let len = end - start;
+            assert!(len > 65 && len % 64 != 0, "shard length {len}");
+            occupied.extend([start, start + 63, start + 64, end - 1]);
+        }
+        let mut loads = vec![0.0; 300];
+        for &v in &occupied {
+            loads[v as usize] = 4.0;
+        }
+        let mut e = EngineBuilder::new(topo)
+            .workload(Workload::from_loads(&loads, 1.0))
+            .balancer(GreedyOne)
+            .config(EngineConfig { shards: 2, threads: 1, ..Default::default() })
+            .seed(0)
+            .build();
+        e.run_rounds(1);
+        e.drain(10.0);
+
+        let mut from: Vec<u32> = e.report().ledger.records().iter().map(|r| r.from).collect();
+        for r in e.report().ledger.records() {
+            assert_eq!(
+                loads[r.to as usize], 0.0,
+                "hop {} -> {} lands on an empty node",
+                r.from, r.to
+            );
+            assert!(r.from.abs_diff(r.to) == 1 || r.from.abs_diff(r.to) == 299, "{r:?}");
+        }
+        from.sort_unstable();
+        assert_eq!(from, occupied, "one launch from each emitting node");
+        for (slot, &(start, end)) in e.shards.iter().zip(&ranges) {
+            assert_eq!(slot.accum.nodes_evaluated, u64::from(end - start), "the whole shard");
+            assert_eq!(slot.accum.ticks_evaluated, 1);
+        }
     }
 
     #[test]

@@ -17,8 +17,9 @@ use rand::rngs::StdRng;
 use rand::Rng;
 
 /// Moves one task toward the lowest neighbour, but draws from the node's
-/// RNG stream on *every* decision — never quiescence-stable, so every
-/// shard is evaluated every round and the barrier fires at full width.
+/// RNG stream on *every* decision of an occupied node (the engine never
+/// asks an empty one) — never quiescence-stable, so every shard is
+/// evaluated every round and the barrier fires at full width.
 struct NoisyGreedy;
 
 impl LoadBalancer for NoisyGreedy {
@@ -27,8 +28,8 @@ impl LoadBalancer for NoisyGreedy {
     }
 
     fn decide(&self, view: &NodeView<'_>, rng: &mut StdRng) -> Vec<MigrationIntent> {
-        // The draw happens unconditionally: per-node streams make the
-        // outcome layout-independent, the non-stability makes it dense.
+        // The draw happens whenever the node is asked: per-node streams make
+        // the outcome layout-independent, the non-stability makes it dense.
         let threshold = 1.0 + rng.gen_range(0.0..0.25);
         let Some(task) = view.tasks.first() else { return Vec::new() };
         let h = view.nbr_heights;

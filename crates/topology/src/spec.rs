@@ -5,6 +5,15 @@
 
 use crate::graph::Topology;
 
+/// The most nodes a valid [`TopologySpec`] may describe: 16× the largest
+/// registry scenario (a 1024×1024 torus, 2^20 nodes).
+pub const MAX_NODES: usize = 1 << 24;
+
+/// The most links a valid [`TopologySpec`] may describe, counted in closed
+/// form by its generator (node pairs for the generators that test every
+/// pair): room for a 2-D torus at [`MAX_NODES`].
+pub const MAX_LINKS: usize = 1 << 26;
+
 /// A generator choice plus its parameters. [`TopologySpec::build`] runs the
 /// corresponding constructor from [`crate::generators`].
 #[derive(Debug, Clone, PartialEq)]
@@ -78,8 +87,41 @@ pub enum TopologySpec {
 }
 
 impl TopologySpec {
-    /// Checks parameter ranges without building the (possibly large) graph.
+    /// Checks parameter ranges without building the (possibly large) graph,
+    /// including the [`MAX_NODES`] and [`MAX_LINKS`] caps, so an untrusted
+    /// spec cannot make the builder loop or allocate without bound.
     pub fn validate(&self) -> Result<(), String> {
+        self.validate_params()?;
+        let nodes = self.node_count();
+        if nodes > MAX_NODES {
+            return Err(format!("{} has more than {MAX_NODES} nodes", self.label()));
+        }
+        let links = self.link_bound(nodes);
+        if links > MAX_LINKS {
+            return Err(format!("{} needs up to {links} links (cap {MAX_LINKS})", self.label()));
+        }
+        Ok(())
+    }
+
+    /// Closed-form upper bound on the links the generator builds for
+    /// `nodes` nodes — for the complete, random and geometric generators,
+    /// on the node pairs they test, since each visits every pair.
+    fn link_bound(&self, nodes: usize) -> usize {
+        match self {
+            TopologySpec::Mesh { dims } | TopologySpec::Torus { dims } => nodes * dims.len(),
+            TopologySpec::Hypercube { dim } => nodes * dim / 2,
+            TopologySpec::Ring { .. } | TopologySpec::Star { .. } | TopologySpec::Tree { .. } => {
+                nodes
+            }
+            TopologySpec::ScaleFree { m, .. } => nodes * m,
+            TopologySpec::Complete { .. }
+            | TopologySpec::Random { .. }
+            | TopologySpec::Geometric { .. } => nodes * nodes.saturating_sub(1) / 2,
+        }
+    }
+
+    /// The generators' lower bounds and parameter ranges.
+    fn validate_params(&self) -> Result<(), String> {
         match self {
             TopologySpec::Mesh { dims } | TopologySpec::Torus { dims } => {
                 if dims.is_empty() {
@@ -147,21 +189,30 @@ impl TopologySpec {
         Ok(())
     }
 
-    /// Number of nodes the built topology will have.
+    /// Number of nodes the built topology will have. Oversized parameters
+    /// saturate instead of overflowing, and tree levels stop being counted
+    /// once past [`MAX_NODES`], so this is cheap and safe on any sizes
+    /// ([`TopologySpec::validate`] relies on it).
     pub fn node_count(&self) -> usize {
         match self {
-            TopologySpec::Mesh { dims } | TopologySpec::Torus { dims } => dims.iter().product(),
-            TopologySpec::Hypercube { dim } => 1usize << dim,
+            TopologySpec::Mesh { dims } | TopologySpec::Torus { dims } => {
+                dims.iter().fold(1, |a, &d| a.saturating_mul(d))
+            }
+            TopologySpec::Hypercube { dim } => {
+                u32::try_from(*dim).ok().and_then(|d| 1usize.checked_shl(d)).unwrap_or(usize::MAX)
+            }
             TopologySpec::Ring { n } | TopologySpec::Star { n } | TopologySpec::Complete { n } => {
                 *n
             }
             TopologySpec::Tree { arity, depth } => {
                 // 1 + a + a² + … + a^depth.
-                let mut total = 1usize;
-                let mut level = 1usize;
+                let (mut total, mut level) = (1usize, 1usize);
                 for _ in 0..*depth {
-                    level *= arity;
-                    total += level;
+                    if total > MAX_NODES {
+                        break;
+                    }
+                    level = level.saturating_mul(*arity);
+                    total = total.saturating_add(level);
                 }
                 total
             }
@@ -329,6 +380,7 @@ mod tests {
             assert_eq!(built.node_count(), direct.node_count(), "{}", spec.label());
             assert_eq!(built.edges(), direct.edges(), "{}", spec.label());
             assert_eq!(spec.node_count(), direct.node_count(), "{}", spec.label());
+            assert!(built.edges().len() <= spec.link_bound(spec.node_count()), "{}", spec.label());
         }
     }
 
@@ -355,6 +407,29 @@ mod tests {
         assert!(TopologySpec::Geometric { n: 1, radius: 0.3, seed: 0 }.validate().is_err());
         assert!(TopologySpec::Geometric { n: 8, radius: 0.0, seed: 0 }.validate().is_err());
         assert!(TopologySpec::Geometric { n: 8, radius: f64::NAN, seed: 0 }.validate().is_err());
+    }
+
+    #[test]
+    fn sizes_are_capped_before_anything_is_built() {
+        let side = 1 << 12; // 4096² = MAX_NODES exactly
+        assert!(TopologySpec::Torus { dims: vec![side, side] }.validate().is_ok());
+        let err = TopologySpec::Torus { dims: vec![side + 1, side] }.validate().unwrap_err();
+        assert!(err.contains("more than 16777216 nodes"), "got: {err}");
+        // Products and tree levels that overflow `usize` are caught, not
+        // wrapped, and a one-child tree of absurd depth stops at the cap.
+        let huge = usize::MAX / 2;
+        assert!(TopologySpec::Mesh { dims: vec![huge, huge, huge] }.validate().is_err());
+        assert!(TopologySpec::Tree { arity: huge, depth: 3 }.validate().is_err());
+        assert!(TopologySpec::Tree { arity: 1, depth: huge }.validate().is_err());
+        assert!(TopologySpec::Ring { n: MAX_NODES + 1 }.validate().is_err());
+        // Generators that test every node pair are capped by pairs: a
+        // 12,000-node complete graph would need 72M links.
+        assert!(TopologySpec::Complete { n: 11_000 }.validate().is_ok());
+        let err = TopologySpec::Complete { n: 12_000 }.validate().unwrap_err();
+        assert!(err.contains("links"), "got: {err}");
+        assert!(TopologySpec::Random { n: 12_000, p: 0.0, seed: 0 }.validate().is_err());
+        assert!(TopologySpec::Geometric { n: 12_000, radius: 0.1, seed: 0 }.validate().is_err());
+        assert!(TopologySpec::ScaleFree { n: 1 << 20, m: 1 << 7, seed: 0 }.validate().is_err());
     }
 
     #[test]

@@ -38,25 +38,35 @@ static COUNTER: CountingAllocator = CountingAllocator;
 
 #[test]
 fn steady_state_rounds_do_not_allocate() {
+    let dense = || (Topology::torus(&[8, 8]), Workload::uniform_random(64, 8.0, 5));
     // Without jitter a converged node has no feasible slope left, so the
     // arbiter never draws and steady state touches no RNG-driven paths.
-    assert_steady_state_allocates_nothing(PhysicsConfig::default());
+    assert_steady_state_allocates_nothing(PhysicsConfig::default(), dense());
     // With annealed jitter every node still draws one `µ_s` jitter per
     // resident task per round — the draw-only inert-node path, which must
     // stay allocation-free too.
-    assert_steady_state_allocates_nothing(PhysicsConfig {
-        jitter: Some(FrictionJitter::new(0.3, 1.0, 1e9)),
-        ..PhysicsConfig::default()
-    });
+    assert_steady_state_allocates_nothing(
+        PhysicsConfig {
+            jitter: Some(FrictionJitter::new(0.3, 1.0, 1e9)),
+            ..PhysicsConfig::default()
+        },
+        dense(),
+    );
+    // Sparse: a small hotspot on a 12×12 torus (three 64-node chunks, the
+    // last one partial) comes to rest on a few nodes, so the sweep walks
+    // the occupied-node mask past mostly empty chunks and never builds an
+    // empty node's view.
+    assert_steady_state_allocates_nothing(
+        PhysicsConfig::default(),
+        (Topology::torus(&[12, 12]), Workload::hotspot(144, 77, 12.0)),
+    );
 }
 
-/// Converges a quiescent redistribution on an 8×8 torus under the paper's
-/// balancer with `cfg` (stochastic arbiter, as benchmarked) and counts the
-/// heap traffic of 50 further sequential rounds.
-fn assert_steady_state_allocates_nothing(cfg: PhysicsConfig) {
-    let topo = Topology::torus(&[8, 8]);
+/// Converges a quiescent redistribution of `workload` on `topo` under the
+/// paper's balancer with `cfg` (stochastic arbiter, as benchmarked) and
+/// counts the heap traffic of 50 further sequential rounds.
+fn assert_steady_state_allocates_nothing(cfg: PhysicsConfig, (topo, w): (Topology, Workload)) {
     let n = topo.node_count();
-    let w = Workload::uniform_random(n, 8.0, 5);
     let mut engine = EngineBuilder::new(topo)
         .workload(w)
         .balancer(ParticlePlaneBalancer::new(cfg))
@@ -85,7 +95,11 @@ fn assert_steady_state_allocates_nothing(cfg: PhysicsConfig) {
     assert_eq!(report.ledger.migration_count(), migrations_before, "steady state assumption");
     assert_eq!(report.rounds, rounds_before + 54);
 
-    let jitter = cfg.jitter.is_some();
-    assert_eq!(allocs, 0, "steady-state rounds (jitter: {jitter}) allocated {allocs} times");
-    assert_eq!(deallocs, 0, "steady-state rounds (jitter: {jitter}) deallocated {deallocs} times");
+    let empty = engine.heights().iter().filter(|&&h| h == 0.0).count();
+    let case = format!("{n} nodes, {empty} empty, jitter: {}", cfg.jitter.is_some());
+    assert_eq!(allocs, 0, "steady-state rounds ({case}) allocated {allocs} times");
+    assert_eq!(deallocs, 0, "steady-state rounds ({case}) deallocated {deallocs} times");
+    if n == 144 {
+        assert!(empty > n / 2, "the sparse case must stay mostly empty ({case})");
+    }
 }
