@@ -55,6 +55,9 @@ pub enum LinkSpec {
     },
 }
 
+/// The attributes of [`LinkSpec::Instant`] links.
+const INSTANT_LINK: LinkAttrs = LinkAttrs { bandwidth: 1e9, distance: 1e-9, fault_prob: 0.0 };
+
 impl Default for LinkSpec {
     fn default() -> Self {
         LinkSpec::Uniform { bandwidth: 1.0, distance: 1.0, fault_prob: 0.0 }
@@ -84,16 +87,27 @@ impl LinkSpec {
         }
     }
 
+    /// The `(bandwidth, distance)` ranges every built link falls in.
+    fn ranges(&self) -> ((f64, f64), (f64, f64)) {
+        match *self {
+            LinkSpec::Uniform { bandwidth, distance, .. } => {
+                ((bandwidth, bandwidth), (distance, distance))
+            }
+            LinkSpec::Instant => (
+                (INSTANT_LINK.bandwidth, INSTANT_LINK.bandwidth),
+                (INSTANT_LINK.distance, INSTANT_LINK.distance),
+            ),
+            LinkSpec::Random { bw, d, .. } => (bw, d),
+        }
+    }
+
     /// Builds the link map for `topo`.
     pub fn build(&self, topo: &Topology) -> LinkMap {
         match *self {
             LinkSpec::Uniform { bandwidth, distance, fault_prob } => {
                 LinkMap::uniform(topo, LinkAttrs { bandwidth, distance, fault_prob })
             }
-            LinkSpec::Instant => LinkMap::uniform(
-                topo,
-                LinkAttrs { bandwidth: 1e9, distance: 1e-9, fault_prob: 0.0 },
-            ),
+            LinkSpec::Instant => LinkMap::uniform(topo, INSTANT_LINK),
             LinkSpec::Random { seed, bw, d, f_max } => LinkMap::random(topo, seed, bw, d, f_max),
         }
     }
@@ -172,6 +186,17 @@ pub enum WorkloadSpec {
 /// in closed form from its parameters: one task per node of the largest
 /// valid topology ([`pp_topology::spec::MAX_NODES`]).
 pub const MAX_INITIAL_TASKS: usize = 1 << 24;
+
+/// The most arrivals a valid [`ScenarioSpec`] may expect over its horizon
+/// (`rounds · tick + drain`): the arrival process schedules each arrival
+/// from the last, so the count is the work (and the task memory) a run
+/// commits to.
+pub const MAX_ARRIVALS: usize = 1 << 24;
+
+/// The most node-rounds a valid churn plan may span: the plan draws every
+/// node's transition every round at build time, and may record one event
+/// per draw.
+pub const MAX_CHURN_STEPS: u64 = 1 << 24;
 
 /// `x` is a finite, non-negative load quantity.
 fn is_quantity(x: f64) -> bool {
@@ -390,7 +415,12 @@ impl TaskGraphSpec {
     pub fn validate(&self) -> Result<(), String> {
         match *self {
             TaskGraphSpec::None => Ok(()),
-            TaskGraphSpec::Chain { weight, .. } => {
+            TaskGraphSpec::Chain { count, weight } => {
+                if count > MAX_INITIAL_TASKS as u64 {
+                    return Err(format!(
+                        "chain of {count} tasks exceeds the cap of {MAX_INITIAL_TASKS}"
+                    ));
+                }
                 if weight < 0.0 {
                     return Err("chain weight must be ≥ 0".into());
                 }
@@ -437,7 +467,12 @@ impl ResourceSpec {
     pub fn validate(&self, n: usize) -> Result<(), String> {
         match *self {
             ResourceSpec::None => Ok(()),
-            ResourceSpec::PinFirst { node, strength, .. } => {
+            ResourceSpec::PinFirst { count, node, strength } => {
+                if count > MAX_INITIAL_TASKS as u64 {
+                    return Err(format!(
+                        "{count} pinned tasks exceeds the cap of {MAX_INITIAL_TASKS}"
+                    ));
+                }
                 if node >= n {
                     return Err(format!("pin node {node} out of range (n={n})"));
                 }
@@ -697,6 +732,25 @@ impl ArrivalSpec {
                     .map(|&(time, node, size)| TraceEvent { time, node, size })
                     .collect();
                 validate_trace(&trace, n)
+            }
+        }
+    }
+
+    /// Closed-form upper bounds `(arrivals, largest size)` over `horizon`
+    /// time units: a process's expected count at its peak rate (for the
+    /// diurnal process, also the thinning loop's candidate count), or the
+    /// trace's length.
+    fn bounds(&self, horizon: f64) -> (f64, f64) {
+        match *self {
+            ArrivalSpec::Quiescent => (0.0, 0.0),
+            ArrivalSpec::Poisson { rate, size_max, .. } => (rate * horizon, size_max),
+            ArrivalSpec::Bursty { rate, size, .. } => (rate * horizon, size),
+            ArrivalSpec::Diurnal { base_rate, amplitude, size_max, .. } => {
+                (base_rate * (1.0 + amplitude) * horizon, size_max)
+            }
+            ArrivalSpec::MovingHotspot { rate, size, .. } => (rate * horizon, size),
+            ArrivalSpec::Replay { ref events } => {
+                (events.len() as f64, events.iter().map(|e| e.2).fold(0.0, f64::max))
             }
         }
     }
@@ -1047,8 +1101,12 @@ impl Default for DurationSpec {
 /// mid-write can never destroy the previous good checkpoint — losing the
 /// last restart point to an interruption is the exact failure checkpoints
 /// exist to survive. The JSON streams through a buffered writer straight
-/// from the checkpoint, never held whole in memory. On any error the `.tmp`
-/// sibling is removed and `path` keeps its previous contents.
+/// from the checkpoint, never held whole in memory. The file is fsynced
+/// before the rename and, on Unix, its directory after it, so once this
+/// returns `Ok` a power loss keeps the new checkpoint. If writing or the
+/// rename fails, the `.tmp` sibling is removed and `path` keeps its
+/// previous contents; if only the directory sync fails, the error is
+/// returned with the new checkpoint already in place.
 pub fn write_checkpoint(cp: &Checkpoint, path: &str) -> Result<(), String> {
     let path = std::path::Path::new(path);
     if let Some(dir) = path.parent() {
@@ -1066,7 +1124,27 @@ pub fn write_checkpoint(cp: &Checkpoint, path: &str) -> Result<(), String> {
         // Best effort: the sibling may never have been created.
         let _ = std::fs::remove_file(&tmp);
     }
-    written
+    written.and_then(|()| sync_parent(path))
+}
+
+/// Fsyncs the directory holding `path`: the rename lives in the directory
+/// entry, and without this a power loss can leave the entry pointing at
+/// the previous checkpoint.
+#[cfg(unix)]
+fn sync_parent(path: &std::path::Path) -> Result<(), String> {
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => std::path::Path::new("."),
+    };
+    std::fs::File::open(dir)
+        .and_then(|d| d.sync_all())
+        .map_err(|e| format!("cannot sync directory {dir:?}: {e}"))
+}
+
+/// Directories cannot be opened for syncing here; the rename stands as is.
+#[cfg(not(unix))]
+fn sync_parent(_: &std::path::Path) -> Result<(), String> {
+    Ok(())
 }
 
 /// Streams `cp` into a new file at `tmp` and fsyncs it: without the sync a
@@ -1164,6 +1242,55 @@ impl ScenarioSpec {
         self.engine.validate().map_err(|e| wrap("engine", e))?;
         if let Some(ck) = &self.checkpoint {
             ck.validate().map_err(|e| wrap("checkpoint", e))?;
+        }
+        self.validate_run(n).map_err(|e| wrap("run", e))
+    }
+
+    /// Bounds what the components only produce together, in closed form
+    /// and before anything is allocated: the time horizon, the arrivals
+    /// and churn steps over it, and the load's worst hop and slope.
+    fn validate_run(&self, n: usize) -> Result<(), String> {
+        let DurationSpec { rounds, drain } = self.duration;
+        if !is_quantity(drain) {
+            return Err(format!("drain {drain} must be finite and ≥ 0"));
+        }
+        let horizon = rounds as f64 * self.engine.tick + drain;
+        if !horizon.is_finite() {
+            return Err(format!("{rounds} rounds of tick {} overflow the clock", self.engine.tick));
+        }
+        let (arrivals, arrival_size) = self.arrival.bounds(horizon);
+        if arrivals > MAX_ARRIVALS as f64 {
+            return Err(format!(
+                "{arrivals:e} expected arrivals over t={horizon} exceed the cap of {MAX_ARRIVALS}"
+            ));
+        }
+        if let ChurnSpec::Markov { .. } = self.churn {
+            if (n as u64).checked_mul(rounds).is_none_or(|steps| steps > MAX_CHURN_STEPS) {
+                return Err(format!(
+                    "churn over {n} nodes × {rounds} rounds exceeds the cap of {MAX_CHURN_STEPS} \
+                     node-rounds"
+                ));
+            }
+        }
+        // Every task, and so every hop's size and every height difference,
+        // is at most the whole load.
+        let load = self.workload.bounds(n).1 + arrivals * arrival_size;
+        if !(load * load).is_finite() {
+            return Err(format!("total load {load:e} is too large to measure"));
+        }
+        let ((bw_min, bw_max), (d_min, d_max)) = self.links.ranges();
+        let slowest_hop = (d_max + load / bw_min) * f64::from(self.engine.max_attempts);
+        if !(horizon + slowest_hop).is_finite() {
+            return Err(format!("a hop of load {load:e} would land at a non-finite time"));
+        }
+        // The steepest slope, twice the load over the lightest link weight
+        // `d/bw` (faults only add weight), with room for the arbiter's
+        // spread between two such slopes.
+        if !(4.0 * load / (d_min / bw_max)).is_finite() {
+            return Err(format!(
+                "link weight {:e} is too light for load {load:e}: slopes would overflow",
+                d_min / bw_max
+            ));
         }
         Ok(())
     }
@@ -1493,6 +1620,86 @@ mod tests {
         assert!(spec.validate().unwrap_err().contains("path"));
         spec.checkpoint = Some(CheckpointSpec { every: 5, path: "x.json".into() });
         assert!(spec.validate().is_ok());
+    }
+
+    #[test]
+    fn run_bounds_reject_what_would_overflow_hang_or_exhaust_memory() {
+        // 64 nodes, 8 rounds of tick 1 plus a drain of 2: horizon 10.
+        let base = ScenarioSpec {
+            name: "bounds".into(),
+            workload: WorkloadSpec::Hotspot { node: 0, total: 64.0, task_size: 1.0 },
+            duration: DurationSpec { rounds: 8, drain: 2.0 },
+            ..ScenarioSpec::default()
+        };
+        let with = |edit: &Edit<'_>| {
+            let mut s = base.clone();
+            edit(&mut s);
+            s.validate()
+        };
+        let poisson = |rate| ArrivalSpec::Poisson { rate, size_min: 1.0, size_max: 2.0 };
+        let uniform =
+            |bandwidth, distance| LinkSpec::Uniform { bandwidth, distance, fault_prob: 0.0 };
+        let churn = ChurnSpec::Markov { leave: 0.1, join: 0.5, seed: 3 };
+        let cap = MAX_INITIAL_TASKS as u64;
+        type Edit<'a> = dyn Fn(&mut ScenarioSpec) + 'a;
+        let rejected: [(&Edit<'_>, &str); 9] = [
+            (&|s| s.engine.tick = 1e308, "overflow the clock"),
+            (&|s| s.duration.drain = -1.0, "drain"),
+            (&|s| s.arrival = poisson(MAX_ARRIVALS as f64 / 10.0 * 1.01), "expected arrivals"),
+            (&|s| s.task_graph = TaskGraphSpec::Chain { count: cap + 1, weight: 1.0 }, "chain"),
+            (
+                &|s| {
+                    s.resources = ResourceSpec::PinFirst { count: cap + 1, node: 0, strength: 1.0 }
+                },
+                "pinned",
+            ),
+            (
+                &|s| {
+                    s.churn = churn;
+                    s.duration.rounds = MAX_CHURN_STEPS / 64 + 1;
+                },
+                "churn",
+            ),
+            (&|s| s.links = uniform(1e308, 1.0), "too light"),
+            (&|s| s.links = uniform(1e-307, 1.0), "non-finite time"),
+            (
+                &|s| {
+                    s.arrival = ArrivalSpec::Bursty {
+                        rate: 1.0,
+                        burst_len: 1.0,
+                        quiet_len: 0.0,
+                        size: 1e200,
+                    }
+                },
+                "too large",
+            ),
+        ];
+        for (edit, want) in rejected {
+            let err = with(edit).expect_err(want);
+            assert!(err.contains(want), "expected `{want}`, got: {err}");
+        }
+        // At each cap, and over a link fast but not too light, the spec is
+        // valid.
+        let accepted: [&Edit<'_>; 5] = [
+            &|s| s.arrival = poisson(MAX_ARRIVALS as f64 / 10.0),
+            &|s| s.task_graph = TaskGraphSpec::Chain { count: cap, weight: 1.0 },
+            &|s| s.resources = ResourceSpec::PinFirst { count: cap, node: 0, strength: 1.0 },
+            &|s| {
+                s.churn = churn;
+                s.duration.rounds = MAX_CHURN_STEPS / 64;
+            },
+            &|s| s.links = uniform(1e300, 1.0),
+        ];
+        for edit in accepted {
+            assert_eq!(with(edit), Ok(()));
+        }
+    }
+
+    #[test]
+    fn checkpoint_directory_sync_accepts_a_bare_file_name() {
+        // A path with no directory part lives in the working directory.
+        assert_eq!(sync_parent(std::path::Path::new("no-such-checkpoint.json")), Ok(()));
+        assert!(sync_parent(std::path::Path::new("/no/such/dir/ckpt.json")).is_err());
     }
 
     /// Every copy of `v` with one numeric leaf replaced by `huge`, labelled
