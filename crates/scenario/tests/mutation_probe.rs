@@ -7,47 +7,14 @@
 //! rounds. A watchdog aborts the process, naming the case, when one case
 //! runs too long.
 
+mod support;
+
 use pp_scenario::registry::registry;
 use pp_scenario::spec::ScenarioSpec;
-use std::io::Write;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
-
-/// The values each literal is put through.
-const VALUES: [&str; 5] = ["1e308", "4294967296", "1e400", "-1", "0"];
+use support::{numeric_literals, VALUES};
 
 /// `pp-lab --smoke`'s round and drain caps.
 const SMOKE: (u64, f64) = (8, 25.0);
-
-/// How long one case may take before the watchdog calls it a hang.
-const CASE_LIMIT: Duration = Duration::from_secs(if cfg!(debug_assertions) { 60 } else { 10 });
-
-/// Byte ranges of the numeric literals in JSON `text`.
-fn numeric_literals(text: &str) -> Vec<(usize, usize)> {
-    let bytes = text.as_bytes();
-    let mut spans = Vec::new();
-    let (mut i, mut in_string) = (0, false);
-    while i < bytes.len() {
-        match bytes[i] {
-            b'\\' if in_string => i += 1,
-            b'"' => in_string = !in_string,
-            b'-' | b'0'..=b'9' if !in_string => {
-                let start = i;
-                while i < bytes.len() && matches!(bytes[i], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e')
-                {
-                    i += 1;
-                }
-                spans.push((start, i));
-                continue;
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    spans
-}
 
 /// Parses, builds and runs `text` for three rounds; `Err` if it is
 /// rejected.
@@ -59,70 +26,20 @@ fn probe(text: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Aborts the process when the case it was last told about runs past
-/// [`CASE_LIMIT`]: a hang cannot be caught, only reported.
-struct Watchdog {
-    case: Arc<Mutex<(Instant, String)>>,
-    done: Arc<AtomicBool>,
-}
-
-impl Watchdog {
-    fn start() -> Watchdog {
-        let case = Arc::new(Mutex::new((Instant::now(), String::new())));
-        let done = Arc::new(AtomicBool::new(false));
-        let (c, d) = (case.clone(), done.clone());
-        std::thread::spawn(move || {
-            while !d.load(Ordering::Relaxed) {
-                std::thread::sleep(Duration::from_millis(200));
-                let (since, label) = &*c.lock().unwrap_or_else(|e| e.into_inner());
-                if since.elapsed() > CASE_LIMIT && !d.load(Ordering::Relaxed) {
-                    // Straight to stderr: the test harness captures
-                    // `eprintln!`, and the abort would discard it.
-                    let mut err = std::io::stderr();
-                    let _ = writeln!(err, "probe case {label} ran past {CASE_LIMIT:?}: a hang");
-                    std::process::abort();
-                }
-            }
-        });
-        Watchdog { case, done }
-    }
-
-    fn now_running(&self, label: String) {
-        *self.case.lock().unwrap_or_else(|e| e.into_inner()) = (Instant::now(), label);
-    }
-}
-
-impl Drop for Watchdog {
-    fn drop(&mut self) {
-        self.done.store(true, Ordering::Relaxed);
-    }
-}
-
-/// Runs the probe with `values(literal index)` in place of each literal and
-/// returns how many cases ran; panics listing every case that panicked.
+/// Runs the probe over every registry smoke spec with `values(literal
+/// index)` in place of each literal; returns how many cases ran.
 fn sweep(values: impl Fn(usize) -> Vec<&'static str>) -> usize {
-    let watchdog = Watchdog::start();
-    let (mut cases, mut literals) = (0, 0);
-    let mut panicked = Vec::new();
-    for spec in registry() {
-        let text = spec.smoke(SMOKE.0, SMOKE.1).to_json_pretty();
-        for (start, end) in numeric_literals(&text) {
-            for value in values(literals) {
-                let line = text[..start].lines().last().unwrap_or("").trim_start();
-                let label = format!("{}: `{line}{}` -> {value}", spec.name, &text[start..end]);
-                let mutant = format!("{}{value}{}", &text[..start], &text[end..]);
-                watchdog.now_running(label.clone());
-                if catch_unwind(AssertUnwindSafe(|| probe(&mutant))).is_err() {
-                    panicked.push(label);
-                }
-                cases += 1;
-            }
-            literals += 1;
-        }
-    }
-    assert!(literals > 1000, "only {literals} numeric literals in the registry smoke specs");
-    assert!(panicked.is_empty(), "{} cases panicked:\n{}", panicked.len(), panicked.join("\n"));
-    cases
+    let docs: Vec<(String, String)> = registry()
+        .iter()
+        .map(|spec| (spec.name.clone(), spec.smoke(SMOKE.0, SMOKE.1).to_json_pretty()))
+        .collect();
+    let done = support::sweep(&docs, |_| true, values, probe);
+    assert!(
+        done.literals > 1000,
+        "only {} numeric literals in the registry smoke specs",
+        done.literals
+    );
+    done.cases
 }
 
 #[test]

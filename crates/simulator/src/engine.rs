@@ -44,9 +44,9 @@
 //! Between events each node optionally consumes work (`consume_rate`),
 //! completing and removing tasks, and a dynamic [`ArrivalProcess`] may
 //! inject new tasks — the non-quiescent regime of §1. The consume sweep's
-//! cost follows the resident work, not the domain: one vectorised test per
-//! 64-node chunk of the task-count array plus the occupied nodes, and
-//! nothing at all while no task is resident.
+//! cost follows the resident work, not the domain: one test per 64-node
+//! word of the occupancy bitset plus one step per consumer, and nothing at
+//! all while no task is resident.
 
 use crate::balancer::{
     build_view, GlobalView, LinkView, LoadBalancer, MigratingLoad, MigrationIntent, ViewScratch,
@@ -55,7 +55,7 @@ use crate::checkpoint::{Checkpoint, FlightSnap, IN_FLIGHT_DRIFT_TOLERANCE};
 use crate::churn::{ChurnEvent, ChurnPlan};
 use crate::events::{Event, EventQueue};
 use crate::pool::ShardPool;
-use crate::state::SystemState;
+use crate::state::{node_bit, set_node_bit, SystemState, NODE_WORD};
 use crate::strategy::{SimulationStrategy, WakeHeap};
 use pp_metrics::imbalance::Imbalance;
 use pp_metrics::ledger::{MigrationRecord, TrafficLedger};
@@ -73,66 +73,63 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt;
 
-/// Nodes per chunk of an [`OccupiedWalk`] (one `u64` mask, and one word
-/// of the consume memo).
-const NODE_CHUNK: usize = 64;
-
-/// Bit `k` of the result is set iff `counts[k] != 0`, for one chunk of at
-/// most [`NODE_CHUNK`] task counts. Shaped for the auto-vectoriser and
-/// branch-free past the empty-chunk early out: an OR-reduction rejects an
-/// all-zero chunk, the counts narrow to 0/1 bytes, and one multiply per
-/// eight bytes gathers them into bits (byte `i` of `w` lands on bit
-/// `56 + i` of `w × 0x0102_0408_1020_4080`, and no partial products
-/// overlap).
-#[inline]
-fn occupied_mask(counts: &[u32]) -> u64 {
-    if counts.iter().fold(0, |a, &k| a | k) == 0 {
-        return 0;
-    }
-    let mut flags = [0u8; NODE_CHUNK];
-    for (flag, &k) in flags.iter_mut().zip(counts) {
-        *flag = u8::from(k != 0);
-    }
-    flags.chunks_exact(8).enumerate().fold(0, |mask, (j, bytes)| {
-        let word = u64::from_le_bytes(bytes.try_into().expect("eight bytes"));
-        mask | (word.wrapping_mul(0x0102_0408_1020_4080) >> 56) << (8 * j)
-    })
-}
-
-/// The one occupied-node walk both node sweeps (decide and consume) use:
-/// yields, in ascending order, every index whose task count is non-zero.
-/// It reads the counts one [`NODE_CHUNK`]-node chunk at a time: an
-/// all-zero chunk costs one OR-reduction, an occupied one becomes an
-/// [`occupied_mask`] whose set bits are the indices to visit. A sweep over
-/// n counts therefore costs n/64 chunk tests plus O(occupied nodes).
-///
-/// The walk holds no borrow between steps, and a chunk's mask is taken
-/// when the walk enters it, so a caller may change the counts of indices
-/// it has already been handed; the caller passes the same slice each step.
-#[derive(Debug, Default)]
-struct OccupiedWalk {
-    /// First index of the current chunk.
-    base: usize,
-    /// First index past the current chunk.
+/// The one occupied-node walk of the decision sweep: yields, in ascending
+/// order, every node in `[start, end)` whose bit is set in a node bitset
+/// ([`NODE_WORD`] nodes per word, as [`SystemState::occupied_words`] lays
+/// it out). A shard's range need not be word-aligned after a repartition,
+/// so the first and last words are masked to the range. A walk over n
+/// nodes costs n/64 word loads plus O(occupied nodes).
+#[derive(Debug)]
+struct OccupiedWalk<'a> {
+    words: &'a [u64],
+    /// Index of the word `mask` came from.
+    word: usize,
+    /// Index of the last word the range touches.
+    last: usize,
+    /// First index past the range.
     end: usize,
-    /// The current chunk's occupied indices not yet handed out.
+    /// The current word's set bits not yet handed out.
     mask: u64,
 }
 
-impl OccupiedWalk {
+impl<'a> OccupiedWalk<'a> {
+    fn new(words: &'a [u64], start: usize, end: usize) -> Self {
+        if start >= end {
+            return OccupiedWalk { words, word: 0, last: 0, end, mask: 0 };
+        }
+        let (word, last) = (start / NODE_WORD, (end - 1) / NODE_WORD);
+        let mut walk = OccupiedWalk { words, word, last, end, mask: 0 };
+        walk.mask = walk.load(word) & (!0u64 << (start % NODE_WORD));
+        walk
+    }
+
+    /// Word `w`, with the bits past the range's end cleared.
     #[inline]
-    fn next(&mut self, counts: &[u32]) -> Option<usize> {
+    fn load(&self, w: usize) -> u64 {
+        let tail = self.end - w * NODE_WORD;
+        if tail < NODE_WORD {
+            self.words[w] & ((1u64 << tail) - 1)
+        } else {
+            self.words[w]
+        }
+    }
+}
+
+impl Iterator for OccupiedWalk<'_> {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
         while self.mask == 0 {
-            if self.end >= counts.len() {
+            if self.word >= self.last {
                 return None;
             }
-            self.base = self.end;
-            self.end = (self.base + NODE_CHUNK).min(counts.len());
-            self.mask = occupied_mask(&counts[self.base..self.end]);
+            self.word += 1;
+            self.mask = self.load(self.word);
         }
         let k = self.mask.trailing_zeros() as usize;
         self.mask &= self.mask - 1;
-        Some(self.base + k)
+        Some(self.word * NODE_WORD + k)
     }
 }
 
@@ -382,9 +379,10 @@ pub struct Engine {
     /// Next unapplied entry of `churn`. Derivable from `round` (membership
     /// is a pure function of the plan prefix), so restores re-derive it.
     churn_next: usize,
-    /// Per-node down flags (sized only when `churn` is non-empty, so
-    /// churn-free engines pay nothing on the hot paths).
-    down_nodes: Vec<bool>,
+    /// Down-node bitset in the occupancy layout ([`NODE_WORD`] nodes per
+    /// word): bit set iff the node has churned out. All clear without
+    /// churn.
+    down_nodes: Vec<u64>,
     /// Union of `down_links` and every edge incident to a down node — the
     /// set the decision views and `live_edge` consult when churn is active.
     /// Mirrors `down_links` exactly while every node is up.
@@ -394,13 +392,13 @@ pub struct Engine {
     /// Recorded arrival trace being replayed (indexed by `TraceArrival`).
     trace: Vec<TraceEvent>,
     /// Consumers already marked dirty in the current tick window, one bit
-    /// per node (word `c` covers the consume sweep's chunk `c`; empty when
-    /// `consume_rate` is 0). Invariant: a set bit implies the node's shard
-    /// and its neighbours' shards are dirty. Only `eval_shard` clears
-    /// dirty flags, so the memo is cleared at the top of
-    /// `collect_decisions` and on `restore`; `apply_ranges` re-derives the
-    /// flags as a superset (every node of an old dirty shard lands in a
-    /// new dirty shard), which keeps the invariant.
+    /// per node in the occupancy layout (empty when `consume_rate` is 0).
+    /// Invariant: a set bit implies the node's shard and its neighbours'
+    /// shards are dirty. Only `eval_shard` clears dirty flags, so the memo
+    /// is cleared at the top of `collect_decisions` and on `restore`;
+    /// `apply_ranges` re-derives the flags as a superset (every node of an
+    /// old dirty shard lands in a new dirty shard), which keeps the
+    /// invariant.
     consume_marked: Vec<u64>,
     in_flight_load: f64,
     completed_tasks: usize,
@@ -444,13 +442,13 @@ impl Engine {
 
     /// Nodes currently out of the system (left via churn, not yet rejoined).
     pub fn down_node_count(&self) -> usize {
-        self.down_nodes.iter().filter(|&&d| d).count()
+        self.down_nodes.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// Whether node `v` is currently part of the system.
     #[inline]
     fn node_up(&self, v: NodeId) -> bool {
-        self.down_nodes.is_empty() || !self.down_nodes[v.idx()]
+        !node_bit(&self.down_nodes, v.idx())
     }
 
     /// The edge set decisions and launches must treat as unusable: the
@@ -699,7 +697,7 @@ impl Engine {
             return true;
         }
         // Resident work decays between rounds; the O(1) counter gates the
-        // consumption sweep (n/64 chunk tests plus the occupied nodes). On
+        // consumption sweep (n/64 word tests plus the consumers). On
         // an empty system the sweep is a no-op: `consume_work` on a
         // task-less node mutates nothing.
         if self.config.consume_rate > 0.0 && self.state.resident_tasks() > 0 {
@@ -1155,18 +1153,18 @@ impl Engine {
         // performed are already baked into the restored node queues), then
         // rebuild the mask as down links ∪ edges incident to down nodes.
         if !self.churn.is_empty() {
-            self.down_nodes.iter_mut().for_each(|d| *d = false);
+            self.down_nodes.fill(0);
             let mut next = 0;
             while next < self.churn.len() && self.churn[next].round <= cp.round {
                 let ev = self.churn[next];
-                self.down_nodes[ev.node as usize] = ev.leave;
+                set_node_bit(&mut self.down_nodes, ev.node as usize, ev.leave);
                 next += 1;
             }
             self.churn_next = next;
             self.masked_links = self.down_links.clone();
             for i in 0..n {
                 let v = NodeId(i as u32);
-                if !self.down_nodes[i] {
+                if self.node_up(v) {
                     continue;
                 }
                 for &u in self.state.topo.neighbors(v) {
@@ -1208,41 +1206,38 @@ impl Engine {
         }
     }
 
-    /// Advances the clock to `t`, consuming work on every node that holds
-    /// any (scaled by the node's speed multiplier when heterogeneous speeds
-    /// are set).
+    /// Advances the clock to `t`, consuming work on every up node that
+    /// holds any (scaled by the node's speed multiplier when heterogeneous
+    /// speeds are set).
     ///
     /// Consuming on an empty node is a no-op (nothing completes, nothing is
     /// used, nothing is marked dirty), so the sweep is skipped outright
-    /// while no task is resident, and otherwise visits only the nodes the
-    /// [`OccupiedWalk`] yields: n/64 chunk tests per call plus O(resident
-    /// nodes). Consuming at one node never changes another node's count,
-    /// and the walk is in ascending id order, so Σh and Σh² accumulate
-    /// exactly as in a node-by-node scan.
+    /// while no task is resident, and otherwise runs word by word over the
+    /// occupancy bitset: `occupied & !down` picks a word's consumers (a
+    /// churned-out node's frozen tasks wait for it to rejoin), and
+    /// [`SystemState::consume_word`] steps them in ascending id order,
+    /// exactly as a node-by-node `consume_work` scan would. Then, once per
+    /// word, the consumers not yet in the memo mark their shards dirty.
     fn advance_time_to(&mut self, t: f64) {
         let dt = t - self.time;
         debug_assert!(dt >= -1e-9, "time went backwards: {} -> {}", self.time, t);
         if dt > 0.0 && self.config.consume_rate > 0.0 && self.state.resident_tasks() > 0 {
             let amount = dt * self.config.consume_rate;
-            let mut walk = OccupiedWalk::default();
-            while let Some(i) = walk.next(self.state.task_count_slice()) {
-                // A churned-out node consumes nothing: its frozen tasks
-                // (the no-live-receiver leave case) wait for it to rejoin.
-                if !self.down_nodes.is_empty() && self.down_nodes[i] {
+            for w in 0..self.down_nodes.len() {
+                let live = self.state.occupied_words()[w] & !self.down_nodes[w];
+                if live == 0 {
                     continue;
                 }
-                let scaled = if self.speeds.is_empty() { amount } else { amount * self.speeds[i] };
-                if scaled > 0.0 {
-                    let v = NodeId(i as u32);
-                    let (done, used) = self.state.consume_work(v, scaled);
-                    self.completed_tasks += done;
-                    // Marking is idempotent until the next sweep clears the
-                    // flags, so each consumer marks once per window.
-                    let (word, bit) = (i / NODE_CHUNK, 1u64 << (i % NODE_CHUNK));
-                    if (done > 0 || used > 0.0) && self.consume_marked[word] & bit == 0 {
-                        self.consume_marked[word] |= bit;
-                        self.mark_node_dirty(v);
-                    }
+                let (stepped, done) = self.state.consume_word(w, live, amount, &self.speeds);
+                self.completed_tasks += done;
+                // Marking is idempotent until the next sweep clears the
+                // flags, so each consumer marks once per window.
+                let mut fresh = stepped & !self.consume_marked[w];
+                self.consume_marked[w] |= fresh;
+                while fresh != 0 {
+                    let k = fresh.trailing_zeros() as usize;
+                    fresh &= fresh - 1;
+                    self.mark_node_dirty(NodeId((w * NODE_WORD + k) as u32));
                 }
             }
         }
@@ -1322,7 +1317,7 @@ impl Engine {
     /// neighbour down or every incident link faulted) the tasks freeze in
     /// place until the node rejoins; they are not consumed meanwhile.
     fn node_leave(&mut self, v: NodeId) {
-        self.down_nodes[v.idx()] = true;
+        set_node_bit(&mut self.down_nodes, v.idx(), true);
         let mut receivers: Vec<NodeId> = Vec::new();
         for &u in self.state.topo.neighbors(v) {
             let e = self.state.topo.edge_index(v, u).expect("CSR neighbour edge exists");
@@ -1349,7 +1344,7 @@ impl Engine {
     /// whose other endpoint is still down, and those the fault process
     /// holds down) and wakes the shards that can observe it.
     fn node_join(&mut self, v: NodeId) {
-        self.down_nodes[v.idx()] = false;
+        set_node_bit(&mut self.down_nodes, v.idx(), false);
         let unmask: Vec<EdgeId> = self
             .state
             .topo
@@ -1738,10 +1733,8 @@ fn eval_shard(
 ) {
     slot.intents.clear();
     slot.spans.clear();
-    let counts = &state.task_count_slice()[start as usize..end as usize];
-    let mut walk = OccupiedWalk::default();
-    while let Some(k) = walk.next(counts) {
-        let node = NodeId(start + k as u32);
+    for i in OccupiedWalk::new(state.occupied_words(), start as usize, end as usize) {
+        let (node, k) = (NodeId(i as u32), i - start as usize);
         let view = build_view(&mut slot.scratch, state, node, heights, links, round, time);
         let before = slot.intents.len();
         balancer.decide_into(&view, &mut slot.rngs[k], &mut slot.intents);
@@ -1970,14 +1963,14 @@ impl EngineBuilder {
             repartition_base: vec![0; k],
             repartitions: 0,
             rng_scratch: Vec::new(),
-            down_nodes: if self.churn.is_empty() { Vec::new() } else { vec![false; n] },
+            down_nodes: vec![0; n.div_ceil(NODE_WORD)],
             masked_links: EdgeBitSet::new(edge_count),
             churn: self.churn.into_events(),
             churn_next: 0,
             speeds: self.speeds,
             trace: self.trace,
             consume_marked: if self.config.consume_rate > 0.0 {
-                vec![0; n.div_ceil(NODE_CHUNK)]
+                vec![0; n.div_ceil(NODE_WORD)]
             } else {
                 Vec::new()
             },
@@ -1999,6 +1992,7 @@ impl EngineBuilder {
 mod tests {
     use super::*;
     use crate::balancer::{NodeView, NullBalancer};
+    use pp_tasking::task::TaskId;
 
     /// Moves one unit-size task to the lowest neighbour whenever the height
     /// difference exceeds 1 — a minimal working policy for engine tests.
@@ -2812,25 +2806,9 @@ mod tests {
     }
 
     #[test]
-    fn occupied_walk_yields_every_nonzero_index_in_order() {
-        for len in [0, 1, 63, 64, 65, 128, 130, 200] {
-            for stride in 1..=5 {
-                // Every other 64-node chunk is left empty.
-                let counts: Vec<u32> =
-                    (0..len).map(|i| u32::from(i % stride == 0 && i / 64 % 2 == 0) * 3).collect();
-                let want: Vec<usize> = (0..len).filter(|&i| counts[i] != 0).collect();
-                let mut walk = OccupiedWalk::default();
-                let got: Vec<usize> = std::iter::from_fn(|| walk.next(&counts)).collect();
-                assert_eq!(got, want, "len {len}, stride {stride}");
-            }
-        }
-    }
-
-    #[test]
-    fn occupied_mask_matches_a_per_node_scan() {
-        let naive = |counts: &[u32]| {
-            counts.iter().enumerate().fold(0u64, |m, (k, &c)| m | u64::from(c != 0) << k)
-        };
+    fn occupied_walk_yields_every_set_bit_of_any_range_in_order() {
+        // Ranges start and end on, just before and just after word edges,
+        // as a repartitioned shard's may.
         let mut x = 0x9E37_79B9_7F4A_7C15u64;
         let mut next = move || {
             x ^= x << 13;
@@ -2838,17 +2816,25 @@ mod tests {
             x ^= x << 17;
             x
         };
-        for len in 1..=NODE_CHUNK {
-            for trial in 0..40 {
-                let counts: Vec<u32> = (0..len)
-                    .map(|k| match trial {
+        for len in [0usize, 1, 63, 64, 65, 128, 130, 200] {
+            for trial in 0..6 {
+                let words: Vec<u64> = (0..len.div_ceil(NODE_WORD))
+                    .map(|w| match trial {
                         0 => 0,
-                        1 => u32::MAX,
-                        2 => u32::from(k == len - 1),
-                        _ => (next() % 4 == 0) as u32 * (next() as u32 >> (next() % 32)),
+                        1 => !0,
+                        _ if w % 2 == 1 => 0, // every other word left empty
+                        _ => next() & next(),
                     })
                     .collect();
-                assert_eq!(occupied_mask(&counts), naive(&counts), "{counts:?}");
+                let set = |i: usize| node_bit(&words, i);
+                let edges = [0, 1, 62, 63, 64, 65, 127, 128, 129, 199, len];
+                for &start in edges.iter().filter(|&&a| a <= len) {
+                    for &end in edges.iter().filter(|&&b| b >= start && b <= len) {
+                        let want: Vec<usize> = (start..end).filter(|&i| set(i)).collect();
+                        let got: Vec<usize> = OccupiedWalk::new(&words, start, end).collect();
+                        assert_eq!(got, want, "len {len}, trial {trial}, [{start}, {end})");
+                    }
+                }
             }
         }
     }
@@ -3223,6 +3209,112 @@ mod tests {
         assert_eq!(sharded.heights(), e.heights());
     }
 
+    /// The node-by-node consume scan the word kernel replaces, kept as its
+    /// reference: every occupied up node in ascending id order through
+    /// [`SystemState::consume_work`], marking each consumer's shards dirty
+    /// once per window through the memo.
+    fn reference_advance_time_to(e: &mut Engine, t: f64) {
+        let dt = t - e.time;
+        if dt > 0.0 && e.config.consume_rate > 0.0 && e.state.resident_tasks() > 0 {
+            let amount = dt * e.config.consume_rate;
+            for i in 0..e.state.node_count() {
+                let v = NodeId(i as u32);
+                if e.state.node(v).task_count() == 0 || !e.node_up(v) {
+                    continue;
+                }
+                let scaled = if e.speeds.is_empty() { amount } else { amount * e.speeds[i] };
+                if scaled > 0.0 {
+                    let (done, used) = e.state.consume_work(v, scaled);
+                    e.completed_tasks += done;
+                    let (word, bit) = (i / NODE_WORD, 1u64 << (i % NODE_WORD));
+                    if (done > 0 || used > 0.0) && e.consume_marked[word] & bit == 0 {
+                        e.consume_marked[word] |= bit;
+                        e.mark_node_dirty(v);
+                    }
+                }
+            }
+        }
+        e.time = e.time.max(t);
+    }
+
+    #[test]
+    fn consume_kernel_matches_the_node_by_node_reference_scan() {
+        // 8×9 torus: 72 nodes, so the last word holds 8. Tasks mix zero
+        // work, work that a step eats exactly, and long work; three nodes
+        // are down (one in the partial word), two carry a negative restored
+        // height, one -0.0, and one speed is so small its step rounds to 0.
+        let build = |speeds: Vec<f64>| {
+            let mut e = EngineBuilder::new(Topology::torus(&[8, 9]))
+                .balancer(NullBalancer)
+                .config(EngineConfig { consume_rate: 1.0, shards: 4, ..Default::default() })
+                .node_speeds(speeds)
+                .seed(0)
+                .build();
+            let mut x = 0x2545_F491_4F6C_DD1Du64;
+            let mut id = 0u64;
+            for i in 0..72u32 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                for k in 0..(x % 5) {
+                    let work = [0.0, 0.25, 0.5, 0.75, 1.0, 1.3, 3.0][((x >> (8 * k)) % 7) as usize];
+                    id += 1;
+                    e.state
+                        .add_task(NodeId(i), Task::new(TaskId(id), 0.5 + work, 0).with_work(work));
+                }
+            }
+            for (v, h) in [(9, -1e-9), (65, -0.75), (66, -0.0)] {
+                let v = NodeId(v);
+                let tasks = vec![Task::new(TaskId(1000 + v.0 as u64), 1.0, 0).with_work(2.0)];
+                e.state.restore_node(v, tasks, h);
+            }
+            for v in [5, 64, 71] {
+                set_node_bit(&mut e.down_nodes, v, true);
+            }
+            e
+        };
+        let bits = |e: &Engine| {
+            let s = e.state.stat_snapshot();
+            let stats =
+                [s.height_sum, s.height_sq_sum, s.stat_peak_sum, s.stat_peak_sq].map(f64::to_bits);
+            let tasks: Vec<(u64, u64)> = (0..72)
+                .flat_map(|v| {
+                    e.state.node(NodeId(v)).tasks().iter().map(|t| (t.id.0, t.work.to_bits()))
+                })
+                .collect();
+            let heights: Vec<u64> = e.state.height_slice().iter().map(|h| h.to_bits()).collect();
+            let dirty: Vec<bool> = e.shards.iter().map(|slot| slot.dirty).collect();
+            (stats, s.stat_ops, tasks, heights, dirty, e.completed_tasks, e.consume_marked.clone())
+        };
+        // The least subnormal speed: a step below 0.5 rounds to zero.
+        let tiny = f64::from_bits(1);
+        let hetero = (0..72).map(|i| [1.0, 0.5, 2.0, tiny, 1.5, 0.25][i % 6]).collect();
+        for speeds in [Vec::new(), hetero] {
+            let (mut kernel, mut reference) = (build(speeds.clone()), build(speeds));
+            assert_eq!(bits(&kernel), bits(&reference));
+            let mut t = 0.0;
+            for (step, dt) in
+                [0.5, 0.25, 0.125, 0.0, 0.5, 1.0, 0.375, 2.0, 4.0].into_iter().enumerate()
+            {
+                if step % 2 == 0 {
+                    // What a decision sweep leaves behind: clean shards and
+                    // a cleared memo.
+                    for e in [&mut kernel, &mut reference] {
+                        e.shards.iter_mut().for_each(|slot| slot.dirty = false);
+                        e.consume_marked.fill(0);
+                    }
+                }
+                t += dt;
+                kernel.advance_time_to(t);
+                reference_advance_time_to(&mut reference, t);
+                assert_eq!(bits(&kernel), bits(&reference), "step {step}, t = {t}");
+                assert_eq!(kernel.state.occupied_words(), reference.state.occupied_words());
+            }
+            assert!(kernel.completed_tasks > 0);
+            assert_eq!(kernel.state.resident_tasks(), kernel.state.total_tasks());
+        }
+    }
+
     #[test]
     fn decision_sweep_launches_from_chunk_edge_nodes_and_counts_the_whole_shard() {
         // Ring of 300 in two shards: each shard's length is not a multiple
@@ -3358,6 +3450,19 @@ mod tests {
             let mut resumed = churny_engine(SimulationStrategy::Tick, k, t);
             resumed.restore(&cp).expect("restore");
             assert_eq!(resumed.down_node_count(), writer.down_node_count());
+            // The rebuilt bitsets match the per-node truth at every node:
+            // membership replayed from the plan, occupancy from the tasks.
+            let mut down = [false; 64];
+            for ev in writer.churn.iter().filter(|ev| ev.round <= writer.round) {
+                down[ev.node as usize] = ev.leave;
+            }
+            for (i, &d) in down.iter().enumerate() {
+                let v = NodeId(i as u32);
+                assert_eq!(resumed.node_up(v), !d, "down bit of node {i} (K={k})");
+                let occupied = node_bit(resumed.state.occupied_words(), i);
+                assert_eq!(occupied, resumed.state.node(v).task_count() != 0, "node {i}");
+            }
+            assert_eq!(resumed.down_nodes, writer.down_nodes);
             resumed.run_rounds(25);
             resumed.drain(20.0);
             assert_eq!(resumed.report(), want, "churned resume under K={k} threads={t}");

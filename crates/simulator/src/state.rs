@@ -15,6 +15,27 @@ use pp_tasking::task::{Task, TaskId};
 use pp_topology::graph::{NodeId, Topology};
 use pp_topology::links::LinkMap;
 
+/// Nodes per word of the node bitsets (the occupancy bitset here, and the
+/// engine's down-node set and consume memo, which share its layout).
+pub const NODE_WORD: usize = 64;
+
+/// Whether node `i`'s bit is set in a node bitset.
+#[inline]
+pub(crate) fn node_bit(words: &[u64], i: usize) -> bool {
+    words[i / NODE_WORD] >> (i % NODE_WORD) & 1 == 1
+}
+
+/// Sets node `i`'s bit in a node bitset to `on`.
+#[inline]
+pub(crate) fn set_node_bit(words: &mut [u64], i: usize, on: bool) {
+    let bit = 1u64 << (i % NODE_WORD);
+    if on {
+        words[i / NODE_WORD] |= bit;
+    } else {
+        words[i / NODE_WORD] &= !bit;
+    }
+}
+
 /// One processor's resident tasks.
 #[derive(Debug, Clone, Default)]
 pub struct NodeState {
@@ -116,11 +137,11 @@ pub struct SystemState {
     nodes: Vec<NodeState>,
     /// Height cache, mirrored exactly from `nodes[i].height()`.
     heights: Vec<f64>,
-    /// Task-count cache, mirrored exactly from `nodes[i].task_count()` —
-    /// the SoA twin of `heights`, so sweeps that only need "does node `i`
-    /// hold work?" stream one flat `u32` array instead of striding over
-    /// [`NodeState`] records (and their task vectors).
-    task_counts: Vec<u32>,
+    /// Occupancy bitset: bit `i % 64` of word `i / 64` is set iff node `i`
+    /// holds a task. Flipped only when a count crosses zero, so the node
+    /// sweeps read "does node `i` hold work?" 64 nodes per load instead of
+    /// striding over [`NodeState`] records (and their task vectors).
+    occupied: Vec<u64>,
     /// Total resident task count, maintained incrementally — the event
     /// strategy's O(1) "is there any work to consume?" gate.
     resident_tasks: usize,
@@ -164,7 +185,7 @@ impl SystemState {
             links,
             nodes: (0..n).map(|_| NodeState::default()).collect(),
             heights: vec![0.0; n],
-            task_counts: vec![0; n],
+            occupied: vec![0; n.div_ceil(NODE_WORD)],
             resident_tasks: 0,
             height_sum: 0.0,
             height_sq_sum: 0.0,
@@ -195,7 +216,7 @@ impl SystemState {
         let old = self.nodes[v.idx()].height;
         self.nodes[v.idx()].add_task(task);
         self.resident_tasks += 1;
-        self.task_counts[v.idx()] += 1;
+        self.sync_occupancy(v.idx());
         self.refresh_height(v, old);
     }
 
@@ -206,7 +227,7 @@ impl SystemState {
         let task = self.nodes[v.idx()].remove_task(id);
         if task.is_some() {
             self.resident_tasks -= 1;
-            self.task_counts[v.idx()] -= 1;
+            self.sync_occupancy(v.idx());
             self.refresh_height(v, old);
         }
         task
@@ -218,7 +239,9 @@ impl SystemState {
         let old = self.nodes[v.idx()].height;
         let out = self.nodes[v.idx()].consume_work_counted(amount);
         self.resident_tasks -= out.0;
-        self.task_counts[v.idx()] -= out.0 as u32;
+        if out.0 > 0 {
+            self.sync_occupancy(v.idx());
+        }
         // A completed zero-work task changes the height without consuming
         // anything, so refresh whenever a task completes. A step that only
         // eats into the front task leaves the height bit-identical, and a
@@ -234,6 +257,63 @@ impl SystemState {
             self.stat_ops += 1;
         }
         out
+    }
+
+    /// One consume step on every node whose bit is set in `live`, a mask
+    /// over occupancy word `w`, in ascending id order: node `i` consumes
+    /// `amount × speeds[i]` (just `amount` when `speeds` is empty) when that
+    /// is positive. Returns the mask of nodes whose step consumed or
+    /// completed something, and the number of tasks completed.
+    ///
+    /// Exactly [`SystemState::consume_work`] on each node in turn. A step
+    /// that completes nothing on a node of non-negative height only eats
+    /// into the front task: it leaves the height bit-identical and is
+    /// counted as one operation (see `consume_work`), so it runs here in
+    /// place on the resident [`Task`] and the word's count is added to
+    /// `stat_ops` at once, which is an integer sum. Every other step (a
+    /// completion, or a negative restored height the clamp moves) goes
+    /// through `consume_work`, so Σh and Σh² still refresh in ascending id
+    /// order. Allocation-free.
+    pub(crate) fn consume_word(
+        &mut self,
+        w: usize,
+        live: u64,
+        amount: f64,
+        speeds: &[f64],
+    ) -> (u64, usize) {
+        let (mut stepped, mut fast, mut completed) = (0u64, 0u64, 0usize);
+        let mut bits = live;
+        while bits != 0 {
+            let bit = bits & bits.wrapping_neg();
+            bits ^= bit;
+            let i = w * NODE_WORD + bit.trailing_zeros() as usize;
+            let scaled = if speeds.is_empty() { amount } else { amount * speeds[i] };
+            if scaled.is_nan() || scaled <= 0.0 {
+                continue;
+            }
+            let node = &mut self.nodes[i];
+            if node.height >= 0.0 {
+                if let Some(front) = node.tasks.first_mut().filter(|t| t.work > scaled) {
+                    front.work -= scaled;
+                    fast += 1;
+                    stepped |= bit;
+                    continue;
+                }
+            }
+            let (done, used) = self.consume_work(NodeId(i as u32), scaled);
+            completed += done;
+            if done > 0 || used > 0.0 {
+                stepped |= bit;
+            }
+        }
+        self.stat_ops += fast;
+        (stepped, completed)
+    }
+
+    /// Sets or clears node `i`'s occupancy bit to match its task list.
+    #[inline]
+    fn sync_occupancy(&mut self, i: usize) {
+        set_node_bit(&mut self.occupied, i, !self.nodes[i].tasks.is_empty());
     }
 
     #[inline]
@@ -262,12 +342,12 @@ impl SystemState {
         &self.heights
     }
 
-    /// Per-node resident task counts as a flat slice, index-aligned with
-    /// [`SystemState::height_slice`] — the consume sweep's "does node `i`
-    /// hold work?" gate without touching the node records.
+    /// The occupancy bitset, [`NODE_WORD`] nodes per word: bit `i % 64` of
+    /// word `i / 64` is set iff node `i` holds a task. The node sweeps'
+    /// "does node `i` hold work?" gate without touching the node records.
     #[inline]
-    pub fn task_count_slice(&self) -> &[u32] {
-        &self.task_counts
+    pub fn occupied_words(&self) -> &[u64] {
+        &self.occupied
     }
 
     /// The height map as an owned vector (prefer
@@ -390,10 +470,10 @@ impl SystemState {
     pub fn restore_node(&mut self, v: NodeId, tasks: Vec<Task>, height: f64) {
         let slot = &mut self.nodes[v.idx()];
         self.resident_tasks = self.resident_tasks - slot.tasks.len() + tasks.len();
-        self.task_counts[v.idx()] = tasks.len() as u32;
         slot.tasks = tasks;
         slot.height = height;
         self.heights[v.idx()] = height;
+        self.sync_occupancy(v.idx());
     }
 }
 
@@ -661,29 +741,69 @@ mod tests {
         assert_eq!(s.resident_tasks(), 0);
     }
 
+    /// Asserts that node `i`'s occupancy bit is `task_count() != 0` at
+    /// every node, and that the padding bits past the last node are clear.
+    fn assert_occupancy_mirrors(s: &SystemState, when: &str) {
+        let words = s.occupied_words();
+        assert_eq!(words.len(), s.node_count().div_ceil(NODE_WORD), "{when}");
+        for i in 0..words.len() * NODE_WORD {
+            let bit = node_bit(words, i);
+            let held = i < s.node_count() && s.node(NodeId(i as u32)).task_count() != 0;
+            assert_eq!(bit, held, "occupancy bit of node {i} {when}");
+        }
+    }
+
     #[test]
-    fn task_count_slice_mirrors_every_mutation_and_restore() {
+    fn occupancy_bits_mirror_every_mutation_and_restore() {
         let mut s = small_state();
-        assert_eq!(s.task_count_slice(), &[0, 0, 0, 0]);
+        assert_occupancy_mirrors(&s, "at construction");
         for i in 0..9u64 {
             s.add_task(NodeId((i % 3) as u32), task(i, 1.0));
+            assert_occupancy_mirrors(&s, "after an add");
         }
-        assert_eq!(s.task_count_slice(), &[3, 3, 3, 0]);
         s.remove_task(NodeId(1), TaskId(1)).unwrap();
+        assert_occupancy_mirrors(&s, "after a remove");
         assert!(s.remove_task(NodeId(1), TaskId(1)).is_none()); // miss: no change
+        assert_occupancy_mirrors(&s, "after a missed remove");
         s.consume_work(NodeId(0), 2.5); // completes 2, leaves a partial third
-        assert_eq!(s.task_count_slice(), &[1, 2, 3, 0]);
-        let counts: Vec<u32> = (0..4).map(|v| s.node(NodeId(v)).task_count() as u32).collect();
-        assert_eq!(s.task_count_slice(), &counts[..]);
+        assert_occupancy_mirrors(&s, "after a partial consume");
+        s.consume_work(NodeId(2), 3.0); // completes all three: the bit clears
+        assert_occupancy_mirrors(&s, "after a draining consume");
+        assert_eq!(s.occupied_words(), &[0b0011]);
+        for id in [4, 7] {
+            s.remove_task(NodeId(1), TaskId(id)).unwrap();
+            assert_occupancy_mirrors(&s, "after removing a node's tasks");
+        }
+        assert_eq!(s.occupied_words(), &[0b0001]);
+        // The word kernel flips bits the same way.
+        s.add_task(NodeId(3), Task::new(TaskId(20), 1.0, 0).with_work(0.0));
+        s.consume_word(0, 0b1001, 0.25, &[]);
+        assert_occupancy_mirrors(&s, "after a word consume");
+        assert_eq!(s.occupied_words(), &[0b0001]);
 
-        // Restore replaces the count wholesale along with the tasks.
+        // Restore replaces the bits wholesale along with the tasks.
         let mut fresh = small_state();
         fresh.add_task(NodeId(3), task(99, 9.0)); // junk to displace
         for v in 0..4 {
             let node = NodeId(v);
             fresh.restore_node(node, s.node(node).tasks().to_vec(), s.node(node).height());
+            assert_occupancy_mirrors(&fresh, "mid-restore");
         }
-        assert_eq!(fresh.task_count_slice(), s.task_count_slice());
+        assert_eq!(fresh.occupied_words(), s.occupied_words());
+    }
+
+    #[test]
+    fn occupancy_words_pad_a_partial_final_word() {
+        let topo = Topology::ring(130);
+        let links = LinkMap::uniform(&topo, LinkAttrs::default());
+        let mut s = SystemState::new(topo, links, TaskGraph::new(), ResourceMatrix::none());
+        for (id, v) in [0u32, 63, 64, 127, 128, 129].into_iter().enumerate() {
+            s.add_task(NodeId(v), task(id as u64, 1.0));
+        }
+        assert_occupancy_mirrors(&s, "over three words");
+        assert_eq!(s.occupied_words(), &[1 | 1 << 63, 1 | 1 << 63, 0b11]);
+        s.consume_word(2, 0b11, 1.0, &[]);
+        assert_eq!(s.occupied_words(), &[1 | 1 << 63, 1 | 1 << 63, 0]);
     }
 
     #[test]

@@ -16,6 +16,10 @@ use pp_scenario::registry;
 use pp_scenario::spec::ScenarioSpec;
 use pp_sim::checkpoint::{Checkpoint, CHECKPOINT_VERSION};
 use pp_sim::engine::Engine;
+use support::VALUES;
+
+#[path = "../crates/scenario/tests/support/mod.rs"]
+mod support;
 
 const FIXTURE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/golden/checkpoint-v1.ckpt.json");
 
@@ -117,6 +121,22 @@ fn structurally_valid_but_mismatched_checkpoint_is_refused_by_restore() {
     assert_eq!(other.round(), 2);
 }
 
+/// Parses `text`, restores it into the fixture's engine and runs three
+/// rounds; `Err` if the parse or the restore refuses it.
+fn probe(text: &str) -> Result<(), String> {
+    let cp = Checkpoint::from_json(text)?;
+    let mut e = fixture_spec().build_engine()?;
+    e.restore(&cp)?;
+    e.run_rounds(3);
+    e.report();
+    Ok(())
+}
+
+/// The fixture as the one document the probe mutates.
+fn fixture_doc() -> Vec<(String, String)> {
+    vec![("checkpoint-v1".to_string(), fixture_text())]
+}
+
 #[test]
 fn huge_task_size_anywhere_is_refused_or_runs_never_panics() {
     // A size of 1e308 is finite, so it parses, but the launch or landing
@@ -124,32 +144,33 @@ fn huge_task_size_anywhere_is_refused_or_runs_never_panics() {
     // Every `"size"` in the fixture — resident tasks, tasks in flight,
     // ledger records — is corrupted in turn: restore must refuse it or
     // the resumed run must step on without panicking.
-    let text = fixture_text();
-    let key = "\"size\": ";
-    let sites: Vec<usize> = text.match_indices(key).map(|(at, _)| at + key.len()).collect();
-    assert!(sites.len() > 100, "fixture shape changed: {} sizes", sites.len());
-    let (mut refused, mut panics) = (0, Vec::new());
-    for &at in &sites {
-        let end = at + text[at..].find([',', '\n']).expect("value ends");
-        let bad = format!("{}1e308{}", &text[..at], &text[end..]);
-        let Ok(cp) = Checkpoint::from_json(&bad) else {
-            refused += 1;
-            continue;
-        };
-        let mut e = fixture_spec().build_engine().expect("engine");
-        if e.restore(&cp).is_err() {
-            refused += 1;
-            continue;
-        }
-        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            e.run_rounds(3);
-        }));
-        if run.is_err() {
-            panics.push(at);
-        }
-    }
-    assert!(panics.is_empty(), "{} of {} size corruptions panicked", panics.len(), sites.len());
-    assert!(refused > 0, "no corruption was refused — is the fixture still exercised?");
+    let done = support::sweep(
+        &fixture_doc(),
+        |line| line.ends_with("\"size\": "),
+        |_| vec!["1e308"],
+        probe,
+    );
+    assert!(done.cases > 100, "fixture shape changed: {} sizes", done.cases);
+    assert!(done.refused > 0, "no corruption was refused — is the fixture still exercised?");
+}
+
+#[test]
+fn each_literal_with_one_rotating_value_is_refused_or_runs() {
+    // Every numeric literal of the fixture — header, statistics, RNG
+    // words, heights, tasks, flights, the event queue, down-link words,
+    // ledger and series — gets one of the probe values in turn.
+    let done = support::sweep(&fixture_doc(), |_| true, |i| vec![VALUES[i % VALUES.len()]], probe);
+    assert!(done.literals > 1000, "fixture shape changed: {} literals", done.literals);
+    assert!(done.refused > 0);
+}
+
+#[test]
+#[ignore = "every literal × every value: run in release (`cargo test --release --test \
+            checkpoint_format each_literal -- --ignored`)"]
+fn each_literal_with_every_value_is_refused_or_runs() {
+    let done = support::sweep(&fixture_doc(), |_| true, |_| VALUES.to_vec(), probe);
+    assert!(done.literals > 1000, "fixture shape changed: {} literals", done.literals);
+    assert_eq!(done.cases, VALUES.len() * done.literals);
 }
 
 /// Regenerates the committed fixture. Run manually after an intended

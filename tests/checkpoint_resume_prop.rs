@@ -16,6 +16,7 @@ use pp_scenario::spec::{
     ArrivalSpec, BalancerSpec, DiffusionAlpha, DurationSpec, EngineKnobs, FaultPlanSpec,
     ScenarioSpec, SpeedSpec, WorkloadSpec,
 };
+use pp_sim::state::{SystemState, NODE_WORD};
 use pp_topology::spec::TopologySpec;
 use proptest::prelude::*;
 
@@ -167,7 +168,7 @@ fn trace_replay_resumes_at_the_right_offset() {
     }
 }
 
-/// The structure-of-arrays mirrors (`task_count_slice`, `height_slice`)
+/// The structure-of-arrays mirrors (`occupied_words`, `height_slice`)
 /// are derived hot-path state, not checkpoint state: a checkpoint written
 /// before the SoA layout existed would restore identically. This pins
 /// that — restore into a different *thread* layout and immediately
@@ -199,23 +200,32 @@ fn soa_mirrors_rebuild_exactly_across_relayout() {
             bytes,
             "re-checkpoint after restore (T={threads}) must be byte-identical"
         );
-        let state = resumed.state();
-        for i in 0..state.node_count() {
-            let v = pp_topology::graph::NodeId(i as u32);
-            assert_eq!(
-                state.task_count_slice()[i],
-                state.node(v).task_count() as u32,
-                "task-count mirror diverged at node {i} (T={threads})"
-            );
-            assert_eq!(
-                state.height_slice()[i].to_bits(),
-                state.node(v).height().to_bits(),
-                "height mirror diverged at node {i} (T={threads})"
-            );
-        }
+        assert_mirrors(resumed.state(), &format!("after restore (T={threads})"));
         resumed.run_rounds(4);
+        assert_mirrors(resumed.state(), &format!("after the resumed rounds (T={threads})"));
         resumed.drain(20.0);
+        assert_mirrors(resumed.state(), &format!("after the drain (T={threads})"));
         assert_eq!(resumed.report(), straight, "continuation under T={threads} diverged");
+    }
+}
+
+/// Asserts that the SoA mirrors agree with the per-node truth at every
+/// node: the occupancy bit is `task_count() != 0`, and the cached height
+/// is the node's height, bitwise.
+fn assert_mirrors(state: &SystemState, when: &str) {
+    for i in 0..state.node_count() {
+        let v = pp_topology::graph::NodeId(i as u32);
+        let occupied = state.occupied_words()[i / NODE_WORD] >> (i % NODE_WORD) & 1 == 1;
+        assert_eq!(
+            occupied,
+            state.node(v).task_count() != 0,
+            "occupancy bit diverged at node {i} {when}"
+        );
+        assert_eq!(
+            state.height_slice()[i].to_bits(),
+            state.node(v).height().to_bits(),
+            "height mirror diverged at node {i} {when}"
+        );
     }
 }
 
