@@ -43,8 +43,8 @@
 //! `hotspot16384_{static,adaptive}`, a 16 384-node torus under a slowly
 //! drifting arrival hotspot (redistribution only: `consume_rate = 0`, so
 //! the per-round cost is exactly the dirty-shard sweep). Both rows run the
-//! identical system and emit identical report bytes (the `--verify-
-//! repartition` gate proves it); the only difference is the `repartition`
+//! identical system and emit identical report bytes (the `lab --verify`
+//! gate proves it); the only difference is the `repartition`
 //! knob, which lets the adaptive row shrink its shards around the dirty
 //! frontier and skip the wide quiescent ones. The enforced expectation is
 //! adaptive ≥ 1.3× static rounds/sec (ADR-008).
@@ -253,7 +253,7 @@ const SCENARIOS: &[Scenario] = &[
     matrix("dense16384_t4", 4),
     matrix("dense16384_t8", 8),
     // The adaptive repartitioning pair: identical systems, identical bytes
-    // out (`lab --verify-repartition` proves it), only the knob varies.
+    // out (`lab --verify` proves it), only the knob varies.
     hotspot("hotspot16384_static", None),
     hotspot("hotspot16384_adaptive", Some(RepartitionConfig { every: 16, skew_threshold: 2.0 })),
 ];
@@ -380,7 +380,7 @@ struct Output {
     scenarios: Vec<Measurement>,
     reports_identical: bool,
     /// Adaptive-vs-static differential (miniature): repartitioning must be
-    /// outcome-invisible. The full-size gate is `lab --verify-repartition`.
+    /// outcome-invisible. The full-size gate is `lab --verify`.
     repartition_identical: bool,
     expectations: Vec<Expectation>,
     baseline: Option<Vec<Measurement>>,

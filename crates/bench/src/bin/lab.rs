@@ -13,9 +13,7 @@
 //! lab <name> --checkpoint-every N [--checkpoint-path P]
 //!                                     checkpoint every N rounds while running
 //! lab <name> --resume-from CKPT.json  restore a checkpoint, run the rest
-//! lab --verify-resume                 split-vs-straight byte gate (pinned set)
-//! lab --verify-strategy               tick-vs-event byte gate (whole registry)
-//! lab --verify-repartition            adaptive-vs-static byte gate (ADR-008)
+//! lab --verify                        invariance gate (whole registry)
 //! lab stats --list                    list the named stats scenario sets
 //! lab stats --set S --seeds R [--smoke] [--out PATH]
 //!                                     statistical comparison harness
@@ -36,10 +34,7 @@
 //! capture is read-only, so the emitted report is byte-identical to an
 //! uncheckpointed run. `--resume-from` restores such a file into a freshly
 //! built engine and runs the remaining rounds — byte-identical to never
-//! having stopped. `--verify-resume` enforces exactly that: every pinned
-//! golden scenario is run straight and split-at-half-way (through the
-//! serialized checkpoint), under at least two distinct `(shards, threads)`
-//! layouts, and the report bytes are diffed.
+//! having stopped.
 //!
 //! `--shards K` / `--threads T` override the spec's engine knobs for the
 //! running commands (`lab <name>`, `--file`, `--all`): `K` spatial shards
@@ -52,9 +47,16 @@
 //! `--strategy tick|event` overrides how rounds advance: `tick` sweeps
 //! every round (the reference), `event` fast-forwards quiescent rounds via
 //! the wake scheduler. Like the layout knobs, the strategy never changes an
-//! outcome — reports are byte-identical either way — which
-//! `--verify-strategy` enforces over the whole registry under multiple
-//! layouts (see ADR-006).
+//! outcome — reports are byte-identical either way (see ADR-006).
+//!
+//! `--verify` enforces all of these at once with the differential harness
+//! ([`pp_scenario::differential`]): every registered scenario, capped to a
+//! few rounds, runs under both strategies, the layouts `(1, 1)`, `(4, 2)`,
+//! `(8, 1)`, `(8, 4)` and its own, straight and resumed from a half-way
+//! checkpoint under the other strategy and layout, and — when it sets a
+//! repartition knob — with the knob off, its own and frozen. Each report
+//! must match the sequential tick reference byte for byte; a mismatch
+//! names the scenario, the variant and the first diverging round.
 //!
 //! `--smoke` caps every run at a few rounds so the whole registry finishes
 //! in CI seconds; reports are byte-identical across same-seed runs (the
@@ -63,11 +65,12 @@
 //! engine/balancer change that alters an outcome shows up as a golden
 //! diff and must be re-committed deliberately.
 
+use pp_scenario::differential::{self, Matrix};
 use pp_scenario::registry;
 use pp_scenario::report::GoldenReport;
 use pp_scenario::spec::{CheckpointSpec, ScenarioSpec};
 use pp_scenario::stats::{self, StatsReport};
-use pp_sim::engine::{RepartitionConfig, RunReport, ShardLayout};
+use pp_sim::engine::{RunReport, ShardLayout};
 use pp_sim::strategy::SimulationStrategy;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -96,11 +99,10 @@ const PINNED: &[&str] = &[
     "churn-faults",
 ];
 
-/// The `(shards, threads)` layouts `--verify-resume` replays every pinned
-/// scenario under — the acceptance gate requires at least two distinct
-/// ones. `(8, 4)` puts the pinned-worker pool (multiple shards per worker,
-/// real barrier rounds) on the verified path.
-const RESUME_LAYOUTS: &[(usize, usize)] = &[(1, 1), (4, 2), (8, 4)];
+/// The `(shards, threads)` layouts `--verify` runs every scenario under,
+/// besides the scenario's own: `(8, 1)` and `(8, 4)` run the same shards
+/// inline and on the pinned-worker pool.
+const VERIFY_LAYOUTS: &[(usize, usize)] = &[(1, 1), (4, 2), (8, 1), (8, 4)];
 
 /// Flattens a finished run into its golden report, attaching shard-layout
 /// metadata only when the *spec* pins an explicit shard count: auto layouts
@@ -109,9 +111,7 @@ const RESUME_LAYOUTS: &[(usize, usize)] = &[(1, 1), (4, 2), (8, 4)];
 fn finish_report(spec: &ScenarioSpec, report: &RunReport, layout: ShardLayout) -> GoldenReport {
     let mut g = GoldenReport::from_run(&spec.name, spec.seed, spec.topology.node_count(), report);
     // Adaptive repartitioning makes the shard layout time-varying: there is
-    // no single `(shards, boundary)` pair to record, and omitting the
-    // metadata is what lets the repartition-matrix CI job diff an adaptive
-    // scenario's reports byte-for-byte across launch layouts (ADR-008).
+    // no single `(shards, boundary)` pair to record (ADR-008).
     if spec.engine.shards >= 2 && spec.engine.repartition.is_none() {
         g = g.with_shard_layout(format!(
             "shards={} boundary={}",
@@ -119,29 +119,6 @@ fn finish_report(spec: &ScenarioSpec, report: &RunReport, layout: ShardLayout) -
         ));
     }
     g
-}
-
-fn run_to_report(spec: &ScenarioSpec, smoke: bool) -> Result<GoldenReport, String> {
-    let spec = if smoke { spec.smoke(SMOKE_ROUNDS, SMOKE_DRAIN) } else { spec.clone() };
-    let mut engine = spec.build_engine()?;
-    let layout = engine.shard_layout();
-    // finish_engine honors the spec's checkpoint knob, so `--all` and the
-    // golden commands behave exactly like `lab <name>` for a checkpointed
-    // spec (capture is read-only — reports are unchanged either way).
-    spec.finish_engine(&mut engine)?;
-    let report = engine.report();
-    Ok(finish_report(&spec, &report, layout))
-}
-
-/// `run_to_report`'s split-brained twin: run to the half-way round,
-/// checkpoint through the serialized JSON form, restore into a fresh
-/// engine, finish. `--verify-resume` diffs its bytes against the straight
-/// run's.
-fn split_to_report(spec: &ScenarioSpec, smoke: bool) -> Result<GoldenReport, String> {
-    let spec = if smoke { spec.smoke(SMOKE_ROUNDS, SMOKE_DRAIN) } else { spec.clone() };
-    let at = (spec.duration.rounds / 2).max(1);
-    let (report, layout) = spec.run_split(at)?;
-    Ok(finish_report(&spec, &report, layout))
 }
 
 fn write_report(g: &GoldenReport, path: &Path) -> Result<(), String> {
@@ -195,10 +172,11 @@ fn cmd_spec(name: &str) -> ExitCode {
     }
 }
 
-/// Runs one scenario like `run_to_report`, additionally honoring the
-/// spec's `checkpoint` knob (periodic checkpoint files) and an optional
-/// `--resume-from` checkpoint to start from instead of t = 0.
-fn run_with_options(
+/// Runs one scenario to its golden report, honoring the spec's `checkpoint`
+/// knob (periodic checkpoint files; capture is read-only, so reports are
+/// unchanged either way) and an optional `--resume-from` checkpoint to
+/// start from instead of t = 0.
+fn run_to_report(
     spec: &ScenarioSpec,
     smoke: bool,
     resume: Option<&str>,
@@ -229,7 +207,7 @@ fn cmd_run(spec: &ScenarioSpec, smoke: bool, out: Option<&str>, resume: Option<&
         eprintln!("invalid scenario: {e}");
         return ExitCode::FAILURE;
     }
-    match run_with_options(spec, smoke, resume) {
+    match run_to_report(spec, smoke, resume) {
         Ok(g) => {
             println!(
                 "{}: {} rounds, final cov {:.4}, {} migrations, traffic {:.1}",
@@ -266,7 +244,7 @@ fn cmd_all(
     }
     println!("running {} scenarios ({}):", all.len(), if smoke { "smoke" } else { "full" });
     for s in &all {
-        match run_to_report(s, smoke) {
+        match run_to_report(s, smoke, None) {
             Ok(g) => {
                 println!(
                     "  {:28} rounds={:4} cov={:8.4} migrations={:6}",
@@ -301,7 +279,7 @@ fn pinned_specs() -> Vec<ScenarioSpec> {
 
 fn cmd_emit_golden(dir: &str) -> ExitCode {
     for spec in pinned_specs() {
-        match run_to_report(&spec, true) {
+        match run_to_report(&spec, true, None) {
             Ok(g) => {
                 let path = PathBuf::from(dir).join(format!("{}.json", spec.name));
                 if let Err(e) = write_report(&g, &path) {
@@ -331,7 +309,7 @@ fn cmd_verify_golden(dir: &str) -> ExitCode {
                 continue;
             }
         };
-        let fresh = match run_to_report(&spec, true) {
+        let fresh = match run_to_report(&spec, true, None) {
             Ok(g) => g.to_canonical_json(),
             Err(e) => {
                 eprintln!("{}: run failed: {e}", spec.name);
@@ -358,199 +336,46 @@ fn cmd_verify_golden(dir: &str) -> ExitCode {
     }
 }
 
-/// The checkpoint/resume differential gate: every pinned scenario is run
-/// straight and split-at-half (checkpoint → JSON → restore into a fresh
-/// engine), under each of [`RESUME_LAYOUTS`], and the golden-report bytes
-/// must be identical. This is the executable form of the restore-exactness
-/// invariant (ADR-005).
-fn cmd_verify_resume() -> ExitCode {
-    let mut broken = Vec::new();
-    for spec in pinned_specs() {
-        for &(shards, threads) in RESUME_LAYOUTS {
-            let mut spec = spec.clone();
-            spec.engine.shards = shards;
-            spec.engine.threads = threads;
-            let label = format!("{} [K={shards} T={threads}]", spec.name);
-            let straight = match run_to_report(&spec, true) {
-                Ok(g) => g.to_canonical_json(),
-                Err(e) => {
-                    eprintln!("  {label:42} straight run failed: {e}");
-                    broken.push(label);
-                    continue;
-                }
-            };
-            let split = match split_to_report(&spec, true) {
-                Ok(g) => g.to_canonical_json(),
-                Err(e) => {
-                    eprintln!("  {label:42} split run failed: {e}");
-                    broken.push(label);
-                    continue;
-                }
-            };
-            if straight == split {
-                println!("  {label:42} OK (split == straight, {} bytes)", straight.len());
-            } else {
-                eprintln!("  {label:42} MISMATCH (split report differs from straight)");
-                broken.push(label);
-            }
-        }
-    }
-    if broken.is_empty() {
-        println!(
-            "all {} pinned scenarios resume byte-identically under {} layouts",
-            PINNED.len(),
-            RESUME_LAYOUTS.len()
-        );
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("\ncheckpoint/resume exactness broken for {broken:?}");
-        ExitCode::FAILURE
-    }
-}
-
-/// The cross-strategy differential gate: every *registered* scenario is
-/// run under both simulation strategies and each of [`RESUME_LAYOUTS`],
-/// and the golden-report bytes must be identical. Horizons are force-capped
-/// directly (not via `smoke()`, which deliberately leaves event horizons
-/// alone) so the tick reference runs the very same rounds the event run
-/// does. This is the executable form of the skip-exactness invariant
-/// (ADR-006).
-fn cmd_verify_strategy() -> ExitCode {
+/// The invariance gate: every registered scenario, horizon-capped, run
+/// under both strategies, the [`VERIFY_LAYOUTS`] plus its own layout,
+/// straight and split at half-way, and — for a spec with a repartition
+/// knob — with the knob off, its own and frozen. Every variant's report
+/// must match the `K = 1` tick reference byte for byte (see
+/// [`pp_scenario::differential`]). Horizons are capped directly, not via
+/// `smoke()` (which leaves event horizons alone), so every variant runs
+/// the same rounds; a knob spec gets 24 rounds so its `every = 8` knob
+/// fires several times.
+fn cmd_verify() -> ExitCode {
     let all = registry::registry();
     let mut broken = Vec::new();
     for base in &all {
-        for &(shards, threads) in RESUME_LAYOUTS {
-            let mut spec = base.clone();
-            spec.duration.rounds = spec.duration.rounds.min(SMOKE_ROUNDS);
-            spec.duration.drain = spec.duration.drain.min(SMOKE_DRAIN);
-            spec.engine.shards = shards;
-            spec.engine.threads = threads;
-            let label = format!("{} [K={shards} T={threads}]", spec.name);
-            let mut pair = Vec::new();
-            for strategy in [SimulationStrategy::Tick, SimulationStrategy::Event] {
-                spec.engine.strategy = strategy;
-                match run_to_report(&spec, false) {
-                    Ok(g) => pair.push(g.to_canonical_json()),
-                    Err(e) => {
-                        eprintln!("  {label:42} {strategy} run failed: {e}");
-                        break;
-                    }
-                }
-            }
-            match pair.as_slice() {
-                [tick, event] if tick == event => {
-                    println!("  {label:42} OK (tick == event, {} bytes)", tick.len());
-                }
-                [_, _] => {
-                    eprintln!("  {label:42} MISMATCH (event report differs from tick)");
-                    broken.push(label);
-                }
-                _ => broken.push(label),
-            }
-        }
-    }
-    if broken.is_empty() {
-        println!(
-            "all {} scenarios are strategy-independent under {} layouts",
-            all.len(),
-            RESUME_LAYOUTS.len()
-        );
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("\ntick/event strategy equivalence broken for {broken:?}");
-        ExitCode::FAILURE
-    }
-}
-
-/// The adaptive-repartitioning differential gate (ADR-008): the
-/// `hotspot16k-{adaptive,static}` registry pair must produce byte-identical
-/// reports — repartitioning may only change per-round sweep cost, never an
-/// outcome. Per layout in [`RESUME_LAYOUTS`], plus the pair's native
-/// 64-shard layout:
-///
-/// 1. a *frozen* adaptive run (`every = 1`, `skew_threshold = ∞`: measures
-///    load skew every round, can never fire) must match the static run
-///    byte-for-byte and report zero repartitions;
-/// 2. the committed adaptive knob must match the static run byte-for-byte;
-/// 3. at the native layout the committed knob must actually fire
-///    (`repartitions > 0`) — a gate that never repartitions verifies
-///    nothing.
-///
-/// Specs are renamed to a common label before running so the emitted
-/// reports are comparable down to the byte; the shard-layout metadata line
-/// is never attached (the pair is compared across different launch
-/// layouts, and for adaptive runs the layout is time-varying anyway).
-fn cmd_verify_repartition() -> ExitCode {
-    let stat = registry::by_name("hotspot16k-static").expect("hotspot16k-static registered");
-    let adap = registry::by_name("hotspot16k-adaptive").expect("hotspot16k-adaptive registered");
-    // 24 rounds: enough for the committed `every = 8` knob to fire several
-    // times, short enough to keep the gate in CI seconds.
-    const ROUNDS: u64 = 24;
-    let run = |base: &ScenarioSpec,
-               shards: usize,
-               threads: usize,
-               rp: Option<RepartitionConfig>|
-     -> Result<(String, u64), String> {
         let mut spec = base.clone();
-        spec.name = "hotspot16k".into();
-        spec.duration.rounds = spec.duration.rounds.min(ROUNDS);
+        let cap = if spec.engine.repartition.is_some() { 24 } else { SMOKE_ROUNDS };
+        spec.duration.rounds = spec.duration.rounds.min(cap);
         spec.duration.drain = spec.duration.drain.min(SMOKE_DRAIN);
-        spec.engine.shards = shards;
-        spec.engine.threads = threads;
-        spec.engine.repartition = rp;
-        let mut engine = spec.build_engine()?;
-        spec.finish_engine(&mut engine)?;
-        let report = engine.report();
-        let g = GoldenReport::from_run(&spec.name, spec.seed, spec.topology.node_count(), &report);
-        Ok((g.to_canonical_json(), engine.repartitions()))
-    };
-    let frozen_knob = Some(RepartitionConfig { every: 1, skew_threshold: f64::INFINITY });
-    let native = (stat.engine.shards, stat.engine.threads);
-    let mut broken = Vec::new();
-    for &(shards, threads) in RESUME_LAYOUTS.iter().chain([&native]) {
-        let label = format!("hotspot16k [K={shards} T={threads}]");
-        let outcome = (|| -> Result<Option<String>, String> {
-            let (static_bytes, _) = run(&stat, shards, threads, None)?;
-            let (frozen_bytes, frozen_fired) = run(&adap, shards, threads, frozen_knob)?;
-            if frozen_fired > 0 {
-                return Ok(Some("frozen (∞-threshold) run repartitioned".into()));
-            }
-            if frozen_bytes != static_bytes {
-                return Ok(Some("frozen (∞-threshold) report differs from static".into()));
-            }
-            let (adaptive_bytes, fired) = run(&adap, shards, threads, adap.engine.repartition)?;
-            if adaptive_bytes != static_bytes {
-                return Ok(Some("adaptive report differs from static".into()));
-            }
-            if (shards, threads) == native && fired == 0 {
-                return Ok(Some("adaptive run never repartitioned at native layout".into()));
-            }
-            println!(
-                "  {label:32} OK (static == frozen == adaptive, {} bytes, {fired} repartitions)",
-                static_bytes.len()
-            );
-            Ok(None)
-        })();
-        match outcome {
-            Ok(None) => {}
-            Ok(Some(why)) => {
-                eprintln!("  {label:32} MISMATCH: {why}");
-                broken.push(label);
-            }
+        let mut layouts = VERIFY_LAYOUTS.to_vec();
+        let own = (spec.engine.shards, spec.engine.threads);
+        if !layouts.contains(&own) {
+            layouts.push(own);
+        }
+        let matrix = Matrix {
+            strategies: vec![SimulationStrategy::Tick, SimulationStrategy::Event],
+            layouts,
+            splits: vec![None, Some((spec.duration.rounds / 2).max(1))],
+        };
+        match differential::check(&spec, &matrix) {
+            Ok(variants) => println!("  {:28} OK ({variants} variants)", spec.name),
             Err(e) => {
-                eprintln!("  {label:32} run failed: {e}");
-                broken.push(label);
+                eprintln!("  MISMATCH {e}");
+                broken.push(spec.name);
             }
         }
     }
     if broken.is_empty() {
-        println!(
-            "adaptive repartitioning is report-invisible under {} layouts",
-            RESUME_LAYOUTS.len() + 1
-        );
+        println!("all {} scenarios are invariant under the verify matrix", all.len());
         ExitCode::SUCCESS
     } else {
-        eprintln!("\nadaptive/static report equivalence broken for {broken:?}");
+        eprintln!("\nreport invariance broken for {broken:?}");
         ExitCode::FAILURE
     }
 }
@@ -674,9 +499,7 @@ fn usage() -> ExitCode {
          [--smoke] [--shards K] [--threads T] [--strategy tick|event] [--out-dir DIR]\n       lab \
          --check PATH\n       lab --emit-golden DIR\n       lab --verify-golden DIR\n       lab \
          <name|--file SPEC.json> --checkpoint-every N [--checkpoint-path P]\n       lab \
-         <name|--file SPEC.json> --resume-from CKPT.json\n       lab --verify-resume\n       lab \
-         --verify-strategy\n       lab --verify-repartition\n       lab stats --list\n       lab \
-         stats --set S [--seeds R] [--smoke] [--shards K] [--threads T] [--out PATH]\n       lab \
+         <name|--file SPEC.json> --resume-from CKPT.json\n       lab --verify\n       lab stats --list\n       lab stats --set S [--seeds R] [--smoke] [--shards K] [--threads T] [--out PATH]\n       lab \
          stats --check PATH"
     );
     ExitCode::FAILURE
@@ -769,9 +592,7 @@ fn main() -> ExitCode {
     let single_run_opts = ckpt_every.is_some() || ckpt_path.is_some() || resume.is_some();
     let other_command = flag("--list")
         || flag("--all")
-        || flag("--verify-resume")
-        || flag("--verify-strategy")
-        || flag("--verify-repartition")
+        || flag("--verify")
         || ["--check", "--spec", "--emit-golden", "--verify-golden"]
             .iter()
             .any(|f| opt(f).is_some());
@@ -798,14 +619,8 @@ fn main() -> ExitCode {
     if let Some(dir) = opt("--verify-golden") {
         return cmd_verify_golden(&dir);
     }
-    if flag("--verify-resume") {
-        return cmd_verify_resume();
-    }
-    if flag("--verify-strategy") {
-        return cmd_verify_strategy();
-    }
-    if flag("--verify-repartition") {
-        return cmd_verify_repartition();
+    if flag("--verify") {
+        return cmd_verify();
     }
     if flag("--all") {
         return cmd_all(

@@ -516,7 +516,6 @@ impl Serialize for EngineKnobs {
             entry("weight_c", self.weight_c),
             entry("consume_rate", self.consume_rate),
             entry("max_attempts", self.max_attempts),
-            entry("parallel_decide", self.parallel_decide),
             entry("shards", self.shards),
             entry("threads", self.threads),
         ];
@@ -561,7 +560,6 @@ impl Deserialize for EngineKnobs {
             weight_c: v.field_opt("weight_c")?.unwrap_or(d.weight_c),
             consume_rate: v.field_opt("consume_rate")?.unwrap_or(d.consume_rate),
             max_attempts: v.field_opt("max_attempts")?.unwrap_or(d.max_attempts),
-            parallel_decide: v.field_opt("parallel_decide")?.unwrap_or(d.parallel_decide),
             shards: v.field_opt("shards")?.unwrap_or(d.shards),
             threads: v.field_opt("threads")?.unwrap_or(d.threads),
             strategy,

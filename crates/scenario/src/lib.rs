@@ -14,6 +14,9 @@
 //! * [`registry`] — named, validated scenarios (`pp-lab --list`);
 //! * [`report::GoldenReport`] — deterministic byte-stable run reports,
 //!   used by the CI scenario matrix and the committed `golden/` files;
+//! * [`differential`] — the one invariance harness (`pp-lab --verify`):
+//!   report bytes must not depend on strategy, `(shards, threads)`
+//!   layout, resume split or repartitioning;
 //! * [`stats`] — the statistical comparison harness (`pp-lab stats`):
 //!   scenario sets × balancer panel × seeds, reduced to Student-t CIs
 //!   and pairwise Welch verdicts in a byte-stable [`stats::StatsReport`].
@@ -29,6 +32,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod differential;
 pub mod json;
 pub mod registry;
 pub mod report;

@@ -168,14 +168,14 @@ pub fn registry() -> Vec<ScenarioSpec> {
             balancer: BalancerSpec::DimensionExchange,
             ..base("dimension-exchange-cube", "Cybenko dimension exchange on a 5-cube (reference)")
         },
-        // 16. Big parallel sweep: the 1k-node scale point with the parallel
-        // decision path on (what bench_ticks measures, as a scenario).
+        // 16. Big parallel sweep: the 1k-node scale point on the sharded
+        // decision path (what bench_ticks measures, as a scenario).
         ScenarioSpec {
             topology: TopologySpec::Torus { dims: vec![32, 32] },
             workload: WorkloadSpec::UniformRandom { max_per_node: 10.0, seed: 42 },
-            engine: EngineKnobs { parallel_decide: true, ..EngineKnobs::default() },
+            engine: EngineKnobs { shards: 4, ..EngineKnobs::default() },
             duration: DurationSpec { rounds: 100, drain: 100.0 },
-            ..base("torus1k-parallel", "1024-node torus with the parallel decision sweep")
+            ..base("torus1k-parallel", "1024-node torus on the 4-shard decision sweep")
         },
         // 17. Production scale, explicitly sharded: the 16k-node torus
         // split into 64 row bands (what BENCH_4 measures, as a scenario).
@@ -198,8 +198,8 @@ pub fn registry() -> Vec<ScenarioSpec> {
         },
         // 19. Checkpoint/resume under fire: Markov link faults, Poisson
         // arrivals and consumption all active when the run is split — the
-        // kill/resume-mid-fault chaos case the `--verify-resume` CI gate
-        // replays against its straight-run twin.
+        // kill/resume-mid-fault chaos case `pp-lab --verify` replays
+        // against its straight-run twin.
         ScenarioSpec {
             topology: TopologySpec::Torus { dims: vec![32, 32] },
             workload: WorkloadSpec::UniformRandom { max_per_node: 6.0, seed: 19 },
@@ -349,6 +349,7 @@ pub fn names() -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::differential::{self, Matrix};
     use std::collections::HashSet;
 
     #[test]
@@ -388,21 +389,27 @@ mod tests {
             let mut engine = spec.build_engine().expect("builds");
             engine.run_rounds(8);
             assert!(engine.down_node_count() > 0, "{name} scheduled no churn in smoke mode");
-            let straight = spec.run().expect("straight");
-            let (split, _) = spec.run_split(4).expect("split");
-            assert_eq!(split, straight, "{name} churned split run diverged");
+            differential::check(&spec, &split_at(4, (1, 1))).unwrap_or_else(|e| panic!("{e}"));
         }
     }
 
     #[test]
     fn midfault_resume_scenario_splits_exactly() {
-        // The chaos scenario in miniature: kill mid-fault, resume, and the
-        // report must be byte-identical to never having stopped.
+        // The chaos scenario in miniature: kill mid-fault at its own
+        // 4-shard layout, resume, and the report must be byte-identical
+        // to never having stopped.
         let spec = by_name("torus1k-resume-midfault").expect("registered").smoke(6, 15.0);
-        let straight = spec.run().expect("straight run");
-        let (split, layout) = spec.run_split(3).expect("split run");
-        assert_eq!(split, straight);
-        assert_eq!(layout.shards, 4, "spec pins 4 shards");
+        assert_eq!(spec.engine.shards, 4);
+        differential::check(&spec, &split_at(3, (4, 0))).unwrap_or_else(|e| panic!("{e}"));
+    }
+
+    /// One tick run at `layout`, split at round `at`.
+    fn split_at(at: u64, layout: (usize, usize)) -> Matrix {
+        Matrix {
+            strategies: vec![SimulationStrategy::Tick],
+            layouts: vec![layout],
+            splits: vec![Some(at)],
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@ use pp_sim::balancer::{LoadBalancer, NullBalancer};
 use pp_sim::checkpoint::Checkpoint;
 use pp_sim::churn::ChurnPlan;
 use pp_sim::engine::{
-    Engine, EngineBuilder, EngineConfig, FaultModel, RepartitionConfig, RunReport, ShardLayout,
+    Engine, EngineBuilder, EngineConfig, FaultModel, RepartitionConfig, RunReport,
 };
 use pp_sim::strategy::SimulationStrategy;
 use pp_tasking::graph::TaskGraph;
@@ -979,9 +979,6 @@ pub struct EngineKnobs {
     pub consume_rate: f64,
     /// Transfer attempts per hop.
     pub max_attempts: u32,
-    /// Compatibility alias: with `shards = 0`, selects one shard per
-    /// available core (machine-dependent — prefer `shards`).
-    pub parallel_decide: bool,
     /// Shard count `K` for the sharded tick pipeline (0 = auto; 1 = the
     /// sequential reference; clamped to the node count at build).
     pub shards: usize,
@@ -1004,7 +1001,6 @@ impl Default for EngineKnobs {
             weight_c: d.weight_c,
             consume_rate: d.consume_rate,
             max_attempts: d.max_attempts,
-            parallel_decide: d.parallel_decide,
             shards: d.shards,
             threads: d.threads,
             strategy: d.strategy,
@@ -1308,7 +1304,6 @@ impl ScenarioSpec {
             weight_c: self.engine.weight_c,
             consume_rate: self.engine.consume_rate,
             max_attempts: self.engine.max_attempts,
-            parallel_decide: self.engine.parallel_decide,
             shards: self.engine.shards,
             threads: self.engine.threads,
             fault_model: self.faults.build(),
@@ -1378,27 +1373,6 @@ impl ScenarioSpec {
         Ok(())
     }
 
-    /// Runs the scenario split in two: `at` rounds, then checkpoint →
-    /// canonical JSON → parse → restore into a **fresh** engine, then the
-    /// remaining rounds and the drain. Exercises the full serialized
-    /// checkpoint path; the resume-equivalence tests and `pp-lab
-    /// --verify-resume` compare the result byte-for-byte against
-    /// [`ScenarioSpec::run`]. Also returns the resolved shard layout (for
-    /// golden-report metadata).
-    pub fn run_split(&self, at: u64) -> Result<(RunReport, ShardLayout), String> {
-        let at = at.min(self.duration.rounds);
-        let mut first = self.build_engine()?;
-        first.run_rounds(at);
-        let text = first.checkpoint().to_json();
-        drop(first);
-        let cp = Checkpoint::from_json(&text)?;
-        let mut resumed = self.build_engine()?;
-        resumed.restore(&cp)?;
-        resumed.run_rounds(self.duration.rounds - at).drain(self.duration.drain);
-        let layout = resumed.shard_layout();
-        Ok((resumed.report(), layout))
-    }
-
     /// A copy scaled down for CI smoke runs: at most `rounds` rounds and
     /// `drain` drain time, everything else untouched. Event-strategy specs
     /// keep their full round budget — skipped rounds are O(1), so the point
@@ -1436,7 +1410,9 @@ impl ScenarioSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::differential::{self, Matrix};
     use crate::registry;
+    use crate::report::GoldenReport;
 
     /// A small full-event-mix spec (faults + diurnal arrivals + speeds) for
     /// the checkpoint tests.
@@ -1449,25 +1425,34 @@ mod tests {
 
     #[test]
     fn split_runs_match_straight_runs() {
-        let spec = busy_spec();
-        let straight = spec.run().expect("straight");
-        for at in [1, 4, 8] {
-            let (split, _) = spec.run_split(at).expect("split");
-            assert_eq!(split, straight, "split at {at}");
-        }
+        // Splits at 1, 4 and 8 of 8 rounds, the second half resumed under
+        // the event strategy and another layout (K = 3 and 5, 1 and 2
+        // threads).
+        let m = Matrix {
+            strategies: vec![SimulationStrategy::Tick],
+            layouts: vec![(1, 1), (3, 1), (5, 2)],
+            splits: vec![Some(1), Some(4), Some(8)],
+        };
+        assert_eq!(differential::check(&busy_spec(), &m), Ok(9));
     }
 
     #[test]
-    fn split_runs_match_across_layouts() {
-        let mut spec = busy_spec();
-        let straight = spec.run().expect("straight");
-        for (shards, threads) in [(3, 1), (5, 2)] {
-            spec.engine.shards = shards;
-            spec.engine.threads = threads;
-            let (split, layout) = spec.run_split(4).expect("split");
-            assert_eq!(split, straight, "K={shards} threads={threads}");
-            assert_eq!(layout.shards, shards);
-        }
+    fn retired_parallel_decide_key_is_ignored() {
+        // Spec files written while the `parallel_decide` alias existed
+        // still parse, to the same spec and the same report bytes.
+        let spec = busy_spec();
+        let text = spec.to_json_pretty();
+        assert!(!text.contains("parallel_decide"));
+        let legacy = text.replace("\"shards\":", "\"parallel_decide\": true,\n    \"shards\":");
+        assert!(legacy.contains("\"parallel_decide\": true"));
+        let parsed = ScenarioSpec::from_json(&legacy).expect("the retired key is ignored");
+        assert_eq!(parsed, spec);
+        let bytes = |s: &ScenarioSpec| {
+            let report = s.run().expect("runs");
+            GoldenReport::from_run(&s.name, s.seed, s.topology.node_count(), &report)
+                .to_canonical_json()
+        };
+        assert_eq!(bytes(&parsed), bytes(&spec));
     }
 
     #[test]

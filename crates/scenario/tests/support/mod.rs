@@ -1,9 +1,12 @@
-//! The numeric mutation probe shared by the scenario and checkpoint format
-//! tests: every numeric literal of a JSON document is replaced, one at a
-//! time, by hostile values, and each mutant must be refused or run
-//! cleanly, never panic, abort or hang. A watchdog aborts the process,
-//! naming the case, when one case runs too long.
+//! The mutation probes shared by the scenario and checkpoint format tests.
+//! The numeric probe replaces every numeric literal of a JSON document, one
+//! at a time, by hostile values; the structural probe drops each object
+//! key, drops or duplicates each array's first element, empties each array
+//! and retypes each value. Each mutant must be refused or run cleanly,
+//! never panic, abort or hang. A watchdog aborts the process, naming the
+//! case, when one case runs too long.
 
+use serde_json::Value;
 use std::io::Write;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -82,15 +85,34 @@ impl Drop for Watchdog {
     }
 }
 
-/// What a [`sweep`] ran.
+/// What a [`sweep`] or a [`structural_sweep`] ran.
 #[derive(Debug, Default)]
 pub struct Sweep {
     /// Mutants probed.
     pub cases: usize,
-    /// Literals mutated.
-    pub literals: usize,
+    /// Literals (numeric probe) or values (structural probe) mutated.
+    pub sites: usize,
     /// Mutants the probe refused with `Err`.
     pub refused: usize,
+}
+
+/// Runs the probe on one mutant under `catch_unwind` and the watchdog,
+/// recording a panic against its label.
+fn probe_case(
+    watchdog: &Watchdog,
+    label: String,
+    mutant: &str,
+    probe: &impl Fn(&str) -> Result<(), String>,
+    done: &mut Sweep,
+    panicked: &mut Vec<String>,
+) {
+    watchdog.now_running(label.clone());
+    match catch_unwind(AssertUnwindSafe(|| probe(mutant))) {
+        Ok(Ok(())) => {}
+        Ok(Err(_)) => done.refused += 1,
+        Err(_) => panicked.push(label),
+    }
+    done.cases += 1;
 }
 
 /// Probes every numeric literal of each `(name, text)` document whose line
@@ -112,19 +134,128 @@ pub fn sweep(
             if !select(line) {
                 continue;
             }
-            for value in values(done.literals) {
+            for value in values(done.sites) {
                 let label = format!("{name}: `{line}{}` -> {value}", &text[start..end]);
                 let mutant = format!("{}{value}{}", &text[..start], &text[end..]);
-                watchdog.now_running(label.clone());
-                match catch_unwind(AssertUnwindSafe(|| probe(&mutant))) {
-                    Ok(Ok(())) => {}
-                    Ok(Err(_)) => done.refused += 1,
-                    Err(_) => panicked.push(label),
-                }
-                done.cases += 1;
+                probe_case(&watchdog, label, &mutant, &probe, &mut done, &mut panicked);
             }
-            done.literals += 1;
+            done.sites += 1;
         }
+    }
+    assert!(panicked.is_empty(), "{} cases panicked:\n{}", panicked.len(), panicked.join("\n"));
+    done
+}
+
+/// What a value can be retyped to.
+fn retypes() -> [(&'static str, Value); 5] {
+    [
+        ("null", Value::Null),
+        ("a string", Value::Str("x".into())),
+        ("[]", Value::Array(Vec::new())),
+        ("{}", Value::Object(Vec::new())),
+        ("a bool", Value::Bool(true)),
+    ]
+}
+
+/// The mutations of one value in place: each retype to another kind, and
+/// for an array its first element dropped or duplicated and the array
+/// emptied, for an object each key dropped.
+fn local_mutants(v: &Value) -> Vec<(String, Value)> {
+    let kind = |v: &Value| std::mem::discriminant(v);
+    let mut out: Vec<(String, Value)> = retypes()
+        .into_iter()
+        .filter(|(_, r)| kind(r) != kind(v))
+        .map(|(name, r)| (format!("retyped to {name}"), r))
+        .collect();
+    match v {
+        Value::Array(items) if !items.is_empty() => {
+            out.push(("first element dropped".into(), Value::Array(items[1..].to_vec())));
+            let mut twice = items.clone();
+            twice.insert(0, items[0].clone());
+            out.push(("first element duplicated".into(), Value::Array(twice)));
+            out.push(("emptied".into(), Value::Array(Vec::new())));
+        }
+        Value::Object(fields) => {
+            for i in 0..fields.len() {
+                let mut rest = fields.clone();
+                rest.remove(i);
+                out.push((format!("key `{}` dropped", fields[i].0), Value::Object(rest)));
+            }
+        }
+        _ => {}
+    }
+    out
+}
+
+/// Calls `emit(label, document)` for the structural mutants of `v`, the
+/// value at `path`: all of them, or with `rotate` one per value, chosen by
+/// the value's pre-order index. Returns the next pre-order index.
+fn structural_mutants(
+    v: &Value,
+    path: &str,
+    index: usize,
+    rotate: bool,
+    emit: &mut dyn FnMut(String, Value),
+) -> usize {
+    let local = local_mutants(v);
+    let pick = index % local.len().max(1);
+    for (j, (what, m)) in local.into_iter().enumerate() {
+        if !rotate || j == pick {
+            emit(format!("`{path}` {what}"), m);
+        }
+    }
+    let mut next = index + 1;
+    match v {
+        Value::Array(items) => {
+            for (i, item) in items.iter().enumerate() {
+                next =
+                    structural_mutants(item, &format!("{path}[{i}]"), next, rotate, &mut |l, m| {
+                        let mut copy = items.clone();
+                        copy[i] = m;
+                        emit(l, Value::Array(copy));
+                    });
+            }
+        }
+        Value::Object(fields) => {
+            for (i, (key, item)) in fields.iter().enumerate() {
+                next = structural_mutants(
+                    item,
+                    &format!("{path}.{key}"),
+                    next,
+                    rotate,
+                    &mut |l, m| {
+                        let mut copy = fields.clone();
+                        copy[i].1 = m;
+                        emit(l, Value::Object(copy));
+                    },
+                );
+            }
+        }
+        _ => {}
+    }
+    next
+}
+
+/// Probes the structural mutants of each `(name, text)` JSON document —
+/// every one, or with `rotate` one per value — rendered back to text,
+/// under `catch_unwind` and the watchdog. Panics listing every case that
+/// panicked.
+pub fn structural_sweep(
+    docs: &[(String, String)],
+    rotate: bool,
+    probe: impl Fn(&str) -> Result<(), String>,
+) -> Sweep {
+    let watchdog = Watchdog::start();
+    let mut done = Sweep::default();
+    let mut panicked = Vec::new();
+    for (name, text) in docs {
+        let doc = serde_json::from_str(text).expect("the probed document parses");
+        let values = structural_mutants(&doc, "", 0, rotate, &mut |label, mutant| {
+            let mutant = serde_json::to_string_pretty(&mutant).expect("a value renders");
+            let label = format!("{name}: {label}");
+            probe_case(&watchdog, label, &mutant, &probe, &mut done, &mut panicked);
+        });
+        done.sites += values;
     }
     assert!(panicked.is_empty(), "{} cases panicked:\n{}", panicked.len(), panicked.join("\n"));
     done

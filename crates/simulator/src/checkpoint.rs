@@ -31,7 +31,7 @@
 //! ## Exactness
 //!
 //! The invariant (enforced by `tests/checkpoint_resume_prop.rs` and the
-//! `pp-lab --verify-resume` CI gate) is that *checkpoint → JSON → parse →
+//! `pp-lab --verify` CI gate) is that *checkpoint → JSON → parse →
 //! restore → continue* is byte-identical to never having stopped, for every
 //! `(shards, threads)` layout. Three properties make this hold:
 //!

@@ -34,8 +34,7 @@
 //!
 //! On top of the decomposition sits exact **shard-level activity
 //! tracking**: every state mutation marks the owning shard dirty (and, for
-//! boundary nodes, the shards listed in the partition's halo-derived
-//! adjacency), and a shard whose last sweep emitted nothing stays clean
+//! boundary nodes, every shard owning one of its neighbours), and a shard whose last sweep emitted nothing stays clean
 //! until someone it can observe changes. When the policy opts in via
 //! [`LoadBalancer::quiescence_stable`] and `K ≥ 2`, clean shards skip their
 //! sweep entirely — provably without observable effect (see
@@ -172,15 +171,8 @@ pub struct EngineConfig {
     pub consume_rate: f64,
     /// Transfer attempts per hop before the load bounces back.
     pub max_attempts: u32,
-    /// Compatibility alias for the retired per-node work-stealing sweep:
-    /// when `shards` is 0 (auto), `true` selects one shard per available
-    /// core — like the old path, only for 64+ nodes, so small systems keep
-    /// the inline sweep's cost model. Prefer setting `shards`/`threads`
-    /// directly.
-    pub parallel_decide: bool,
     /// Number of spatial shards `K` the decision sweep is partitioned into
-    /// (0 = auto: 1, or one per available core when `parallel_decide` is
-    /// set). Clamped to the node count. `K = 1` is the sequential
+    /// (0 = auto: 1). Clamped to the node count. `K = 1` is the sequential
     /// reference pipeline; `K ≥ 2` enables shard-level activity tracking
     /// for [`LoadBalancer::quiescence_stable`] policies.
     pub shards: usize,
@@ -209,7 +201,6 @@ impl Default for EngineConfig {
             weight_c: 1.0,
             consume_rate: 0.0,
             max_attempts: 3,
-            parallel_decide: false,
             shards: 0,
             threads: 0,
             fault_model: None,
@@ -463,10 +454,9 @@ impl Engine {
         }
     }
 
-    /// The resolved shard execution layout. Boundary nodes are counted
-    /// from the topology on demand: after an adaptive repartition the
-    /// partition's precomputed edge views are stale (see
-    /// [`Partition::refit`]), and this diagnostic is the only reader.
+    /// The resolved shard execution layout. Boundary nodes — nodes with a
+    /// neighbour in another shard — are counted from the topology and the
+    /// current intervals on demand; this diagnostic is their only reader.
     pub fn shard_layout(&self) -> ShardLayout {
         let topo = &self.state.topo;
         let boundary_nodes = topo
@@ -505,9 +495,7 @@ impl Engine {
     /// Marks the shards that can observe node `v` (its own plus, for
     /// boundary nodes, every shard owning one of its neighbours) as needing
     /// evaluation. Called on every mutation of `v`'s tasks or height.
-    /// Adjacency comes from the topology CSR plus the ownership map, not
-    /// the partition's halo views — a handful of extra loads per call, but
-    /// it keeps the whole sweep independent of the edge-indexed views so an
+    /// Adjacency comes from the topology CSR plus the ownership map, so an
     /// adaptive repartition only has to refit the interval layout.
     #[inline]
     fn mark_node_dirty(&mut self, v: NodeId) {
@@ -1905,18 +1893,10 @@ impl EngineBuilder {
             z ^ (z >> 31)
         };
         let engine_rng = StdRng::seed_from_u64(mix(0));
-        // Resolve the shard layout: explicit `shards` wins; auto derives 1
-        // (the sequential reference) unless the `parallel_decide` alias
-        // asks for one shard per available core. The alias keeps the old
-        // work-stealing path's `n >= 64` cutoff so small systems never pay
-        // pool dispatch for a handful of decisions.
+        // Resolve the shard layout: explicit `shards` wins; auto is 1, the
+        // sequential reference.
         let avail = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
-        let k = match self.config.shards {
-            0 if self.config.parallel_decide && n >= 64 => avail,
-            0 => 1,
-            k => k,
-        }
-        .clamp(1, n.max(1));
+        let k = self.config.shards.clamp(1, n.max(1));
         let partition = Partition::new(&state.topo, k);
         let k = partition.shard_count();
         let threads =
@@ -2210,26 +2190,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_decide_alias_still_accepted() {
-        // The compatibility alias must keep producing sequential-identical
-        // outcomes whatever core count it resolves to.
-        let build = |parallel: bool| {
-            let topo = Topology::torus(&[8, 8]);
-            let w = Workload::uniform_random(64, 10.0, 11);
-            let mut e = EngineBuilder::new(topo)
-                .workload(w)
-                .balancer(GreedyOne)
-                .config(EngineConfig { parallel_decide: parallel, ..Default::default() })
-                .seed(9)
-                .build();
-            e.run_rounds(25);
-            e.drain(10.0);
-            e.report()
-        };
-        assert_eq!(build(false), build(true));
-    }
-
-    #[test]
     fn shard_layout_resolution() {
         let engine = |shards, threads| {
             EngineBuilder::new(Topology::torus(&[4, 4]))
@@ -2241,13 +2201,6 @@ mod tests {
         let e = engine(0, 0);
         assert_eq!(e.shard_layout().shards, 1);
         assert_eq!(e.shard_layout().boundary_nodes, 0);
-        // The parallel_decide alias keeps the legacy n >= 64 cutoff: a
-        // 16-node system stays on the inline single-shard sweep.
-        let small = EngineBuilder::new(Topology::torus(&[4, 4]))
-            .balancer(NullBalancer)
-            .config(EngineConfig { parallel_decide: true, ..Default::default() })
-            .build();
-        assert_eq!(small.shard_layout().shards, 1);
         // Explicit K with explicit threads; threads cap at K.
         let e = engine(4, 8);
         assert_eq!(e.shard_layout().shards, 4);
@@ -3030,7 +2983,7 @@ mod tests {
 
     #[test]
     fn adaptive_repartition_infinite_threshold_never_fires() {
-        // `--verify-repartition`'s degenerate config: check every round,
+        // `pp-lab --verify`'s frozen knob: check every round,
         // fire never. Must be byte-identical to static *and* apply zero
         // repartitions.
         let knob = RepartitionConfig { every: 1, skew_threshold: f64::INFINITY };

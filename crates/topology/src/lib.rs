@@ -10,9 +10,9 @@
 //! * [`embedding::embed`] — the `M₂` ground-plane embedding;
 //! * [`links::LinkMap`] — the attribute matrices as one edge-indexed table,
 //!   and the `e_{i,j}` weight;
-//! * [`partition::Partition`] — deterministic contiguous sharding with
-//!   interior/boundary classification and halo maps, the domain
-//!   decomposition under `pp-sim`'s sharded tick pipeline;
+//! * [`partition::Partition`] — deterministic contiguous interval
+//!   sharding, the domain decomposition under `pp-sim`'s sharded tick
+//!   pipeline;
 //! * [`spectral`] — Laplacian eigenvalue estimation for the optimal
 //!   diffusion parameter of the Xu–Lau baseline;
 //! * [`coloring::EdgeColoring`] — matchings for dimension exchange.
@@ -49,7 +49,7 @@ pub mod prelude {
     pub use crate::embedding::{embed, Point2};
     pub use crate::graph::{EdgeId, NodeId, Topology, TopologyKind};
     pub use crate::links::{LinkAttrs, LinkMap};
-    pub use crate::partition::{HaloEdge, Partition};
+    pub use crate::partition::Partition;
     pub use crate::paths::{dijkstra, mean_path_weight, reachable_within, weighted_diameter};
     pub use crate::spec::TopologySpec;
     pub use crate::spectral::{optimal_diffusion_alpha, safe_diffusion_alpha};

@@ -7,65 +7,26 @@
 //! range `0..n` into `K` contiguous, balanced intervals yields shards whose
 //! cross-shard surface is small: on a `d`-dimensional torus a shard is a
 //! band of consecutive rows and only its first and last row touch other
-//! shards. The partition classifies every node as *interior* (all
-//! neighbours in the same shard) or *boundary*, and records the **halo
-//! map**: for each shard, the cross-shard edges through which the rest of
-//! the system can observe or perturb it. The halo is what makes shard-level
-//! activity tracking exact — a height change at node `v` can only affect
-//! decisions in `v`'s own shard and in the shards listed in
-//! [`Partition::adjacent_shards`]`(v)`.
+//! shards. A [`Partition`] is just that interval split plus the node →
+//! shard map; a 1-D take on the rectilinear partitioners of Saule et al.
+//! (arXiv:1104.2566). Which shards can observe a node — its own and those
+//! owning a neighbour — the engine derives from the topology and
+//! [`Partition::shard_of`], so re-splitting the intervals mid-run
+//! ([`Partition::refit`]) touches nothing else.
 //!
-//! The split is a pure function of `(node count, K, edge structure)`:
-//! no RNG, no tie-breaking — two calls always produce the identical layout,
-//! which the sharded engine's determinism argument relies on.
+//! The split is a pure function of `(node count, K)`: no RNG, no
+//! tie-breaking — two calls always produce the identical layout, which the
+//! sharded engine's determinism argument relies on.
 
-use crate::graph::{EdgeId, NodeId, Topology};
+use crate::graph::{NodeId, Topology};
 
-/// One cross-shard edge as seen from a particular shard: the undirected
-/// edge id plus which endpoint is ours (`local`) and which is the remote
-/// halo node. Every cross-shard edge appears in exactly two halo lists,
-/// once per side, with `local`/`remote` swapped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HaloEdge {
-    /// Stable id of the crossing edge.
-    pub edge: EdgeId,
-    /// The endpoint inside the owning shard.
-    pub local: NodeId,
-    /// The endpoint in the other shard.
-    pub remote: NodeId,
-}
-
-/// A deterministic split of a topology's nodes into `K` contiguous shards
-/// with interior/boundary classification and per-shard halo maps.
+/// A deterministic split of a topology's nodes into `K` contiguous shards.
 #[derive(Debug, Clone)]
 pub struct Partition {
     /// Shard `s` owns nodes `ranges[s].0 .. ranges[s].1`.
     ranges: Vec<(u32, u32)>,
     /// Node id → owning shard.
     node_shard: Vec<u32>,
-    /// Whether the node has at least one neighbour in another shard.
-    boundary: Vec<bool>,
-    /// CSR halo storage: shard `s`'s cross-shard edges (sorted by edge id)
-    /// live in `halo_data[halo_off[s] .. halo_off[s + 1]]`. Flat arrays
-    /// instead of per-shard `Vec`s: the adaptive engine rebuilds the
-    /// partition mid-run, and a narrow-banded layout makes *every* node a
-    /// boundary node, so build cost is on the steady-state path.
-    halo_off: Vec<u32>,
-    halo_data: Vec<HaloEdge>,
-    /// CSR adjacency: node `v`'s other-shard neighbours (sorted,
-    /// deduplicated) live in `adj_data[adj_off[v] ..][..adj_len[v]]`.
-    /// Offsets keep pre-dedup spacing; `adj_len` is the deduped length.
-    adj_off: Vec<u32>,
-    adj_len: Vec<u32>,
-    adj_data: Vec<u32>,
-    /// Total boundary nodes over all shards.
-    boundary_total: usize,
-    /// Whether the edge-indexed views (boundary/halo/adjacency) match
-    /// `ranges`. [`Partition::from_ranges`] always builds them;
-    /// [`Partition::refit`] skips the O(E) rebuild and clears this flag,
-    /// after which the edge-view accessors panic instead of answering from
-    /// a stale layout.
-    edge_views_valid: bool,
 }
 
 /// The uniform `±1`-balanced contiguous split of `0..n` into `k` intervals
@@ -99,131 +60,32 @@ impl Partition {
     /// `ranges` must be ascending, gap-free, cover exactly `0..node_count`,
     /// and (unless the topology is empty) contain no empty shard — the same
     /// invariants [`uniform_ranges`] and [`RepartitionPolicy`] guarantee.
-    /// The boundary/halo classification is recomputed from scratch; it is a
-    /// pure function of `(ranges, edge structure)`, so two calls with equal
-    /// ranges produce identical layouts.
     pub fn from_ranges(topo: &Topology, ranges: Vec<(u32, u32)>) -> Self {
-        let n = topo.node_count();
+        let mut p = Partition { ranges: Vec::new(), node_shard: vec![0; topo.node_count()] };
+        p.assign(ranges);
+        p
+    }
+
+    /// Swaps in a new interval layout with the same shard count — the
+    /// adaptive engine's repartition path. `ranges` must satisfy the same
+    /// invariants as in [`Partition::from_ranges`].
+    pub fn refit(&mut self, ranges: Vec<(u32, u32)>) {
+        assert_eq!(ranges.len(), self.ranges.len(), "refit keeps the shard count");
+        self.assign(ranges);
+    }
+
+    /// Checks `ranges` and points every node at its shard.
+    fn assign(&mut self, ranges: Vec<(u32, u32)>) {
+        let n = self.node_shard.len();
         assert!(!ranges.is_empty(), "a partition needs at least one shard");
         assert_eq!(ranges[0].0, 0, "ranges must start at node 0");
         assert_eq!(ranges[ranges.len() - 1].1 as usize, n, "ranges must end at node count");
-        let mut node_shard = vec![0u32; n];
         for (s, &(lo, hi)) in ranges.iter().enumerate() {
             assert!(lo < hi || n == 0, "shard {s} is empty");
             assert!(s == 0 || ranges[s - 1].1 == lo, "shard {s} leaves a gap");
-            for v in lo..hi {
-                node_shard[v as usize] = s as u32;
-            }
-        }
-        let k = ranges.len();
-
-        // Two-pass CSR build: count cross-edge slots per shard and per node,
-        // prefix into offsets, then fill with cursors. Edge iteration is in
-        // edge-id order, so each halo bucket comes out edge-sorted.
-        let mut boundary = vec![false; n];
-        let mut halo_off = vec![0u32; k + 1];
-        let mut adj_off = vec![0u32; n + 1];
-        for &(u, v) in topo.edge_slice() {
-            let (su, sv) = (node_shard[u.idx()], node_shard[v.idx()]);
-            if su == sv {
-                continue;
-            }
-            boundary[u.idx()] = true;
-            boundary[v.idx()] = true;
-            halo_off[su as usize + 1] += 1;
-            halo_off[sv as usize + 1] += 1;
-            adj_off[u.idx() + 1] += 1;
-            adj_off[v.idx() + 1] += 1;
-        }
-        for s in 0..k {
-            halo_off[s + 1] += halo_off[s];
-        }
-        for v in 0..n {
-            adj_off[v + 1] += adj_off[v];
-        }
-        let nil = HaloEdge { edge: EdgeId(0), local: NodeId(0), remote: NodeId(0) };
-        let mut halo_data = vec![nil; halo_off[k] as usize];
-        let mut adj_data = vec![0u32; adj_off[n] as usize];
-        let mut halo_cur: Vec<u32> = halo_off[..k].to_vec();
-        let mut adj_cur: Vec<u32> = adj_off[..n].to_vec();
-        for (e, &(u, v)) in topo.edge_slice().iter().enumerate() {
-            let (su, sv) = (node_shard[u.idx()], node_shard[v.idx()]);
-            if su == sv {
-                continue;
-            }
-            let edge = EdgeId(e as u32);
-            halo_data[halo_cur[su as usize] as usize] = HaloEdge { edge, local: u, remote: v };
-            halo_cur[su as usize] += 1;
-            halo_data[halo_cur[sv as usize] as usize] = HaloEdge { edge, local: v, remote: u };
-            halo_cur[sv as usize] += 1;
-            adj_data[adj_cur[u.idx()] as usize] = sv;
-            adj_cur[u.idx()] += 1;
-            adj_data[adj_cur[v.idx()] as usize] = su;
-            adj_cur[v.idx()] += 1;
-        }
-        // Sort + dedup each node's adjacency bucket in place; offsets keep
-        // the pre-dedup spacing, `adj_len` records the deduped length.
-        let mut adj_len = vec![0u32; n];
-        for v in 0..n {
-            let bucket = &mut adj_data[adj_off[v] as usize..adj_off[v + 1] as usize];
-            bucket.sort_unstable();
-            let mut len = 0;
-            for i in 0..bucket.len() {
-                if i == 0 || bucket[i] != bucket[i - 1] {
-                    bucket[len] = bucket[i];
-                    len += 1;
-                }
-            }
-            adj_len[v] = len as u32;
-        }
-        debug_assert!((0..k).all(|s| {
-            let h = &halo_data[halo_off[s] as usize..halo_off[s + 1] as usize];
-            h.windows(2).all(|w| w[0].edge < w[1].edge)
-        }));
-        let boundary_total = boundary.iter().filter(|&&b| b).count();
-        Partition {
-            ranges,
-            node_shard,
-            boundary,
-            halo_off,
-            halo_data,
-            adj_off,
-            adj_len,
-            adj_data,
-            boundary_total,
-            edge_views_valid: true,
-        }
-    }
-
-    /// Swaps in a new interval layout *without* rebuilding the edge-indexed
-    /// views — the adaptive engine's fire path, where a rebuild would cost
-    /// O(E) per repartition for views the sweep never reads (it derives
-    /// shard adjacency from the topology directly). Only `ranges`,
-    /// `node_shard` and the interval accessors stay valid; `is_boundary`,
-    /// `adjacent_shards`, `halo` and the boundary counts panic until the
-    /// partition is rebuilt with [`Partition::from_ranges`]. `ranges` must
-    /// satisfy the same invariants as in `from_ranges` and keep the shard
-    /// count unchanged.
-    pub fn refit(&mut self, ranges: Vec<(u32, u32)>) {
-        let n = self.node_shard.len();
-        assert_eq!(ranges.len(), self.ranges.len(), "refit keeps the shard count");
-        assert_eq!(ranges[0].0, 0, "ranges must start at node 0");
-        assert_eq!(ranges[ranges.len() - 1].1 as usize, n, "ranges must end at node count");
-        for (s, &(lo, hi)) in ranges.iter().enumerate() {
-            assert!(lo < hi || n == 0, "shard {s} is empty");
-            assert!(s == 0 || ranges[s - 1].1 == lo, "shard {s} leaves a gap");
-            for v in lo..hi {
-                self.node_shard[v as usize] = s as u32;
-            }
+            self.node_shard[lo as usize..hi as usize].fill(s as u32);
         }
         self.ranges = ranges;
-        self.edge_views_valid = false;
-    }
-
-    /// Whether the edge-indexed views (boundary/halo/adjacency) are in sync
-    /// with `ranges` — `false` after a [`Partition::refit`].
-    pub fn edge_views_valid(&self) -> bool {
-        self.edge_views_valid
     }
 
     /// Number of shards `K`.
@@ -252,47 +114,6 @@ impl Partition {
     #[inline]
     pub fn shard_of(&self, v: NodeId) -> usize {
         self.node_shard[v.idx()] as usize
-    }
-
-    /// Whether `v` has a neighbour in another shard.
-    #[inline]
-    pub fn is_boundary(&self, v: NodeId) -> bool {
-        assert!(self.edge_views_valid, "edge views stale after refit");
-        self.boundary[v.idx()]
-    }
-
-    /// The other shards containing at least one neighbour of `v` (sorted,
-    /// deduplicated; empty for interior nodes). These are exactly the
-    /// shards whose decisions can observe `v`'s height.
-    #[inline]
-    pub fn adjacent_shards(&self, v: NodeId) -> &[u32] {
-        assert!(self.edge_views_valid, "edge views stale after refit");
-        let lo = self.adj_off[v.idx()] as usize;
-        &self.adj_data[lo..lo + self.adj_len[v.idx()] as usize]
-    }
-
-    /// Shard `s`'s cross-shard edges, sorted by edge id.
-    pub fn halo(&self, s: usize) -> &[HaloEdge] {
-        assert!(self.edge_views_valid, "edge views stale after refit");
-        &self.halo_data[self.halo_off[s] as usize..self.halo_off[s + 1] as usize]
-    }
-
-    /// Boundary nodes in shard `s`.
-    pub fn boundary_count(&self, s: usize) -> usize {
-        assert!(self.edge_views_valid, "edge views stale after refit");
-        let (lo, hi) = self.ranges[s];
-        (lo..hi).filter(|&v| self.boundary[v as usize]).count()
-    }
-
-    /// Interior nodes in shard `s`.
-    pub fn interior_count(&self, s: usize) -> usize {
-        self.len(s) - self.boundary_count(s)
-    }
-
-    /// Total boundary nodes across all shards.
-    pub fn boundary_total(&self) -> usize {
-        assert!(self.edge_views_valid, "edge views stale after refit");
-        self.boundary_total
     }
 
     /// All shard ranges, ascending and gap-free: shard `s` owns
@@ -467,17 +288,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn single_shard_has_no_boundary() {
+    fn single_shard_owns_every_node() {
         let topo = Topology::torus(&[4, 4]);
         let p = Partition::new(&topo, 1);
         assert_eq!(p.shard_count(), 1);
         assert_eq!(p.range(0), (0, 16));
-        assert_eq!(p.boundary_total(), 0);
-        assert!(p.halo(0).is_empty());
-        for v in topo.nodes() {
-            assert!(!p.is_boundary(v));
-            assert!(p.adjacent_shards(v).is_empty());
-        }
+        assert!(topo.nodes().all(|v| p.shard_of(v) == 0));
     }
 
     #[test]
@@ -508,76 +324,12 @@ mod tests {
     }
 
     #[test]
-    fn torus_band_boundary_is_two_rows() {
-        // 8×8 torus, K=4: each shard is 2 full rows; every node's up/down
-        // neighbours are in adjacent bands, so every node is boundary.
-        let topo = Topology::torus(&[8, 8]);
-        let p = Partition::new(&topo, 4);
-        assert_eq!(p.boundary_total(), 64);
-        // K=2: each shard is 4 rows, the 2 inner rows are interior.
-        let p2 = Partition::new(&topo, 2);
-        assert_eq!(p2.boundary_count(0), 16);
-        assert_eq!(p2.interior_count(0), 16);
-    }
-
-    #[test]
-    fn halo_lists_cross_edges_once_per_side() {
-        let topo = Topology::torus(&[4, 4]);
-        let p = Partition::new(&topo, 4);
-        let mut cross = 0;
-        for s in 0..p.shard_count() {
-            for h in p.halo(s) {
-                assert_eq!(p.shard_of(h.local), s);
-                assert_ne!(p.shard_of(h.remote), s);
-                let (u, v) = topo.edge_endpoints(h.edge);
-                assert!((u, v) == (h.local.min(h.remote), h.local.max(h.remote)));
-                cross += 1;
-            }
-        }
-        let expect =
-            topo.edge_slice().iter().filter(|&&(u, v)| p.shard_of(u) != p.shard_of(v)).count();
-        assert_eq!(cross, 2 * expect);
-    }
-
-    #[test]
-    fn adjacent_shards_match_neighbour_shards() {
-        let topo = Topology::torus(&[6, 6]);
-        let p = Partition::new(&topo, 5);
-        for v in topo.nodes() {
-            let mut expect: Vec<u32> = topo
-                .neighbors(v)
-                .iter()
-                .map(|&w| p.shard_of(w) as u32)
-                .filter(|&s| s != p.shard_of(v) as u32)
-                .collect();
-            expect.sort_unstable();
-            expect.dedup();
-            assert_eq!(p.adjacent_shards(v), &expect[..], "node {v}");
-            assert_eq!(p.is_boundary(v), !expect.is_empty());
-        }
-    }
-
-    #[test]
-    fn deterministic_per_topology_and_k() {
-        let topo = Topology::random(40, 0.2, 9);
-        let a = Partition::new(&topo, 7);
-        let b = Partition::new(&topo, 7);
-        assert_eq!(a.ranges, b.ranges);
-        assert_eq!(a.node_shard, b.node_shard);
-        assert_eq!(a.boundary, b.boundary);
-        for s in 0..7 {
-            assert_eq!(a.halo(s), b.halo(s));
-        }
-    }
-
-    #[test]
     fn empty_topology_partition() {
         let topo = Topology::from_edges(0, &[]);
         let p = Partition::new(&topo, 4);
         assert_eq!(p.shard_count(), 1);
         assert!(p.is_empty());
         assert_eq!(p.range(0), (0, 0));
-        assert_eq!(p.boundary_total(), 0);
     }
 
     #[test]
@@ -587,32 +339,20 @@ mod tests {
         let b = Partition::from_ranges(&topo, uniform_ranges(36, 5));
         assert_eq!(a.ranges, b.ranges);
         assert_eq!(a.node_shard, b.node_shard);
-        assert_eq!(a.boundary, b.boundary);
-        assert_eq!(a.boundary_total(), b.boundary_total());
-        for s in 0..5 {
-            assert_eq!(a.halo(s), b.halo(s));
-        }
     }
 
     #[test]
-    fn from_ranges_rebuilds_halos_for_skewed_layout() {
-        // 4×4 torus split 12 / 2 / 2: the halo/boundary classification must
-        // track the explicit ranges, not the uniform split.
+    fn refit_moves_ownership_like_a_fresh_build() {
+        // 4×4 torus re-split 12 / 2 / 2: ownership must track the explicit
+        // ranges, exactly as a partition built from them would.
         let topo = Topology::torus(&[4, 4]);
-        let p = Partition::from_ranges(&topo, vec![(0, 12), (12, 14), (14, 16)]);
-        assert_eq!(p.shard_count(), 3);
+        let skewed = vec![(0, 12), (12, 14), (14, 16)];
+        let mut p = Partition::new(&topo, 3);
+        p.refit(skewed.clone());
+        let q = Partition::from_ranges(&topo, skewed);
         assert_eq!(p.len(0), 12);
         assert_eq!(p.shard_of(NodeId(13)), 1);
-        for s in 0..3 {
-            for h in p.halo(s) {
-                assert_eq!(p.shard_of(h.local), s);
-                assert_ne!(p.shard_of(h.remote), s);
-            }
-        }
-        // Every node in the two 2-node bands borders another shard.
-        for v in 12..16 {
-            assert!(p.is_boundary(NodeId(v)));
-        }
+        assert_eq!((p.ranges, p.node_shard), (q.ranges, q.node_shard));
     }
 
     #[test]
@@ -620,6 +360,13 @@ mod tests {
     fn from_ranges_rejects_gaps() {
         let topo = Topology::ring(8);
         Partition::from_ranges(&topo, vec![(0, 3), (4, 8)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "keeps the shard count")]
+    fn refit_rejects_a_new_shard_count() {
+        let mut p = Partition::new(&Topology::ring(8), 2);
+        p.refit(vec![(0, 3), (3, 5), (5, 8)]);
     }
 
     #[test]

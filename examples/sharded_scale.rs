@@ -2,8 +2,8 @@
 //! sequentially (one shard) and sharded (32 row bands), prove the outcomes
 //! are byte-identical, and show where the sharded engine's speed comes
 //! from — after convergence, clean shards skip their decision sweeps
-//! entirely (exact shard-level activity tracking over the partition's halo
-//! maps).
+//! entirely (exact shard-level activity tracking: a change can only reach
+//! its own shard and the shards owning a neighbour).
 //!
 //! Run with: `cargo run --release --example sharded_scale`
 
@@ -55,17 +55,16 @@ fn main() {
         seq.ledger.total_load_moved()
     );
 
-    // The partition itself is inspectable: contiguous row bands with
-    // exact halo maps (what makes skipping clean shards provably safe).
-    let p = Partition::new(&Topology::torus(&[SIDE, SIDE]), 32);
+    // The partition itself is inspectable: contiguous row bands, and the
+    // boundary nodes whose changes other shards can observe (what makes
+    // skipping clean shards provably safe).
+    let e = engine(32);
+    let (p, layout) = (e.partition(), e.shard_layout());
     let (lo, hi) = p.range(0);
     println!(
-        "partition: {} shards of {} nodes; shard 0 owns v{lo}..v{hi}, \
-         {} boundary / {} interior, {} halo edges",
+        "partition: {} shards of {} nodes; shard 0 owns v{lo}..v{hi}; {} boundary nodes in all",
         p.shard_count(),
         p.len(0),
-        p.boundary_count(0),
-        p.interior_count(0),
-        p.halo(0).len()
+        layout.boundary_nodes
     );
 }

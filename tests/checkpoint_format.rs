@@ -1,6 +1,7 @@
 //! Checkpoint format gate: a golden fixture committed under `golden/`
 //! pins the version-1 byte format, and malformed inputs — future versions,
-//! truncations, corrupted fields — must error cleanly, never panic.
+//! truncations, corrupted fields, hostile numbers, structural mutations —
+//! must error cleanly, never panic.
 //!
 //! The fixture is the `faulty-torus` smoke scenario captured at round 4:
 //! deterministic, machine-independent (auto layout resolves to one shard;
@@ -160,7 +161,7 @@ fn each_literal_with_one_rotating_value_is_refused_or_runs() {
     // words, heights, tasks, flights, the event queue, down-link words,
     // ledger and series — gets one of the probe values in turn.
     let done = support::sweep(&fixture_doc(), |_| true, |i| vec![VALUES[i % VALUES.len()]], probe);
-    assert!(done.literals > 1000, "fixture shape changed: {} literals", done.literals);
+    assert!(done.sites > 1000, "fixture shape changed: {} literals", done.sites);
     assert!(done.refused > 0);
 }
 
@@ -169,8 +170,27 @@ fn each_literal_with_one_rotating_value_is_refused_or_runs() {
             checkpoint_format each_literal -- --ignored`)"]
 fn each_literal_with_every_value_is_refused_or_runs() {
     let done = support::sweep(&fixture_doc(), |_| true, |_| VALUES.to_vec(), probe);
-    assert!(done.literals > 1000, "fixture shape changed: {} literals", done.literals);
-    assert_eq!(done.cases, VALUES.len() * done.literals);
+    assert!(done.sites > 1000, "fixture shape changed: {} literals", done.sites);
+    assert_eq!(done.cases, VALUES.len() * done.sites);
+}
+
+#[test]
+fn each_value_with_one_rotating_structural_mutation_is_refused_or_runs() {
+    // Every value of the fixture gets one structural mutation in turn: a
+    // key dropped, an array's first element dropped or duplicated, an
+    // array emptied, or the value retyped.
+    let done = support::structural_sweep(&fixture_doc(), true, probe);
+    assert!(done.sites > 2000, "fixture shape changed: {} values", done.sites);
+    assert_eq!(done.cases, done.sites);
+    assert!(done.refused > 0);
+}
+
+#[test]
+#[ignore = "every value × every structural mutation: run in release (`cargo test --release \
+            --test checkpoint_format every_structural -- --ignored`)"]
+fn every_structural_mutation_is_refused_or_runs() {
+    let done = support::structural_sweep(&fixture_doc(), false, probe);
+    assert!(done.cases > 4 * done.sites, "only {} cases", done.cases);
 }
 
 /// Regenerates the committed fixture. Run manually after an intended

@@ -3,20 +3,23 @@
 //! engine → M rounds must be **byte-identical** to running N+M rounds
 //! straight — across shard counts K ∈ {1, 3, 64}, worker threads ∈ {1, 4},
 //! with link faults, Poisson/diurnal arrivals, trace replay, heterogeneous
-//! speeds and work consumption in the mix. `RunReport::PartialEq` compares
-//! every recorded artifact (full CoV series, every ledger record, totals),
-//! so equality here means the resumed run is observationally
-//! indistinguishable from the uninterrupted one.
+//! speeds and work consumption in the mix. The spec-level cases go through
+//! the differential harness ([`pp_scenario::differential`]), which compares
+//! golden report bytes and `RunReport`s (full CoV series, every ledger
+//! record, totals), so equality means the resumed run is observationally
+//! indistinguishable from the uninterrupted one. The rest check engine
+//! state the reports do not show.
 
 use pp_core::jitter::FrictionJitter;
 use pp_core::params::PhysicsConfig;
+use pp_scenario::differential::{self, Matrix};
 use pp_scenario::registry;
-use pp_scenario::report::GoldenReport;
 use pp_scenario::spec::{
     ArrivalSpec, BalancerSpec, DiffusionAlpha, DurationSpec, EngineKnobs, FaultPlanSpec,
     ScenarioSpec, SpeedSpec, WorkloadSpec,
 };
 use pp_sim::state::{SystemState, NODE_WORD};
+use pp_sim::strategy::SimulationStrategy;
 use pp_topology::spec::TopologySpec;
 use proptest::prelude::*;
 
@@ -127,11 +130,26 @@ proptest! {
             ..ScenarioSpec::default()
         };
         spec.validate().expect("generated specs must validate");
-        let at = 1 + split_num % (rounds - 1); // split strictly mid-run
-        let straight = spec.run().expect("straight run");
-        let (split, _) = spec.run_split(at).expect("split run");
-        prop_assert_eq!(&split, &straight, "split at {} of {} (K={} T={})",
-            at, rounds, shards, threads);
+        // A random kill-and-resume point strictly mid-run; the second half
+        // resumes under the event strategy.
+        let at = 1 + split_num % (rounds - 1);
+        let matrix = Matrix {
+            strategies: vec![SimulationStrategy::Tick],
+            layouts: vec![(shards, threads)],
+            splits: vec![Some(at)],
+        };
+        if let Err(e) = differential::check(&spec, &matrix) {
+            prop_assert!(false, "{}", e);
+        }
+    }
+}
+
+/// Tick runs split at each of `splits`, resumed under the event strategy.
+fn splits(at: impl IntoIterator<Item = u64>) -> Matrix {
+    Matrix {
+        strategies: vec![SimulationStrategy::Tick],
+        layouts: vec![(1, 1), (3, 2)],
+        splits: at.into_iter().map(Some).collect(),
     }
 }
 
@@ -143,17 +161,7 @@ fn chaos_scenario_splits_byte_identically_at_every_round() {
     let mut spec = registry::by_name("faulty-torus").expect("registered").smoke(6, 20.0);
     spec.arrival = ArrivalSpec::Poisson { rate: 3.0, size_min: 0.5, size_max: 1.5 };
     spec.engine.consume_rate = 0.2;
-    let straight = spec.run().expect("straight");
-    let straight_bytes =
-        GoldenReport::from_run(&spec.name, spec.seed, spec.topology.node_count(), &straight)
-            .to_canonical_json();
-    for at in 1..=6 {
-        let (split, _) = spec.run_split(at).expect("split");
-        let split_bytes =
-            GoldenReport::from_run(&spec.name, spec.seed, spec.topology.node_count(), &split)
-                .to_canonical_json();
-        assert_eq!(split_bytes, straight_bytes, "split at {at}");
-    }
+    differential::check(&spec, &splits(1..=6)).unwrap_or_else(|e| panic!("{e}"));
 }
 
 /// Trace replay keeps absolute record offsets in the event queue; a resume
@@ -161,11 +169,7 @@ fn chaos_scenario_splits_byte_identically_at_every_round() {
 #[test]
 fn trace_replay_resumes_at_the_right_offset() {
     let spec = registry::by_name("trace-replay").expect("registered").smoke(8, 25.0);
-    let straight = spec.run().expect("straight");
-    for at in [1, 4, 7] {
-        let (split, _) = spec.run_split(at).expect("split");
-        assert_eq!(split, straight, "split at {at}");
-    }
+    differential::check(&spec, &splits([1, 4, 7])).unwrap_or_else(|e| panic!("{e}"));
 }
 
 /// The structure-of-arrays mirrors (`occupied_words`, `height_slice`)

@@ -115,21 +115,21 @@ fn deterministic_across_identical_runs() {
 }
 
 #[test]
-fn parallel_decide_engine_matches_sequential() {
-    let build = |parallel: bool| {
+fn sharded_engine_matches_sequential() {
+    let build = |shards: usize, threads: usize| {
         let topo = Topology::torus(&[8, 8]);
         let w = Workload::hotspot(64, 10, 128.0);
         let mut engine = EngineBuilder::new(topo)
             .workload(w)
             .balancer(ParticlePlaneBalancer::new(PhysicsConfig::default()))
-            .config(EngineConfig { parallel_decide: parallel, ..Default::default() })
+            .config(EngineConfig { shards, threads, ..Default::default() })
             .seed(31)
             .build();
         engine.run_rounds(120).drain(300.0);
         (engine.heights(), engine.report())
     };
-    let (h_seq, r_seq) = build(false);
-    let (h_par, r_par) = build(true);
+    let (h_seq, r_seq) = build(1, 1);
+    let (h_par, r_par) = build(4, 2);
     assert_eq!(h_seq, h_par);
     // Byte-identical reports: the persistent worker pool must not perturb
     // the per-node RNG streams or the event ordering in any way.

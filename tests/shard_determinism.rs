@@ -12,6 +12,8 @@
 //! skip-disabled path.
 
 use particle_plane::prelude::*;
+use pp_scenario::differential::{self, Matrix};
+use pp_sim::strategy::SimulationStrategy;
 use pp_tasking::workload::{record_trace, ArrivalProcess};
 
 /// Layouts to pit against the sequential reference: pure decomposition,
@@ -114,9 +116,12 @@ fn sharded_scenario_specs_match_their_sequential_twin() {
     // with explicit shards, re-run with shards pinned to 1.
     let spec = by_name("torus16k-sharded").expect("registered").smoke(4, 10.0);
     assert!(spec.engine.shards >= 2, "scenario should request sharding");
-    let mut seq = spec.clone();
-    seq.engine.shards = 1;
-    assert_eq!(seq.run().unwrap(), spec.run().unwrap());
+    let own = Matrix {
+        strategies: vec![SimulationStrategy::Tick],
+        layouts: vec![(spec.engine.shards, spec.engine.threads)],
+        splits: vec![None],
+    };
+    differential::check(&spec, &own).unwrap_or_else(|e| panic!("{e}"));
 }
 
 #[test]

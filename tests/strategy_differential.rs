@@ -4,16 +4,20 @@
 //! reference — skipping a round must be unobservable in everything the run
 //! records (CoV series, migration ledger, totals, clock).
 //!
-//! The suite pits the two strategies against each other over a family of
-//! 24 deterministically varied scenarios (faults, Poisson/diurnal/bursty
-//! arrivals, recorded-trace replay, heterogeneous speeds, consumption,
-//! several topology families) across `K ∈ {1, 3, 64} × threads ∈ {1, 4}`,
-//! and additionally crosses a checkpoint mid-run *between* strategies in
-//! both directions — a tick-half resumed under event (and vice versa) must
-//! land on the very same report. See `docs/adr/ADR-006-event-strategy.md`.
+//! The suite runs a family of 24 deterministically varied scenarios
+//! (faults, Poisson/diurnal/bursty arrivals, recorded-trace replay,
+//! heterogeneous speeds, consumption, several topology families) through
+//! the differential harness ([`pp_scenario::differential`]): both
+//! strategies across `K ∈ {1, 3, 64} × threads ∈ {1, 4}`, and a checkpoint
+//! crossed mid-run *between* strategies in both directions — a tick half
+//! resumed under event (and vice versa) must land on the very same report.
+//! Every variant is compared with the sequential tick reference as golden
+//! report bytes and as a whole `RunReport`. See
+//! `docs/adr/ADR-006-event-strategy.md`.
 
 use particle_plane::prelude::*;
-use pp_sim::strategy::SimulationStrategy;
+use pp_scenario::differential::{self, Matrix};
+use pp_sim::strategy::SimulationStrategy::{self, Event, Tick};
 
 /// 24 deterministically varied scenario specs. Variation is modular rather
 /// than random so every CI run exercises the identical family, but the
@@ -71,22 +75,28 @@ fn specs() -> Vec<ScenarioSpec> {
         .collect()
 }
 
-fn run_with(spec: &ScenarioSpec, strategy: SimulationStrategy, k: usize, t: usize) -> RunReport {
-    let mut s = spec.clone();
-    s.engine.strategy = strategy;
-    s.engine.shards = k;
-    s.engine.threads = t;
-    s.run().unwrap_or_else(|e| panic!("{}: {e}", spec.name))
-}
-
-/// Asserts tick == event for every spec in the family at one layout.
-fn assert_layout(k: usize, t: usize) {
+/// Checks every spec of the family against its sequential tick reference
+/// under `matrix`.
+fn check_family(matrix: Matrix) {
     for spec in specs() {
-        let tick = run_with(&spec, SimulationStrategy::Tick, k, t);
-        let event = run_with(&spec, SimulationStrategy::Event, k, t);
-        assert_eq!(event, tick, "{} diverged at K={k} threads={t}", spec.name);
+        differential::check(&spec, &matrix).unwrap_or_else(|e| panic!("{e}"));
     }
 }
+
+/// Both strategies, straight through, at one layout.
+fn both_strategies(k: usize, t: usize) -> Matrix {
+    Matrix { strategies: vec![Tick, Event], layouts: vec![(k, t)], splits: vec![None] }
+}
+
+/// Runs the first half under `first` at each layout, crosses the
+/// checkpoint through its serialized JSON form into a fresh engine under
+/// the other strategy (and the next layout), and finishes there.
+fn crossover(first: SimulationStrategy, layouts: Vec<(usize, usize)>) -> Matrix {
+    Matrix { strategies: vec![first], layouts, splits: vec![Some(SPLIT)] }
+}
+
+/// Half-way through the shortest spec of the family.
+const SPLIT: u64 = 5;
 
 #[test]
 fn family_is_valid_and_varied() {
@@ -106,111 +116,49 @@ fn family_is_valid_and_varied() {
 
 #[test]
 fn tick_vs_event_sequential_reference() {
-    assert_layout(1, 1);
+    check_family(both_strategies(1, 1));
 }
 
 #[test]
 fn tick_vs_event_three_shards() {
-    assert_layout(3, 1);
+    check_family(both_strategies(3, 1));
 }
 
 #[test]
 fn tick_vs_event_clamped_shards() {
-    assert_layout(64, 1);
+    check_family(both_strategies(64, 1));
 }
 
 #[test]
 fn tick_vs_event_sequential_threaded() {
-    assert_layout(1, 4);
+    check_family(both_strategies(1, 4));
 }
 
 #[test]
 fn tick_vs_event_three_shards_threaded() {
-    assert_layout(3, 4);
+    check_family(both_strategies(3, 4));
 }
 
 #[test]
 fn tick_vs_event_clamped_shards_threaded() {
-    assert_layout(64, 4);
-}
-
-#[test]
-fn golden_report_bytes_match_across_strategies() {
-    // The CI gate diffs canonical golden-report JSON, not in-memory
-    // structs; mirror that exactly for the whole family.
-    for spec in specs() {
-        let bytes = |strategy| {
-            let report = run_with(&spec, strategy, 3, 1);
-            GoldenReport::from_run(&spec.name, spec.seed, spec.topology.node_count(), &report)
-                .to_canonical_json()
-        };
-        assert_eq!(
-            bytes(SimulationStrategy::Event),
-            bytes(SimulationStrategy::Tick),
-            "{} golden bytes diverged",
-            spec.name
-        );
-    }
-}
-
-/// Runs the first half under `first`, crosses the checkpoint through its
-/// serialized JSON form into a fresh engine built under `second`, and
-/// finishes there.
-fn run_crossed(
-    spec: &ScenarioSpec,
-    first: SimulationStrategy,
-    second: SimulationStrategy,
-) -> RunReport {
-    let at = (spec.duration.rounds / 2).max(1);
-    let mut a = {
-        let mut s = spec.clone();
-        s.engine.strategy = first;
-        s.build_engine().unwrap_or_else(|e| panic!("{}: {e}", spec.name))
-    };
-    a.run_rounds(at);
-    let cp = Checkpoint::from_json(&a.checkpoint().to_json()).expect("checkpoint round-trips");
-    let mut b = {
-        let mut s = spec.clone();
-        s.engine.strategy = second;
-        s.build_engine().unwrap_or_else(|e| panic!("{}: {e}", spec.name))
-    };
-    b.restore(&cp).unwrap_or_else(|e| panic!("{}: {e}", spec.name));
-    b.run_rounds(spec.duration.rounds - at).drain(spec.duration.drain);
-    b.report()
+    check_family(both_strategies(64, 4));
 }
 
 #[test]
 fn checkpoint_crossover_tick_to_event() {
     // The checkpoint format is strategy-free: a tick half resumed under
     // the event strategy must finish on the identical report.
-    for spec in specs().into_iter().step_by(3) {
-        let straight = run_with(&spec, SimulationStrategy::Tick, 1, 1);
-        let crossed = run_crossed(&spec, SimulationStrategy::Tick, SimulationStrategy::Event);
-        assert_eq!(crossed, straight, "{} tick→event crossover diverged", spec.name);
-    }
+    check_family(crossover(Tick, vec![(1, 1)]));
 }
 
 #[test]
 fn checkpoint_crossover_event_to_tick() {
-    for spec in specs().into_iter().step_by(3) {
-        let straight = run_with(&spec, SimulationStrategy::Tick, 1, 1);
-        let crossed = run_crossed(&spec, SimulationStrategy::Event, SimulationStrategy::Tick);
-        assert_eq!(crossed, straight, "{} event→tick crossover diverged", spec.name);
-    }
+    check_family(crossover(Event, vec![(1, 1)]));
 }
 
 #[test]
 fn checkpoint_crossover_across_layouts() {
     // Crossing strategy *and* layout at once: the two independent
     // exactness invariants (restore, skip) must compose.
-    for spec in specs().into_iter().step_by(8) {
-        let straight = run_with(&spec, SimulationStrategy::Tick, 1, 1);
-        for &(k, t) in &[(3usize, 1usize), (64, 4)] {
-            let mut s = spec.clone();
-            s.engine.shards = k;
-            s.engine.threads = t;
-            let crossed = run_crossed(&s, SimulationStrategy::Event, SimulationStrategy::Tick);
-            assert_eq!(crossed, straight, "{} K={k} T={t} crossover diverged", spec.name);
-        }
-    }
+    check_family(crossover(Event, vec![(3, 1), (64, 4)]));
 }
