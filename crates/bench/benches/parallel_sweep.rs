@@ -1,4 +1,4 @@
-//! The parallel sweep runner `par_map` (E12 substrate): wall-clock scaling of
+//! The parallel sweep runner `par_map`: wall-clock scaling of
 //! `par_map` over independent simulations, 1 thread vs all cores.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};

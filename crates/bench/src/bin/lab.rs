@@ -18,7 +18,14 @@
 //! lab stats --set S --seeds R [--smoke] [--out PATH]
 //!                                     statistical comparison harness
 //! lab stats --check PATH              validate a stats-report JSON file
+//! lab paper [--out PATH]              the paper's claims, checked
 //! ```
+//!
+//! `lab paper` re-measures each of the paper's results (see
+//! [`pp_bench::paper`]), prints every claim's table and predicates and a
+//! closing summary, writes the claims as JSON to `--out`, and exits
+//! non-zero when any claim fails. Its output depends only on the code and
+//! the fixed seeds, so two runs write identical bytes.
 //!
 //! `lab stats` runs a named scenario set under the fixed balancer panel
 //! (particle-plane first, then the diffusive and sender-initiated
@@ -121,13 +128,12 @@ fn finish_report(spec: &ScenarioSpec, report: &RunReport, layout: ShardLayout) -
     g
 }
 
-fn write_report(g: &GoldenReport, path: &Path) -> Result<(), String> {
-    if let Some(dir) = path.parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {dir:?}: {e}"))?;
-        }
+/// Writes `text` to `path`, creating its directory first.
+fn write_file(path: &Path, text: &str) -> Result<(), String> {
+    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+        std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {dir:?}: {e}"))?;
     }
-    std::fs::write(path, g.to_canonical_json()).map_err(|e| format!("cannot write {path:?}: {e}"))
+    std::fs::write(path, text).map_err(|e| format!("cannot write {path:?}: {e}"))
 }
 
 fn cmd_list() -> ExitCode {
@@ -214,7 +220,7 @@ fn cmd_run(spec: &ScenarioSpec, smoke: bool, out: Option<&str>, resume: Option<&
                 g.scenario, g.rounds, g.final_cov, g.migrations, g.weighted_traffic
             );
             if let Some(path) = out {
-                if let Err(e) = write_report(&g, Path::new(path)) {
+                if let Err(e) = write_file(Path::new(path), &g.to_canonical_json()) {
                     eprintln!("error: {e}");
                     return ExitCode::FAILURE;
                 }
@@ -252,7 +258,7 @@ fn cmd_all(
                 );
                 if let Some(dir) = out_dir {
                     let path = PathBuf::from(dir).join(format!("{}.json", s.name));
-                    if let Err(e) = write_report(&g, &path) {
+                    if let Err(e) = write_file(&path, &g.to_canonical_json()) {
                         eprintln!("error: {e}");
                         return ExitCode::FAILURE;
                     }
@@ -282,7 +288,7 @@ fn cmd_emit_golden(dir: &str) -> ExitCode {
         match run_to_report(&spec, true, None) {
             Ok(g) => {
                 let path = PathBuf::from(dir).join(format!("{}.json", spec.name));
-                if let Err(e) = write_report(&g, &path) {
+                if let Err(e) = write_file(&path, &g.to_canonical_json()) {
                     eprintln!("error: {e}");
                     return ExitCode::FAILURE;
                 }
@@ -380,6 +386,29 @@ fn cmd_verify() -> ExitCode {
     }
 }
 
+/// The `lab paper [--out PATH]` subcommand: runs every claim, prints it,
+/// and fails when any claim fails.
+fn cmd_paper(args: &[String]) -> ExitCode {
+    let out = match args {
+        [] => None,
+        [flag, path] if flag == "--out" => Some(path),
+        _ => return usage(),
+    };
+    let claims = pp_bench::paper::run_all();
+    for c in &claims {
+        println!("{}", c.render());
+    }
+    println!("summary:\n{}", pp_bench::paper::summary(&claims));
+    if let Some(path) = out {
+        if let Err(e) = write_file(Path::new(path), &pp_bench::paper::to_json(&claims)) {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
+        }
+        println!("[claims: {path}]");
+    }
+    ExitCode::from(pp_bench::paper::exit_status(&claims))
+}
+
 /// The `lab stats ...` subcommand: the statistical comparison harness.
 /// Parses its own flags so the global single-run/golden plumbing stays
 /// untouched.
@@ -467,20 +496,11 @@ fn cmd_stats(args: &[String]) -> ExitCode {
                 );
             }
             if let Some(path) = opt("--out") {
-                let path = Path::new(&path);
-                if let Some(dir) = path.parent() {
-                    if !dir.as_os_str().is_empty() {
-                        if let Err(e) = std::fs::create_dir_all(dir) {
-                            eprintln!("cannot create {dir:?}: {e}");
-                            return ExitCode::FAILURE;
-                        }
-                    }
-                }
-                if let Err(e) = std::fs::write(path, report.to_canonical_json()) {
-                    eprintln!("cannot write {path:?}: {e}");
+                if let Err(e) = write_file(Path::new(&path), &report.to_canonical_json()) {
+                    eprintln!("error: {e}");
                     return ExitCode::FAILURE;
                 }
-                println!("[stats report: {}]", path.display());
+                println!("[stats report: {path}]");
             }
             ExitCode::SUCCESS
         }
@@ -500,7 +520,7 @@ fn usage() -> ExitCode {
          --check PATH\n       lab --emit-golden DIR\n       lab --verify-golden DIR\n       lab \
          <name|--file SPEC.json> --checkpoint-every N [--checkpoint-path P]\n       lab \
          <name|--file SPEC.json> --resume-from CKPT.json\n       lab --verify\n       lab stats --list\n       lab stats --set S [--seeds R] [--smoke] [--shards K] [--threads T] [--out PATH]\n       lab \
-         stats --check PATH"
+         stats --check PATH\n       lab paper [--out PATH]"
     );
     ExitCode::FAILURE
 }
@@ -558,9 +578,11 @@ fn apply_checkpoint_overrides(
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    // The stats harness is a self-contained subcommand with its own flags.
-    if args.first().map(String::as_str) == Some("stats") {
-        return cmd_stats(&args[1..]);
+    // The stats and paper subcommands parse their own flags.
+    match args.first().map(String::as_str) {
+        Some("stats") => return cmd_stats(&args[1..]),
+        Some("paper") => return cmd_paper(&args[1..]),
+        _ => {}
     }
     let flag = |name: &str| args.iter().any(|a| a == name);
     let opt =

@@ -1,27 +1,20 @@
 //! # pp-bench — the experiment harness
 //!
-//! One binary per paper artifact (see DESIGN.md §5 and EXPERIMENTS.md):
-//! `cargo run --release -p pp-bench --bin expN` prints the regenerated
-//! table and writes a JSON copy under `target/experiments/`. The Criterion
-//! benches in `benches/` time the underlying machinery.
+//! [`paper`] re-measures the paper's results as checked claims
+//! (`cargo run --release -p pp-bench --bin lab -- paper`); the `lab`
+//! binary also runs the scenario registry, and `bench_ticks` and the
+//! Criterion benches in `benches/` time the underlying machinery.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use pp_metrics::imbalance::Imbalance;
+pub mod paper;
+
 use pp_sim::balancer::LoadBalancer;
 use pp_sim::engine::{Engine, EngineBuilder, EngineConfig, RunReport};
 use pp_tasking::workload::Workload;
 use pp_topology::graph::Topology;
-use pp_topology::links::{LinkAttrs, LinkMap};
-use serde::Serialize;
-use std::path::PathBuf;
-
-/// Links fast enough that transfers land within the tick — the synchronous
-/// assumption of the classical convergence analyses.
-pub fn instant_links(topo: &Topology) -> LinkMap {
-    LinkMap::uniform(topo, LinkAttrs { bandwidth: 1e9, distance: 1e-9, fault_prob: 0.0 })
-}
+use pp_topology::links::LinkMap;
 
 /// Builds and runs one simulation to completion (rounds + drain) and
 /// returns the report.
@@ -45,17 +38,6 @@ pub fn run_once(
     let mut engine: Engine = builder.build();
     engine.run_rounds(rounds).drain(1000.0);
     engine.report()
-}
-
-/// Initial CoV of a workload (before any balancing).
-pub fn initial_cov(w: &Workload) -> f64 {
-    Imbalance::of(&w.heights()).cov
-}
-
-/// Prints the experiment banner.
-pub fn banner(id: &str, title: &str, paper_ref: &str) {
-    println!("=== {id}: {title}");
-    println!("    paper artifact: {paper_ref}\n");
 }
 
 /// Why a JSON artifact check failed: the file is absent/unreadable, or it
@@ -101,28 +83,6 @@ pub fn check_json_file(path: &str) -> Result<(), CheckError> {
     serde_json::from_str(&text).map(|_| ()).map_err(|e| CheckError::Invalid(e.to_string()))
 }
 
-/// Writes a JSON artifact for EXPERIMENTS.md bookkeeping. Failures to
-/// create the directory are reported but non-fatal (the table on stdout is
-/// the primary output).
-pub fn dump_json<T: Serialize>(name: &str, value: &T) {
-    let dir = PathBuf::from("target/experiments");
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("warn: cannot create {dir:?}: {e}");
-        return;
-    }
-    let path = dir.join(format!("{name}.json"));
-    match serde_json::to_string_pretty(value) {
-        Ok(s) => {
-            if let Err(e) = std::fs::write(&path, s) {
-                eprintln!("warn: cannot write {path:?}: {e}");
-            } else {
-                println!("[json artifact: {}]", path.display());
-            }
-        }
-        Err(e) => eprintln!("warn: cannot serialize {name}: {e}"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,19 +104,6 @@ mod tests {
         );
         assert_eq!(r.rounds, 50);
         assert!(r.final_imbalance.cov.is_finite());
-    }
-
-    #[test]
-    fn instant_links_cover_topology() {
-        let topo = Topology::hypercube(3);
-        let l = instant_links(&topo);
-        assert_eq!(l.len(), topo.edge_count());
-    }
-
-    #[test]
-    fn initial_cov_of_hotspot() {
-        let w = Workload::hotspot(16, 0, 16.0);
-        assert!(initial_cov(&w) > 3.0);
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! over time … an evolutionary approach").
 //!
 //! The archival PDF's formula is typographically corrupted; we implement
-//! the semantics its prose specifies (see DESIGN.md §2):
+//! the semantics its prose specifies (claim E6 of `lab paper` checks the
+//! resulting annealing curve):
 //!
 //! * exploration probability `β(t) = β₀·exp(−c·t/t_max)`;
 //! * with probability `1−β(t)` take the steepest feasible link `a₁`;
@@ -172,8 +173,8 @@ impl Arbiter {
     }
 
     /// Analytic probability of choosing the steepest link at time `t` given
-    /// the candidate steepness values — used by experiment `exp6` to plot
-    /// the annealing curve without sampling noise.
+    /// the candidate steepness values — claim E6 of `lab paper` compares
+    /// it with sampled choices along the annealing curve.
     pub fn steepest_probability(&self, scores: &[f64], t: f64) -> f64 {
         if scores.len() <= 1 {
             return 1.0;

@@ -67,7 +67,8 @@ pub fn motion_candidates_soa_into(
 
 /// The minimum height difference below which no transfer can start, given
 /// `µ_s`, link weight and load size: `h_i − h_j` must exceed
-/// `µ_s·e + 2l`. Used by experiment `exp2` to draw the movement frontier.
+/// `µ_s·e + 2l`. Claim E2 of `lab paper` checks the measured frontier
+/// against it.
 pub fn movement_threshold(cfg: &PhysicsConfig, mu_s: f64, e_ij: f64, load: f64) -> f64 {
     mu_s * e_ij + if cfg.self_correction { 2.0 * load } else { 0.0 }
 }

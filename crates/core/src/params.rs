@@ -106,7 +106,7 @@ impl serde::Deserialize for PhysicsConfig {
             self_correction: v.field_opt("self_correction")?.unwrap_or(d.self_correction),
             in_motion: v.field_opt("in_motion")?.unwrap_or(d.in_motion),
             max_hops: v.field_opt("max_hops")?.unwrap_or(d.max_hops),
-            jitter: v.field_opt("jitter")?,
+            jitter: v.field_nullable("jitter")?,
         })
     }
 }

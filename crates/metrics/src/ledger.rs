@@ -3,7 +3,8 @@
 //!
 //! Heat in the physical model is `E_h = g·µ_k·e_{i,j}·l` per hop; network
 //! traffic is the bytes (load units) moved times the hops (link weight)
-//! used. The ledger records both so experiment `exp10` can correlate them.
+//! used. The ledger records both so claim E10 of `lab paper` can correlate
+//! them.
 
 use std::sync::Arc;
 
@@ -91,8 +92,8 @@ impl TrafficLedger {
     }
 
     /// Pearson correlation between per-record heat and weighted traffic;
-    /// `None` if fewer than two records or zero variance. Experiment `exp10`
-    /// expects this to be ≈ 1 for the particle-plane balancer.
+    /// `None` if fewer than two records or zero variance. Claim E10 of `lab
+    /// paper` expects this to be ≈ 1 for the particle-plane balancer.
     pub fn heat_traffic_correlation(&self) -> Option<f64> {
         let n = self.records.len();
         if n < 2 {

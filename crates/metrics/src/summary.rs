@@ -1,6 +1,6 @@
 //! Cross-run summary statistics and fixed-width text tables for the
-//! experiment binaries (`expN`) and the `pp-lab stats` comparison
-//! harness that regenerate the paper's artifacts.
+//! paper's claims (`pp-lab paper`) and the `pp-lab stats` comparison
+//! harness.
 
 /// Two-sided 97.5th-percentile Student-t critical values for df = 1..=30
 /// (so `T975[df - 1]` is the 95%-CI multiplier at that df). Exact table
@@ -140,8 +140,8 @@ pub fn welch_test(a: &Summary, b: &Summary) -> (Verdict, f64, usize) {
     (verdict, t, df)
 }
 
-/// A fixed-width text table builder (the experiment binaries print the
-/// paper's tables with it).
+/// A fixed-width text table builder (`pp-lab paper` prints the paper's
+/// tables with it).
 #[derive(Debug, Clone)]
 pub struct TextTable {
     headers: Vec<String>,

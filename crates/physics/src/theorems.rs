@@ -1,6 +1,6 @@
 //! Executable statements of the paper's §3.3 results (Corollaries 1–3,
-//! Theorem 1), used by the test suite and by experiment binaries `exp3` /
-//! `exp4` to check the physical model against its own theory.
+//! Theorem 1), used by the test suite and by claims E3 and E4 of `lab
+//! paper` to check the physical model against its own theory.
 //!
 //! # What is rigorously checkable
 //!

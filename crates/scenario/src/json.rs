@@ -325,8 +325,8 @@ impl Deserialize for BalancerSpec {
         match kind_of(v)?.as_str() {
             "particle-plane" => Ok(BalancerSpec::ParticlePlane {
                 config: v.field_opt("config")?.unwrap_or_default(),
-                arbiter: v.field_opt("arbiter")?,
-                name: v.field_opt("name")?,
+                arbiter: v.field_nullable("arbiter")?,
+                name: v.field_nullable("name")?,
             }),
             "diffusion" => {
                 let alpha = match v.get("alpha") {
@@ -479,7 +479,7 @@ impl Serialize for FaultPlanSpec {
 
 impl Deserialize for FaultPlanSpec {
     fn from_value(v: &Value) -> Result<Self, String> {
-        Ok(FaultPlanSpec { model: v.field_opt("model")? })
+        Ok(FaultPlanSpec { model: v.field_nullable("model")? })
     }
 }
 

@@ -1413,6 +1413,7 @@ mod tests {
     use crate::differential::{self, Matrix};
     use crate::registry;
     use crate::report::GoldenReport;
+    use serde::Value;
 
     /// A small full-event-mix spec (faults + diurnal arrivals + speeds) for
     /// the checkpoint tests.
@@ -1524,6 +1525,48 @@ mod tests {
         let resumed = full.run_from_checkpoint(&cp).expect("resume");
         assert_eq!(resumed, full.run().expect("straight"));
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// `text` with the value at the object-key `path` replaced by `null`.
+    fn null_at(text: &str, path: &[&str]) -> String {
+        let mut doc = serde_json::from_str(text).expect("spec JSON parses");
+        let mut at = &mut doc;
+        for key in path {
+            let Value::Object(entries) = at else { panic!("{path:?}: not an object") };
+            at = &mut entries.iter_mut().find(|(k, _)| k == key).expect("key present").1;
+        }
+        *at = Value::Null;
+        serde_json::to_string_pretty(&doc).expect("renders")
+    }
+
+    #[test]
+    fn explicit_null_is_refused_where_the_writer_never_writes_one() {
+        let text =
+            registry::by_name("torus1k-resume-midfault").expect("registered").to_json_pretty();
+        // A top-level `"seed": null` once ran on the default seed, 42.
+        let err = ScenarioSpec::from_json(&null_at(&text, &["seed"])).unwrap_err();
+        assert!(err.contains("field `seed`: null"), "{err}");
+        for path in [
+            &["engine"][..],
+            &["links"],
+            &["faults"],
+            &["engine", "shards"],
+            &["duration", "rounds"],
+            &["balancer", "config"],
+            &["balancer", "config", "g"],
+        ] {
+            let err = ScenarioSpec::from_json(&null_at(&text, path)).unwrap_err();
+            assert!(err.contains(&format!("field `{}`: null", path[path.len() - 1])), "{err}");
+        }
+        // `lab --spec` writes these as `null` when unset; they still parse.
+        for path in [
+            &["balancer", "arbiter"][..],
+            &["balancer", "name"],
+            &["balancer", "config", "jitter"],
+            &["faults", "model"],
+        ] {
+            assert!(ScenarioSpec::from_json(&null_at(&text, path)).is_ok(), "{path:?}");
+        }
     }
 
     #[test]

@@ -5,8 +5,10 @@
 //! magnitudes (`1e308`, `4294967296` = 2^32), and the edges `-1` and `0`.
 //! The structural probe drops each key, drops or duplicates each array's
 //! first element, empties each array and retypes each value. Each mutant
-//! must fail to parse or validate, or build and run three rounds. A watchdog aborts the process, naming the case, when one case
-//! runs too long.
+//! must fail to parse or validate, or build and run three rounds; a value
+//! retyped to `null` must be refused unless `lab --spec` writes that key
+//! as `null`. A watchdog aborts the process, naming the case, when one
+//! case runs too long.
 
 mod support;
 
@@ -35,6 +37,13 @@ fn probe(text: &str) -> Result<(), String> {
     engine.run_rounds(3);
     engine.report();
     Ok(())
+}
+
+/// The paths `lab --spec` writes as `null` when unset; every other value
+/// retyped to `null` must be refused.
+fn nullable(path: &str) -> bool {
+    [".balancer.arbiter", ".balancer.name", ".balancer.config.jitter", ".faults.model"]
+        .contains(&path)
 }
 
 /// Every registry spec's smoke JSON, named.
@@ -69,7 +78,7 @@ fn each_literal_with_every_value_errs_or_runs() {
 
 #[test]
 fn each_value_with_one_rotating_structural_mutation_errs_or_runs() {
-    let done = support::structural_sweep(&smoke_docs(), true, probe);
+    let done = support::structural_sweep(&smoke_docs(), true, nullable, probe);
     assert!(done.sites > 2000, "only {} values in the registry smoke specs", done.sites);
     assert_eq!(done.cases, done.sites);
 }
@@ -78,7 +87,7 @@ fn each_value_with_one_rotating_structural_mutation_errs_or_runs() {
 #[ignore = "every value × every structural mutation: run in release (`cargo test --release -p \
             pp-scenario --test mutation_probe every_structural -- --ignored`)"]
 fn every_structural_mutation_errs_or_runs() {
-    let done = support::structural_sweep(&smoke_docs(), false, probe);
+    let done = support::structural_sweep(&smoke_docs(), false, nullable, probe);
     assert!(done.cases > 4 * done.sites, "only {} cases", done.cases);
 }
 

@@ -3,8 +3,9 @@
 //! at a time, by hostile values; the structural probe drops each object
 //! key, drops or duplicates each array's first element, empties each array
 //! and retypes each value. Each mutant must be refused or run cleanly,
-//! never panic, abort or hang. A watchdog aborts the process, naming the
-//! case, when one case runs too long.
+//! never panic, abort or hang; a value retyped to `null` where the writer
+//! never writes `null` must be refused. A watchdog aborts the process,
+//! naming the case, when one case runs too long.
 
 use serde_json::Value;
 use std::io::Write;
@@ -97,7 +98,8 @@ pub struct Sweep {
 }
 
 /// Runs the probe on one mutant under `catch_unwind` and the watchdog,
-/// recording a panic against its label.
+/// recording a panic against its label. Returns whether the probe
+/// refused the mutant.
 fn probe_case(
     watchdog: &Watchdog,
     label: String,
@@ -105,14 +107,20 @@ fn probe_case(
     probe: &impl Fn(&str) -> Result<(), String>,
     done: &mut Sweep,
     panicked: &mut Vec<String>,
-) {
+) -> bool {
     watchdog.now_running(label.clone());
-    match catch_unwind(AssertUnwindSafe(|| probe(mutant))) {
-        Ok(Ok(())) => {}
-        Ok(Err(_)) => done.refused += 1,
-        Err(_) => panicked.push(label),
-    }
     done.cases += 1;
+    match catch_unwind(AssertUnwindSafe(|| probe(mutant))) {
+        Ok(Ok(())) => false,
+        Ok(Err(_)) => {
+            done.refused += 1;
+            true
+        }
+        Err(_) => {
+            panicked.push(label);
+            false
+        }
+    }
 }
 
 /// Probes every numeric literal of each `(name, text)` document whose line
@@ -238,25 +246,38 @@ fn structural_mutants(
 
 /// Probes the structural mutants of each `(name, text)` JSON document —
 /// every one, or with `rotate` one per value — rendered back to text,
-/// under `catch_unwind` and the watchdog. Panics listing every case that
-/// panicked.
+/// under `catch_unwind` and the watchdog. A value retyped to `null` at a
+/// path (`.key`, `[index]`) where `nullable` is false must be refused.
+/// Panics listing every case that panicked or accepted such a `null`.
 pub fn structural_sweep(
     docs: &[(String, String)],
     rotate: bool,
+    nullable: impl Fn(&str) -> bool,
     probe: impl Fn(&str) -> Result<(), String>,
 ) -> Sweep {
     let watchdog = Watchdog::start();
     let mut done = Sweep::default();
-    let mut panicked = Vec::new();
+    let (mut panicked, mut took_null) = (Vec::new(), Vec::new());
     for (name, text) in docs {
         let doc = serde_json::from_str(text).expect("the probed document parses");
         let values = structural_mutants(&doc, "", 0, rotate, &mut |label, mutant| {
             let mutant = serde_json::to_string_pretty(&mutant).expect("a value renders");
+            let null_at = label.strip_suffix(" retyped to null").map(|p| p.trim_matches('`'));
             let label = format!("{name}: {label}");
-            probe_case(&watchdog, label, &mutant, &probe, &mut done, &mut panicked);
+            let refused =
+                probe_case(&watchdog, label.clone(), &mutant, &probe, &mut done, &mut panicked);
+            if null_at.is_some_and(|path| !nullable(path)) && !refused {
+                took_null.push(label);
+            }
         });
         done.sites += values;
     }
     assert!(panicked.is_empty(), "{} cases panicked:\n{}", panicked.len(), panicked.join("\n"));
+    assert!(
+        took_null.is_empty(),
+        "{} never-null values accepted a null:\n{}",
+        took_null.len(),
+        took_null.join("\n")
+    );
     done
 }

@@ -525,7 +525,7 @@ impl Deserialize for Checkpoint {
             shard_layout_k: v.field("shard_layout_k")?,
             shard_dirty: v.field("shard_dirty")?,
             shard_accums,
-            balancer_state: v.field_opt("balancer_state")?,
+            balancer_state: v.field_nullable("balancer_state")?,
             churn_len: v.field_opt("churn_len")?.unwrap_or(0),
         })
     }
@@ -612,6 +612,18 @@ mod tests {
         let back = Checkpoint::from_json(&text).expect("round trip");
         assert_eq!(back, churned);
         assert_eq!(back.to_json(), text);
+    }
+
+    #[test]
+    fn explicit_null_is_refused_except_for_a_stateless_balancer() {
+        let churned = Checkpoint { churn_len: 7, ..tiny_checkpoint() };
+        let text = churned.to_json().replacen("\"churn_len\": 7", "\"churn_len\": null", 1);
+        let err = Checkpoint::from_json(&text).unwrap_err();
+        assert!(err.contains("field `churn_len`: null"), "{err}");
+        let stateless = Checkpoint { balancer_state: None, ..tiny_checkpoint() };
+        let text = stateless.to_json();
+        assert!(text.contains("\"balancer_state\": null"));
+        assert_eq!(Checkpoint::from_json(&text), Ok(stateless));
     }
 
     #[test]
