@@ -52,8 +52,8 @@
 //! metadata.
 //!
 //! `--strategy tick|event` overrides how rounds advance: `tick` sweeps
-//! every round (the reference), `event` fast-forwards quiescent rounds via
-//! the wake scheduler. Like the layout knobs, the strategy never changes an
+//! every round (the reference), `event` fast-forwards quiescent rounds in
+//! closed form. Like the layout knobs, the strategy never changes an
 //! outcome — reports are byte-identical either way (see ADR-006).
 //!
 //! `--verify` enforces all of these at once with the differential harness

@@ -167,13 +167,15 @@ impl TextTable {
         self.rows.len()
     }
 
-    /// Renders the table with aligned columns.
+    /// Renders the table with aligned columns. Widths count characters,
+    /// not bytes, so cells holding `µ`, `β` or `≤` line up.
     pub fn render(&self) -> String {
         let cols = self.headers.len();
-        let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
+        let width = |s: &str| s.chars().count();
+        let mut widths: Vec<usize> = self.headers.iter().map(|h| width(h)).collect();
         for row in &self.rows {
             for (i, cell) in row.iter().enumerate() {
-                widths[i] = widths[i].max(cell.len());
+                widths[i] = widths[i].max(width(cell));
             }
         }
         let mut out = String::new();
@@ -185,7 +187,7 @@ impl TextTable {
                 }
                 let cell = &cells[i];
                 line.push_str(cell);
-                line.push_str(&" ".repeat(widths[i] - cell.len()));
+                line.push_str(&" ".repeat(widths[i] - width(cell)));
             }
             line.trim_end().to_string()
         };
@@ -317,6 +319,22 @@ mod tests {
         assert!(lines[0].starts_with("name"));
         assert!(lines[2].starts_with("alpha"));
         assert_eq!(t.row_count(), 2);
+    }
+
+    #[test]
+    fn table_pads_by_characters_not_bytes() {
+        let mut t = TextTable::new(vec!["param", "value"]);
+        t.row(vec!["µ_s", "0.20"]);
+        t.row(vec!["tan β", "0.36"]);
+        t.row(vec!["x", "1"]);
+        let r = t.render();
+        let lines: Vec<&str> = r.lines().collect();
+        assert_eq!(lines[1], "-".repeat(12));
+        for (line, value) in [(0, "value"), (2, "0.20"), (3, "0.36"), (4, "1")] {
+            assert!(lines[line].ends_with(value), "{r}");
+            let start = lines[line].chars().count() - value.chars().count();
+            assert_eq!(start, 7, "column 2 misaligned on line {line}:\n{r}");
+        }
     }
 
     #[test]

@@ -342,15 +342,12 @@ fn write_flight<W: io::Write>(w: &mut Writer<W>, f: &FlightSnap) -> io::Result<(
     w.end_object()
 }
 
-/// Events serialize as `{"kind": ..., "idx": ...}`. `BalanceTick` is never
-/// queued (rounds are driven by `run_rounds`), so it has no encoding and is
-/// rejected on parse — a checkpoint carrying one is corrupt by definition.
+/// Events serialize as `{"kind": ..., "idx": ...}`.
 fn write_event<W: io::Write>(w: &mut Writer<W>, e: &Event) -> io::Result<()> {
     let (kind, idx) = match *e {
         Event::LoadArrival { flight } => ("load", flight),
         Event::TaskArrival => ("task", 0),
         Event::TraceArrival { record } => ("trace", record),
-        Event::BalanceTick => unreachable!("balance ticks are never queued"),
     };
     w.begin_object()?;
     w.field("kind", kind)?;

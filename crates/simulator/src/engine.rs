@@ -55,7 +55,7 @@ use crate::churn::{ChurnEvent, ChurnPlan};
 use crate::events::{Event, EventQueue};
 use crate::pool::ShardPool;
 use crate::state::{node_bit, set_node_bit, SystemState, NODE_WORD};
-use crate::strategy::{SimulationStrategy, WakeHeap};
+use crate::strategy::SimulationStrategy;
 use pp_metrics::imbalance::Imbalance;
 use pp_metrics::ledger::{MigrationRecord, TrafficLedger};
 use pp_metrics::series::TimeSeries;
@@ -185,9 +185,8 @@ pub struct EngineConfig {
     /// Dynamic task arrivals.
     pub arrival: ArrivalProcess,
     /// How time advances between rounds: `Tick` executes every round,
-    /// `Event` fast-forwards provably effect-free rounds via the wake
-    /// scheduler (byte-identical reports either way — see
-    /// [`crate::strategy`]).
+    /// `Event` fast-forwards provably effect-free rounds in closed form
+    /// (byte-identical reports either way — see [`crate::strategy`]).
     pub strategy: SimulationStrategy,
     /// Adaptive online repartitioning (None = the build-time uniform
     /// layout stays fixed for the life of the engine).
@@ -330,9 +329,6 @@ pub struct Engine {
     partition: Partition,
     /// Per-shard execution state, indexed by shard id.
     shards: Vec<ShardSlot>,
-    /// Pending per-shard wakes (the event strategy's scheduler; idle under
-    /// the tick strategy).
-    wakes: WakeHeap,
     /// CoV memoized across consecutive skipped rounds: `cov()` is a pure
     /// function of state, and a skipped round mutates nothing, so the
     /// cached value is bit-identical to recomputing — without paying the
@@ -375,8 +371,8 @@ pub struct Engine {
     /// churn.
     down_nodes: Vec<u64>,
     /// Union of `down_links` and every edge incident to a down node — the
-    /// set the decision views and `live_edge` consult when churn is active.
-    /// Mirrors `down_links` exactly while every node is up.
+    /// one edge set the decision views, launches and `live_edge` consult.
+    /// Equals `down_links` while every node is up (always, without churn).
     masked_links: EdgeBitSet,
     /// Per-node speed multipliers on `consume_rate` (empty = homogeneous).
     speeds: Vec<f64>,
@@ -440,18 +436,6 @@ impl Engine {
     #[inline]
     fn node_up(&self, v: NodeId) -> bool {
         !node_bit(&self.down_nodes, v.idx())
-    }
-
-    /// The edge set decisions and launches must treat as unusable: the
-    /// fault process's down links, plus — when churn is active — every
-    /// edge incident to a down node.
-    #[inline]
-    fn blocked_links(&self) -> &EdgeBitSet {
-        if self.churn.is_empty() {
-            &self.down_links
-        } else {
-            &self.masked_links
-        }
     }
 
     /// The resolved shard execution layout. Boundary nodes — nodes with a
@@ -576,8 +560,8 @@ impl Engine {
     /// Swaps the shard decomposition for a new contiguous layout with the
     /// same K — the checkpoint machinery's layout-change path applied in
     /// place. Per-node RNG streams are carried over by node id (shard
-    /// order is node-id order on both sides), and pending wakes are
-    /// re-derived from the dirty flags next round. The pool keeps its
+    /// order is node-id order on both sides), and the carried dirty flags
+    /// are what the event strategy wakes on. The pool keeps its
     /// workers: affinity is a pure function of `(threads, K)` and K is
     /// unchanged. Nothing here mutates simulation state or draws
     /// randomness, so the run's report bytes cannot change.
@@ -618,7 +602,6 @@ impl Engine {
         for (base, slot) in self.repartition_base.iter_mut().zip(&self.shards) {
             *base = slot.accum.nodes_evaluated;
         }
-        self.wakes.clear();
         self.repartitions += 1;
     }
 
@@ -633,8 +616,9 @@ impl Engine {
     }
 
     /// One round of the event strategy: execute the full pipeline only
-    /// when the wake scheduler says something can happen at this round's
-    /// tick; otherwise fast-forward the round in closed form.
+    /// when something can happen at this round's tick (a dirty shard, a
+    /// due event, decaying work, a fault process or churn); otherwise
+    /// fast-forward the round in closed form.
     ///
     /// The skip is byte-exact against [`Engine::run_round_tick`]: with no
     /// event due at or before `t`, no resident work to consume, no fault
@@ -669,9 +653,8 @@ impl Engine {
     }
 
     /// Whether the round at tick time `t` can observably differ from the
-    /// closed-form fast-forward. `&mut` because consulting the wake heap
-    /// drops lazily invalidated entries.
-    fn round_has_effect(&mut self, t: f64) -> bool {
+    /// closed-form fast-forward.
+    fn round_has_effect(&self, t: f64) -> bool {
         // The fault process draws engine RNG per edge every round, and a
         // policy without the quiescence-stable contract may mutate state or
         // draw randomness in `begin_round`/`decide` even when clean.
@@ -699,24 +682,15 @@ impl Engine {
     /// replay), whichever comes first. `None` means nothing is ever going
     /// to happen again. On a fully quiescent system (no shard dirty) this
     /// is exactly the event queue's next time.
-    pub fn next_wake(&mut self) -> Option<f64> {
+    pub fn next_wake(&self) -> Option<f64> {
         let t = self.next_tick.max(self.time);
         self.next_wake_at(t)
     }
 
-    fn next_wake_at(&mut self, t: f64) -> Option<f64> {
-        // Re-derive the per-shard wakes from the activity tracking: a dirty
-        // shard must be swept at the upcoming tick, a clean one sleeps
-        // until something it can observe changes. Arming is idempotent per
-        // (shard, time), so quiescent stretches never grow the heap.
-        for s in 0..self.shards.len() {
-            if self.shards[s].dirty {
-                self.wakes.arm(s, t);
-            } else {
-                self.wakes.disarm(s);
-            }
-        }
-        let sweep = self.wakes.peek().map(|(w, _)| w);
+    fn next_wake_at(&self, t: f64) -> Option<f64> {
+        // A dirty shard must be swept at the upcoming tick; a clean one
+        // sleeps until something it can observe marks it dirty.
+        let sweep = self.shards.iter().any(|s| s.dirty).then_some(t);
         match (sweep, self.queue.peek_time()) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
@@ -942,9 +916,6 @@ impl Engine {
                     }
                 }
                 Event::TaskArrival => {}
-                Event::BalanceTick => {
-                    return Err("checkpoint queue carries a balance tick".into());
-                }
             }
         }
         // The inverse direction: every occupied slot must have exactly one
@@ -1099,11 +1070,9 @@ impl Engine {
                 slot.accum = ShardAccum::new();
             }
         }
-        // Pending wakes belong to the abandoned timeline; the next round
-        // re-derives them from the restored dirty flags. The memoized skip
-        // CoV belongs to it too, and so do the repartition load window and
-        // the consume memo (the restored flags need not back its bits).
-        self.wakes.clear();
+        // The memoized skip CoV belongs to the abandoned timeline, and so
+        // do the repartition load window and the consume memo (the restored
+        // flags need not back its bits).
         self.skip_cov = None;
         self.consume_marked.fill(0);
         for (base, slot) in self.repartition_base.iter_mut().zip(&self.shards) {
@@ -1140,25 +1109,23 @@ impl Engine {
         // round ≤ the restored round (flags only — the drains those events
         // performed are already baked into the restored node queues), then
         // rebuild the mask as down links ∪ edges incident to down nodes.
-        if !self.churn.is_empty() {
-            self.down_nodes.fill(0);
-            let mut next = 0;
-            while next < self.churn.len() && self.churn[next].round <= cp.round {
-                let ev = self.churn[next];
-                set_node_bit(&mut self.down_nodes, ev.node as usize, ev.leave);
-                next += 1;
+        self.down_nodes.fill(0);
+        let mut next = 0;
+        while next < self.churn.len() && self.churn[next].round <= cp.round {
+            let ev = self.churn[next];
+            set_node_bit(&mut self.down_nodes, ev.node as usize, ev.leave);
+            next += 1;
+        }
+        self.churn_next = next;
+        self.masked_links = self.down_links.clone();
+        for i in 0..n {
+            let v = NodeId(i as u32);
+            if self.node_up(v) {
+                continue;
             }
-            self.churn_next = next;
-            self.masked_links = self.down_links.clone();
-            for i in 0..n {
-                let v = NodeId(i as u32);
-                if self.node_up(v) {
-                    continue;
-                }
-                for &u in self.state.topo.neighbors(v) {
-                    let e = self.state.topo.edge_index(v, u).expect("CSR neighbour edge");
-                    self.masked_links.insert(e);
-                }
+            for &u in self.state.topo.neighbors(v) {
+                let e = self.state.topo.edge_index(v, u).expect("CSR neighbour edge");
+                self.masked_links.insert(e);
             }
         }
         // Rebuild the ledger and series by replaying the identical record
@@ -1186,7 +1153,6 @@ impl Engine {
             let (et, event) = self.queue.pop().expect("peeked");
             self.advance_time_to(et);
             match event {
-                Event::BalanceTick => unreachable!("ticks are driven by run_rounds"),
                 Event::LoadArrival { flight } => self.handle_arrival(flight),
                 Event::TaskArrival => self.handle_task_arrival(),
                 Event::TraceArrival { record } => self.handle_trace_arrival(record),
@@ -1350,7 +1316,6 @@ impl Engine {
 
     fn update_faults(&mut self) {
         let Some(fm) = self.config.fault_model else { return };
-        let churning = !self.churn.is_empty();
         for e in 0..self.state.topo.edge_count() as u32 {
             let e = EdgeId(e);
             let flipped = if self.down_links.contains(e) {
@@ -1358,11 +1323,9 @@ impl Engine {
                 if up {
                     self.down_links.remove(e);
                     // The mask lifts only if neither endpoint is down.
-                    if churning {
-                        let (u, v) = self.state.topo.edge_endpoints(e);
-                        if self.node_up(u) && self.node_up(v) {
-                            self.masked_links.remove(e);
-                        }
+                    let (u, v) = self.state.topo.edge_endpoints(e);
+                    if self.node_up(u) && self.node_up(v) {
+                        self.masked_links.remove(e);
                     }
                 }
                 up
@@ -1370,9 +1333,7 @@ impl Engine {
                 let down = self.engine_rng.gen_bool(fm.p_down);
                 if down {
                     self.down_links.insert(e);
-                    if churning {
-                        self.masked_links.insert(e);
-                    }
+                    self.masked_links.insert(e);
                 }
                 down
             };
@@ -1390,8 +1351,7 @@ impl Engine {
     /// The live edge between `u` and `v`, if the edge exists, its link is
     /// up, and neither endpoint has churned out.
     fn live_edge(&self, u: NodeId, v: NodeId) -> Option<EdgeId> {
-        let blocked = self.blocked_links();
-        self.state.topo.edge_index(u, v).filter(|&e| !blocked.contains(e))
+        self.state.topo.edge_index(u, v).filter(|&e| !self.masked_links.contains(e))
     }
 
     /// Fills each shard's decision buffers with its nodes' migration
@@ -1423,7 +1383,7 @@ impl Engine {
         }
         self.executed_rounds += 1;
 
-        let blocked = if self.churn.is_empty() { &self.down_links } else { &self.masked_links };
+        let blocked = &self.masked_links;
         let state = &self.state;
         let heights = state.height_slice();
         let links = LinkView {
@@ -1585,7 +1545,7 @@ impl Engine {
         // is built into the landing shard's scratch and the draw comes from
         // the landing node's own RNG stream, exactly as the flat engine
         // did.
-        let blocked = if self.churn.is_empty() { &self.down_links } else { &self.masked_links };
+        let blocked = &self.masked_links;
         let links = LinkView {
             attrs: self.state.links().attrs(),
             weights: Some(&self.link_weights),
@@ -1935,7 +1895,6 @@ impl EngineBuilder {
             link_weights,
             partition,
             shards,
-            wakes: WakeHeap::new(k),
             skip_cov: None,
             threads,
             pool: None,

@@ -15,8 +15,6 @@ use std::collections::{BinaryHeap, VecDeque};
 /// Kinds of simulation events.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Event {
-    /// A synchronous balance round fires.
-    BalanceTick,
     /// An in-flight load lands (slab index into the engine's flight table).
     LoadArrival {
         /// Index into the engine's in-flight slab.
@@ -212,7 +210,7 @@ mod tests {
     #[test]
     fn pops_in_time_order() {
         let mut q = EventQueue::new();
-        q.push(3.0, Event::BalanceTick);
+        q.push(3.0, Event::TaskArrival);
         q.push(1.0, Event::TaskArrival);
         q.push(2.0, Event::LoadArrival { flight: 0 });
         assert_eq!(q.pop().unwrap().0, 1.0);
@@ -241,7 +239,7 @@ mod tests {
         let mut q = EventQueue::new();
         assert!(q.is_empty());
         assert_eq!(q.peek_time(), None);
-        q.push(5.0, Event::BalanceTick);
+        q.push(5.0, Event::TaskArrival);
         assert_eq!(q.peek_time(), Some(5.0));
         assert_eq!(q.len(), 1);
     }
@@ -250,28 +248,28 @@ mod tests {
     #[should_panic(expected = "finite")]
     fn rejects_nan_time() {
         let mut q = EventQueue::new();
-        q.push(f64::NAN, Event::BalanceTick);
+        q.push(f64::NAN, Event::TaskArrival);
     }
 
     #[test]
     #[should_panic(expected = "finite")]
     fn rejects_positive_infinity_time() {
         let mut q = EventQueue::new();
-        q.push(f64::INFINITY, Event::BalanceTick);
+        q.push(f64::INFINITY, Event::TaskArrival);
     }
 
     #[test]
     #[should_panic(expected = "finite")]
     fn rejects_negative_infinity_time() {
         let mut q = EventQueue::new();
-        q.push(f64::NEG_INFINITY, Event::BalanceTick);
+        q.push(f64::NEG_INFINITY, Event::TaskArrival);
     }
 
     #[test]
     #[should_panic(expected = "non-negative")]
     fn rejects_negative_time() {
         let mut q = EventQueue::new();
-        q.push(-1e-9, Event::BalanceTick);
+        q.push(-1e-9, Event::TaskArrival);
     }
 
     #[test]
@@ -279,10 +277,10 @@ mod tests {
         // The full accepted edge of the time domain: zero (including the
         // negative-zero bit pattern), subnormals, and f64::MAX.
         let mut q = EventQueue::new();
-        q.push(0.0, Event::BalanceTick);
-        q.push(-0.0, Event::BalanceTick);
-        q.push(f64::MIN_POSITIVE / 2.0, Event::BalanceTick);
-        q.push(f64::MAX, Event::BalanceTick);
+        q.push(0.0, Event::TaskArrival);
+        q.push(-0.0, Event::TaskArrival);
+        q.push(f64::MIN_POSITIVE / 2.0, Event::TaskArrival);
+        q.push(f64::MAX, Event::TaskArrival);
         assert_eq!(q.len(), 4);
         assert_eq!(q.peek_time(), Some(0.0));
     }
@@ -304,7 +302,7 @@ mod tests {
         }
         assert!(r.pop().is_none());
         // The restored counter continues where the original left off.
-        r.push(0.5, Event::BalanceTick);
+        r.push(0.5, Event::TaskArrival);
         let (seq2, entries2) = r.snapshot();
         assert_eq!(seq2, 5);
         assert_eq!(entries2[0].1, 4);

@@ -40,5 +40,5 @@ pub mod prelude {
     pub use crate::parallel::par_map;
     pub use crate::pool::ShardPool;
     pub use crate::state::{NodeState, SystemState};
-    pub use crate::strategy::{SimulationStrategy, WakeHeap};
+    pub use crate::strategy::SimulationStrategy;
 }

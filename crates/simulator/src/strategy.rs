@@ -1,27 +1,26 @@
-//! Simulation strategies and the per-shard wake scheduler.
+//! Simulation strategies: how the engine advances time between rounds.
 //!
-//! The engine can advance time two ways. [`SimulationStrategy::Tick`] is
-//! the round-by-round reference: every balance round runs the full
-//! pipeline (event drain, consumption sweep, fault process, decision
-//! sweep), whatever the system is doing. [`SimulationStrategy::Event`]
-//! keeps the identical round *grid* — one CoV sample per round, the same
-//! `next_tick = time + tick` clock arithmetic — but before executing a
-//! round it consults a [`WakeHeap`] of pending per-shard wakes plus the
-//! event queue: when nothing can possibly happen at this round's tick
-//! (no shard dirty, no event due, no work to consume, no fault process,
-//! and the policy is [`quiescence_stable`]) the round is fast-forwarded
-//! in closed form instead of executed. Between wakes heights are
-//! constant (consumption is the only decay and it is gated on resident
-//! work), so the incremental `(n, Σh, Σh²)` statistics — and therefore
-//! the CoV sample — are already exact without touching a node: the
-//! skip re-derives the round's metrics the same way checkpoint restore
-//! re-derives state, verbatim rather than recomputed.
+//! [`SimulationStrategy::Tick`] is the round-by-round reference: every
+//! balance round runs the full pipeline (event drain, consumption sweep,
+//! fault process, decision sweep), whatever the system is doing.
+//! [`SimulationStrategy::Event`] keeps the identical round *grid* — one
+//! CoV sample per round, the same `next_tick = time + tick` clock
+//! arithmetic — but fast-forwards a round in closed form when nothing can
+//! happen at its tick: no shard dirty, no event due, no work to consume,
+//! no fault process, no churn event, and a [`quiescence_stable`] policy.
+//! The sweep wake is the upcoming tick iff any shard's dirty flag is set;
+//! the flags are the only per-shard wake state, so checkpoint restore and
+//! repartitioning have nothing extra to clear.
+//! Between wakes heights are constant (consumption is the only decay and
+//! it is gated on resident work), so the incremental `(n, Σh, Σh²)`
+//! statistics — and therefore the CoV sample — are already exact without
+//! touching a node.
 //!
 //! Why the grid is kept: the repo's correctness story is byte-identical
 //! [`RunReport`](crate::engine::RunReport)s, and the report's series
-//! records one sample per round. Jumping the clock straight to the
-//! global minimum wake would drop the samples in between; fast-forwarding
-//! round by round costs O(1) per skipped round and reproduces the Tick
+//! records one sample per round. Jumping the clock straight to the next
+//! wake would drop the samples in between; fast-forwarding round by round
+//! costs O(K) flag tests per skipped round and reproduces the Tick
 //! engine's float history bit-for-bit (see
 //! `docs/adr/ADR-006-event-strategy.md` for the full argument).
 //!
@@ -29,14 +28,11 @@
 //! ([`crate::pool::ShardPool`]): the strategy decides *whether* a round's
 //! sweep runs at all, affinity decides *where* each shard of an executed
 //! sweep runs, and neither choice reaches the computed bytes. A skipped
-//! round never wakes the pool (the fast-forward is closed-form on the
-//! calling thread), so the event strategy's skip cost stays O(1) per
-//! round at every thread count.
+//! round never wakes the pool (the fast-forward runs on the calling
+//! thread).
 //!
 //! [`quiescence_stable`]: crate::balancer::LoadBalancer::quiescence_stable
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 use std::fmt;
 use std::str::FromStr;
 
@@ -47,8 +43,8 @@ pub enum SimulationStrategy {
     /// differential suite diffs against.
     #[default]
     Tick,
-    /// Skip provably effect-free rounds by consulting the wake scheduler;
-    /// cost tracks activity instead of `nodes × rounds`.
+    /// Skip provably effect-free rounds in closed form; cost tracks
+    /// activity instead of `nodes × rounds`.
     Event,
 }
 
@@ -81,153 +77,6 @@ impl FromStr for SimulationStrategy {
     }
 }
 
-/// A pending wake: shard `shard` needs evaluation no later than `time`.
-/// Min-heap order — earliest time first, ties broken by shard id so the
-/// pop order is a deterministic total order (the [`EventQueue`] discipline).
-///
-/// [`EventQueue`]: crate::events::EventQueue
-#[derive(Debug, Clone, Copy)]
-struct WakeEntry {
-    time: f64,
-    shard: usize,
-}
-
-impl PartialEq for WakeEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.shard == other.shard
-    }
-}
-impl Eq for WakeEntry {}
-
-impl Ord for WakeEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse: BinaryHeap is a max-heap, we want the earliest wake on
-        // top; ties break by shard id for determinism.
-        other.time.total_cmp(&self.time).then_with(|| other.shard.cmp(&self.shard))
-    }
-}
-impl PartialOrd for WakeEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// The wake scheduler: at most one pending wake per shard, kept in a
-/// min-heap keyed `(time, shard)` with lazy invalidation — re-arming or
-/// disarming a shard leaves its old heap entry in place and records the
-/// truth in a dense per-shard table; stale entries are dropped when they
-/// surface at the top. A fully quiescent system has nothing armed, so the
-/// heap holds no live entries and the engine's next wake falls through to
-/// the event queue.
-#[derive(Debug)]
-pub struct WakeHeap {
-    heap: BinaryHeap<WakeEntry>,
-    /// `armed[s]` is shard `s`'s currently pending wake time; heap entries
-    /// disagreeing with this table are stale.
-    armed: Vec<Option<f64>>,
-    /// Number of `Some` entries in `armed`, kept for O(1) counting.
-    live: usize,
-}
-
-impl WakeHeap {
-    /// A scheduler for `shards` shards, nothing armed.
-    pub fn new(shards: usize) -> Self {
-        WakeHeap { heap: BinaryHeap::new(), armed: vec![None; shards], live: 0 }
-    }
-
-    /// Number of shards the scheduler tracks.
-    pub fn shard_count(&self) -> usize {
-        self.armed.len()
-    }
-
-    /// Arms (or re-arms) shard `shard` to wake at `time`, replacing any
-    /// earlier pending wake for that shard.
-    ///
-    /// # Panics
-    /// Panics if `shard` is out of range or `time` is not finite and
-    /// non-negative — wakes live on the simulation clock, which shares the
-    /// event queue's time-validity rule.
-    pub fn arm(&mut self, shard: usize, time: f64) {
-        assert!(shard < self.armed.len(), "shard {shard} out of range");
-        assert!(
-            time.is_finite() && time >= 0.0,
-            "wake time must be finite and non-negative, got {time}"
-        );
-        match self.armed[shard] {
-            // Already armed at exactly this time: the live heap entry
-            // stands, pushing a duplicate would only grow the heap.
-            Some(t) if t == time => {}
-            prev => {
-                if prev.is_none() {
-                    self.live += 1;
-                }
-                self.armed[shard] = Some(time);
-                self.heap.push(WakeEntry { time, shard });
-            }
-        }
-    }
-
-    /// Cancels shard `shard`'s pending wake, if any (lazy: the heap entry
-    /// is dropped when it surfaces).
-    pub fn disarm(&mut self, shard: usize) {
-        assert!(shard < self.armed.len(), "shard {shard} out of range");
-        if self.armed[shard].take().is_some() {
-            self.live -= 1;
-        }
-    }
-
-    /// Shard `shard`'s currently pending wake time.
-    pub fn armed(&self, shard: usize) -> Option<f64> {
-        self.armed[shard]
-    }
-
-    /// Number of shards with a pending wake.
-    pub fn armed_count(&self) -> usize {
-        self.live
-    }
-
-    /// Whether no shard has a pending wake.
-    pub fn is_empty(&self) -> bool {
-        self.live == 0
-    }
-
-    /// The earliest pending wake as `(time, shard)` without removing it.
-    /// Drops stale heap entries encountered on the way, hence `&mut`.
-    pub fn peek(&mut self) -> Option<(f64, usize)> {
-        while let Some(top) = self.heap.peek() {
-            if self.armed[top.shard] == Some(top.time) {
-                return Some((top.time, top.shard));
-            }
-            self.heap.pop();
-        }
-        None
-    }
-
-    /// Removes and returns the earliest pending wake as `(time, shard)`,
-    /// disarming its shard.
-    pub fn pop(&mut self) -> Option<(f64, usize)> {
-        while let Some(top) = self.heap.pop() {
-            if self.armed[top.shard] == Some(top.time) {
-                self.armed[top.shard] = None;
-                self.live -= 1;
-                return Some((top.time, top.shard));
-            }
-        }
-        None
-    }
-
-    /// Drops every pending wake (checkpoint restore: wakes are re-derived
-    /// from the restored dirty flags on the next round, so stale entries
-    /// from the pre-restore timeline must not linger).
-    pub fn clear(&mut self) {
-        self.heap.clear();
-        for slot in &mut self.armed {
-            *slot = None;
-        }
-        self.live = 0;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -246,89 +95,5 @@ mod tests {
         }
         assert!("Event".parse::<SimulationStrategy>().is_err(), "names are case-sensitive");
         assert!("".parse::<SimulationStrategy>().is_err());
-    }
-
-    #[test]
-    fn pops_earliest_wake_with_shard_tie_break() {
-        let mut w = WakeHeap::new(4);
-        w.arm(2, 5.0);
-        w.arm(0, 3.0);
-        w.arm(3, 3.0);
-        assert_eq!(w.peek(), Some((3.0, 0)));
-        assert_eq!(w.pop(), Some((3.0, 0)));
-        assert_eq!(w.pop(), Some((3.0, 3)));
-        assert_eq!(w.pop(), Some((5.0, 2)));
-        assert_eq!(w.pop(), None);
-        assert!(w.is_empty());
-    }
-
-    #[test]
-    fn rearm_replaces_not_duplicates() {
-        let mut w = WakeHeap::new(2);
-        w.arm(0, 10.0);
-        w.arm(0, 4.0); // earlier re-arm wins
-        assert_eq!(w.armed_count(), 1);
-        assert_eq!(w.pop(), Some((4.0, 0)));
-        // The stale 10.0 entry must not resurface as a duplicate wake.
-        assert_eq!(w.pop(), None);
-
-        w.arm(1, 2.0);
-        w.arm(1, 8.0); // later re-arm also wins (replace, not min)
-        assert_eq!(w.pop(), Some((8.0, 1)));
-        assert_eq!(w.pop(), None);
-    }
-
-    #[test]
-    fn disarm_cancels_lazily() {
-        let mut w = WakeHeap::new(3);
-        w.arm(0, 1.0);
-        w.arm(1, 2.0);
-        w.disarm(0);
-        assert_eq!(w.armed(0), None);
-        assert_eq!(w.armed_count(), 1);
-        assert_eq!(w.peek(), Some((2.0, 1)));
-        // Disarming an unarmed shard is a no-op.
-        w.disarm(2);
-        assert_eq!(w.armed_count(), 1);
-    }
-
-    #[test]
-    fn same_time_rearm_keeps_single_live_entry() {
-        let mut w = WakeHeap::new(1);
-        w.arm(0, 7.0);
-        w.arm(0, 7.0);
-        w.arm(0, 7.0);
-        assert_eq!(w.pop(), Some((7.0, 0)));
-        assert_eq!(w.pop(), None, "idempotent arms fire once");
-    }
-
-    #[test]
-    fn clear_drops_everything() {
-        let mut w = WakeHeap::new(3);
-        w.arm(0, 1.0);
-        w.arm(2, 9.0);
-        w.clear();
-        assert!(w.is_empty());
-        assert_eq!(w.peek(), None);
-        assert_eq!(w.armed(0), None);
-        assert_eq!(w.shard_count(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "finite")]
-    fn rejects_nan_wake_time() {
-        WakeHeap::new(1).arm(0, f64::NAN);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-negative")]
-    fn rejects_negative_wake_time() {
-        WakeHeap::new(1).arm(0, -0.5);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn rejects_out_of_range_shard() {
-        WakeHeap::new(2).arm(2, 1.0);
     }
 }

@@ -1,129 +1,10 @@
-//! Property tests for the event strategy's wake scheduler.
-//!
-//! The [`WakeHeap`] uses lazy invalidation: `disarm` and re-`arm` leave
-//! stale entries in the binary heap that `peek`/`pop` must drop. These
-//! tests drive it against a naive model — a plain `Vec<Option<f64>>` of
-//! armed times — under arbitrary arm/disarm/pop interleavings, checking
-//! that no wake is ever lost, duplicated, or reordered:
-//!
-//! * `pop` always returns the model's true minimum `(time, shard)`;
-//! * observed pop times never go backwards when arm times only grow
-//!   (the engine's usage: wakes are armed at or after the current tick);
-//! * a fully quiescent engine's `next_wake()` is exactly the event
-//!   queue's next entry time — the closed-form skip's wake condition.
+//! The event strategy's wake condition, checked end to end: a fully
+//! quiescent engine's `next_wake()` is exactly the event queue's next
+//! entry time — the closed-form skip's wake condition.
 
 use pp_sim::prelude::*;
 use pp_tasking::workload::{TraceEvent, Workload};
 use pp_topology::graph::Topology;
-use proptest::prelude::*;
-
-const SHARDS: usize = 5;
-
-/// The naive reference: armed wake time per shard, scanned linearly.
-/// Ties break toward the lower shard id, exactly like the heap's ordering.
-fn model_min(model: &[Option<f64>]) -> Option<(f64, usize)> {
-    model
-        .iter()
-        .enumerate()
-        .filter_map(|(s, t)| t.map(|t| (t, s)))
-        .min_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)))
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
-    /// Ops are (selector, shard, time) triples: selector % 3 == 0 → arm,
-    /// 1 → disarm, 2 → pop (and compare against the model's minimum).
-    #[test]
-    fn heap_matches_naive_model_under_arbitrary_interleavings(
-        ops in prop::collection::vec((0u8..3, 0usize..SHARDS, 0.0f64..100.0), 1..=200),
-    ) {
-        let mut heap = WakeHeap::new(SHARDS);
-        let mut model: Vec<Option<f64>> = vec![None; SHARDS];
-        for (sel, shard, time) in ops {
-            match sel {
-                0 => {
-                    heap.arm(shard, time);
-                    model[shard] = Some(time);
-                }
-                1 => {
-                    heap.disarm(shard);
-                    model[shard] = None;
-                }
-                _ => {
-                    let want = model_min(&model);
-                    prop_assert_eq!(heap.pop(), want, "pop disagrees with model");
-                    if let Some((_, s)) = want {
-                        model[s] = None;
-                    }
-                }
-            }
-            // Invariants that must hold after *every* op, not just pops.
-            prop_assert_eq!(
-                heap.armed_count(),
-                model.iter().filter(|t| t.is_some()).count(),
-                "live count diverged"
-            );
-            for (s, &armed) in model.iter().enumerate() {
-                prop_assert_eq!(heap.armed(s), armed, "armed({}) diverged", s);
-            }
-        }
-        // Draining the heap at the end yields the model's remaining wakes
-        // in exact (time, shard) order — nothing lost, nothing duplicated.
-        let mut rest = Vec::new();
-        while let Some(w) = heap.pop() {
-            rest.push(w);
-        }
-        let mut want: Vec<(f64, usize)> =
-            model.iter().enumerate().filter_map(|(s, t)| t.map(|t| (t, s))).collect();
-        want.sort_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
-        prop_assert_eq!(rest, want, "drain order diverged from model");
-    }
-
-    /// The engine's usage pattern: re-arms only ever move a shard's wake
-    /// forward (to the upcoming tick). Under that discipline the sequence
-    /// of popped times is monotone non-decreasing — time never runs
-    /// backwards for the event loop.
-    #[test]
-    fn pops_are_monotone_when_arm_times_only_grow(
-        steps in prop::collection::vec((0usize..SHARDS, 0.0f64..10.0, 0u8..2), 1..=100),
-    ) {
-        let mut heap = WakeHeap::new(SHARDS);
-        let mut clock = 0.0f64;
-        let mut last_pop = f64::NEG_INFINITY;
-        for (shard, dt, do_pop) in steps {
-            clock += dt;
-            heap.arm(shard, clock);
-            if do_pop == 1 {
-                if let Some((t, _)) = heap.pop() {
-                    prop_assert!(
-                        t >= last_pop,
-                        "wake time went backwards: {} after {}", t, last_pop
-                    );
-                    last_pop = t;
-                }
-            }
-        }
-    }
-
-    /// Same-time re-arms are idempotent: hammering one shard with its
-    /// current wake time must not grow the heap's internal storage beyond
-    /// one live entry (the leak the lazy scheme could otherwise hide).
-    #[test]
-    fn same_time_rearm_storm_stays_bounded(
-        shard in 0usize..SHARDS,
-        time in 0.0f64..50.0,
-        repeats in 1usize..500,
-    ) {
-        let mut heap = WakeHeap::new(SHARDS);
-        for _ in 0..repeats {
-            heap.arm(shard, time);
-        }
-        prop_assert_eq!(heap.armed_count(), 1);
-        prop_assert_eq!(heap.pop(), Some((time, shard)));
-        prop_assert_eq!(heap.pop(), None);
-    }
-}
 
 /// A quiescent system's next wake is the event queue's next entry, exactly:
 /// build a null-balanced engine whose only future is a recorded arrival

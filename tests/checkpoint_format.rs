@@ -7,10 +7,12 @@
 //! deterministic, machine-independent (auto layout resolves to one shard;
 //! thread counts are not part of a checkpoint), and busy enough to populate
 //! every section (tasks, down links, ledger, series, free slots). To
-//! regenerate after an intended format change:
+//! regenerate after an intended format change, write a fresh capture into
+//! cargo's per-target scratch directory and copy it over the fixture with
+//! the `cp` command the test prints:
 //!
 //! ```text
-//! cargo test --test checkpoint_format regenerate_fixture -- --ignored
+//! cargo test --test checkpoint_format regenerate_fixture -- --ignored --nocapture
 //! ```
 
 use pp_scenario::registry;
@@ -200,12 +202,16 @@ fn every_structural_mutation_is_refused_or_runs() {
     assert!(done.cases > 4 * done.sites, "only {} cases", done.cases);
 }
 
-/// Regenerates the committed fixture. Run manually after an intended
-/// format change; `fixture_parses_resumes_and_stays_byte_stable` keeps it
-/// honest on every CI run.
+/// Writes a fresh capture of the fixture under `CARGO_TARGET_TMPDIR` and
+/// prints the `cp` command that installs it; the committed fixture is never
+/// touched. Run manually after an intended format change;
+/// `fixture_parses_resumes_and_stays_byte_stable` keeps it honest on every
+/// CI run.
 #[test]
-#[ignore = "writes golden/checkpoint-v1.ckpt.json; run after intended format changes"]
+#[ignore = "writes a fresh capture to the target tmpdir; run after intended format changes"]
 fn regenerate_fixture() {
+    let fresh = concat!(env!("CARGO_TARGET_TMPDIR"), "/checkpoint-v1.ckpt.json");
     let text = engine_at_capture_point().checkpoint().to_json();
-    std::fs::write(FIXTURE, text).expect("write fixture");
+    std::fs::write(fresh, text).expect("write fresh fixture");
+    println!("fresh capture written; to install it:\n  cp {fresh} {FIXTURE}");
 }
