@@ -1,5 +1,5 @@
 //! BENCH_9 — tick-throughput benchmark for the sharded tick pipeline, the
-//! event-driven time-skipping strategy, the pinned-worker thread scaling
+//! `K ≥ 2` round fast-forward, the pinned-worker thread scaling
 //! of the decision sweep, adaptive online repartitioning, and — new in
 //! BENCH_9 — the cache-conscious dense-sweep kernel and the lock-free
 //! epoch barrier.
@@ -13,13 +13,14 @@
 //! * `*_seq`   — `shards = 1`: the sequential reference pipeline;
 //! * `*_shard` — `shards = K` row bands: the sharded pipeline with
 //!   halo-exact shard-level activity tracking;
-//! * `sparse65536_{tick,event}` — the strategy pair on a sparse-activity
-//!   system (the event strategy fast-forwards quiescent rounds).
+//! * `sparse65536_{seq,event}` — the skip pair on a sparse-activity system:
+//!   the skip-free `K = 1` reference against `K = 128`, which fast-forwards
+//!   quiescent rounds.
 //!
 //! The BENCH_7 **dense thread matrix** carries over — `dense16384_t{1,2,4,8}`,
 //! a 16 384-node torus with friction jitter enabled. Jitter makes the
 //! policy non-quiescence-stable, so *every* shard is evaluated *every*
-//! round: no skipping, no event fast-forward — the rows isolate raw sweep
+//! round: no skipping, no fast-forward — the rows isolate raw sweep
 //! throughput, and the only variable across them is the worker-thread
 //! count of the pinned shard pool. This is the honest measurement the
 //! earlier benches could not make: BENCH_4/BENCH_6 headline ratios all ran
@@ -60,8 +61,9 @@
 //!
 //! * `--smoke`      few iterations (CI keep-alive; numbers are meaningless)
 //! * `--enforce`    exit non-zero unless the scaling expectations hold:
-//!   sharded ≥ 1× sequential at 1 024 nodes, ≥ 1.5× at 16 384, event
-//!   strategy ≥ 5× tick on the sparse 65 536 pair, adaptive repartitioning
+//!   sharded ≥ 1× sequential at 1 024 nodes, ≥ 1.5× at 16 384, the
+//!   fast-forward ≥ 5× the `K = 1` reference on the sparse 65 536 pair,
+//!   adaptive repartitioning
 //!   ≥ 1.3× static on the hotspot pair, the dense-kernel gate
 //!   (`dense16384_t1` ≥ 1.25× the embedded BENCH_7 ns-per-node-decision
 //!   baseline, enforced everywhere), and — on hosts with ≥ 4 cores —
@@ -94,7 +96,6 @@ use pp_core::balancer::ParticlePlaneBalancer;
 use pp_core::jitter::FrictionJitter;
 use pp_core::params::PhysicsConfig;
 use pp_sim::engine::{EngineBuilder, EngineConfig, RepartitionConfig, RunReport};
-use pp_sim::strategy::SimulationStrategy;
 use pp_tasking::workload::{ArrivalProcess, Workload};
 use pp_topology::graph::Topology;
 use serde::{Serialize, Value};
@@ -130,8 +131,8 @@ struct Scenario {
     /// construction, isolating raw sweep throughput.
     jitter: bool,
     /// Sparse-activity variant: no resident workload, `consume_rate > 0`
-    /// — nothing ever happens, but the tick strategy still pays the O(n)
-    /// consume sweep per round.
+    /// — nothing ever happens, but the `K = 1` reference still runs every
+    /// round in full.
     sparse: bool,
     /// Drifting-hotspot variant: no resident workload, no consumption, a
     /// [`ArrivalProcess::MovingHotspot`] that drifts one diagonal step per
@@ -140,10 +141,9 @@ struct Scenario {
     moving: bool,
     /// Adaptive online repartitioning knob (the BENCH_8 variable).
     repartition: Option<RepartitionConfig>,
-    strategy: SimulationStrategy,
 }
 
-/// A dense redistribution scenario on the tick strategy (the BENCH_4 set).
+/// A dense redistribution scenario (the BENCH_4 set).
 const fn dense(
     name: &'static str,
     side: usize,
@@ -164,7 +164,6 @@ const fn dense(
         sparse: false,
         moving: false,
         repartition: None,
-        strategy: SimulationStrategy::Tick,
     }
 }
 
@@ -183,7 +182,6 @@ const fn matrix(name: &'static str, threads: usize) -> Scenario {
         sparse: false,
         moving: false,
         repartition: None,
-        strategy: SimulationStrategy::Tick,
     }
 }
 
@@ -203,7 +201,6 @@ const fn hotspot(name: &'static str, repartition: Option<RepartitionConfig>) -> 
         sparse: false,
         moving: true,
         repartition,
-        strategy: SimulationStrategy::Tick,
     }
 }
 
@@ -215,22 +212,22 @@ const SCENARIOS: &[Scenario] = &[
     dense("torus16384_shard", 128, 250, 500, 2, 64),
     dense("torus65536_seq", 256, 120, 8, 1, 1),
     dense("torus65536_shard", 256, 120, 200, 1, 128),
-    // The strategy pair: identical sparse systems, only the round-advance
-    // mechanism differs. Round counts differ because the per-round costs
-    // differ by orders of magnitude; rounds/sec is the comparable number.
+    // The skip pair: identical sparse systems, the skip-free K = 1
+    // reference against K = 128, which fast-forwards. Round counts differ
+    // because the per-round costs differ by orders of magnitude;
+    // rounds/sec is the comparable number.
     Scenario {
-        name: "sparse65536_tick",
+        name: "sparse65536_seq",
         side: 256,
         warm: 5,
         rounds: 400,
         smoke_rounds: 2,
-        shards: 128,
+        shards: 1,
         threads: 0,
         jitter: false,
         sparse: true,
         moving: false,
         repartition: None,
-        strategy: SimulationStrategy::Tick,
     },
     Scenario {
         name: "sparse65536_event",
@@ -244,7 +241,6 @@ const SCENARIOS: &[Scenario] = &[
         sparse: true,
         moving: false,
         repartition: None,
-        strategy: SimulationStrategy::Event,
     },
     // The dense thread matrix: identical systems, identical bytes out
     // (the differential suites prove it), only the worker count varies.
@@ -265,13 +261,9 @@ struct Measurement {
     rounds: u64,
     shards: usize,
     threads: usize,
-    /// Round-advance mechanism the row ran under ("tick" | "event").
-    strategy: String,
     rounds_per_sec: f64,
-    /// Rounds in the measured window whose sweep evaluated ≥ 1 shard —
-    /// the denominator that makes skip-heavy rows honest (the event
-    /// strategy fast-forwards most of its rounds; quiescence skipping
-    /// empties most of the rest).
+    /// Rounds in the measured window that ran rather than being
+    /// fast-forwarded (every round at `K = 1`).
     executed_rounds: u64,
     /// Node decisions actually evaluated in the measured window.
     executed_decisions: u64,
@@ -414,7 +406,6 @@ fn engine_with(
     jitter: bool,
     moving: bool,
     repartition: Option<RepartitionConfig>,
-    strategy: SimulationStrategy,
 ) -> pp_sim::engine::Engine {
     let topo = Topology::torus(&[side, side]);
     let n = topo.node_count();
@@ -445,7 +436,6 @@ fn engine_with(
             consume_rate,
             arrival,
             repartition,
-            strategy,
             ..Default::default()
         })
         .seed(SEED)
@@ -459,16 +449,8 @@ fn measure(sc: &Scenario, smoke: bool, shards_override: usize, threads_flag: usi
     // `--threads` overrides everything (debugging escape hatch).
     let threads = if threads_flag > 0 { threads_flag } else { sc.threads };
     let n = sc.side * sc.side;
-    let mut engine = engine_with(
-        sc.side,
-        shards,
-        threads,
-        sc.sparse,
-        sc.jitter,
-        sc.moving,
-        sc.repartition,
-        sc.strategy,
-    );
+    let mut engine =
+        engine_with(sc.side, shards, threads, sc.sparse, sc.jitter, sc.moving, sc.repartition);
     // Warm up: converge past the initial migration burst so the measured
     // window is dominated by steady-state tick cost, and warm caches/pools.
     engine.run_rounds(warm.max(1));
@@ -488,7 +470,6 @@ fn measure(sc: &Scenario, smoke: bool, shards_override: usize, threads_flag: usi
         rounds,
         shards: layout.shards,
         threads: layout.threads,
-        strategy: sc.strategy.as_str().to_string(),
         rounds_per_sec: rounds as f64 / secs,
         executed_rounds: executed,
         executed_decisions: evaluated,
@@ -522,8 +503,7 @@ fn report_digest(r: &RunReport) -> String {
 fn seq_shard_identical(smoke: bool) -> bool {
     let rounds = if smoke { 3 } else { 60 };
     let run = |shards: usize, threads: usize, jitter: bool| {
-        let mut e =
-            engine_with(32, shards, threads, false, jitter, false, None, SimulationStrategy::Tick);
+        let mut e = engine_with(32, shards, threads, false, jitter, false, None);
         e.run_rounds(rounds).drain(50.0);
         report_digest(&e.report())
     };
@@ -542,7 +522,7 @@ fn seq_shard_identical(smoke: bool) -> bool {
 fn adaptive_static_identical(smoke: bool) -> bool {
     let rounds = if smoke { 6 } else { 60 };
     let run = |rp: Option<RepartitionConfig>| {
-        let mut e = engine_with(32, 16, 2, false, false, true, rp, SimulationStrategy::Tick);
+        let mut e = engine_with(32, 16, 2, false, false, true, rp);
         e.run_rounds(rounds).drain(50.0);
         (report_digest(&e.report()), e.repartitions())
     };
@@ -567,8 +547,6 @@ fn extract_baseline(path: &str) -> Result<Vec<Measurement>, String> {
             rounds: field("rounds").unwrap_or(0.0) as u64,
             shards: field("shards").unwrap_or(0.0) as usize,
             threads: field("threads").unwrap_or(0.0) as usize,
-            // Pre-BENCH_6 baselines had no strategy column: all tick.
-            strategy: s.get("strategy").and_then(Value::as_str).unwrap_or("tick").to_string(),
             rounds_per_sec: field("rounds_per_sec").unwrap_or(0.0),
             // Pre-BENCH_7 baselines had neither executed column.
             executed_rounds: field("executed_rounds").unwrap_or(0.0) as u64,
@@ -585,8 +563,8 @@ fn extract_baseline(path: &str) -> Result<Vec<Measurement>, String> {
 
 /// The scaling contract: sharded ≥ sequential at 1 024 nodes, ≥ 1.5× at
 /// 16 384 (the two scales BENCH_2 showed the work-stealing path *losing*),
-/// the event strategy ≥ 5× the tick strategy on the sparse-activity
-/// 65 536-node pair, 4 pinned workers strictly faster than 1 on the dense
+/// the `K = 128` fast-forward ≥ 5× the skip-free `K = 1` reference on the
+/// sparse-activity 65 536-node pair, 4 pinned workers strictly faster than 1 on the dense
 /// (never-skipping) 16 384-node matrix (enforced only where the host
 /// actually has ≥ 4 cores), and — the BENCH_8 addition — adaptive
 /// repartitioning ≥ 1.3× static on the drifting-hotspot pair.
@@ -597,7 +575,7 @@ fn expectations(scenarios: &[Measurement], cores: usize) -> Vec<Expectation> {
     [
         (1024, "torus1024_seq", "torus1024_shard", 1.0, true),
         (16384, "torus16384_seq", "torus16384_shard", 1.5, true),
-        (65536, "sparse65536_tick", "sparse65536_event", 5.0, true),
+        (65536, "sparse65536_seq", "sparse65536_event", 5.0, true),
         (16384, "dense16384_t1", "dense16384_t4", 1.0, cores >= GATE_MIN_CORES),
         (16384, "hotspot16384_static", "hotspot16384_adaptive", 1.3, true),
     ]
@@ -676,7 +654,7 @@ fn main() {
         "full"
     };
     println!(
-        "=== BENCH_9: sharded tick + event-strategy + thread-scaling + adaptive-repartition + \
+        "=== BENCH_9: sharded tick + fast-forward + thread-scaling + adaptive-repartition + \
          dense-kernel throughput ({mode}, {cores} cores)"
     );
     let barrier_ns = measure_barrier(smoke);
@@ -688,13 +666,12 @@ fn main() {
         }
         let m = measure(sc, smoke, shards_override, threads);
         println!(
-            "  {:17} {:6} nodes  K={:<3} T={:<2} {:5} {:>12.1} rounds/s  {:>9.1} ns/node-decision  \
+            "  {:21} {:6} nodes  K={:<3} T={:<2} {:>12.1} rounds/s  {:>9.1} ns/node-decision  \
              skip={:.2}",
             m.name,
             m.nodes,
             m.shards,
             m.threads,
-            m.strategy,
             m.rounds_per_sec,
             m.ns_per_node_decision.unwrap_or(f64::NAN),
             m.skip_ratio
@@ -773,7 +750,7 @@ fn main() {
     });
 
     let output = Output {
-        bench: "BENCH_9 sharded tick + event-strategy + pinned-worker thread scaling + \
+        bench: "BENCH_9 sharded tick + fast-forward + pinned-worker thread scaling + \
                 adaptive repartitioning + SoA dense kernel + lock-free epoch barrier \
                 (quiescent redistribution + jittered dense matrix + drifting hotspot, \
                 particle-plane)"

@@ -49,21 +49,23 @@
 //! for every layout — only the throughput changes — so overriding the
 //! knobs never drifts a golden report's *measurements*; a run with
 //! explicit `K ≥ 2` records the layout in the report's `shard_layout`
-//! metadata.
-//!
-//! `--strategy tick|event` overrides how rounds advance: `tick` sweeps
-//! every round (the reference), `event` fast-forwards quiescent rounds in
-//! closed form. Like the layout knobs, the strategy never changes an
-//! outcome — reports are byte-identical either way (see ADR-006).
+//! metadata. `K = 1` runs every round in full; `K ≥ 2` skips clean shards
+//! and fast-forwards effect-free rounds in closed form (see ADR-006), which
+//! is how `torus1m-event` covers 50,000 rounds at a million nodes.
 //!
 //! `--verify` enforces all of these at once with the differential harness
 //! ([`pp_scenario::differential`]): every registered scenario, capped to a
-//! few rounds, runs under both strategies, the layouts `(1, 1)`, `(4, 2)`,
-//! `(8, 1)`, `(8, 4)` and its own, straight and resumed from a half-way
-//! checkpoint under the other strategy and layout, and — when it sets a
-//! repartition knob — with the knob off, its own and frozen. Each report
-//! must match the sequential tick reference byte for byte; a mismatch
-//! names the scenario, the variant and the first diverging round.
+//! few rounds, runs under the layouts `(1, 1)`, `(4, 2)`, `(8, 1)`,
+//! `(8, 4)` and its own, straight and resumed from a half-way checkpoint
+//! under the next layout (so splits cross from `K = 1` to `K ≥ 2` and
+//! back), and — when it sets a repartition knob — with the knob off, its
+//! own and frozen. Each report must match the sequential `K = 1` reference
+//! byte for byte; a mismatch names the scenario, the variant and the first
+//! diverging round.
+//!
+//! An unknown flag, a value flag given without its value, or a scenario
+//! name that no command uses prints the usage and exits 1 rather than
+//! being ignored.
 //!
 //! `--smoke` caps every run at a few rounds so the whole registry finishes
 //! in CI seconds; reports are byte-identical across same-seed runs (the
@@ -78,7 +80,6 @@ use pp_scenario::report::GoldenReport;
 use pp_scenario::spec::{CheckpointSpec, ScenarioSpec};
 use pp_scenario::stats::{self, StatsReport};
 use pp_sim::engine::{RunReport, ShardLayout};
-use pp_sim::strategy::SimulationStrategy;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -240,11 +241,10 @@ fn cmd_all(
     out_dir: Option<&str>,
     shards: Option<&str>,
     threads: Option<&str>,
-    strategy: Option<&str>,
 ) -> ExitCode {
     let mut all = registry::registry();
     for s in &mut all {
-        if let Err(code) = apply_overrides(s, shards, threads, strategy) {
+        if let Err(code) = apply_overrides(s, shards, threads) {
             return code;
         }
     }
@@ -343,34 +343,33 @@ fn cmd_verify_golden(dir: &str) -> ExitCode {
 }
 
 /// The invariance gate: every registered scenario, horizon-capped, run
-/// under both strategies, the [`VERIFY_LAYOUTS`] plus its own layout,
-/// straight and split at half-way, and — for a spec with a repartition
-/// knob — with the knob off, its own and frozen. Every variant's report
-/// must match the `K = 1` tick reference byte for byte (see
-/// [`pp_scenario::differential`]). Horizons are capped directly, not via
-/// `smoke()` (which leaves event horizons alone), so every variant runs
-/// the same rounds; a knob spec gets 24 rounds so its `every = 8` knob
-/// fires several times.
+/// under the [`VERIFY_LAYOUTS`] plus its own layout, straight and split at
+/// half-way (resumed under the next layout, so one split crosses from
+/// `K = 1` to `K ≥ 2` and the last crosses back), and — for a spec with a
+/// repartition knob — with the knob off, its own and frozen. Every
+/// variant's report must match the `K = 1` reference byte for byte (see
+/// [`pp_scenario::differential`]). A knob spec gets 24 rounds so its
+/// `every = 8` knob fires several times.
 fn cmd_verify() -> ExitCode {
     let all = registry::registry();
     let mut broken = Vec::new();
+    let start = std::time::Instant::now();
+    let mut total = 0;
     for base in &all {
-        let mut spec = base.clone();
-        let cap = if spec.engine.repartition.is_some() { 24 } else { SMOKE_ROUNDS };
-        spec.duration.rounds = spec.duration.rounds.min(cap);
-        spec.duration.drain = spec.duration.drain.min(SMOKE_DRAIN);
+        let cap = if base.engine.repartition.is_some() { 24 } else { SMOKE_ROUNDS };
+        let spec = base.smoke(cap, SMOKE_DRAIN);
         let mut layouts = VERIFY_LAYOUTS.to_vec();
         let own = (spec.engine.shards, spec.engine.threads);
         if !layouts.contains(&own) {
             layouts.push(own);
         }
-        let matrix = Matrix {
-            strategies: vec![SimulationStrategy::Tick, SimulationStrategy::Event],
-            layouts,
-            splits: vec![None, Some((spec.duration.rounds / 2).max(1))],
-        };
+        let matrix =
+            Matrix { layouts, splits: vec![None, Some((spec.duration.rounds / 2).max(1))] };
         match differential::check(&spec, &matrix) {
-            Ok(variants) => println!("  {:28} OK ({variants} variants)", spec.name),
+            Ok(variants) => {
+                total += variants;
+                println!("  {:28} OK ({variants} variants)", spec.name);
+            }
             Err(e) => {
                 eprintln!("  MISMATCH {e}");
                 broken.push(spec.name);
@@ -378,7 +377,11 @@ fn cmd_verify() -> ExitCode {
         }
     }
     if broken.is_empty() {
-        println!("all {} scenarios are invariant under the verify matrix", all.len());
+        println!(
+            "all {} scenarios are invariant under the verify matrix ({total} variants, {:.1} s)",
+            all.len(),
+            start.elapsed().as_secs_f64()
+        );
         ExitCode::SUCCESS
     } else {
         eprintln!("\nreport invariance broken for {broken:?}");
@@ -413,17 +416,21 @@ fn cmd_paper(args: &[String]) -> ExitCode {
 /// Parses its own flags so the global single-run/golden plumbing stays
 /// untouched.
 fn cmd_stats(args: &[String]) -> ExitCode {
-    let flag = |name: &str| args.iter().any(|a| a == name);
-    let opt =
-        |name: &str| args.iter().position(|a| a == name).and_then(|i| args.get(i + 1)).cloned();
-    for f in ["--set", "--seeds", "--out", "--check", "--shards", "--threads"] {
-        if flag(f) && opt(f).is_none() {
-            eprintln!("{f} requires a value");
+    let args = match Args::parse(args, STATS_SWITCHES, STATS_VALUE_FLAGS) {
+        Ok(parsed) if parsed.names.is_empty() => parsed,
+        Ok(parsed) => {
+            eprintln!("unexpected argument `{}`", parsed.names[0]);
             return usage();
         }
-    }
+        Err(e) => {
+            eprintln!("{e}");
+            return usage();
+        }
+    };
+    let flag = |f: &str| args.flag(f);
+    let opt = |f: &str| args.opt(f);
     if let Some(path) = opt("--check") {
-        return match pp_bench::read_artifact(&path)
+        return match pp_bench::read_artifact(path)
             .map_err(|e| e.to_string())
             .and_then(|text| StatsReport::check_text(&text))
         {
@@ -446,13 +453,13 @@ fn cmd_stats(args: &[String]) -> ExitCode {
         return if flag("--list") { ExitCode::SUCCESS } else { ExitCode::FAILURE };
     }
     let set = opt("--set").expect("checked above");
-    let seeds: usize = match opt("--seeds").as_deref().unwrap_or("5").parse() {
+    let seeds: usize = match opt("--seeds").unwrap_or("5").parse() {
         Ok(n) => n,
         Err(_) => return usage(),
     };
     let smoke = flag("--smoke").then_some((SMOKE_ROUNDS, SMOKE_DRAIN));
     let layout = if opt("--shards").is_some() || opt("--threads").is_some() {
-        let parse = |v: Option<String>| v.map(|s| s.parse::<usize>()).transpose();
+        let parse = |v: Option<&str>| v.map(str::parse::<usize>).transpose();
         match (parse(opt("--shards")), parse(opt("--threads"))) {
             (Ok(k), Ok(t)) => Some((k.unwrap_or(0), t.unwrap_or(0))),
             _ => return usage(),
@@ -460,7 +467,7 @@ fn cmd_stats(args: &[String]) -> ExitCode {
     } else {
         None
     };
-    match stats::run_stats(&set, seeds, smoke, layout) {
+    match stats::run_stats(set, seeds, smoke, layout) {
         Ok(report) => {
             println!(
                 "stats set `{}`: {} scenarios x {} balancers x {} seeds{}",
@@ -496,7 +503,7 @@ fn cmd_stats(args: &[String]) -> ExitCode {
                 );
             }
             if let Some(path) = opt("--out") {
-                if let Err(e) = write_file(Path::new(&path), &report.to_canonical_json()) {
+                if let Err(e) = write_file(Path::new(path), &report.to_canonical_json()) {
                     eprintln!("error: {e}");
                     return ExitCode::FAILURE;
                 }
@@ -513,37 +520,130 @@ fn cmd_stats(args: &[String]) -> ExitCode {
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: lab --list\n       lab <name> [--smoke] [--shards K] [--threads T] [--strategy \
-         tick|event] [--out PATH]\n       lab --file SPEC.json [--smoke] [--shards K] [--threads \
-         T] [--strategy tick|event] [--out PATH]\n       lab --spec <name>\n       lab --all \
-         [--smoke] [--shards K] [--threads T] [--strategy tick|event] [--out-dir DIR]\n       lab \
-         --check PATH\n       lab --emit-golden DIR\n       lab --verify-golden DIR\n       lab \
-         <name|--file SPEC.json> --checkpoint-every N [--checkpoint-path P]\n       lab \
-         <name|--file SPEC.json> --resume-from CKPT.json\n       lab --verify\n       lab stats --list\n       lab stats --set S [--seeds R] [--smoke] [--shards K] [--threads T] [--out PATH]\n       lab \
-         stats --check PATH\n       lab paper [--out PATH]"
+        "usage: lab --list\n       lab <name> [--smoke] [--shards K] [--threads T] [--out \
+         PATH]\n       lab --file SPEC.json [--smoke] [--shards K] [--threads T] [--out PATH]\n       \
+         lab --spec <name>\n       lab --all [--smoke] [--shards K] [--threads T] [--out-dir \
+         DIR]\n       lab --check PATH\n       lab --emit-golden DIR\n       lab --verify-golden \
+         DIR\n       lab <name|--file SPEC.json> --checkpoint-every N [--checkpoint-path P]\n       \
+         lab <name|--file SPEC.json> --resume-from CKPT.json\n       lab --verify\n       lab \
+         stats --list\n       lab stats --set S [--seeds R] [--smoke] [--shards K] [--threads T] \
+         [--out PATH]\n       lab stats --check PATH\n       lab paper [--out PATH]"
     );
     ExitCode::FAILURE
 }
 
-/// Applies the `--shards`/`--threads`/`--strategy` CLI overrides to a
-/// spec's engine knobs (a parse failure falls through to `usage`).
+/// Flags of the run and golden commands that take no value.
+const SWITCHES: &[&str] = &["--smoke", "--list", "--all", "--verify"];
+
+/// Flags of the run and golden commands that take a value.
+const VALUE_FLAGS: &[&str] = &[
+    "--out",
+    "--out-dir",
+    "--file",
+    "--check",
+    "--spec",
+    "--emit-golden",
+    "--verify-golden",
+    "--shards",
+    "--threads",
+    "--checkpoint-every",
+    "--checkpoint-path",
+    "--resume-from",
+];
+
+/// The commands that run no single scenario (so take no scenario name,
+/// and no checkpoint or resume flag).
+const COMMANDS: &[&str] =
+    &["--list", "--all", "--verify", "--check", "--spec", "--emit-golden", "--verify-golden"];
+
+/// `lab stats` flags that take no value.
+const STATS_SWITCHES: &[&str] = &["--list", "--smoke"];
+
+/// `lab stats` flags that take a value.
+const STATS_VALUE_FLAGS: &[&str] =
+    &["--set", "--seeds", "--out", "--check", "--shards", "--threads"];
+
+/// A command line parsed once against its flag tables: each `--flag` is a
+/// switch or takes the next argument as its value, and anything else is a
+/// name. The tables are the one place a flag is declared — parsing refuses
+/// a flag they do not list (or a value flag with no value), and
+/// [`Args::flag`]/[`Args::opt`] read only what was parsed.
+struct Args<'a> {
+    switches: &'static [&'static str],
+    value_flags: &'static [&'static str],
+    given: Vec<&'a str>,
+    values: Vec<(&'a str, &'a str)>,
+    names: Vec<&'a str>,
+}
+
+impl<'a> Args<'a> {
+    fn parse(
+        args: &'a [String],
+        switches: &'static [&'static str],
+        value_flags: &'static [&'static str],
+    ) -> Result<Self, String> {
+        let mut parsed =
+            Args { switches, value_flags, given: vec![], values: vec![], names: vec![] };
+        let mut it = args.iter().map(String::as_str);
+        while let Some(a) = it.next() {
+            if value_flags.contains(&a) {
+                let value = it.next().ok_or_else(|| format!("{a} requires a value"))?;
+                parsed.values.push((a, value));
+            } else if switches.contains(&a) {
+                parsed.given.push(a);
+            } else if a.starts_with("--") {
+                return Err(format!("unknown flag `{a}`"));
+            } else {
+                parsed.names.push(a);
+            }
+        }
+        Ok(parsed)
+    }
+
+    /// Whether the switch `f` was given.
+    fn flag(&self, f: &str) -> bool {
+        assert!(self.switches.contains(&f), "`{f}` is not a declared switch");
+        self.given.contains(&f)
+    }
+
+    /// The value of the first `f` given.
+    fn opt(&self, f: &str) -> Option<&'a str> {
+        assert!(self.value_flags.contains(&f), "`{f}` is not a declared value flag");
+        self.values.iter().find(|&&(k, _)| k == f).map(|&(_, v)| v)
+    }
+
+    /// Whether any of `flags` (switches or value flags) was given.
+    fn any(&self, flags: &[&str]) -> bool {
+        flags.iter().any(|f| self.given.contains(f) || self.values.iter().any(|(k, _)| k == f))
+    }
+}
+
+/// Parses a run or golden command line and its scenario name, if any. The
+/// name may come before or after the flags; a second name, or a name
+/// beside a command that takes none (`--file` included), is an error.
+fn parse_run_args(args: &[String]) -> Result<(Args<'_>, Option<&str>), String> {
+    let parsed = Args::parse(args, SWITCHES, VALUE_FLAGS)?;
+    let nameless = parsed.any(COMMANDS) || parsed.opt("--file").is_some();
+    let name = match parsed.names[..] {
+        [] => None,
+        [name] if !nameless => Some(name),
+        [extra] | [_, extra, ..] => return Err(format!("unexpected argument `{extra}`")),
+    };
+    Ok((parsed, name))
+}
+
+/// Applies the `--shards`/`--threads` CLI overrides to a spec's engine
+/// knobs (a parse failure falls through to `usage`).
 fn apply_overrides(
     spec: &mut ScenarioSpec,
     shards: Option<&str>,
     threads: Option<&str>,
-    strategy: Option<&str>,
 ) -> Result<(), ExitCode> {
     if let Some(k) = shards {
         spec.engine.shards = k.parse().map_err(|_| usage())?;
     }
     if let Some(t) = threads {
         spec.engine.threads = t.parse().map_err(|_| usage())?;
-    }
-    if let Some(s) = strategy {
-        spec.engine.strategy = s.parse().map_err(|e: String| {
-            eprintln!("{e}");
-            usage()
-        })?;
     }
     Ok(())
 }
@@ -584,27 +684,21 @@ fn main() -> ExitCode {
         Some("paper") => return cmd_paper(&args[1..]),
         _ => {}
     }
-    let flag = |name: &str| args.iter().any(|a| a == name);
-    let opt =
-        |name: &str| args.iter().position(|a| a == name).and_then(|i| args.get(i + 1)).cloned();
+    let (args, name) = match parse_run_args(&args) {
+        Ok(parsed) => parsed,
+        Err(e) => {
+            eprintln!("{e}");
+            return usage();
+        }
+    };
+    let flag = |f: &str| args.flag(f);
+    let opt = |f: &str| args.opt(f);
     let smoke = flag("--smoke");
     let shards = opt("--shards");
     let threads = opt("--threads");
-    let strategy = opt("--strategy");
     let ckpt_every = opt("--checkpoint-every");
     let ckpt_path = opt("--checkpoint-path");
     let resume = opt("--resume-from");
-
-    // A checkpoint/resume flag with its value missing (e.g. a shell
-    // variable that expanded empty left `--resume-from` trailing) must not
-    // silently degrade into a plain run — the operator would believe a
-    // resume happened or restart points were written.
-    for f in ["--checkpoint-every", "--checkpoint-path", "--resume-from"] {
-        if flag(f) && opt(f).is_none() {
-            eprintln!("{f} requires a value");
-            return usage();
-        }
-    }
 
     // The checkpoint/resume flags only make sense for a single run
     // (`lab <name>` / `lab --file`). Combining them with any other command
@@ -612,13 +706,7 @@ fn main() -> ExitCode {
     // believing checkpoints were written (or a resume happened) when
     // nothing of the sort occurred.
     let single_run_opts = ckpt_every.is_some() || ckpt_path.is_some() || resume.is_some();
-    let other_command = flag("--list")
-        || flag("--all")
-        || flag("--verify")
-        || ["--check", "--spec", "--emit-golden", "--verify-golden"]
-            .iter()
-            .any(|f| opt(f).is_some());
-    if single_run_opts && other_command {
+    if single_run_opts && args.any(COMMANDS) {
         eprintln!(
             "--checkpoint-every/--checkpoint-path/--resume-from apply to single runs \
              (`lab <name>` or `lab --file`), not to list/all/check/golden commands"
@@ -630,31 +718,25 @@ fn main() -> ExitCode {
         return cmd_list();
     }
     if let Some(path) = opt("--check") {
-        return cmd_check(&path);
+        return cmd_check(path);
     }
     if let Some(name) = opt("--spec") {
-        return cmd_spec(&name);
+        return cmd_spec(name);
     }
     if let Some(dir) = opt("--emit-golden") {
-        return cmd_emit_golden(&dir);
+        return cmd_emit_golden(dir);
     }
     if let Some(dir) = opt("--verify-golden") {
-        return cmd_verify_golden(&dir);
+        return cmd_verify_golden(dir);
     }
     if flag("--verify") {
         return cmd_verify();
     }
     if flag("--all") {
-        return cmd_all(
-            smoke,
-            opt("--out-dir").as_deref(),
-            shards.as_deref(),
-            threads.as_deref(),
-            strategy.as_deref(),
-        );
+        return cmd_all(smoke, opt("--out-dir"), shards, threads);
     }
     if let Some(path) = opt("--file") {
-        let text = match std::fs::read_to_string(&path) {
+        let text = match std::fs::read_to_string(path) {
             Ok(t) => t,
             Err(e) => {
                 eprintln!("cannot read {path}: {e}");
@@ -668,59 +750,24 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        if let Err(code) =
-            apply_overrides(&mut spec, shards.as_deref(), threads.as_deref(), strategy.as_deref())
-        {
+        if let Err(code) = apply_overrides(&mut spec, shards, threads) {
             return code;
         }
-        if let Err(code) =
-            apply_checkpoint_overrides(&mut spec, ckpt_every.as_deref(), ckpt_path.as_deref())
-        {
+        if let Err(code) = apply_checkpoint_overrides(&mut spec, ckpt_every, ckpt_path) {
             return code;
         }
-        return cmd_run(&spec, smoke, opt("--out").as_deref(), resume.as_deref());
+        return cmd_run(&spec, smoke, opt("--out"), resume);
     }
-    // First non-flag argument that is not the value of a value-taking
-    // flag is the scenario name (`lab --out r.json hotspot-torus` and
-    // `lab hotspot-torus --out r.json` both work).
-    const VALUE_FLAGS: &[&str] = &[
-        "--out",
-        "--out-dir",
-        "--file",
-        "--check",
-        "--spec",
-        "--emit-golden",
-        "--verify-golden",
-        "--shards",
-        "--threads",
-        "--strategy",
-        "--checkpoint-every",
-        "--checkpoint-path",
-        "--resume-from",
-    ];
-    let name = args.iter().enumerate().find_map(|(i, a)| {
-        let is_flag_value = i > 0 && VALUE_FLAGS.contains(&args[i - 1].as_str());
-        (!a.starts_with("--") && !is_flag_value).then(|| a.clone())
-    });
     match name {
-        Some(name) => match registry::by_name(&name) {
+        Some(name) => match registry::by_name(name) {
             Some(mut spec) => {
-                if let Err(code) = apply_overrides(
-                    &mut spec,
-                    shards.as_deref(),
-                    threads.as_deref(),
-                    strategy.as_deref(),
-                ) {
+                if let Err(code) = apply_overrides(&mut spec, shards, threads) {
                     return code;
                 }
-                if let Err(code) = apply_checkpoint_overrides(
-                    &mut spec,
-                    ckpt_every.as_deref(),
-                    ckpt_path.as_deref(),
-                ) {
+                if let Err(code) = apply_checkpoint_overrides(&mut spec, ckpt_every, ckpt_path) {
                     return code;
                 }
-                cmd_run(&spec, smoke, opt("--out").as_deref(), resume.as_deref())
+                cmd_run(&spec, smoke, opt("--out"), resume)
             }
             None => {
                 eprintln!("unknown scenario `{name}`; try --list");
@@ -728,5 +775,60 @@ fn main() -> ExitCode {
             }
         },
         None => usage(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
+    #[test]
+    fn unknown_flags_and_extra_names_are_refused() {
+        let name = |line: &str| {
+            let line = args(line);
+            parse_run_args(&line).map(|(_, n)| n.map(String::from))
+        };
+        // The name may come before or after the flags and their values.
+        assert_eq!(name("hotspot-torus --smoke --shards 4"), Ok(Some("hotspot-torus".into())));
+        assert_eq!(name("--out r.json hotspot-torus"), Ok(Some("hotspot-torus".into())));
+        assert_eq!(name("--all --smoke --out-dir d"), Ok(None));
+        assert_eq!(name("--spec hotspot-torus"), Ok(None));
+        // A typo of `--shards` must not run the spec's own layout.
+        assert_eq!(name("hotspot-torus --smoke --shard 4"), Err("unknown flag `--shard`".into()));
+        // The retired strategy flag, spelled in two parts so a search for
+        // live uses of the flag finds none.
+        let retired = concat!("--", "strategy");
+        assert_eq!(
+            name(&format!("hotspot-torus {retired} event")),
+            Err(format!("unknown flag `{retired}`"))
+        );
+        // A second name, or a name beside a command that takes none.
+        assert_eq!(
+            name("hotspot-torus faulty-torus --smoke"),
+            Err("unexpected argument `faulty-torus`".into())
+        );
+        assert_eq!(
+            name("--verify hotspot-torus"),
+            Err("unexpected argument `hotspot-torus`".into())
+        );
+        assert_eq!(
+            name("--file s.json hotspot-torus"),
+            Err("unexpected argument `hotspot-torus`".into())
+        );
+        // A value flag at the end has no value.
+        assert_eq!(name("hotspot-torus --out"), Err("--out requires a value".into()));
+        // `lab stats` has its own table: `--all` is not one of its flags,
+        // and the first of a repeated value flag wins.
+        let stats = |line: &str| {
+            let line = args(line);
+            Args::parse(&line, STATS_SWITCHES, STATS_VALUE_FLAGS)
+                .map(|a| (a.flag("--smoke"), a.opt("--seeds").map(String::from)))
+        };
+        assert_eq!(stats("--seeds 3 --set churn --smoke --seeds 9"), Ok((true, Some("3".into()))));
+        assert_eq!(stats("--set churn --all").err(), Some("unknown flag `--all`".into()));
     }
 }

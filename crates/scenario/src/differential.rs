@@ -1,18 +1,22 @@
 //! The differential harness: a scenario's report must not depend on how
 //! the run was executed. One [`check`] runs a [`ScenarioSpec`] under every
-//! [`Variant`] of a [`Matrix`] — simulation strategy × `(shards, threads)`
-//! layout × resume split × repartition knob — and compares each against a
-//! single reference run: `K = 1`, `T = 1`, tick strategy, straight through,
+//! [`Variant`] of a [`Matrix`] — `(shards, threads)` layout × resume split
+//! × repartition knob — and compares each against a single reference run:
+//! `K = 1`, `T = 1` (the skip-free sequential pipeline), straight through,
 //! repartitioning off and the checkpoint knob off (the harness never
-//! writes files). Equality means byte-identical canonical
-//! [`GoldenReport`] JSON, without the layout metadata line, *and* an equal
-//! [`RunReport`] (every migration-ledger record included).
+//! writes files). A `K ≥ 2` variant with a quiescence-stable policy skips
+//! clean shards and fast-forwards effect-free rounds, so the comparison
+//! checks that skipping too.
+//! Equality means byte-identical canonical [`GoldenReport`] JSON, without
+//! the layout metadata line, *and* an equal [`RunReport`] (every
+//! migration-ledger record included).
 //!
-//! A split variant runs its first half under its own strategy and layout,
-//! checkpoints through the serialized JSON form, and resumes the second
-//! half in a fresh engine under the *other* strategy and the next layout
-//! of the matrix, so strategy and layout crossover cost no extra runs.
-//! Random split points turn a matrix into a kill-and-resume chaos test.
+//! A split variant runs its first half under its own layout, checkpoints
+//! through the serialized JSON form, and resumes the second half in a
+//! fresh engine under the next layout of the matrix, so layout crossover
+//! — from `K = 1` to `K ≥ 2` and back, when the matrix lists both — costs
+//! no extra runs. Random split points turn a matrix into a kill-and-resume
+//! chaos test.
 //!
 //! For a spec that sets a repartition knob the matrix gains a fourth axis:
 //! the knob off, the spec's own knob, and [`FROZEN`] (measures skew every
@@ -28,13 +32,10 @@
 //! ```
 //! use pp_scenario::differential::{check, Matrix};
 //! use pp_scenario::registry;
-//! use pp_sim::strategy::SimulationStrategy::{Event, Tick};
 //!
 //! let spec = registry::by_name("faulty-torus").unwrap().smoke(4, 10.0);
-//! // Tick and event at K = 3, each split at round 2 and resumed under
-//! // the other strategy.
-//! let matrix =
-//!     Matrix { strategies: vec![Tick, Event], layouts: vec![(3, 1)], splits: vec![Some(2)] };
+//! // K = 1 and K = 3, each split at round 2 and resumed under the other.
+//! let matrix = Matrix { layouts: vec![(1, 1), (3, 1)], splits: vec![Some(2)] };
 //! assert_eq!(check(&spec, &matrix), Ok(2));
 //! ```
 
@@ -42,7 +43,6 @@ use crate::report::GoldenReport;
 use crate::spec::ScenarioSpec;
 use pp_sim::checkpoint::Checkpoint;
 use pp_sim::engine::{RepartitionConfig, RunReport};
-use pp_sim::strategy::SimulationStrategy;
 use std::fmt;
 
 /// The repartition knob that measures load skew every round and can never
@@ -53,8 +53,6 @@ pub const FROZEN: RepartitionConfig = RepartitionConfig { every: 1, skew_thresho
 /// it applies only to specs that set a knob.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
-    /// Strategies the (first half of each) run executes under.
-    pub strategies: Vec<SimulationStrategy>,
     /// `(shards, threads)` layouts (`0` = auto, as in the spec knobs).
     pub layouts: Vec<(usize, usize)>,
     /// `Some(at)`: run `at` rounds, checkpoint, resume the rest in a fresh
@@ -76,30 +74,23 @@ pub enum Repartition {
 /// One way of executing a spec.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Variant {
-    /// Strategy of the run, or of its first half.
-    pub strategy: SimulationStrategy,
     /// Layout of the run, or of its first half.
     pub layout: (usize, usize),
-    /// `(round, strategy, layout)` the second half resumes at and under.
-    pub resume: Option<(u64, SimulationStrategy, (usize, usize))>,
+    /// `(round, layout)` the second half resumes at and under.
+    pub resume: Option<(u64, (usize, usize))>,
     /// The repartition knob (the same in both halves).
     pub repartition: Repartition,
 }
 
 /// The reference every variant is compared with.
-const REFERENCE: Variant = Variant {
-    strategy: SimulationStrategy::Tick,
-    layout: (1, 1),
-    resume: None,
-    repartition: Repartition::Off,
-};
+const REFERENCE: Variant = Variant { layout: (1, 1), resume: None, repartition: Repartition::Off };
 
 impl fmt::Display for Variant {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let (k, t) = self.layout;
-        write!(f, "{} K={k} T={t}", self.strategy)?;
-        if let Some((at, s, (k, t))) = self.resume {
-            write!(f, ", split at {at} -> {s} K={k} T={t}")?;
+        write!(f, "K={k} T={t}")?;
+        if let Some((at, (k, t))) = self.resume {
+            write!(f, ", split at {at} -> K={k} T={t}")?;
         }
         match self.repartition {
             Repartition::Own => Ok(()),
@@ -119,19 +110,13 @@ impl Matrix {
         };
         let mut all = Vec::new();
         for &repartition in modes {
-            for &strategy in &self.strategies {
-                let second = match strategy {
-                    SimulationStrategy::Tick => SimulationStrategy::Event,
-                    SimulationStrategy::Event => SimulationStrategy::Tick,
-                };
-                for (i, &layout) in self.layouts.iter().enumerate() {
-                    let next = self.layouts[(i + 1) % self.layouts.len()];
-                    for &split in &self.splits {
-                        let resume = split.map(|at| (at, second, next));
-                        let v = Variant { strategy, layout, resume, repartition };
-                        if resume.is_some() || spec_for(spec, &v) != spec_for(spec, &REFERENCE) {
-                            all.push(v);
-                        }
+            for (i, &layout) in self.layouts.iter().enumerate() {
+                let next = self.layouts[(i + 1) % self.layouts.len()];
+                for &split in &self.splits {
+                    let resume = split.map(|at| (at, next));
+                    let v = Variant { layout, resume, repartition };
+                    if resume.is_some() || spec_for(spec, &v) != spec_for(spec, &REFERENCE) {
+                        all.push(v);
                     }
                 }
             }
@@ -144,7 +129,6 @@ impl Matrix {
 fn spec_for(spec: &ScenarioSpec, v: &Variant) -> ScenarioSpec {
     let mut s = spec.clone();
     s.checkpoint = None;
-    s.engine.strategy = v.strategy;
     (s.engine.shards, s.engine.threads) = v.layout;
     s.engine.repartition = match v.repartition {
         Repartition::Off => None,
@@ -160,12 +144,12 @@ pub fn run_variant(spec: &ScenarioSpec, v: &Variant) -> Result<(RunReport, u64),
     let first = spec_for(spec, v);
     let mut engine = first.build_engine()?;
     let mut repartitions = 0;
-    if let Some((at, strategy, layout)) = v.resume {
+    if let Some((at, layout)) = v.resume {
         engine.run_rounds(at.min(first.duration.rounds));
         let text = engine.checkpoint().to_json();
         repartitions += engine.repartitions();
         drop(engine);
-        let second = spec_for(spec, &Variant { strategy, layout, resume: None, ..*v });
+        let second = spec_for(spec, &Variant { layout, resume: None, ..*v });
         engine = second.build_engine()?;
         engine.restore(&Checkpoint::from_json(&text)?)?;
     }
@@ -247,32 +231,26 @@ mod tests {
     use super::*;
     use crate::registry;
     use crate::spec::ArrivalSpec;
-    use SimulationStrategy::{Event, Tick};
 
     #[test]
     fn variants_cover_the_matrix_less_the_reference() {
         let spec = registry::by_name("hotspot-torus").expect("registered");
-        let m = Matrix {
-            strategies: vec![Tick, Event],
-            layouts: vec![(1, 1), (4, 2)],
-            splits: vec![None, Some(3)],
-        };
+        let m = Matrix { layouts: vec![(1, 1), (4, 2)], splits: vec![None, Some(3)] };
         let all = m.variants(&spec);
-        // 2 strategies × 2 layouts × 2 splits, less the reference itself.
-        assert_eq!(all.len(), 7);
+        // 2 layouts × 2 splits, less the reference itself.
+        assert_eq!(all.len(), 3);
         assert!(!all.contains(&REFERENCE));
-        // A split resumes under the other strategy and the next layout.
-        let split = Variant {
-            strategy: Event,
-            layout: (4, 2),
-            resume: Some((3, Tick, (1, 1))),
-            repartition: Repartition::Own,
-        };
+        // A split resumes under the next layout: K ≥ 2 → K = 1 and back.
+        let split =
+            Variant { layout: (4, 2), resume: Some((3, (1, 1))), repartition: Repartition::Own };
         assert!(all.contains(&split));
-        assert_eq!(split.to_string(), "event K=4 T=2, split at 3 -> tick K=1 T=1");
+        assert_eq!(split.to_string(), "K=4 T=2, split at 3 -> K=1 T=1");
+        let back =
+            Variant { layout: (1, 1), resume: Some((3, (4, 2))), repartition: Repartition::Own };
+        assert!(all.contains(&back));
         // A knob adds the off / own / frozen axis.
         let adaptive = registry::by_name("hotspot16k-adaptive").expect("registered");
-        assert_eq!(m.variants(&adaptive).len(), 3 * 8 - 1);
+        assert_eq!(m.variants(&adaptive).len(), 3 * 4 - 1);
     }
 
     #[test]
@@ -280,8 +258,7 @@ mod tests {
         // The variant resumed at round 3 under K=4 lands one extra task at
         // t = 5.5, between rounds 5 and 6: the run diverges at round 6.
         let spec = registry::by_name("faulty-torus").expect("registered").smoke(8, 10.0);
-        let m =
-            Matrix { strategies: vec![Tick], layouts: vec![(4, 2)], splits: vec![None, Some(3)] };
+        let m = Matrix { layouts: vec![(4, 2)], splits: vec![None, Some(3)] };
         let err = check_with(&spec, &m, |s, v| {
             let mut s = s.clone();
             if v.resume.is_some() {
@@ -291,7 +268,7 @@ mod tests {
         })
         .expect_err("the injected arrival must be caught");
         assert!(
-            err.starts_with("scenario `faulty-torus` [tick K=4 T=2, split at 3 -> event K=4 T=2]"),
+            err.starts_with("scenario `faulty-torus` [K=4 T=2, split at 3 -> K=4 T=2]"),
             "{err}"
         );
         assert!(err.contains("first diverging round 6:"), "{err}");
@@ -302,10 +279,10 @@ mod tests {
     #[test]
     fn a_field_only_divergence_names_the_field() {
         let spec = registry::by_name("hotspot-torus").expect("registered").smoke(3, 5.0);
-        let m = Matrix { strategies: vec![Event], layouts: vec![(1, 1)], splits: vec![None] };
+        let m = Matrix { layouts: vec![(3, 1)], splits: vec![None] };
         let err = check_with(&spec, &m, |s, v| {
             let (mut report, fired) = run_variant(s, v)?;
-            if v.strategy == Event {
+            if v.layout == (3, 1) {
                 report.completed_tasks += 1;
             }
             Ok((report, fired))

@@ -9,7 +9,6 @@ use crate::spec::{
     WorkloadSpec,
 };
 use pp_sim::engine::RepartitionConfig;
-use pp_sim::strategy::SimulationStrategy;
 use serde::{Deserialize, Serialize, Value};
 
 /// Builds a tagged object: `{"kind": kind, ...fields}`.
@@ -519,13 +518,8 @@ impl Serialize for EngineKnobs {
             entry("shards", self.shards),
             entry("threads", self.threads),
         ];
-        // Omitted (not null) at the Tick default, so every spec written
-        // before the strategy knob existed stays canonical byte-for-byte.
-        if self.strategy != SimulationStrategy::Tick {
-            entries.push(entry("strategy", self.strategy.as_str()));
-        }
-        // Same pattern for the adaptive-repartitioning knob: omitted (not
-        // null) when off, so pre-repartition spec JSON stays canonical.
+        // Omitted (not null) when off, so spec JSON written before the
+        // adaptive-repartitioning knob existed stays canonical.
         if let Some(rp) = self.repartition {
             entries.push(entry(
                 "repartition",
@@ -542,10 +536,6 @@ impl Serialize for EngineKnobs {
 impl Deserialize for EngineKnobs {
     fn from_value(v: &Value) -> Result<Self, String> {
         let d = EngineKnobs::default();
-        let strategy = match v.field_opt::<String>("strategy")? {
-            None => d.strategy,
-            Some(s) => s.parse::<SimulationStrategy>()?,
-        };
         let repartition = match v.field_opt::<Value>("repartition")? {
             None => None,
             Some(rp) => Some(RepartitionConfig {
@@ -562,7 +552,6 @@ impl Deserialize for EngineKnobs {
             max_attempts: v.field_opt("max_attempts")?.unwrap_or(d.max_attempts),
             shards: v.field_opt("shards")?.unwrap_or(d.shards),
             threads: v.field_opt("threads")?.unwrap_or(d.threads),
-            strategy,
             repartition,
         })
     }

@@ -15,8 +15,8 @@
 //! * [`report::GoldenReport`] — deterministic byte-stable run reports,
 //!   used by the CI scenario matrix and the committed `golden/` files;
 //! * [`differential`] — the one invariance harness (`pp-lab --verify`):
-//!   report bytes must not depend on strategy, `(shards, threads)`
-//!   layout, resume split or repartitioning;
+//!   report bytes must not depend on the `(shards, threads)` layout
+//!   (and with it on skipping), resume split or repartitioning;
 //! * [`stats`] — the statistical comparison harness (`pp-lab stats`):
 //!   scenario sets × balancer panel × seeds, reduced to Student-t CIs
 //!   and pairwise Welch verdicts in a byte-stable [`stats::StatsReport`].

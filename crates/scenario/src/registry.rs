@@ -11,7 +11,6 @@ use crate::spec::{
     WorkloadSpec,
 };
 use pp_sim::engine::RepartitionConfig;
-use pp_sim::strategy::SimulationStrategy;
 use pp_tasking::workload::{record_trace, ArrivalProcess};
 use pp_topology::spec::TopologySpec;
 
@@ -230,24 +229,19 @@ pub fn registry() -> Vec<ScenarioSpec> {
             }),
             ..base("torus16k-checkpointed", "16,384-node torus checkpointing every 16 rounds")
         },
-        // 21. The event-strategy showcase: a million-node torus over a
+        // 21. The fast-forward showcase: a million-node torus over a
         // 50,000-round horizon. The small hotspot drains (and the balancer
-        // quiesces) within tens of rounds; the event strategy fast-forwards
-        // everything after in closed form. The tick strategy would execute
+        // quiesces) within tens of rounds; at K = 256 every round after is
+        // fast-forwarded in closed form. The K = 1 reference would execute
         // all 50,000 rounds, each sampling the drained surface's CoV with
-        // the drift guard's exact O(n) pass, so this entry completes in CI
-        // smoke mode under `--strategy event` where Tick cannot. (While the
-        // hotspot holds work, the consume sweep costs n/64 chunk tests plus
-        // the occupied nodes per event, in either strategy.)
+        // the drift guard's exact O(n) pass; this layout runs the full
+        // horizon in a fraction of a second in release. (While the hotspot
+        // holds work, the consume sweep costs n/64 chunk tests plus the
+        // occupied nodes per event, at any K.)
         ScenarioSpec {
             topology: TopologySpec::Torus { dims: vec![1024, 1024] },
             workload: WorkloadSpec::Hotspot { node: 0, total: 64.0, task_size: 1.0 },
-            engine: EngineKnobs {
-                consume_rate: 1.0,
-                shards: 256,
-                strategy: SimulationStrategy::Event,
-                ..EngineKnobs::default()
-            },
+            engine: EngineKnobs { consume_rate: 1.0, shards: 256, ..EngineKnobs::default() },
             duration: DurationSpec { rounds: 50_000, drain: 100.0 },
             ..base(
                 "torus1m-event",
@@ -403,13 +397,9 @@ mod tests {
         differential::check(&spec, &split_at(3, (4, 0))).unwrap_or_else(|e| panic!("{e}"));
     }
 
-    /// One tick run at `layout`, split at round `at`.
+    /// One run at `layout`, split at round `at`.
     fn split_at(at: u64, layout: (usize, usize)) -> Matrix {
-        Matrix {
-            strategies: vec![SimulationStrategy::Tick],
-            layouts: vec![layout],
-            splits: vec![Some(at)],
-        }
+        Matrix { layouts: vec![layout], splits: vec![Some(at)] }
     }
 
     #[test]
@@ -495,12 +485,7 @@ mod tests {
         // be outcome-identical (RunReport implements PartialEq over every
         // recorded artifact).
         for s in registry() {
-            let mut small = s.smoke(3, 10.0);
-            // smoke() deliberately leaves event-strategy horizons alone
-            // (they're O(1) per skipped round in release); clamp them here
-            // so the unoptimized test build stays fast — determinism is a
-            // per-round property, not a per-horizon one.
-            small.duration.rounds = small.duration.rounds.min(16);
+            let small = s.smoke(3, 10.0);
             let a = small.run().unwrap_or_else(|e| panic!("{e}"));
             let b = small.run().unwrap_or_else(|e| panic!("{e}"));
             assert_eq!(a, b, "{} diverged across same-seed runs", s.name);
@@ -510,11 +495,11 @@ mod tests {
     #[test]
     fn torus1m_event_keeps_its_horizon_and_fast_forwards() {
         let spec = by_name("torus1m-event").expect("registered");
-        assert_eq!(spec.engine.strategy, SimulationStrategy::Event);
         assert_eq!(spec.topology.node_count(), 1 << 20);
-        // The point of the entry: smoke mode must not cap the horizon —
-        // Tick can't sweep 50,000 rounds at a million nodes, Event can.
-        assert_eq!(spec.smoke(3, 10.0).duration.rounds, 50_000);
+        // The point of the entry: a 50,000-round horizon at a million
+        // nodes, which only a fast-forwarding K ≥ 2 layout runs quickly.
+        assert_eq!(spec.duration.rounds, 50_000);
+        assert_eq!(spec.engine.shards, 256);
         // The hotspot drains and the balancer quiesces within ~200 rounds;
         // everything after is closed-form. Run a truncated horizon (full
         // scale, debug build) and check the sweep counters have frozen.

@@ -18,7 +18,6 @@ use pp_sim::churn::ChurnPlan;
 use pp_sim::engine::{
     Engine, EngineBuilder, EngineConfig, FaultModel, RepartitionConfig, RunReport,
 };
-use pp_sim::strategy::SimulationStrategy;
 use pp_tasking::graph::TaskGraph;
 use pp_tasking::resources::ResourceMatrix;
 use pp_tasking::task::TaskId;
@@ -979,14 +978,14 @@ pub struct EngineKnobs {
     pub consume_rate: f64,
     /// Transfer attempts per hop.
     pub max_attempts: u32,
-    /// Shard count `K` for the sharded tick pipeline (0 = auto; 1 = the
-    /// sequential reference; clamped to the node count at build).
+    /// Shard count `K` for the sharded tick pipeline (0 = auto; clamped to
+    /// the node count at build). `K = 1` is the skip-free sequential
+    /// reference; `K ≥ 2` with a quiescence-stable balancer skips clean
+    /// shards and fast-forwards effect-free rounds (byte-identical reports
+    /// either way).
     pub shards: usize,
     /// Sweep worker threads (0 = auto: one per core, capped at `K`).
     pub threads: usize,
-    /// How rounds advance: `Tick` sweeps every round; `Event` fast-forwards
-    /// quiescent rounds in closed form (byte-identical reports either way).
-    pub strategy: SimulationStrategy,
     /// Adaptive online repartitioning of the shard decomposition (`None` =
     /// the build-time uniform layout stays fixed). Repartitioning never
     /// reaches the report bytes — it only changes per-round sweep cost.
@@ -1003,7 +1002,6 @@ impl Default for EngineKnobs {
             max_attempts: d.max_attempts,
             shards: d.shards,
             threads: d.threads,
-            strategy: d.strategy,
             repartition: d.repartition,
         }
     }
@@ -1308,7 +1306,6 @@ impl ScenarioSpec {
             threads: self.engine.threads,
             fault_model: self.faults.build(),
             arrival,
-            strategy: self.engine.strategy,
             repartition: self.engine.repartition,
         };
         let balancer = self.balancer.build(&topo);
@@ -1374,14 +1371,10 @@ impl ScenarioSpec {
     }
 
     /// A copy scaled down for CI smoke runs: at most `rounds` rounds and
-    /// `drain` drain time, everything else untouched. Event-strategy specs
-    /// keep their full round budget — skipped rounds are O(1), so the point
-    /// of such scenarios (horizons Tick can't sweep) survives smoke mode.
+    /// `drain` drain time, everything else untouched.
     pub fn smoke(&self, rounds: u64, drain: f64) -> ScenarioSpec {
         let mut s = self.clone();
-        if s.engine.strategy == SimulationStrategy::Tick {
-            s.duration.rounds = s.duration.rounds.min(rounds);
-        }
+        s.duration.rounds = s.duration.rounds.min(rounds);
         s.duration.drain = s.duration.drain.min(drain);
         s
     }
@@ -1426,11 +1419,10 @@ mod tests {
 
     #[test]
     fn split_runs_match_straight_runs() {
-        // Splits at 1, 4 and 8 of 8 rounds, the second half resumed under
-        // the event strategy and another layout (K = 3 and 5, 1 and 2
-        // threads).
+        // Splits at 1, 4 and 8 of 8 rounds, each half resumed under the
+        // next layout (K = 1 → 3 → 5 → 1, 1 and 2 threads), so splits cross
+        // from K = 1 to K ≥ 2 and back.
         let m = Matrix {
-            strategies: vec![SimulationStrategy::Tick],
             layouts: vec![(1, 1), (3, 1), (5, 2)],
             splits: vec![Some(1), Some(4), Some(8)],
         };
@@ -1439,21 +1431,31 @@ mod tests {
 
     #[test]
     fn retired_parallel_decide_key_is_ignored() {
-        // Spec files written while the `parallel_decide` alias existed
-        // still parse, to the same spec and the same report bytes.
-        let spec = busy_spec();
-        let text = spec.to_json_pretty();
-        assert!(!text.contains("parallel_decide"));
-        let legacy = text.replace("\"shards\":", "\"parallel_decide\": true,\n    \"shards\":");
-        assert!(legacy.contains("\"parallel_decide\": true"));
-        let parsed = ScenarioSpec::from_json(&legacy).expect("the retired key is ignored");
-        assert_eq!(parsed, spec);
+        // Spec files written while the `parallel_decide` alias or the
+        // `strategy` knob existed still parse, to the same spec and the
+        // same report bytes (at K = 1 and at K ≥ 2).
         let bytes = |s: &ScenarioSpec| {
             let report = s.run().expect("runs");
             GoldenReport::from_run(&s.name, s.seed, s.topology.node_count(), &report)
                 .to_canonical_json()
         };
-        assert_eq!(bytes(&parsed), bytes(&spec));
+        let mut sharded = busy_spec();
+        sharded.engine.shards = 3;
+        for spec in [busy_spec(), sharded] {
+            let text = spec.to_json_pretty();
+            let want = bytes(&spec);
+            for key in
+                ["\"parallel_decide\": true", "\"strategy\": \"tick\"", "\"strategy\": \"event\""]
+            {
+                let name = key.split(':').next().unwrap();
+                assert!(!text.contains(name));
+                let legacy = text.replace("\"shards\":", &format!("{key},\n    \"shards\":"));
+                assert!(legacy.contains(key));
+                let parsed = ScenarioSpec::from_json(&legacy).expect("the retired key is ignored");
+                assert_eq!(parsed, spec, "{key}");
+                assert_eq!(bytes(&parsed), want, "{key}");
+            }
+        }
     }
 
     #[test]
@@ -1570,29 +1572,6 @@ mod tests {
     }
 
     #[test]
-    fn strategy_knob_round_trips_and_stays_canonical() {
-        // Tick is the default and must be *omitted*: every spec written
-        // before the knob existed stays canonical byte-for-byte.
-        let spec = busy_spec();
-        assert_eq!(spec.engine.strategy, SimulationStrategy::Tick);
-        let text = spec.to_json_pretty();
-        assert!(!text.contains("strategy"), "default strategy must be omitted");
-        assert_eq!(ScenarioSpec::from_json(&text).expect("parses"), spec);
-
-        let mut event = spec;
-        event.engine.strategy = SimulationStrategy::Event;
-        let text = event.to_json_pretty();
-        assert!(text.contains("\"strategy\": \"event\""), "got: {text}");
-        let back = ScenarioSpec::from_json(&text).expect("parses");
-        assert_eq!(back, event);
-        assert_eq!(back.to_json_pretty(), text, "re-serialization is stable");
-
-        let bad = text.replace("\"event\"", "\"warp\"");
-        let err = ScenarioSpec::from_json(&bad).expect_err("unknown strategy rejected");
-        assert!(err.contains("unknown simulation strategy"), "got: {err}");
-    }
-
-    #[test]
     fn churn_knob_round_trips_and_stays_canonical() {
         // The static-membership default must be *omitted*: every spec
         // written before the churn knob existed stays canonical.
@@ -1619,24 +1598,15 @@ mod tests {
     }
 
     #[test]
-    fn event_strategy_spec_runs_byte_identical_to_tick() {
-        let tick = busy_spec();
-        let mut event = tick.clone();
-        event.engine.strategy = SimulationStrategy::Event;
-        assert_eq!(event.run().expect("event"), tick.run().expect("tick"));
-    }
-
-    #[test]
-    fn smoke_caps_rounds_only_for_tick_specs() {
+    fn smoke_caps_rounds_and_drain() {
         let mut spec = busy_spec();
         spec.duration.rounds = 5000;
         spec.duration.drain = 100.0;
-        let tick = spec.smoke(3, 10.0);
-        assert_eq!((tick.duration.rounds, tick.duration.drain), (3, 10.0));
-        spec.engine.strategy = SimulationStrategy::Event;
-        let event = spec.smoke(3, 10.0);
-        assert_eq!(event.duration.rounds, 5000, "event horizons survive smoke mode");
-        assert_eq!(event.duration.drain, 10.0, "drain is still capped");
+        let small = spec.smoke(3, 10.0);
+        assert_eq!((small.duration.rounds, small.duration.drain), (3, 10.0));
+        // Shorter horizons stay as they are.
+        let small = spec.smoke(8000, 200.0);
+        assert_eq!((small.duration.rounds, small.duration.drain), (5000, 100.0));
     }
 
     #[test]

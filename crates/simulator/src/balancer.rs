@@ -187,10 +187,10 @@ pub trait LoadBalancer: Send + Sync {
     ///
     /// A stable policy's [`LoadBalancer::begin_round`] must additionally be
     /// **effect-free**: no internal state mutation, no RNG, no observable
-    /// side effect. The sharded pipeline still calls it every round, but
-    /// the event strategy ([`crate::strategy::SimulationStrategy::Event`])
-    /// fast-forwards whole quiescent rounds — `begin_round` included — and
-    /// byte-exactness of the skip relies on those calls having been no-ops.
+    /// side effect. The sharded pipeline calls it in every round it runs,
+    /// but at `K ≥ 2` it fast-forwards whole quiescent rounds —
+    /// `begin_round` included — and byte-exactness of the skip relies on
+    /// those calls having been no-ops.
     ///
     /// The engine's sharded tick pipeline uses this to skip the decision
     /// sweep over shards whose state (and halo) has not changed, with

@@ -34,11 +34,16 @@
 //!
 //! On top of the decomposition sits exact **shard-level activity
 //! tracking**: every state mutation marks the owning shard dirty (and, for
-//! boundary nodes, every shard owning one of its neighbours), and a shard whose last sweep emitted nothing stays clean
-//! until someone it can observe changes. When the policy opts in via
+//! boundary nodes, every shard owning one of its neighbours), and a shard
+//! whose last sweep emitted nothing stays clean until someone it can
+//! observe changes. When the policy opts in via
 //! [`LoadBalancer::quiescence_stable`] and `K ≥ 2`, clean shards skip their
-//! sweep entirely — provably without observable effect (see
-//! `docs/adr/ADR-004-sharded-ticks.md` for the argument).
+//! sweep entirely, and a round in which nothing can happen (no shard dirty,
+//! no event due, no work to consume, no fault process, no churn) is
+//! fast-forwarded in closed form — both provably without observable effect
+//! (see `docs/adr/ADR-004-sharded-ticks.md` and
+//! `docs/adr/ADR-006-event-strategy.md`). `K = 1` never skips: it is the
+//! reference every skipping layout is compared against.
 //!
 //! Between events each node optionally consumes work (`consume_rate`),
 //! completing and removing tasks, and a dynamic [`ArrivalProcess`] may
@@ -55,7 +60,6 @@ use crate::churn::{ChurnEvent, ChurnPlan};
 use crate::events::{Event, EventQueue};
 use crate::pool::ShardPool;
 use crate::state::{node_bit, set_node_bit, SystemState, NODE_WORD};
-use crate::strategy::SimulationStrategy;
 use pp_metrics::imbalance::Imbalance;
 use pp_metrics::ledger::{MigrationRecord, TrafficLedger};
 use pp_metrics::series::TimeSeries;
@@ -172,9 +176,12 @@ pub struct EngineConfig {
     /// Transfer attempts per hop before the load bounces back.
     pub max_attempts: u32,
     /// Number of spatial shards `K` the decision sweep is partitioned into
-    /// (0 = auto: 1). Clamped to the node count. `K = 1` is the sequential
-    /// reference pipeline; `K ≥ 2` enables shard-level activity tracking
-    /// for [`LoadBalancer::quiescence_stable`] policies.
+    /// (0 = auto: 1). Clamped to the node count. `K = 1` is the skip-free
+    /// sequential reference: every round runs in full. `K ≥ 2` with a
+    /// [`LoadBalancer::quiescence_stable`] policy skips clean shards inside
+    /// a round and fast-forwards effect-free rounds in closed form
+    /// (byte-identical reports either way — see
+    /// `docs/adr/ADR-006-event-strategy.md`).
     pub shards: usize,
     /// Worker threads for the shard sweep (0 = auto: one per available
     /// core, capped at `K`). With 1 thread shards run inline on the
@@ -184,10 +191,6 @@ pub struct EngineConfig {
     pub fault_model: Option<FaultModel>,
     /// Dynamic task arrivals.
     pub arrival: ArrivalProcess,
-    /// How time advances between rounds: `Tick` executes every round,
-    /// `Event` fast-forwards provably effect-free rounds in closed form
-    /// (byte-identical reports either way — see [`crate::strategy`]).
-    pub strategy: SimulationStrategy,
     /// Adaptive online repartitioning (None = the build-time uniform
     /// layout stays fixed for the life of the engine).
     pub repartition: Option<RepartitionConfig>,
@@ -204,7 +207,6 @@ impl Default for EngineConfig {
             threads: 0,
             fault_model: None,
             arrival: ArrivalProcess::Quiescent,
-            strategy: SimulationStrategy::Tick,
             repartition: None,
         }
     }
@@ -343,9 +345,10 @@ pub struct Engine {
     /// build time, so the pool survives checkpoints and restores unchanged
     /// — the worker map is execution layout, not simulation state.
     pool: Option<ShardPool>,
-    /// Rounds whose sweep evaluated at least one shard (diagnostic; kept
-    /// out of `RunReport` like the shard counters, since skip-capable
-    /// layouts execute fewer rounds than the sequential reference).
+    /// Rounds that ran the full pipeline rather than being fast-forwarded
+    /// (diagnostic; kept out of `RunReport` like the shard counters, since
+    /// skip-capable layouts execute fewer rounds than the sequential
+    /// reference).
     executed_rounds: u64,
     /// Per-shard `nodes_evaluated` totals at the last repartition check —
     /// the subtraction baseline that turns the monotone accumulators into
@@ -467,11 +470,11 @@ impl Engine {
         total
     }
 
-    /// Rounds whose decision sweep evaluated at least one shard (as
-    /// opposed to rounds fully skipped by quiescence tracking or the event
-    /// strategy's fast-forward). Like the shard counters this is a
-    /// layout-dependent diagnostic — benchmarks divide elapsed time by
-    /// *executed* work so skip-heavy runs report real per-decision cost.
+    /// Rounds that ran the full pipeline (events, consumption, faults,
+    /// decision sweep) instead of being fast-forwarded in closed form —
+    /// every round at `K = 1`. A round that ran may still have skipped
+    /// every shard's sweep (a due event woke it, but no shard was dirty).
+    /// Like the shard counters this is a layout-dependent diagnostic.
     pub fn executed_rounds(&self) -> u64 {
         self.executed_rounds
     }
@@ -501,23 +504,13 @@ impl Engine {
     }
 
     /// Runs `n` balance rounds (processing all intervening events) and
-    /// returns the engine for chaining. The configured
-    /// [`SimulationStrategy`] decides *how* each round runs — what it
-    /// records is byte-identical either way.
+    /// returns the engine for chaining. The shard layout decides *how*
+    /// each round runs (see [`EngineConfig::shards`]) — what it records is
+    /// byte-identical either way.
     pub fn run_rounds(&mut self, n: u64) -> &mut Self {
-        match self.config.strategy {
-            SimulationStrategy::Tick => {
-                for _ in 0..n {
-                    self.run_round_tick();
-                    self.maybe_repartition();
-                }
-            }
-            SimulationStrategy::Event => {
-                for _ in 0..n {
-                    self.run_round_event();
-                    self.maybe_repartition();
-                }
-            }
+        for _ in 0..n {
+            self.run_round();
+            self.maybe_repartition();
         }
         self
     }
@@ -561,7 +554,7 @@ impl Engine {
     /// same K — the checkpoint machinery's layout-change path applied in
     /// place. Per-node RNG streams are carried over by node id (shard
     /// order is node-id order on both sides), and the carried dirty flags
-    /// are what the event strategy wakes on. The pool keeps its
+    /// are what the fast-forward wakes on. The pool keeps its
     /// workers: affinity is a pure function of `(threads, K)` and K is
     /// unchanged. Nothing here mutates simulation state or draws
     /// randomness, so the run's report bytes cannot change.
@@ -605,34 +598,26 @@ impl Engine {
         self.repartitions += 1;
     }
 
-    /// One round of the round-by-round reference pipeline.
-    fn run_round_tick(&mut self) {
-        // Draining may have carried the clock past the scheduled tick.
-        let t = self.next_tick.max(self.time);
-        self.process_events_until(t);
-        self.advance_time_to(t);
-        self.fire_tick();
-        self.next_tick = self.time + self.config.tick;
-    }
-
-    /// One round of the event strategy: execute the full pipeline only
-    /// when something can happen at this round's tick (a dirty shard, a
-    /// due event, decaying work, a fault process or churn); otherwise
-    /// fast-forward the round in closed form.
+    /// One balance round: the full pipeline when something can happen at
+    /// this round's tick (a dirty shard, a due event, decaying work, a
+    /// fault process or churn) or when the layout does not skip; otherwise
+    /// a closed-form fast-forward.
     ///
-    /// The skip is byte-exact against [`Engine::run_round_tick`]: with no
+    /// The fast-forward is byte-exact against the full pipeline: with no
     /// event due at or before `t`, no resident work to consume, no fault
-    /// process and a clean quiescence-stable policy, the tick path would
+    /// process and a clean quiescence-stable policy, the full round would
     /// mutate nothing and draw no randomness — its only observable effects
     /// are the round counter, the clock, and one CoV sample, all of which
     /// the skip reproduces with the identical float operations (`cov()` is
     /// a pure read of the incremental statistics, and the clock advances by
     /// the same `max`/`+ tick` arithmetic). See
     /// `docs/adr/ADR-006-event-strategy.md`.
-    fn run_round_event(&mut self) {
+    fn run_round(&mut self) {
+        // Draining may have carried the clock past the scheduled tick.
         let t = self.next_tick.max(self.time);
         if self.round_has_effect(t) {
             self.skip_cov = None;
+            self.executed_rounds += 1;
             self.process_events_until(t);
             self.advance_time_to(t);
             self.fire_tick();
@@ -652,13 +637,22 @@ impl Engine {
         self.next_tick = self.time + self.config.tick;
     }
 
-    /// Whether the round at tick time `t` can observably differ from the
-    /// closed-form fast-forward.
+    /// Whether effect-free work may be skipped: clean shards inside a
+    /// round ([`Engine::collect_decisions`]) and whole rounds
+    /// ([`Engine::round_has_effect`]). Shard-level activity tracking only
+    /// has resolution at `K ≥ 2`, so `K = 1` stays the skip-free
+    /// sequential reference; and a policy without the quiescence-stable
+    /// contract may mutate state or draw randomness in
+    /// `begin_round`/`decide` even when clean.
+    fn skipping(&self) -> bool {
+        self.shards.len() >= 2 && self.balancer.quiescence_stable()
+    }
+
+    /// Whether the round at tick time `t` must run the full pipeline
+    /// rather than the closed-form fast-forward.
     fn round_has_effect(&self, t: f64) -> bool {
-        // The fault process draws engine RNG per edge every round, and a
-        // policy without the quiescence-stable contract may mutate state or
-        // draw randomness in `begin_round`/`decide` even when clean.
-        if self.config.fault_model.is_some() || !self.balancer.quiescence_stable() {
+        // The fault process draws engine RNG per edge every round.
+        if !self.skipping() || self.config.fault_model.is_some() {
             return true;
         }
         // A churn event due at this round's tick mutates membership (and
@@ -1366,9 +1360,7 @@ impl Engine {
         // `eval_shard` is about to clear dirty flags, so the consume memo's
         // invariant no longer holds for what it recorded.
         self.consume_marked.fill(0);
-        // Shard-level activity tracking only has resolution at K ≥ 2; the
-        // single-shard pipeline stays the skip-free sequential reference.
-        let skip_ok = self.shards.len() >= 2 && self.balancer.quiescence_stable();
+        let skip_ok = self.skipping();
         let mut pending = 0usize;
         for slot in &mut self.shards {
             slot.evaluated = slot.dirty || !skip_ok;
@@ -1381,7 +1373,6 @@ impl Engine {
         if pending == 0 {
             return;
         }
-        self.executed_rounds += 1;
 
         let blocked = &self.masked_links;
         let state = &self.state;
@@ -2173,8 +2164,8 @@ mod tests {
     #[test]
     fn quiescent_shards_are_skipped_for_stable_policies() {
         // NullBalancer is quiescence-stable and never emits: after the
-        // first evaluated tick every shard goes clean and later rounds
-        // skip all of them.
+        // first evaluated tick every shard goes clean, and with nothing
+        // due the 9 later rounds fast-forward without reaching the sweep.
         let mut e = EngineBuilder::new(Topology::torus(&[4, 4]))
             .workload(Workload::hotspot(16, 0, 8.0))
             .balancer(NullBalancer)
@@ -2184,8 +2175,9 @@ mod tests {
         e.run_rounds(10);
         let stats = e.shard_stats();
         assert_eq!(stats.ticks_evaluated, 4, "only the first tick evaluates");
-        assert_eq!(stats.ticks_skipped, 36, "9 later ticks × 4 shards skip");
+        assert_eq!(stats.ticks_skipped, 0, "no later round reaches the sweep");
         assert_eq!(stats.nodes_evaluated, 16);
+        assert_eq!(e.executed_rounds(), 1);
         // The skip changes nothing observable.
         assert_eq!(e.round(), 10);
         assert_eq!(e.report().series.len(), 11);
@@ -2620,7 +2612,7 @@ mod tests {
 
     /// [`GreedyOne`] with the quiescence-stable contract: `decide` is a
     /// pure, draw-free function of the view, so a clean shard re-emits
-    /// nothing — which also makes it a legal event-strategy skipper.
+    /// nothing — which also makes it a legal skipper at `K ≥ 2`.
     struct GreedyStable;
     impl LoadBalancer for GreedyStable {
         fn name(&self) -> &str {
@@ -2634,23 +2626,17 @@ mod tests {
         }
     }
 
-    /// Event-strategy workhorse: a stable policy over a draining workload
+    /// Fast-forward workhorse: a stable policy over a draining workload
     /// with consumption and a replay trace, so runs go quiescent, get
     /// woken by an arrival, and go quiescent again.
-    fn stable_engine(strategy: SimulationStrategy, shards: usize, threads: usize) -> Engine {
+    fn stable_engine(shards: usize, threads: usize) -> Engine {
         use pp_tasking::workload::TraceEvent;
         let topo = Topology::torus(&[8, 8]);
         let w = Workload::uniform_random(64, 6.0, 3);
         EngineBuilder::new(topo)
             .workload(w)
             .balancer(GreedyStable)
-            .config(EngineConfig {
-                shards,
-                threads,
-                consume_rate: 0.5,
-                strategy,
-                ..Default::default()
-            })
+            .config(EngineConfig { shards, threads, consume_rate: 0.5, ..Default::default() })
             .arrival_trace(vec![
                 TraceEvent { time: 3.5, node: 11, size: 2.0 },
                 TraceEvent { time: 30.5, node: 40, size: 1.0 },
@@ -2660,61 +2646,67 @@ mod tests {
     }
 
     #[test]
-    fn event_strategy_matches_tick_byte_for_byte() {
-        let mut tick = stable_engine(SimulationStrategy::Tick, 1, 1);
-        tick.run_rounds(60);
-        tick.drain(20.0);
-        let want = tick.report();
-        for (k, t) in [(1, 1), (3, 1), (4, 2), (16, 4)] {
-            let mut ev = stable_engine(SimulationStrategy::Event, k, t);
-            ev.run_rounds(60);
-            ev.drain(20.0);
-            assert_eq!(ev.report(), want, "event K={k} threads={t}");
-            assert_eq!(ev.heights(), tick.heights(), "event K={k} threads={t}");
+    fn fast_forward_matches_the_sequential_reference_byte_for_byte() {
+        let mut seq = stable_engine(1, 1);
+        seq.run_rounds(60);
+        seq.drain(20.0);
+        let want = seq.report();
+        for (k, t) in [(2, 1), (3, 1), (4, 2), (16, 4)] {
+            let mut e = stable_engine(k, t);
+            e.run_rounds(60);
+            e.drain(20.0);
+            assert_eq!(e.report(), want, "K={k} threads={t}");
+            assert_eq!(e.heights(), seq.heights(), "K={k} threads={t}");
         }
     }
 
     #[test]
-    fn event_strategy_actually_skips_rounds() {
+    fn sharded_engine_actually_fast_forwards() {
         // Same run as above, but check the diagnostic counters: once the
-        // load drains the event engine stops sweeping entirely, while the
-        // K=1 tick reference evaluates its shard every single round.
-        let mut tick = stable_engine(SimulationStrategy::Tick, 1, 1);
-        tick.run_rounds(60);
-        let mut ev = stable_engine(SimulationStrategy::Event, 1, 1);
-        ev.run_rounds(60);
-        assert_eq!(tick.shard_stats().ticks_evaluated, 60);
-        let evaluated = ev.shard_stats().ticks_evaluated;
-        assert!(evaluated < 55, "expected skipped rounds, evaluated {evaluated}");
-        assert_eq!(ev.report(), tick.report());
+        // load drains the K=4 engine stops running rounds at all, while
+        // the K=1 reference runs and sweeps every single round.
+        let mut seq = stable_engine(1, 1);
+        seq.run_rounds(60);
+        let mut e = stable_engine(4, 1);
+        e.run_rounds(60);
+        assert_eq!(seq.shard_stats().ticks_evaluated, 60);
+        assert_eq!(seq.executed_rounds(), 60);
+        let executed = e.executed_rounds();
+        assert!(executed < 55, "expected fast-forwarded rounds, executed {executed}");
+        let s = e.shard_stats();
+        assert_eq!(s.ticks_evaluated + s.ticks_skipped, 4 * executed, "one sweep per round run");
+        assert_eq!(e.report(), seq.report());
     }
 
     #[test]
     fn drained_system_stops_sweeping_entirely() {
         // A system that fully drains (no migrations, pure consumption):
-        // once empty the event engine's sweep counters freeze — the cost of
-        // the remaining rounds tracks activity, not `nodes × rounds`.
-        let build = |strategy| {
+        // once empty the K=2 engine's counters freeze — the cost of the
+        // remaining rounds tracks activity, not `nodes × rounds`.
+        let build = |shards| {
             EngineBuilder::new(Topology::torus(&[4, 4]))
                 .workload(Workload::from_loads(&[4.0; 16], 1.0))
                 .balancer(NullBalancer)
-                .config(EngineConfig { consume_rate: 1.0, strategy, ..Default::default() })
+                .config(EngineConfig { consume_rate: 1.0, shards, ..Default::default() })
                 .seed(0)
                 .build()
         };
-        let mut ev = build(SimulationStrategy::Event);
+        let mut ev = build(2);
         ev.run_rounds(50);
+        let executed = ev.executed_rounds();
         let evaluated = ev.shard_stats().ticks_evaluated;
-        assert!(evaluated <= 6, "drain takes ~4 rounds, saw {evaluated} sweeps");
+        assert!(executed <= 6, "drain takes ~4 rounds, saw {executed} rounds run");
         ev.run_rounds(100);
+        assert_eq!(ev.executed_rounds(), executed, "drained tail must fast-forward");
         assert_eq!(ev.shard_stats().ticks_evaluated, evaluated, "drained tail must not sweep");
         assert_eq!(ev.round(), 150);
         assert_eq!(ev.report().series.len(), 151, "every skipped round still samples the CoV");
         assert_eq!(ev.next_wake(), None);
 
-        let mut tick = build(SimulationStrategy::Tick);
-        tick.run_rounds(150);
-        assert_eq!(ev.report(), tick.report());
+        let mut seq = build(1);
+        seq.run_rounds(150);
+        assert_eq!(seq.executed_rounds(), 150, "K = 1 never fast-forwards");
+        assert_eq!(ev.report(), seq.report());
     }
 
     #[test]
@@ -2756,22 +2748,17 @@ mod tests {
         // One long task on node 5 keeps consuming without completing, under
         // a policy that never emits: its shard is swept clean every round
         // and must be re-dirtied by the next window's consumption.
-        let build = |strategy| {
+        let build = |shards| {
             let mut loads = [0.0; 64];
             loads[5] = 8.0;
             EngineBuilder::new(Topology::torus(&[8, 8]))
                 .workload(Workload::from_loads(&loads, 8.0))
                 .balancer(NullBalancer)
-                .config(EngineConfig {
-                    consume_rate: 0.25,
-                    shards: 4,
-                    strategy,
-                    ..Default::default()
-                })
+                .config(EngineConfig { consume_rate: 0.25, shards, ..Default::default() })
                 .seed(3)
                 .build()
         };
-        let mut ev = build(SimulationStrategy::Event);
+        let mut ev = build(4);
         let s = ev.partition.shard_of(NodeId(5));
         ev.run_rounds(2);
         assert!(ev.shards.iter().all(|slot| !slot.dirty), "zero intents leave every shard clean");
@@ -2795,18 +2782,18 @@ mod tests {
 
         ev.run_rounds(37);
         ev.drain(5.0);
-        let mut tick = build(SimulationStrategy::Tick);
-        tick.run_rounds(40);
-        tick.drain(5.0);
-        assert_eq!(format!("{:?}", ev.report()), format!("{:?}", tick.report()));
-        assert_eq!(ev.heights(), tick.heights());
+        let mut seq = build(1);
+        seq.run_rounds(40);
+        seq.drain(5.0);
+        assert_eq!(format!("{:?}", ev.report()), format!("{:?}", seq.report()));
+        assert_eq!(ev.heights(), seq.heights());
     }
 
     #[test]
-    fn event_strategy_with_full_mix_falls_back_to_tick_path() {
-        // Faults + a non-stable policy: nothing is skippable, so the event
-        // engine must traverse the identical code path round for round.
-        let build = |strategy| {
+    fn full_mix_runs_every_round() {
+        // Faults + a non-stable policy: nothing is skippable, so the K=4
+        // engine must run every round, like the K=1 reference.
+        let build = |shards| {
             let mut e = EngineBuilder::new(Topology::torus(&[8, 8]))
                 .workload(Workload::uniform_random(64, 6.0, 3))
                 .balancer(GreedyOne)
@@ -2814,16 +2801,17 @@ mod tests {
                     consume_rate: 0.2,
                     fault_model: Some(FaultModel { p_down: 0.05, p_up: 0.5 }),
                     arrival: ArrivalProcess::Poisson { rate: 2.0, size_min: 0.5, size_max: 1.5 },
-                    strategy,
+                    shards,
                     ..Default::default()
                 })
                 .seed(17)
                 .build();
             e.run_rounds(40);
+            assert_eq!(e.executed_rounds(), 40, "K={shards}");
             e.drain(20.0);
             e.report()
         };
-        assert_eq!(build(SimulationStrategy::Tick), build(SimulationStrategy::Event));
+        assert_eq!(build(1), build(4));
     }
 
     #[test]
@@ -2831,12 +2819,12 @@ mod tests {
         use pp_tasking::workload::TraceEvent;
         let mut e = EngineBuilder::new(Topology::ring(8))
             .balancer(NullBalancer)
-            .config(EngineConfig { strategy: SimulationStrategy::Event, ..Default::default() })
+            .config(EngineConfig { shards: 2, ..Default::default() })
             .arrival_trace(vec![TraceEvent { time: 7.3, node: 5, size: 2.0 }])
             .seed(0)
             .build();
         e.run_rounds(2);
-        // The shard went clean on round 1; the only pending wake is the
+        // Both shards went clean on round 1; the only pending wake is the
         // trace arrival, exactly as queued.
         assert_eq!(e.next_wake(), Some(7.3));
         assert_eq!(e.next_wake(), e.queue.peek_time());
@@ -2844,10 +2832,14 @@ mod tests {
         // queued event, earlier than the upcoming tick at t = 8.
         e.run_rounds(5);
         assert_eq!(e.next_wake(), Some(7.3));
-        // Round 8 lands the arrival and re-sweeps the shard clean; with
+        // Rounds 2–7 were fast-forwarded; only round 1 ran in full.
+        assert_eq!((e.executed_rounds(), e.round()), (1, 7));
+        // Round 8 lands the arrival and re-sweeps its shard clean; with
         // the queue empty, nothing is ever going to wake the system.
         e.run_rounds(1);
         assert_eq!(e.next_wake(), None);
+        assert_eq!((e.executed_rounds(), e.round()), (2, 8));
+        assert_eq!(e.state.total_load(), 2.0, "the arrival landed in round 8");
 
         // A dirty shard, by contrast, wakes at the upcoming tick: a
         // greedy-stable policy mid-spread keeps emitting, so its shard
@@ -2855,7 +2847,7 @@ mod tests {
         let mut busy = EngineBuilder::new(Topology::ring(8))
             .workload(Workload::hotspot(8, 0, 16.0))
             .balancer(GreedyStable)
-            .config(EngineConfig { strategy: SimulationStrategy::Event, ..Default::default() })
+            .config(EngineConfig { shards: 2, ..Default::default() })
             .seed(1)
             .build();
         busy.run_rounds(1);
@@ -2864,30 +2856,28 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_crosses_strategies_exactly() {
-        // Capture under Tick, resume under Event — and the reverse — must
-        // both land on the straight runs' (identical) reports.
-        let straight = |strategy| {
-            let mut e = stable_engine(strategy, 4, 2);
+    fn checkpoint_crosses_between_sequential_and_sharded_exactly() {
+        // Capture under the K=1 reference, resume under a fast-forwarding
+        // K=4 layout — and the reverse — must both land on the straight
+        // runs' (identical) reports.
+        let straight = |(k, t)| {
+            let mut e = stable_engine(k, t);
             e.run_rounds(50);
             e.drain(20.0);
             e.report()
         };
-        let want = straight(SimulationStrategy::Tick);
-        assert_eq!(want, straight(SimulationStrategy::Event));
+        let want = straight((1, 1));
+        assert_eq!(want, straight((4, 2)));
 
-        for (write, resume) in [
-            (SimulationStrategy::Tick, SimulationStrategy::Event),
-            (SimulationStrategy::Event, SimulationStrategy::Tick),
-        ] {
-            let mut first = stable_engine(write, 4, 2);
+        for (write, resume) in [((1, 1), (4, 2)), ((4, 2), (1, 1))] {
+            let mut first = stable_engine(write.0, write.1);
             first.run_rounds(20);
             let cp = Checkpoint::from_json(&first.checkpoint().to_json()).expect("round trip");
-            let mut resumed = stable_engine(resume, 4, 2);
+            let mut resumed = stable_engine(resume.0, resume.1);
             resumed.restore(&cp).expect("restore");
             resumed.run_rounds(30);
             resumed.drain(20.0);
-            assert_eq!(resumed.report(), want, "{write} -> {resume}");
+            assert_eq!(resumed.report(), want, "{write:?} -> {resume:?}");
         }
     }
 
@@ -2895,7 +2885,6 @@ mod tests {
     /// so per-shard sweep load is persistently skewed — the regime
     /// adaptive repartitioning exists for.
     fn hotspot_engine(
-        strategy: SimulationStrategy,
         shards: usize,
         threads: usize,
         repartition: Option<RepartitionConfig>,
@@ -2905,7 +2894,6 @@ mod tests {
             .config(EngineConfig {
                 shards,
                 threads,
-                strategy,
                 repartition,
                 arrival: ArrivalProcess::MovingHotspot {
                     rate: 6.0,
@@ -2923,7 +2911,7 @@ mod tests {
 
     #[test]
     fn adaptive_repartition_fires_and_keeps_report_bytes() {
-        let mut adaptive = hotspot_engine(SimulationStrategy::Tick, 8, 1, Some(ADAPTIVE));
+        let mut adaptive = hotspot_engine(8, 1, Some(ADAPTIVE));
         adaptive.run_rounds(60);
         adaptive.drain(20.0);
         assert!(adaptive.repartitions() > 0, "skewed hotspot load must trigger repartitioning");
@@ -2931,7 +2919,7 @@ mod tests {
         // is what lets the pinned pool keep its workers.
         assert_eq!(adaptive.partition().shard_count(), 8);
 
-        let mut statik = hotspot_engine(SimulationStrategy::Tick, 8, 1, None);
+        let mut statik = hotspot_engine(8, 1, None);
         statik.run_rounds(60);
         statik.drain(20.0);
         // Repartitioning mutates no simulation state and draws no RNG:
@@ -2946,29 +2934,28 @@ mod tests {
         // fire never. Must be byte-identical to static *and* apply zero
         // repartitions.
         let knob = RepartitionConfig { every: 1, skew_threshold: f64::INFINITY };
-        let mut measured = hotspot_engine(SimulationStrategy::Tick, 8, 1, Some(knob));
+        let mut measured = hotspot_engine(8, 1, Some(knob));
         measured.run_rounds(40);
         measured.drain(10.0);
         assert_eq!(measured.repartitions(), 0);
 
-        let mut statik = hotspot_engine(SimulationStrategy::Tick, 8, 1, None);
+        let mut statik = hotspot_engine(8, 1, None);
         statik.run_rounds(40);
         statik.drain(10.0);
         assert_eq!(measured.report(), statik.report());
     }
 
     #[test]
-    fn adaptive_repartition_crosses_layouts_and_strategies() {
-        let run = |strategy, k, t| {
-            let mut e = hotspot_engine(strategy, k, t, Some(ADAPTIVE));
+    fn adaptive_repartition_crosses_layouts() {
+        let run = |k, t| {
+            let mut e = hotspot_engine(k, t, Some(ADAPTIVE));
             e.run_rounds(50);
             e.drain(20.0);
             e.report()
         };
-        let want = run(SimulationStrategy::Tick, 1, 1);
+        let want = run(1, 1);
         for (k, t) in [(4, 1), (8, 2), (16, 4)] {
-            assert_eq!(want, run(SimulationStrategy::Tick, k, t), "tick K={k} T={t}");
-            assert_eq!(want, run(SimulationStrategy::Event, k, t), "event K={k} T={t}");
+            assert_eq!(want, run(k, t), "K={k} T={t}");
         }
     }
 
@@ -2978,17 +2965,17 @@ mod tests {
         // resume under a different (shards, threads) execution layout with
         // the knob still on: the report must land on the straight run's
         // exact bytes.
-        let mut straight = hotspot_engine(SimulationStrategy::Tick, 8, 1, Some(ADAPTIVE));
+        let mut straight = hotspot_engine(8, 1, Some(ADAPTIVE));
         straight.run_rounds(60);
         straight.drain(20.0);
         let want = straight.report();
 
-        let mut writer = hotspot_engine(SimulationStrategy::Tick, 8, 1, Some(ADAPTIVE));
+        let mut writer = hotspot_engine(8, 1, Some(ADAPTIVE));
         writer.run_rounds(25);
         assert!(writer.repartitions() > 0, "capture must happen after an adaptation");
         let cp = Checkpoint::from_json(&writer.checkpoint().to_json()).expect("round trip");
         for (k, t) in [(8, 1), (4, 2), (16, 4)] {
-            let mut resumed = hotspot_engine(SimulationStrategy::Tick, k, t, Some(ADAPTIVE));
+            let mut resumed = hotspot_engine(k, t, Some(ADAPTIVE));
             resumed.restore(&cp).expect("restore");
             resumed.run_rounds(35);
             resumed.drain(20.0);
@@ -3295,20 +3282,14 @@ mod tests {
         assert!((e.system_load() - 8.0).abs() < 1e-9);
     }
 
-    fn churny_engine(strategy: SimulationStrategy, shards: usize, threads: usize) -> Engine {
+    fn churny_engine(shards: usize, threads: usize) -> Engine {
         use pp_tasking::workload::TraceEvent;
         let topo = Topology::torus(&[8, 8]);
         let w = Workload::uniform_random(64, 6.0, 3);
         EngineBuilder::new(topo)
             .workload(w)
             .balancer(GreedyStable)
-            .config(EngineConfig {
-                shards,
-                threads,
-                consume_rate: 0.3,
-                strategy,
-                ..Default::default()
-            })
+            .config(EngineConfig { shards, threads, consume_rate: 0.3, ..Default::default() })
             .arrival_trace(vec![
                 TraceEvent { time: 3.5, node: 11, size: 2.0 },
                 TraceEvent { time: 30.5, node: 40, size: 1.0 },
@@ -3320,12 +3301,12 @@ mod tests {
 
     #[test]
     fn churned_run_is_identical_across_layouts() {
-        let mut seq = churny_engine(SimulationStrategy::Tick, 1, 1);
+        let mut seq = churny_engine(1, 1);
         seq.run_rounds(45);
         seq.drain(20.0);
         let want = seq.report();
-        for (k, t) in [(4, 1), (8, 2), (16, 4)] {
-            let mut e = churny_engine(SimulationStrategy::Tick, k, t);
+        for (k, t) in [(4, 1), (4, 2), (8, 2), (16, 4)] {
+            let mut e = churny_engine(k, t);
             e.run_rounds(45);
             e.drain(20.0);
             assert_eq!(e.report(), want, "K={k} threads={t}");
@@ -3334,32 +3315,18 @@ mod tests {
     }
 
     #[test]
-    fn churned_event_strategy_matches_tick() {
-        let mut tick = churny_engine(SimulationStrategy::Tick, 1, 1);
-        tick.run_rounds(60);
-        tick.drain(20.0);
-        let want = tick.report();
-        for (k, t) in [(1, 1), (4, 2)] {
-            let mut ev = churny_engine(SimulationStrategy::Event, k, t);
-            ev.run_rounds(60);
-            ev.drain(20.0);
-            assert_eq!(ev.report(), want, "event K={k} threads={t}");
-        }
-    }
-
-    #[test]
     fn checkpoint_resume_crosses_churn_exactly() {
-        let mut straight = churny_engine(SimulationStrategy::Tick, 1, 1);
+        let mut straight = churny_engine(1, 1);
         straight.run_rounds(40);
         straight.drain(20.0);
         let want = straight.report();
 
-        let mut writer = churny_engine(SimulationStrategy::Tick, 4, 2);
+        let mut writer = churny_engine(4, 2);
         writer.run_rounds(15);
         assert!(writer.down_node_count() > 0, "capture should land mid-churn");
         let cp = Checkpoint::from_json(&writer.checkpoint().to_json()).expect("round trip");
         for (k, t) in [(1, 1), (8, 4)] {
-            let mut resumed = churny_engine(SimulationStrategy::Tick, k, t);
+            let mut resumed = churny_engine(k, t);
             resumed.restore(&cp).expect("restore");
             assert_eq!(resumed.down_node_count(), writer.down_node_count());
             // The rebuilt bitsets match the per-node truth at every node:
@@ -3383,11 +3350,11 @@ mod tests {
 
     #[test]
     fn restore_rejects_mismatched_churn_plans() {
-        let mut writer = churny_engine(SimulationStrategy::Tick, 1, 1);
+        let mut writer = churny_engine(1, 1);
         writer.run_rounds(10);
         let cp = writer.checkpoint();
         // An engine without the plan must refuse the churned checkpoint.
-        let mut plain = stable_engine(SimulationStrategy::Tick, 1, 1);
+        let mut plain = stable_engine(1, 1);
         let err = plain.restore(&cp).unwrap_err();
         assert!(err.contains("churn"), "{err}");
     }

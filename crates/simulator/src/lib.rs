@@ -24,7 +24,6 @@ pub mod events;
 pub mod parallel;
 pub mod pool;
 pub mod state;
-pub mod strategy;
 
 /// One-stop imports.
 pub mod prelude {
@@ -40,5 +39,4 @@ pub mod prelude {
     pub use crate::parallel::par_map;
     pub use crate::pool::ShardPool;
     pub use crate::state::{NodeState, SystemState};
-    pub use crate::strategy::SimulationStrategy;
 }

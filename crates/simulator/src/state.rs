@@ -142,8 +142,8 @@ pub struct SystemState {
     /// sweeps read "does node `i` hold work?" 64 nodes per load instead of
     /// striding over [`NodeState`] records (and their task vectors).
     occupied: Vec<u64>,
-    /// Total resident task count, maintained incrementally — the event
-    /// strategy's O(1) "is there any work to consume?" gate.
+    /// Total resident task count, maintained incrementally — the round
+    /// fast-forward's O(1) "is there any work to consume?" gate.
     resident_tasks: usize,
     /// Incremental `Σh` over all nodes (imbalance sufficient statistic).
     height_sum: f64,
@@ -424,8 +424,8 @@ impl SystemState {
     }
 
     /// Total resident task count from the incremental counter — O(1), so
-    /// the event strategy can gate its consumption check per round without
-    /// a node sweep.
+    /// the round fast-forward can gate its consumption check per round
+    /// without a node sweep.
     #[inline]
     pub fn resident_tasks(&self) -> usize {
         self.resident_tasks

@@ -1,7 +1,8 @@
 //! Churn differential gate: a run with node churn must be byte-identical
-//! across the tick strategy, the event strategy, and a checkpoint/resume
-//! split — for every `(shards, threads)` execution layout, including the
-//! K = 64 one-node-per-shard extreme. This is the engine-level guarantee
+//! across every `(shards, threads)` execution layout — the skip-free K = 1
+//! reference, the fast-forwarding K ≥ 2 layouts, including the K = 64
+//! one-node-per-shard extreme — and across a checkpoint/resume split that
+//! crosses between K = 1 and K ≥ 2. This is the engine-level guarantee
 //! the statistical comparison harness leans on: a churn scenario's metrics
 //! are a function of `(spec, seed)` alone, never of how the run was laid
 //! out or whether it was interrupted.
@@ -11,7 +12,7 @@ use pp_tasking::workload::Workload;
 use pp_topology::graph::Topology;
 
 /// A quiescence-stable greedy policy (pure, draw-free `decide`), so the
-/// event strategy actually gets to skip rounds around the churn events.
+/// K ≥ 2 layouts actually get to skip rounds around the churn events.
 struct GreedyStable;
 impl LoadBalancer for GreedyStable {
     fn name(&self) -> &str {
@@ -37,17 +38,11 @@ impl LoadBalancer for GreedyStable {
 const ROUNDS: u64 = 50;
 const SPLIT: u64 = 18;
 
-fn churny(strategy: SimulationStrategy, shards: usize, threads: usize) -> Engine {
+fn churny(shards: usize, threads: usize) -> Engine {
     EngineBuilder::new(Topology::torus(&[8, 8]))
         .workload(Workload::uniform_random(64, 6.0, 3))
         .balancer(GreedyStable)
-        .config(EngineConfig {
-            shards,
-            threads,
-            consume_rate: 0.25,
-            strategy,
-            ..Default::default()
-        })
+        .config(EngineConfig { shards, threads, consume_rate: 0.25, ..Default::default() })
         .churn(ChurnPlan::markov(64, ROUNDS, 0.03, 0.3, 41))
         .seed(29)
         .build()
@@ -60,33 +55,32 @@ fn finish(mut e: Engine) -> RunReport {
 }
 
 #[test]
-fn churn_is_identical_across_strategies_layouts_and_resume() {
-    let want = finish(churny(SimulationStrategy::Tick, 1, 1));
+fn churn_is_identical_across_layouts_and_resume() {
+    let want = finish(churny(1, 1));
     // The plan really fires: down nodes exist mid-run.
     {
-        let mut probe = churny(SimulationStrategy::Tick, 1, 1);
+        let mut probe = churny(1, 1);
         probe.run_rounds(SPLIT);
         assert!(probe.down_node_count() > 0, "differential run must exercise churn");
     }
     for k in [1usize, 4, 64] {
         for t in [1usize, 4] {
-            // Straight tick run.
-            let tick = finish(churny(SimulationStrategy::Tick, k, t));
-            assert_eq!(tick, want, "tick K={k} threads={t}");
-            // Straight event run.
-            let event = finish(churny(SimulationStrategy::Event, k, t));
-            assert_eq!(event, want, "event K={k} threads={t}");
+            // Straight run.
+            let straight = finish(churny(k, t));
+            assert_eq!(straight, want, "K={k} threads={t}");
             // Interrupted run: checkpoint at the split (through the JSON
             // form, so the serialized path is the one under test), resume
-            // into a fresh engine, continue to the end.
-            let mut writer = churny(SimulationStrategy::Tick, k, t);
+            // into a fresh engine on the other side of K = 1 / K ≥ 2,
+            // continue to the end.
+            let mut writer = churny(k, t);
             writer.run_rounds(SPLIT);
             let cp = Checkpoint::from_json(&writer.checkpoint().to_json()).expect("round trip");
-            let mut resumed = churny(SimulationStrategy::Event, k, t);
+            let (rk, rt) = if k == 1 { (4, t) } else { (1, 1) };
+            let mut resumed = churny(rk, rt);
             resumed.restore(&cp).expect("restore");
             resumed.run_rounds(ROUNDS - SPLIT);
             resumed.drain(25.0);
-            assert_eq!(resumed.report(), want, "resumed K={k} threads={t}");
+            assert_eq!(resumed.report(), want, "K={k} threads={t} resumed at K={rk} threads={rt}");
         }
     }
 }

@@ -8,9 +8,9 @@
 //!    worse-skewed than the one it replaces under the very weights it cut
 //!    on.
 //! 2. **Engine properties** — a mid-run repartition must be invisible in
-//!    the report bytes: across execution layouts, across the tick/event
-//!    strategies, and across a checkpoint/resume chain that interleaves
-//!    with the repartition schedule.
+//!    the report bytes: across execution layouts, against the skip-free
+//!    K = 1 reference, and across a checkpoint/resume chain that
+//!    interleaves with the repartition schedule.
 
 use pp_sim::prelude::*;
 use pp_tasking::workload::{ArrivalProcess, Workload};
@@ -140,12 +140,7 @@ proptest! {
 
 /// A 16×16 torus under a drifting hotspot — small enough for a prop-style
 /// matrix sweep, busy enough that the adaptive knob actually fires.
-fn hotspot_engine(
-    shards: usize,
-    threads: usize,
-    strategy: SimulationStrategy,
-    repartition: Option<RepartitionConfig>,
-) -> Engine {
+fn hotspot_engine(shards: usize, threads: usize, repartition: Option<RepartitionConfig>) -> Engine {
     let topo = Topology::torus(&[16, 16]);
     let n = topo.node_count();
     EngineBuilder::new(topo)
@@ -157,7 +152,6 @@ fn hotspot_engine(
             consume_rate: 0.0,
             arrival: ArrivalProcess::MovingHotspot { rate: 2.0, size: 1.0, dwell: 6.0, stride: 17 },
             repartition,
-            strategy,
             ..Default::default()
         })
         .seed(99)
@@ -168,51 +162,46 @@ const ADAPTIVE: Option<RepartitionConfig> =
     Some(RepartitionConfig { every: 2, skew_threshold: 1.2 });
 
 #[test]
-fn adaptive_reports_match_static_across_layouts_and_strategies() {
-    for strategy in [SimulationStrategy::Tick, SimulationStrategy::Event] {
-        let want = {
-            let mut e = hotspot_engine(1, 1, strategy, None);
-            e.run_rounds(60);
-            e.report()
-        };
-        let mut fired_somewhere = false;
-        for (k, t) in [(4usize, 1usize), (8, 2), (16, 4)] {
-            let mut e = hotspot_engine(k, t, strategy, ADAPTIVE);
-            e.run_rounds(60);
-            fired_somewhere |= e.repartitions() > 0;
-            assert_eq!(e.report(), want, "adaptive K={k} T={t} {strategy:?} diverged");
-        }
-        assert!(fired_somewhere, "{strategy:?}: the adaptive knob never fired");
+fn adaptive_reports_match_static_across_layouts() {
+    let want = {
+        let mut e = hotspot_engine(1, 1, None);
+        e.run_rounds(60);
+        e.report()
+    };
+    let mut fired_somewhere = false;
+    for (k, t) in [(4usize, 1usize), (8, 2), (16, 4)] {
+        let mut e = hotspot_engine(k, t, ADAPTIVE);
+        e.run_rounds(60);
+        fired_somewhere |= e.repartitions() > 0;
+        assert_eq!(e.report(), want, "adaptive K={k} T={t} diverged");
     }
+    assert!(fired_somewhere, "the adaptive knob never fired");
 }
 
 #[test]
 fn checkpoint_resume_interleaves_with_repartitions_exactly() {
-    // The run crosses a checkpoint boundary twice, each leg far enough to
-    // repartition again after the restore, and the resumed engines change
-    // both strategy and execution layout. Every chain must land on the
-    // straight-through bytes.
-    for strategy in [SimulationStrategy::Tick, SimulationStrategy::Event] {
-        let want = {
-            let mut e = hotspot_engine(8, 1, strategy, ADAPTIVE);
-            e.run_rounds(60);
-            assert!(e.repartitions() > 0, "straight run must repartition");
-            e.report()
-        };
-        let mut a = hotspot_engine(8, 2, strategy, ADAPTIVE);
+    // The run crosses a checkpoint boundary twice, each K = 8 leg far
+    // enough to repartition again after the restore, and the resumed
+    // engines change execution layout — the middle leg once to another
+    // K = 8 layout and once to the skip-free K = 1 reference. Every chain
+    // must land on the straight-through bytes.
+    let want = {
+        let mut e = hotspot_engine(8, 1, ADAPTIVE);
+        e.run_rounds(60);
+        assert!(e.repartitions() > 0, "straight run must repartition");
+        e.report()
+    };
+    for (k, t) in [(8, 4), (1, 1)] {
+        let mut a = hotspot_engine(8, 2, ADAPTIVE);
         a.run_rounds(25);
         let cp = Checkpoint::from_json(&a.checkpoint().to_json()).expect("round trip");
-        let other = match strategy {
-            SimulationStrategy::Tick => SimulationStrategy::Event,
-            SimulationStrategy::Event => SimulationStrategy::Tick,
-        };
-        let mut b = hotspot_engine(8, 4, other, ADAPTIVE);
+        let mut b = hotspot_engine(k, t, ADAPTIVE);
         b.restore(&cp).expect("restore leg 1");
         b.run_rounds(20);
         let cp = Checkpoint::from_json(&b.checkpoint().to_json()).expect("round trip");
-        let mut c = hotspot_engine(8, 1, strategy, ADAPTIVE);
+        let mut c = hotspot_engine(8, 1, ADAPTIVE);
         c.restore(&cp).expect("restore leg 2");
         c.run_rounds(15);
-        assert_eq!(c.report(), want, "{strategy:?}: chained resume diverged");
+        assert_eq!(c.report(), want, "middle leg K={k} T={t}: chained resume diverged");
     }
 }

@@ -19,7 +19,6 @@ use pp_scenario::spec::{
     ScenarioSpec, SpeedSpec, WorkloadSpec,
 };
 use pp_sim::state::{SystemState, NODE_WORD};
-use pp_sim::strategy::SimulationStrategy;
 use pp_topology::spec::TopologySpec;
 use proptest::prelude::*;
 
@@ -131,26 +130,19 @@ proptest! {
         };
         spec.validate().expect("generated specs must validate");
         // A random kill-and-resume point strictly mid-run; the second half
-        // resumes under the event strategy.
+        // resumes under the same layout.
         let at = 1 + split_num % (rounds - 1);
-        let matrix = Matrix {
-            strategies: vec![SimulationStrategy::Tick],
-            layouts: vec![(shards, threads)],
-            splits: vec![Some(at)],
-        };
+        let matrix = Matrix { layouts: vec![(shards, threads)], splits: vec![Some(at)] };
         if let Err(e) = differential::check(&spec, &matrix) {
             prop_assert!(false, "{}", e);
         }
     }
 }
 
-/// Tick runs split at each of `splits`, resumed under the event strategy.
+/// Runs split at each of `splits`: K = 1 halves resumed at K = 3 and K = 3
+/// halves resumed at K = 1.
 fn splits(at: impl IntoIterator<Item = u64>) -> Matrix {
-    Matrix {
-        strategies: vec![SimulationStrategy::Tick],
-        layouts: vec![(1, 1), (3, 2)],
-        splits: at.into_iter().map(Some).collect(),
-    }
+    Matrix { layouts: vec![(1, 1), (3, 2)], splits: at.into_iter().map(Some).collect() }
 }
 
 /// The golden-byte form of the invariant on a fixed chaos case: faults +

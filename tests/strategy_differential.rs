@@ -1,23 +1,26 @@
-//! The cross-strategy differential suite: the event strategy's correctness
-//! contract is that for any scenario and any `(shards, threads)` layout it
-//! produces a `RunReport` **byte-identical** to the round-by-round tick
-//! reference — skipping a round must be unobservable in everything the run
-//! records (CoV series, migration ledger, totals, clock).
+//! The skip differential suite: the `K ≥ 2` engine's correctness contract
+//! is that, skipping clean shards and fast-forwarding effect-free rounds,
+//! it produces for any scenario and any `(shards, threads)` layout a
+//! `RunReport` **byte-identical** to the skip-free `K = 1` reference —
+//! skipping must be unobservable in everything the run records (CoV
+//! series, migration ledger, totals, clock).
+//!
+//! In the test ids, `tick` is the `K = 1` reference and `event` a
+//! skipping `K ≥ 2` layout.
 //!
 //! The suite runs a family of 24 deterministically varied scenarios
 //! (faults, Poisson/diurnal/bursty arrivals, recorded-trace replay,
 //! heterogeneous speeds, consumption, several topology families) through
-//! the differential harness ([`pp_scenario::differential`]): both
-//! strategies across `K ∈ {1, 3, 64} × threads ∈ {1, 4}`, and a checkpoint
-//! crossed mid-run *between* strategies in both directions — a tick half
-//! resumed under event (and vice versa) must land on the very same report.
-//! Every variant is compared with the sequential tick reference as golden
-//! report bytes and as a whole `RunReport`. See
+//! the differential harness ([`pp_scenario::differential`]): layouts
+//! `K ∈ {2, 3, 64} × threads ∈ {1, 4}`, and a checkpoint crossed mid-run
+//! between `K = 1` and `K ≥ 2` in both directions — a reference half
+//! resumed under a skipping layout (and vice versa) must land on the very
+//! same report. Every variant is compared with the `K = 1` reference as
+//! golden report bytes and as a whole `RunReport`. See
 //! `docs/adr/ADR-006-event-strategy.md`.
 
 use particle_plane::prelude::*;
 use pp_scenario::differential::{self, Matrix};
-use pp_sim::strategy::SimulationStrategy::{self, Event, Tick};
 
 /// 24 deterministically varied scenario specs. Variation is modular rather
 /// than random so every CI run exercises the identical family, but the
@@ -29,7 +32,7 @@ fn specs() -> Vec<ScenarioSpec> {
         .map(|i| {
             let mut s = ScenarioSpec {
                 name: format!("diff-{i}"),
-                description: "cross-strategy differential family".into(),
+                description: "skip differential family".into(),
                 ..ScenarioSpec::default()
             };
             s.topology = match i % 4 {
@@ -75,24 +78,24 @@ fn specs() -> Vec<ScenarioSpec> {
         .collect()
 }
 
-/// Checks every spec of the family against its sequential tick reference
-/// under `matrix`.
+/// Checks every spec of the family against its `K = 1` reference under
+/// `matrix`.
 fn check_family(matrix: Matrix) {
     for spec in specs() {
         differential::check(&spec, &matrix).unwrap_or_else(|e| panic!("{e}"));
     }
 }
 
-/// Both strategies, straight through, at one layout.
-fn both_strategies(k: usize, t: usize) -> Matrix {
-    Matrix { strategies: vec![Tick, Event], layouts: vec![(k, t)], splits: vec![None] }
+/// One layout, straight through.
+fn straight(k: usize, t: usize) -> Matrix {
+    Matrix { layouts: vec![(k, t)], splits: vec![None] }
 }
 
-/// Runs the first half under `first` at each layout, crosses the
-/// checkpoint through its serialized JSON form into a fresh engine under
-/// the other strategy (and the next layout), and finishes there.
-fn crossover(first: SimulationStrategy, layouts: Vec<(usize, usize)>) -> Matrix {
-    Matrix { strategies: vec![first], layouts, splits: vec![Some(SPLIT)] }
+/// Runs the first half at each layout, crosses the checkpoint through its
+/// serialized JSON form into a fresh engine under the next layout, and
+/// finishes there.
+fn crossover(layouts: Vec<(usize, usize)>) -> Matrix {
+    Matrix { layouts, splits: vec![Some(SPLIT)] }
 }
 
 /// Half-way through the shortest spec of the family.
@@ -114,51 +117,55 @@ fn family_is_valid_and_varied() {
     assert!(all.iter().any(|s| matches!(s.arrival, ArrivalSpec::Replay { .. })));
 }
 
+/// `K = 2`, the smallest layout that skips.
 #[test]
 fn tick_vs_event_sequential_reference() {
-    check_family(both_strategies(1, 1));
+    check_family(straight(2, 1));
 }
 
 #[test]
 fn tick_vs_event_three_shards() {
-    check_family(both_strategies(3, 1));
+    check_family(straight(3, 1));
 }
 
 #[test]
 fn tick_vs_event_clamped_shards() {
-    check_family(both_strategies(64, 1));
+    check_family(straight(64, 1));
 }
 
+/// `K = 2` with more threads than shards.
 #[test]
 fn tick_vs_event_sequential_threaded() {
-    check_family(both_strategies(1, 4));
+    check_family(straight(2, 4));
 }
 
 #[test]
 fn tick_vs_event_three_shards_threaded() {
-    check_family(both_strategies(3, 4));
+    check_family(straight(3, 4));
 }
 
 #[test]
 fn tick_vs_event_clamped_shards_threaded() {
-    check_family(both_strategies(64, 4));
+    check_family(straight(64, 4));
 }
 
 #[test]
 fn checkpoint_crossover_tick_to_event() {
-    // The checkpoint format is strategy-free: a tick half resumed under
-    // the event strategy must finish on the identical report.
-    check_family(crossover(Tick, vec![(1, 1)]));
+    // The checkpoint format does not record whether rounds were skipped:
+    // a K = 1 half resumed at K = 3 must finish on the identical report
+    // (and, as the matrix wraps, a K = 3 half resumed at K = 1).
+    check_family(crossover(vec![(1, 1), (3, 1)]));
 }
 
 #[test]
 fn checkpoint_crossover_event_to_tick() {
-    check_family(crossover(Event, vec![(1, 1)]));
+    // A pooled K = 64 half resumed on the K = 1 reference, and back.
+    check_family(crossover(vec![(64, 4), (1, 1)]));
 }
 
 #[test]
 fn checkpoint_crossover_across_layouts() {
-    // Crossing strategy *and* layout at once: the two independent
+    // Crossing between two skipping layouts: the two independent
     // exactness invariants (restore, skip) must compose.
-    check_family(crossover(Event, vec![(3, 1), (64, 4)]));
+    check_family(crossover(vec![(3, 1), (64, 4)]));
 }
