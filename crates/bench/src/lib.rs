@@ -2,8 +2,8 @@
 //!
 //! [`paper`] re-measures the paper's results as checked claims
 //! (`cargo run --release -p pp-bench --bin lab -- paper`); the `lab`
-//! binary also runs the scenario registry, and `bench_ticks` and the
-//! Criterion benches in `benches/` time the underlying machinery.
+//! binary also runs the scenario registry, and `bench_ticks` times the
+//! sharded sweep.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

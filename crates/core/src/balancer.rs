@@ -25,9 +25,9 @@ use pp_sim::balancer::{LoadBalancer, MigratingLoad, MigrationIntent, NodeView};
 use rand::rngs::StdRng;
 use std::cell::RefCell;
 
-/// Reusable per-thread buffers for one `decide`/`on_arrival` evaluation, so
-/// steady-state decision rounds allocate nothing. Thread-local because
-/// `decide` takes `&self` (the engine may evaluate nodes on a worker pool);
+/// Reusable per-thread buffers for one `decide_into`/`on_arrival`
+/// evaluation, so steady-state decision rounds allocate nothing.
+/// Thread-local because `decide_into` takes `&self` (the engine may evaluate nodes on a worker pool);
 /// each decision thread warms its own set once and reuses it forever.
 #[derive(Default)]
 struct DecideScratch {
@@ -166,15 +166,8 @@ impl LoadBalancer for ParticlePlaneBalancer {
         self.cfg.jitter.is_none()
     }
 
-    fn decide(&self, view: &NodeView<'_>, rng: &mut StdRng) -> Vec<MigrationIntent> {
-        let mut out = Vec::new();
-        self.decide_into(view, rng, &mut out);
-        out
-    }
-
-    /// The allocation-free primary: intents append to the caller's arena
-    /// (the engine passes the shard-local outbox), so the sweep's steady
-    /// state allocates nothing. `decide` above delegates here.
+    /// Intents append to the caller's arena (the engine passes the
+    /// shard-local outbox), so the sweep's steady state allocates nothing.
     fn decide_into(&self, view: &NodeView<'_>, rng: &mut StdRng, out: &mut Vec<MigrationIntent>) {
         let cfg = &self.cfg;
         if view.neighbors.is_empty() || view.tasks.is_empty() {
@@ -286,6 +279,7 @@ fn provably_inert(cfg: &PhysicsConfig, view: &NodeView<'_>, jitter_amp: Option<f
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::baselines::testutil::decide;
     use pp_sim::balancer::{build_view, LinkView, ViewScratch};
     use pp_sim::state::SystemState;
     use pp_tasking::graph::TaskGraph;
@@ -325,7 +319,7 @@ mod tests {
         let view = build_view(&mut scratch, &s, NodeId(0), &h, &LinkView::all_up(&s, 1.0), 0, 0.0);
         let b = det(PhysicsConfig::default());
         let mut rng = StdRng::seed_from_u64(0);
-        assert!(b.decide(&view, &mut rng).is_empty());
+        assert!(decide(&b, &view, &mut rng).is_empty());
     }
 
     #[test]
@@ -336,7 +330,7 @@ mod tests {
         let view = build_view(&mut scratch, &s, NodeId(0), &h, &LinkView::all_up(&s, 1.0), 0, 0.0);
         let b = det(PhysicsConfig::default());
         let mut rng = StdRng::seed_from_u64(0);
-        let intents = b.decide(&view, &mut rng);
+        let intents = decide(&b, &view, &mut rng);
         // Ring node 0 has 2 links; one load per link per tick.
         assert_eq!(intents.len(), 2);
         let dests: Vec<u32> = intents.iter().map(|i| i.to.0).collect();
@@ -361,7 +355,7 @@ mod tests {
         let view = build_view(&mut scratch, &s, NodeId(0), &h, &LinkView::all_up(&s, 1.0), 0, 0.0);
         let b = det(PhysicsConfig::default());
         let mut rng = StdRng::seed_from_u64(0);
-        assert!(b.decide(&view, &mut rng).is_empty());
+        assert!(decide(&b, &view, &mut rng).is_empty());
     }
 
     #[test]
@@ -382,7 +376,7 @@ mod tests {
         let b = det(PhysicsConfig::default());
         let mut rng = StdRng::seed_from_u64(0);
         assert!(
-            b.decide(&view, &mut rng).is_empty(),
+            decide(&b, &view, &mut rng).is_empty(),
             "µ_s = 1 + 5·10 should block a gradient of (6−0−2)/1 = 4"
         );
     }
@@ -400,7 +394,7 @@ mod tests {
         let view = build_view(&mut scratch, &s, NodeId(0), &h, &LinkView::all_up(&s, 1.0), 0, 0.0);
         let b = det(PhysicsConfig::default());
         let mut rng = StdRng::seed_from_u64(0);
-        assert!(b.decide(&view, &mut rng).is_empty());
+        assert!(decide(&b, &view, &mut rng).is_empty());
     }
 
     #[test]
@@ -510,8 +504,8 @@ mod tests {
         let b = ParticlePlaneBalancer::new(PhysicsConfig::default());
         let mut rng = StdRng::seed_from_u64(7);
         let mut witness = StdRng::seed_from_u64(7);
-        assert!(b.decide(&view, &mut rng).is_empty());
-        assert!(b.decide(&view, &mut rng).is_empty());
+        assert!(decide(&b, &view, &mut rng).is_empty());
+        assert!(decide(&b, &view, &mut rng).is_empty());
         use rand::Rng;
         assert_eq!(rng.gen_range(0.0f64..1.0), witness.gen_range(0.0f64..1.0));
     }
@@ -687,7 +681,7 @@ mod tests {
                 build_view(&mut scratch, &s, NodeId(0), &h, &LinkView::all_up(&s, 1.0), 0, 0.0);
             assert_eq!(provably_inert(&b.cfg, &view, None), !moves, "h_0 = {h0}");
             let mut rng = StdRng::seed_from_u64(0);
-            assert_eq!(b.decide(&view, &mut rng).len(), usize::from(moves), "h_0 = {h0}");
+            assert_eq!(decide(&b, &view, &mut rng).len(), usize::from(moves), "h_0 = {h0}");
         }
     }
 
@@ -761,7 +755,7 @@ mod tests {
             let view =
                 build_view(&mut scratch, &s, NodeId(0), &h, &LinkView::all_up(&s, 1.0), 0, 0.0);
             let mut rng = StdRng::seed_from_u64(seed);
-            fired += usize::from(!b.decide(&view, &mut rng).is_empty());
+            fired += usize::from(!decide(&b, &view, &mut rng).is_empty());
         }
         assert!(fired > 40 && fired < 64, "jitter should fire often but not always: {fired}/64");
     }
@@ -789,7 +783,7 @@ mod tests {
                 0.0,
             );
             let mut rng = StdRng::seed_from_u64(seed);
-            assert!(b.decide(&view, &mut rng).is_empty());
+            assert!(decide(&b, &view, &mut rng).is_empty());
         }
     }
 }

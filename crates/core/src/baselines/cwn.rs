@@ -26,13 +26,12 @@ impl LoadBalancer for CwnBalancer {
         &self.name
     }
 
-    fn decide(&self, view: &NodeView<'_>, _rng: &mut StdRng) -> Vec<MigrationIntent> {
+    fn decide_into(&self, view: &NodeView<'_>, _rng: &mut StdRng, out: &mut Vec<MigrationIntent>) {
         if view.neighbors.is_empty() {
-            return Vec::new();
+            return;
         }
         let mut h_i = view.height;
         let mut h_eff = view.nbr_heights.to_vec();
-        let mut intents = Vec::new();
         for task in view.tasks {
             // Least-loaded neighbour under the current plan.
             let (idx, &h_min) = h_eff
@@ -43,7 +42,7 @@ impl LoadBalancer for CwnBalancer {
             if h_i - h_min <= self.threshold {
                 break;
             }
-            intents.push(MigrationIntent {
+            out.push(MigrationIntent {
                 task: task.id,
                 to: view.neighbors[idx],
                 flag: 0.0,
@@ -52,7 +51,6 @@ impl LoadBalancer for CwnBalancer {
             h_i -= task.size;
             h_eff[idx] += task.size;
         }
-        intents
     }
 }
 

@@ -49,8 +49,7 @@ impl LoadBalancer for DiffusionBalancer {
         &self.name
     }
 
-    fn decide(&self, view: &NodeView<'_>, _rng: &mut StdRng) -> Vec<MigrationIntent> {
-        let mut intents = Vec::new();
+    fn decide_into(&self, view: &NodeView<'_>, _rng: &mut StdRng, out: &mut Vec<MigrationIntent>) {
         let mut used: HashSet<u64> = HashSet::new();
         for (&to, &h_j) in view.neighbors.iter().zip(view.nbr_heights) {
             if view.height <= h_j {
@@ -65,11 +64,10 @@ impl LoadBalancer for DiffusionBalancer {
                 if sent + task.size <= quota + 1e-9 {
                     used.insert(task.id.0);
                     sent += task.size;
-                    intents.push(MigrationIntent { task: task.id, to, flag: 0.0, heat: 0.0 });
+                    out.push(MigrationIntent { task: task.id, to, flag: 0.0, heat: 0.0 });
                 }
             }
         }
-        intents
     }
 }
 

@@ -56,28 +56,26 @@ impl LoadBalancer for DimensionExchangeBalancer {
         self.current_class = (global.round as usize).wrapping_sub(1) % self.classes;
     }
 
-    fn decide(&self, view: &NodeView<'_>, _rng: &mut StdRng) -> Vec<MigrationIntent> {
+    fn decide_into(&self, view: &NodeView<'_>, _rng: &mut StdRng, out: &mut Vec<MigrationIntent>) {
         let Some(partner) = self.partners[self.current_class][view.node.idx()] else {
-            return Vec::new();
+            return;
         };
         // The partner must be a live neighbour this round.
         let Some(k) = view.neighbors.iter().position(|&j| j == partner) else {
-            return Vec::new();
+            return;
         };
         let h_j = view.nbr_heights[k];
         if view.height <= h_j {
-            return Vec::new(); // the lighter side stays passive
+            return; // the lighter side stays passive
         }
         let target = (view.height - h_j) / 2.0;
         let mut sent = 0.0;
-        let mut intents = Vec::new();
         for task in view.tasks {
             if sent + task.size <= target + 1e-9 {
                 sent += task.size;
-                intents.push(MigrationIntent { task: task.id, to: partner, flag: 0.0, heat: 0.0 });
+                out.push(MigrationIntent { task: task.id, to: partner, flag: 0.0, heat: 0.0 });
             }
         }
-        intents
     }
 
     /// The round-robin cursor is per-round internal state; `begin_round`
@@ -103,7 +101,7 @@ impl LoadBalancer for DimensionExchangeBalancer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::baselines::testutil::ring_view_state;
+    use crate::baselines::testutil::{decide, ring_view_state};
     use pp_sim::balancer::{build_view, LinkView, ViewScratch};
     use rand::SeedableRng;
 
@@ -127,7 +125,7 @@ mod tests {
                 round,
                 0.0,
             );
-            let intents = b.decide(&view, &mut rng);
+            let intents = decide(&b, &view, &mut rng);
             if intents.iter().any(|i| i.to == NodeId(1)) {
                 // (8−2)/2 = 3 units.
                 assert_eq!(intents.len(), 3);
@@ -171,7 +169,7 @@ mod tests {
                 round,
                 0.0,
             );
-            assert!(b.decide(&view, &mut rng).is_empty());
+            assert!(decide(&b, &view, &mut rng).is_empty());
         }
     }
 

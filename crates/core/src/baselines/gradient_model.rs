@@ -67,13 +67,13 @@ impl LoadBalancer for GradientModelBalancer {
         }
     }
 
-    fn decide(&self, view: &NodeView<'_>, _rng: &mut StdRng) -> Vec<MigrationIntent> {
+    fn decide_into(&self, view: &NodeView<'_>, _rng: &mut StdRng, out: &mut Vec<MigrationIntent>) {
         if view.height <= self.high || view.tasks.is_empty() {
-            return Vec::new();
+            return;
         }
         let my_prox = self.proximity(view.node.idx());
         if my_prox == 0 {
-            return Vec::new(); // already next to (or in) an underloaded region
+            return; // already next to (or in) an underloaded region
         }
         // Push one task toward the lowest-proximity neighbour, strictly
         // descending the pressure surface.
@@ -82,11 +82,10 @@ impl LoadBalancer for GradientModelBalancer {
             .iter()
             .map(|&j| (self.proximity(j.idx()), j))
             .min_by(|a, b| a.0.cmp(&b.0).then(a.1 .0.cmp(&b.1 .0)));
-        let Some((prox, to)) = best else { return Vec::new() };
-        if prox >= my_prox || prox == u32::MAX {
-            return Vec::new();
+        let Some((prox, to)) = best else { return };
+        if prox < my_prox && prox != u32::MAX {
+            out.push(MigrationIntent { task: view.tasks[0].id, to, flag: 0.0, heat: 0.0 });
         }
-        vec![MigrationIntent { task: view.tasks[0].id, to, flag: 0.0, heat: 0.0 }]
     }
 
     /// The propagated pressure map is per-round internal state: it is
@@ -122,7 +121,7 @@ impl LoadBalancer for GradientModelBalancer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::baselines::testutil::ring_view_state;
+    use crate::baselines::testutil::{decide, ring_view_state};
     use pp_sim::balancer::{build_view, LinkView, ViewScratch};
     use pp_topology::graph::NodeId;
     use rand::SeedableRng;
@@ -163,7 +162,7 @@ mod tests {
             0.0,
         );
         let mut rng = StdRng::seed_from_u64(0);
-        let intents = b.decide(&view, &mut rng);
+        let intents = decide(&b, &view, &mut rng);
         assert_eq!(intents.len(), 1);
         // Node 0's neighbours are 1 (prox 2) and 5 (prox 2): tie broken by
         // id ⇒ node 1.
@@ -188,7 +187,7 @@ mod tests {
                 1,
                 0.0,
             );
-            assert!(b.decide(&view, &mut rng).is_empty());
+            assert!(decide(&b, &view, &mut rng).is_empty());
         }
     }
 
@@ -208,7 +207,7 @@ mod tests {
             0.0,
         );
         let mut rng = StdRng::seed_from_u64(0);
-        assert!(b.decide(&view, &mut rng).is_empty());
+        assert!(decide(&b, &view, &mut rng).is_empty());
     }
 
     #[test]

@@ -27,7 +27,9 @@ pub use threshold::SenderInitiatedBalancer;
 
 #[cfg(test)]
 pub(crate) mod testutil {
-    use pp_sim::balancer::{build_view, LinkView, LoadBalancer, MigrationIntent, ViewScratch};
+    use pp_sim::balancer::{
+        build_view, LinkView, LoadBalancer, MigrationIntent, NodeView, ViewScratch,
+    };
     use pp_sim::state::SystemState;
     use pp_tasking::graph::TaskGraph;
     use pp_tasking::resources::ResourceMatrix;
@@ -56,7 +58,19 @@ pub(crate) mod testutil {
         (s, h)
     }
 
-    /// Runs one `decide` for node 0 of a ring with the given loads.
+    /// One node's decisions as a fresh `Vec` — the test-side wrapper
+    /// around [`LoadBalancer::decide_into`].
+    pub fn decide(
+        balancer: &(impl LoadBalancer + ?Sized),
+        view: &NodeView<'_>,
+        rng: &mut StdRng,
+    ) -> Vec<MigrationIntent> {
+        let mut out = Vec::new();
+        balancer.decide_into(view, rng, &mut out);
+        out
+    }
+
+    /// Runs one `decide_into` for node 0 of a ring with the given loads.
     pub fn decide_on_ring(loads: &[f64], balancer: impl LoadBalancer) -> Vec<MigrationIntent> {
         let (state, heights) = ring_view_state(loads);
         let mut scratch = ViewScratch::new();
@@ -70,6 +84,6 @@ pub(crate) mod testutil {
             0.0,
         );
         let mut rng = StdRng::seed_from_u64(0);
-        balancer.decide(&view, &mut rng)
+        decide(&balancer, &view, &mut rng)
     }
 }

@@ -27,16 +27,14 @@ impl LoadBalancer for RandomNeighborBalancer {
         &self.name
     }
 
-    fn decide(&self, view: &NodeView<'_>, rng: &mut StdRng) -> Vec<MigrationIntent> {
+    fn decide_into(&self, view: &NodeView<'_>, rng: &mut StdRng, out: &mut Vec<MigrationIntent>) {
         if view.neighbors.is_empty() || view.tasks.is_empty() {
-            return Vec::new();
+            return;
         }
         let k = rng.gen_range(0..view.neighbors.len());
         if view.height - view.nbr_heights[k] > self.threshold {
             let to = view.neighbors[k];
-            vec![MigrationIntent { task: view.tasks[0].id, to, flag: 0.0, heat: 0.0 }]
-        } else {
-            Vec::new()
+            out.push(MigrationIntent { task: view.tasks[0].id, to, flag: 0.0, heat: 0.0 });
         }
     }
 }
@@ -44,7 +42,7 @@ impl LoadBalancer for RandomNeighborBalancer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::baselines::testutil::ring_view_state;
+    use crate::baselines::testutil::{decide, ring_view_state};
     use pp_sim::balancer::{build_view, LinkView, ViewScratch};
     use pp_topology::graph::NodeId;
     use rand::SeedableRng;
@@ -65,7 +63,7 @@ mod tests {
         let b = RandomNeighborBalancer::new(1.0);
         let mut rng = StdRng::seed_from_u64(1);
         for _ in 0..20 {
-            let intents = b.decide(&view, &mut rng);
+            let intents = decide(&b, &view, &mut rng);
             assert!(intents.len() <= 1);
             if let Some(i) = intents.first() {
                 assert!(i.to == NodeId(1) || i.to == NodeId(3));
@@ -89,7 +87,7 @@ mod tests {
         let b = RandomNeighborBalancer::new(0.5);
         let mut rng = StdRng::seed_from_u64(1);
         for _ in 0..20 {
-            assert!(b.decide(&view, &mut rng).is_empty());
+            assert!(decide(&b, &view, &mut rng).is_empty());
         }
     }
 
@@ -109,7 +107,7 @@ mod tests {
         let b = RandomNeighborBalancer::new(1.0);
         let run = |seed: u64| {
             let mut rng = StdRng::seed_from_u64(seed);
-            (0..10).map(|_| b.decide(&view, &mut rng).len()).collect::<Vec<_>>()
+            (0..10).map(|_| decide(&b, &view, &mut rng).len()).collect::<Vec<_>>()
         };
         assert_eq!(run(3), run(3));
     }

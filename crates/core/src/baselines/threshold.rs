@@ -35,29 +35,25 @@ impl LoadBalancer for SenderInitiatedBalancer {
         &self.name
     }
 
-    fn decide(&self, view: &NodeView<'_>, rng: &mut StdRng) -> Vec<MigrationIntent> {
+    fn decide_into(&self, view: &NodeView<'_>, rng: &mut StdRng, out: &mut Vec<MigrationIntent>) {
         if view.height <= self.t_high || view.tasks.is_empty() || view.neighbors.is_empty() {
-            return Vec::new();
+            return;
         }
         for _ in 0..self.probes {
             let k = rng.gen_range(0..view.neighbors.len());
             if view.nbr_heights[k] < self.t_accept {
-                return vec![MigrationIntent {
-                    task: view.tasks[0].id,
-                    to: view.neighbors[k],
-                    flag: 0.0,
-                    heat: 0.0,
-                }];
+                let to = view.neighbors[k];
+                out.push(MigrationIntent { task: view.tasks[0].id, to, flag: 0.0, heat: 0.0 });
+                return;
             }
         }
-        Vec::new()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::baselines::testutil::ring_view_state;
+    use crate::baselines::testutil::{decide, ring_view_state};
     use pp_sim::balancer::{build_view, LinkView, ViewScratch};
     use pp_topology::graph::NodeId;
     use rand::SeedableRng;
@@ -77,7 +73,7 @@ mod tests {
         );
         let b = SenderInitiatedBalancer::new(5.0, 1.0, 2);
         let mut rng = StdRng::seed_from_u64(0);
-        assert!(b.decide(&view, &mut rng).is_empty());
+        assert!(decide(&b, &view, &mut rng).is_empty());
     }
 
     #[test]
@@ -97,7 +93,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let mut sent = 0;
         for _ in 0..20 {
-            sent += b.decide(&view, &mut rng).len();
+            sent += decide(&b, &view, &mut rng).len();
         }
         assert!(sent > 0);
     }
@@ -119,7 +115,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         // Neighbours of node 0 (1 and 3) are both at 8 ≥ accept ⇒ no send.
         for _ in 0..20 {
-            assert!(b.decide(&view, &mut rng).is_empty());
+            assert!(decide(&b, &view, &mut rng).is_empty());
         }
     }
 

@@ -94,7 +94,8 @@ fn empty_node_emits_nothing_and_draws_nothing_for_every_policy() {
                 let mut out = Vec::new();
                 policy.decide_into(&view, &mut rng, &mut out);
                 assert!(out.is_empty(), "{name} (round {round}) emitted {out:?}");
-                assert!(policy.decide(&view, &mut rng).is_empty(), "{name} decide");
+                policy.decide_into(&view, &mut rng, &mut out);
+                assert!(out.is_empty(), "{name} (round {round}) emitted on a second call");
                 assert_eq!(rng.state(), before, "{name} (round {round}) drew from the RNG");
             }
         }

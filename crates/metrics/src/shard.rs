@@ -13,7 +13,7 @@
 /// system's) decision sweeps.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardAccum {
-    /// Ticks in which the shard was evaluated (its nodes' `decide` ran).
+    /// Ticks in which the shard was evaluated (its nodes' `decide_into` ran).
     pub ticks_evaluated: u64,
     /// Ticks in which the shard was skipped as quiescent.
     pub ticks_skipped: u64,

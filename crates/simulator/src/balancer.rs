@@ -2,7 +2,7 @@
 //! particle-plane algorithm or a baseline) sees and may do.
 //!
 //! Policies are *node-local*: at each balance tick the engine calls
-//! [`LoadBalancer::decide`] once per node that holds a task, with that
+//! [`LoadBalancer::decide_into`] once per node that holds a task, with that
 //! node's [`NodeView`] (its own tasks plus neighbour heights/link weights —
 //! exactly the information a decentralized agent would have). Once per tick,
 //! [`LoadBalancer::begin_round`] lets a policy refresh internal per-round
@@ -145,8 +145,8 @@ pub struct MigrationIntent {
 
 /// A load-balancing policy.
 ///
-/// `decide`/`on_arrival` take `&self` so the engine may evaluate nodes in
-/// parallel; per-round mutable state belongs in `begin_round`.
+/// `decide_into`/`on_arrival` take `&self` so the engine may evaluate
+/// nodes in parallel; per-round mutable state belongs in `begin_round`.
 ///
 /// **Empty-node contract.** The engine asks only nodes that hold a task to
 /// decide. An intent moves one of the deciding node's own tasks, so an
@@ -161,27 +161,19 @@ pub trait LoadBalancer: Send + Sync {
     /// Per-round refresh from the global snapshot (optional).
     fn begin_round(&mut self, _global: &GlobalView<'_>) {}
 
-    /// Migration decisions for a stationary node at a balance tick. Called
-    /// only for a node with at least one resident task (see the empty-node
-    /// contract above).
-    fn decide(&self, view: &NodeView<'_>, rng: &mut StdRng) -> Vec<MigrationIntent>;
-
-    /// Appends this node's migration decisions to `out` — the allocation-
-    /// free form of [`LoadBalancer::decide`] the sweep's hot path uses.
+    /// Appends a stationary node's migration decisions at a balance tick
+    /// to `out`. Called only for a node with at least one resident task
+    /// (see the empty-node contract above).
     ///
     /// The engine hands every node of a shard the *same* shard-local arena,
-    /// so a policy overriding this writes straight into memory owned by the
-    /// worker that owns the shard — no per-node `Vec`, no global-allocator
-    /// traffic mid-round. Must append exactly what `decide` would return,
-    /// in the same order, with the same RNG draws; the default delegates to
-    /// `decide` and is always correct.
-    fn decide_into(&self, view: &NodeView<'_>, rng: &mut StdRng, out: &mut Vec<MigrationIntent>) {
-        out.extend(self.decide(view, rng));
-    }
+    /// so a policy writes straight into memory owned by the worker that
+    /// owns the shard — no per-node `Vec`, no global-allocator traffic
+    /// mid-round.
+    fn decide_into(&self, view: &NodeView<'_>, rng: &mut StdRng, out: &mut Vec<MigrationIntent>);
 
-    /// Whether `decide` is **quiescence-stable**: given a view whose tasks,
-    /// heights and live neighbour links are unchanged since a call that
-    /// returned no intents, `decide` is guaranteed to (a) return no intents
+    /// Whether `decide_into` is **quiescence-stable**: given a view whose
+    /// tasks, heights and live neighbour links are unchanged since a call
+    /// that appended no intents, it is guaranteed to (a) append no intents
     /// again and (b) draw nothing from the RNG — regardless of the `round`
     /// and `time` fields, which keep advancing.
     ///
@@ -214,7 +206,7 @@ pub trait LoadBalancer: Send + Sync {
     }
 
     /// Serializes the policy's *internal dynamic* state for a checkpoint —
-    /// anything `begin_round` or `decide` mutates or caches across rounds
+    /// anything `begin_round` or `decide_into` mutates or caches across rounds
     /// (e.g. the gradient model's propagated pressure map). Configuration
     /// that the policy was constructed with must NOT be included: a restore
     /// always targets a policy rebuilt from the same spec.
@@ -247,8 +239,12 @@ impl LoadBalancer for NullBalancer {
         "null"
     }
 
-    fn decide(&self, _view: &NodeView<'_>, _rng: &mut StdRng) -> Vec<MigrationIntent> {
-        Vec::new()
+    fn decide_into(
+        &self,
+        _view: &NodeView<'_>,
+        _rng: &mut StdRng,
+        _out: &mut Vec<MigrationIntent>,
+    ) {
     }
 
     fn quiescence_stable(&self) -> bool {
@@ -334,7 +330,9 @@ mod tests {
         );
         let mut rng = StdRng::seed_from_u64(0);
         let b = NullBalancer;
-        assert!(b.decide(&view, &mut rng).is_empty());
+        let mut out = Vec::new();
+        b.decide_into(&view, &mut rng, &mut out);
+        assert!(out.is_empty());
         assert_eq!(b.name(), "null");
     }
 

@@ -107,7 +107,7 @@ pub struct FlightSnap {
 /// [`Checkpoint::write_json`] (or [`Checkpoint::to_json`] for the text),
 /// and apply to a freshly built engine with
 /// [`Engine::restore`](crate::engine::Engine::restore).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Checkpoint {
     /// Fingerprint: node count of the engine that wrote the checkpoint.
     pub nodes: usize,

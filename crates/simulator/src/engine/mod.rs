@@ -1,216 +1,53 @@
 //! The discrete-event multiprocessor engine.
 //!
 //! Time advances event-to-event; balance rounds fire every `tick` time
-//! units. At each round the engine snapshots the height map, lets the
-//! policy refresh per-round state ([`LoadBalancer::begin_round`]), collects
-//! per-node decisions **shard by shard**, validates and launches the
-//! migrations. In-flight loads occupy the network for `d + size/bw` time
-//! units, may hit link faults (retried with the configured budget, bounced
-//! back to the source when it is exhausted), and on landing may be
-//! *forwarded onward* by policies with in-motion behaviour (the paper's
-//! sliding object, §5.1).
+//! units. A round is the paper's fixed sequence (§5.1): nodes decide, loads
+//! launch, land and may slide on. Each phase is one module whose struct
+//! owns what the phase writes and keeps its invariant:
 //!
-//! ## Sharded tick pipeline
+//! | Phase | Module | Owns | Keeps |
+//! |---|---|---|---|
+//! | churn and faults | `membership` | churn plan and cursor, down nodes and links, the link mask, link weights | mask = down links ∪ edges at down nodes |
+//! | decide | `sweep` | partition, shard slots (outboxes, node RNGs, counters), pool, dirty flags, consume memo | a clean shard re-emits nothing; a memo bit implies dirty shards |
+//! | commit and events | `flights` | event queue, flight slab and free list, in-flight total, ledger, arrivals | free list = empty slots; one pending arrival per occupied slot |
+//! | consume | `consume` | nothing; steps resident work | a consumer marks its shards once per sweep window |
+//! | bookkeeping | `bookkeeping` | CoV series and skip memo, repartition window, counters | one sample per round; memo = `cov()` of unchanged state |
 //!
-//! The topology is split once, at build time, into `K` contiguous shards
-//! ([`pp_topology::partition::Partition`]). Each shard owns its decision
-//! buffers, its per-node RNG streams, a reusable view scratch and a
-//! mergeable [`ShardAccum`]; the decision sweep processes whole shards —
-//! on the calling thread when one worker suffices, otherwise distributed
-//! over a persistent [`ShardPool`] whose workers each *own* a fixed,
-//! deterministic block of shards for the life of the engine (so per-shard
-//! scratch, intent arenas and RNG state stay hot in one worker's cache)
-//! and synchronize through one epoch barrier per round instead of
-//! per-shard channel messages. Because decisions are pure functions of the
-//! tick-start snapshot and every node draws from its own RNG stream, the
-//! sweep's outcome is byte-identical for every `(K, threads)` choice —
-//! including `K = 1`, the sequential reference.
-//!
-//! Each shard's intents accumulate in a shard-local arena (its *outbox*)
-//! during the sweep; the commit phase drains the outboxes on the calling
-//! thread after the barrier, in fixed ascending shard order — so boundary
-//! effects are exchanged batched, never interleaved, and the launch order
-//! is exactly the flat engine's ascending-node order.
-//!
-//! On top of the decomposition sits exact **shard-level activity
-//! tracking**: every state mutation marks the owning shard dirty (and, for
-//! boundary nodes, every shard owning one of its neighbours), and a shard
-//! whose last sweep emitted nothing stays clean until someone it can
-//! observe changes. When the policy opts in via
-//! [`LoadBalancer::quiescence_stable`] and `K ≥ 2`, clean shards skip their
-//! sweep entirely, and a round in which nothing can happen (no shard dirty,
-//! no event due, no work to consume, no fault process, no churn) is
-//! fast-forwarded in closed form — both provably without observable effect
-//! (see `docs/adr/ADR-004-sharded-ticks.md` and
-//! `docs/adr/ADR-006-event-strategy.md`). `K = 1` never skips: it is the
-//! reference every skipping layout is compared against.
-//!
-//! Between events each node optionally consumes work (`consume_rate`),
-//! completing and removing tasks, and a dynamic [`ArrivalProcess`] may
-//! inject new tasks — the non-quiescent regime of §1. The consume sweep's
-//! cost follows the resident work, not the domain: one test per 64-node
-//! word of the occupancy bitset plus one step per consumer, and nothing at
-//! all while no task is resident.
+//! This module is the one round driver, and `builder` holds the
+//! configuration and [`EngineBuilder`]. A round runs in full when something
+//! can happen at its tick — the events due before it, each preceded by
+//! consumption, then churn, faults, `begin_round`, the sweep, the commit
+//! and a CoV sample — and is fast-forwarded in closed form otherwise; the
+//! repartition check follows every round. Only `K ≥ 2` with a
+//! [`LoadBalancer::quiescence_stable`] policy skips (clean shards, quiet
+//! rounds), provably without observable effect (ADR-004, ADR-006); `K = 1`
+//! is the skip-free reference. Checkpoint capture and [`Engine::restore`]
+//! go part by part.
 
-use crate::balancer::{
-    build_view, GlobalView, LinkView, LoadBalancer, MigratingLoad, MigrationIntent, ViewScratch,
-};
-use crate::checkpoint::{Checkpoint, FlightSnap, IN_FLIGHT_DRIFT_TOLERANCE};
-use crate::churn::{ChurnEvent, ChurnPlan};
-use crate::events::{Event, EventQueue};
-use crate::pool::ShardPool;
-use crate::state::{node_bit, set_node_bit, SystemState, NODE_WORD};
+mod bookkeeping;
+mod builder;
+mod consume;
+mod flights;
+mod membership;
+mod sweep;
+
+pub use builder::{EngineBuilder, EngineConfig, FaultModel, RepartitionConfig};
+
+use crate::balancer::{GlobalView, LoadBalancer};
+use crate::checkpoint::Checkpoint;
+use crate::state::SystemState;
+use bookkeeping::Bookkeeping;
+use flights::{Env, Flights};
+use membership::Membership;
 use pp_metrics::imbalance::Imbalance;
-use pp_metrics::ledger::{MigrationRecord, TrafficLedger};
+use pp_metrics::ledger::TrafficLedger;
 use pp_metrics::series::TimeSeries;
-use pp_metrics::shard::{load_skew, ShardAccum};
-use pp_tasking::graph::TaskGraph;
-use pp_tasking::resources::ResourceMatrix;
-use pp_tasking::task::{Task, TaskIdGen};
-use pp_tasking::workload::{validate_trace, ArrivalProcess, TraceEvent, Workload};
-use pp_topology::edgeset::EdgeBitSet;
-use pp_topology::graph::{EdgeId, NodeId, Topology};
-use pp_topology::links::{LinkAttrs, LinkMap};
-use pp_topology::partition::{Partition, RepartitionPolicy};
+use pp_metrics::shard::ShardAccum;
+use pp_topology::graph::NodeId;
+use pp_topology::partition::Partition;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::fmt;
-
-/// The one occupied-node walk of the decision sweep: yields, in ascending
-/// order, every node in `[start, end)` whose bit is set in a node bitset
-/// ([`NODE_WORD`] nodes per word, as [`SystemState::occupied_words`] lays
-/// it out). A shard's range need not be word-aligned after a repartition,
-/// so the first and last words are masked to the range. A walk over n
-/// nodes costs n/64 word loads plus O(occupied nodes).
-#[derive(Debug)]
-struct OccupiedWalk<'a> {
-    words: &'a [u64],
-    /// Index of the word `mask` came from.
-    word: usize,
-    /// Index of the last word the range touches.
-    last: usize,
-    /// First index past the range.
-    end: usize,
-    /// The current word's set bits not yet handed out.
-    mask: u64,
-}
-
-impl<'a> OccupiedWalk<'a> {
-    fn new(words: &'a [u64], start: usize, end: usize) -> Self {
-        if start >= end {
-            return OccupiedWalk { words, word: 0, last: 0, end, mask: 0 };
-        }
-        let (word, last) = (start / NODE_WORD, (end - 1) / NODE_WORD);
-        let mut walk = OccupiedWalk { words, word, last, end, mask: 0 };
-        walk.mask = walk.load(word) & (!0u64 << (start % NODE_WORD));
-        walk
-    }
-
-    /// Word `w`, with the bits past the range's end cleared.
-    #[inline]
-    fn load(&self, w: usize) -> u64 {
-        let tail = self.end - w * NODE_WORD;
-        if tail < NODE_WORD {
-            self.words[w] & ((1u64 << tail) - 1)
-        } else {
-            self.words[w]
-        }
-    }
-}
-
-impl Iterator for OccupiedWalk<'_> {
-    type Item = usize;
-
-    #[inline]
-    fn next(&mut self) -> Option<usize> {
-        while self.mask == 0 {
-            if self.word >= self.last {
-                return None;
-            }
-            self.word += 1;
-            self.mask = self.load(self.word);
-        }
-        let k = self.mask.trailing_zeros() as usize;
-        self.mask &= self.mask - 1;
-        Some(self.word * NODE_WORD + k)
-    }
-}
-
-/// Dynamic link fault process: at every balance tick each up link goes down
-/// with probability `p_down`, each down link recovers with probability
-/// `p_up`.
-#[derive(Debug, Clone, Copy)]
-pub struct FaultModel {
-    /// Probability an up link fails this round.
-    pub p_down: f64,
-    /// Probability a down link recovers this round.
-    pub p_up: f64,
-}
-
-/// Adaptive online repartitioning of the shard decomposition: every
-/// `every` rounds the engine compares the max/mean skew of the per-shard
-/// sweep load accumulated since the last check against `skew_threshold`,
-/// and when it is exceeded asks [`RepartitionPolicy`] for a better-skewed
-/// contiguous layout. Repartitioning mutates no simulation state and draws
-/// no randomness, so reports stay byte-identical to a static run — only
-/// the per-round sweep cost changes (see `docs/adr/ADR-008-adaptive-
-/// repartitioning.md`).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RepartitionConfig {
-    /// Rounds between skew checks (a check is O(K); 0 disables checking).
-    pub every: u64,
-    /// Fire when max/mean per-shard load skew exceeds this (1.0 is
-    /// perfectly balanced; `f64::INFINITY` measures but never fires).
-    pub skew_threshold: f64,
-}
-
-/// Engine configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct EngineConfig {
-    /// Interval between balance rounds.
-    pub tick: f64,
-    /// The constant `c` in the link weight `e_{i,j}` formula.
-    pub weight_c: f64,
-    /// Work consumed per node per time unit (0 = quiescent redistribution).
-    pub consume_rate: f64,
-    /// Transfer attempts per hop before the load bounces back.
-    pub max_attempts: u32,
-    /// Number of spatial shards `K` the decision sweep is partitioned into
-    /// (0 = auto: 1). Clamped to the node count. `K = 1` is the skip-free
-    /// sequential reference: every round runs in full. `K ≥ 2` with a
-    /// [`LoadBalancer::quiescence_stable`] policy skips clean shards inside
-    /// a round and fast-forwards effect-free rounds in closed form
-    /// (byte-identical reports either way — see
-    /// `docs/adr/ADR-006-event-strategy.md`).
-    pub shards: usize,
-    /// Worker threads for the shard sweep (0 = auto: one per available
-    /// core, capped at `K`). With 1 thread shards run inline on the
-    /// calling thread — no pool, no locks.
-    pub threads: usize,
-    /// Dynamic link up/down process (None = all links always up).
-    pub fault_model: Option<FaultModel>,
-    /// Dynamic task arrivals.
-    pub arrival: ArrivalProcess,
-    /// Adaptive online repartitioning (None = the build-time uniform
-    /// layout stays fixed for the life of the engine).
-    pub repartition: Option<RepartitionConfig>,
-}
-
-impl Default for EngineConfig {
-    fn default() -> Self {
-        EngineConfig {
-            tick: 1.0,
-            weight_c: 1.0,
-            consume_rate: 0.0,
-            max_attempts: 3,
-            shards: 0,
-            threads: 0,
-            fault_model: None,
-            arrival: ArrivalProcess::Quiescent,
-            repartition: None,
-        }
-    }
-}
+use sweep::Sweep;
 
 /// The resolved shard execution layout of a built engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -231,47 +68,6 @@ impl fmt::Display for ShardLayout {
             self.shards, self.threads, self.boundary_nodes
         )
     }
-}
-
-/// Per-shard execution state: everything a sweep worker touches for one
-/// shard, owned by that shard so no two workers share mutable data.
-struct ShardSlot {
-    /// Shard-local intent arena (the shard's *outbox*): every deciding
-    /// node's migration intents for the current sweep, appended in
-    /// ascending node order. One allocation per shard, kept across ticks —
-    /// in steady state the sweep reuses its capacity and never touches the
-    /// global allocator. Drained by the commit phase after the round
-    /// barrier.
-    intents: Vec<MigrationIntent>,
-    /// `(local node, prefix end)` into `intents`, one pair per node that
-    /// emitted, in ascending node order: pair `p`'s node emitted
-    /// `intents[spans[p-1].1..spans[p].1]` (with `spans[-1].1 = 0`), so the
-    /// commit phase can attribute each intent to its emitting node.
-    spans: Vec<(u32, u32)>,
-    /// Per-owned-node RNG streams (seeded exactly as the flat engine did,
-    /// so sharding never changes a node's stream).
-    rngs: Vec<StdRng>,
-    /// Reusable neighbour-view scratch for this shard's sweeps.
-    scratch: ViewScratch,
-    /// Mergeable sweep counters (merged in shard order on demand).
-    accum: ShardAccum,
-    /// Whether state this shard can observe (its nodes, their tasks, its
-    /// incident links, its halo neighbours' heights) changed since its
-    /// last sweep that emitted nothing.
-    dirty: bool,
-    /// Whether the current tick's sweep evaluated this shard.
-    evaluated: bool,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct Flight {
-    load: MigratingLoad,
-    from: NodeId,
-    to: NodeId,
-    link_weight: f64,
-    heat: f64,
-    attempts: u32,
-    bounced: bool,
 }
 
 /// Summary of a finished run. `PartialEq` compares every recorded artifact
@@ -313,85 +109,18 @@ pub struct Engine {
     state: SystemState,
     balancer: Box<dyn LoadBalancer>,
     config: EngineConfig,
-    queue: EventQueue,
     time: f64,
+    /// Absolute time of the next balance round.
     next_tick: f64,
     round: u64,
-    flights: Vec<Option<Flight>>,
-    free_slots: Vec<usize>,
+    /// The engine's own stream: faults, transfer attempts, arrivals.
     engine_rng: StdRng,
-    ledger: TrafficLedger,
-    series: TimeSeries,
-    idgen: TaskIdGen,
-    /// Edge-indexed set of links currently down.
-    down_links: EdgeBitSet,
-    /// Precomputed `e_{i,j}` per edge id for `config.weight_c`.
-    link_weights: Vec<f64>,
-    /// The spatial decomposition driving the sweep (fixed at build time).
-    partition: Partition,
-    /// Per-shard execution state, indexed by shard id.
-    shards: Vec<ShardSlot>,
-    /// CoV memoized across consecutive skipped rounds: `cov()` is a pure
-    /// function of state, and a skipped round mutates nothing, so the
-    /// cached value is bit-identical to recomputing — without paying the
-    /// drift-guarded O(n) exact pass per skip on a drained-flat surface.
-    /// Cleared by anything that touches state (executed rounds, drain,
-    /// restore).
-    skip_cov: Option<f64>,
-    /// Resolved sweep worker count (1 = inline, no pool).
-    threads: usize,
-    /// Lazily created persistent shard pool (only when `threads > 1`).
-    /// Affinity is a pure function of `(threads, K)` and both are fixed at
-    /// build time, so the pool survives checkpoints and restores unchanged
-    /// — the worker map is execution layout, not simulation state.
-    pool: Option<ShardPool>,
-    /// Rounds that ran the full pipeline rather than being fast-forwarded
-    /// (diagnostic; kept out of `RunReport` like the shard counters, since
-    /// skip-capable layouts execute fewer rounds than the sequential
-    /// reference).
-    executed_rounds: u64,
-    /// Per-shard `nodes_evaluated` totals at the last repartition check —
-    /// the subtraction baseline that turns the monotone accumulators into
-    /// a sliding load window. Only maintained when `config.repartition`
-    /// is set.
-    repartition_base: Vec<u64>,
-    /// Adaptive repartitions applied so far (diagnostic, like the shard
-    /// counters: layout evolution is execution detail, never report data).
-    repartitions: u64,
-    /// Reused staging buffer for carrying per-node RNG streams across a
-    /// repartition (capacity `n` after the first fire, so steady-state
-    /// fires allocate nothing).
-    rng_scratch: Vec<StdRng>,
-    /// The join/leave schedule, sorted by `(round, node)` (empty = no
-    /// churn). Static configuration like the trace — never checkpointed
-    /// beyond its length fingerprint.
-    churn: Vec<ChurnEvent>,
-    /// Next unapplied entry of `churn`. Derivable from `round` (membership
-    /// is a pure function of the plan prefix), so restores re-derive it.
-    churn_next: usize,
-    /// Down-node bitset in the occupancy layout ([`NODE_WORD`] nodes per
-    /// word): bit set iff the node has churned out. All clear without
-    /// churn.
-    down_nodes: Vec<u64>,
-    /// Union of `down_links` and every edge incident to a down node — the
-    /// one edge set the decision views, launches and `live_edge` consult.
-    /// Equals `down_links` while every node is up (always, without churn).
-    masked_links: EdgeBitSet,
     /// Per-node speed multipliers on `consume_rate` (empty = homogeneous).
     speeds: Vec<f64>,
-    /// Recorded arrival trace being replayed (indexed by `TraceArrival`).
-    trace: Vec<TraceEvent>,
-    /// Consumers already marked dirty in the current tick window, one bit
-    /// per node in the occupancy layout (empty when `consume_rate` is 0).
-    /// Invariant: a set bit implies the node's shard and its neighbours'
-    /// shards are dirty. Only `eval_shard` clears dirty flags, so the memo
-    /// is cleared at the top of `collect_decisions` and on `restore`;
-    /// `apply_ranges` re-derives the flags as a superset (every node of an
-    /// old dirty shard lands in a new dirty shard), which keeps the
-    /// invariant.
-    consume_marked: Vec<u64>,
-    in_flight_load: f64,
-    completed_tasks: usize,
+    membership: Membership,
+    sweep: Sweep,
+    flights: Flights,
+    books: Bookkeeping,
 }
 
 impl Engine {
@@ -417,57 +146,39 @@ impl Engine {
 
     /// Load currently in flight.
     pub fn in_flight_load(&self) -> f64 {
-        self.in_flight_load
+        self.flights.in_flight_load
     }
 
     /// Total load in the system (resident + in flight).
     pub fn system_load(&self) -> f64 {
-        self.state.total_load() + self.in_flight_load
+        self.state.total_load() + self.flights.in_flight_load
     }
 
     /// Links currently down.
     pub fn down_link_count(&self) -> usize {
-        self.down_links.count()
+        self.membership.down_link_count()
     }
 
     /// Nodes currently out of the system (left via churn, not yet rejoined).
     pub fn down_node_count(&self) -> usize {
-        self.down_nodes.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// Whether node `v` is currently part of the system.
-    #[inline]
-    fn node_up(&self, v: NodeId) -> bool {
-        !node_bit(&self.down_nodes, v.idx())
+        self.membership.down_node_count()
     }
 
     /// The resolved shard execution layout. Boundary nodes — nodes with a
     /// neighbour in another shard — are counted from the topology and the
     /// current intervals on demand; this diagnostic is their only reader.
     pub fn shard_layout(&self) -> ShardLayout {
-        let topo = &self.state.topo;
-        let boundary_nodes = topo
-            .nodes()
-            .filter(|&v| {
-                let s = self.partition.shard_of(v);
-                topo.neighbors(v).iter().any(|&u| self.partition.shard_of(u) != s)
-            })
-            .count();
-        ShardLayout { shards: self.partition.shard_count(), threads: self.threads, boundary_nodes }
+        self.sweep.layout(&self.state.topo)
     }
 
     /// The spatial decomposition the sweep runs over.
     pub fn partition(&self) -> &Partition {
-        &self.partition
+        &self.sweep.partition
     }
 
     /// Sweep counters merged over all shards, in fixed shard order.
     pub fn shard_stats(&self) -> ShardAccum {
-        let mut total = ShardAccum::new();
-        for slot in &self.shards {
-            total.merge(&slot.accum);
-        }
-        total
+        self.sweep.stats()
     }
 
     /// Rounds that ran the full pipeline (events, consumption, faults,
@@ -476,31 +187,14 @@ impl Engine {
     /// every shard's sweep (a due event woke it, but no shard was dirty).
     /// Like the shard counters this is a layout-dependent diagnostic.
     pub fn executed_rounds(&self) -> u64 {
-        self.executed_rounds
-    }
-
-    /// Marks the shards that can observe node `v` (its own plus, for
-    /// boundary nodes, every shard owning one of its neighbours) as needing
-    /// evaluation. Called on every mutation of `v`'s tasks or height.
-    /// Adjacency comes from the topology CSR plus the ownership map, so an
-    /// adaptive repartition only has to refit the interval layout.
-    #[inline]
-    fn mark_node_dirty(&mut self, v: NodeId) {
-        let s = self.partition.shard_of(v);
-        self.shards[s].dirty = true;
-        for &u in self.state.topo.neighbors(v) {
-            let a = self.partition.shard_of(u);
-            if a != s {
-                self.shards[a].dirty = true;
-            }
-        }
+        self.books.executed_rounds
     }
 
     /// Pre-reserves metric storage for `n` further rounds, so recording a
     /// sample during a tick never reallocates (useful for allocation-free
     /// steady-state measurement).
     pub fn reserve_rounds(&mut self, n: u64) {
-        self.series.reserve(n as usize);
+        self.books.series.reserve(n as usize);
     }
 
     /// Runs `n` balance rounds (processing all intervening events) and
@@ -510,98 +204,18 @@ impl Engine {
     pub fn run_rounds(&mut self, n: u64) -> &mut Self {
         for _ in 0..n {
             self.run_round();
-            self.maybe_repartition();
+            self.books.maybe_repartition(&self.config, self.round, &mut self.sweep);
         }
         self
     }
 
     /// Adaptive repartitions applied so far.
     pub fn repartitions(&self) -> u64 {
-        self.repartitions
-    }
-
-    /// The between-rounds repartition check (a no-op without the
-    /// [`RepartitionConfig`] knob): every `every` rounds, measure the
-    /// per-shard sweep load accumulated since the last check and, when its
-    /// max/mean skew exceeds the threshold, ask the policy for a strictly
-    /// better-skewed contiguous layout. Runs at the same vantage point as
-    /// [`Engine::checkpoint`] — all outboxes drained, no sweep in flight.
-    fn maybe_repartition(&mut self) {
-        let Some(rp) = self.config.repartition else { return };
-        if rp.every == 0 || !self.round.is_multiple_of(rp.every) || self.shards.len() < 2 {
-            return;
-        }
-        let loads: Vec<f64> = self
-            .shards
-            .iter()
-            .zip(&self.repartition_base)
-            .map(|(slot, &base)| (slot.accum.nodes_evaluated - base) as f64)
-            .collect();
-        // Slide the window whether or not we fire, so each check judges
-        // recent activity instead of the whole run's history.
-        for (base, slot) in self.repartition_base.iter_mut().zip(&self.shards) {
-            *base = slot.accum.nodes_evaluated;
-        }
-        if load_skew(&loads) <= rp.skew_threshold {
-            return;
-        }
-        if let Some(ranges) = RepartitionPolicy::rebalance(&self.partition, &loads) {
-            self.apply_ranges(ranges);
-        }
-    }
-
-    /// Swaps the shard decomposition for a new contiguous layout with the
-    /// same K — the checkpoint machinery's layout-change path applied in
-    /// place. Per-node RNG streams are carried over by node id (shard
-    /// order is node-id order on both sides), and the carried dirty flags
-    /// are what the fast-forward wakes on. The pool keeps its
-    /// workers: affinity is a pure function of `(threads, K)` and K is
-    /// unchanged. Nothing here mutates simulation state or draws
-    /// randomness, so the run's report bytes cannot change.
-    ///
-    /// Activity flags are carried across the layout change at range
-    /// granularity: a new shard needs evaluation iff it covers at least
-    /// one node of an old *dirty* shard. Node-level quiescence is
-    /// layout-independent and all outboxes are drained at this vantage
-    /// point, so a new shard covering only clean old shards' nodes is
-    /// provably quiescent — skipping it is exact. (Dropping to all-dirty,
-    /// the checkpoint path's approach, would also be exact, but a full
-    /// sweep of every shard after every repartition erases precisely the
-    /// sweep savings repartitioning exists to buy.)
-    fn apply_ranges(&mut self, ranges: Vec<(u32, u32)>) {
-        debug_assert_eq!(ranges.len(), self.shards.len());
-        let old_dirty: Vec<(u32, u32)> = (0..self.shards.len())
-            .filter(|&s| self.shards[s].dirty)
-            .map(|s| self.partition.range(s))
-            .collect();
-        // Per-node RNG streams ride along by node id through a persistent
-        // scratch buffer; `append`/`extend` keep every Vec's capacity, so a
-        // steady-state fire allocates nothing.
-        self.rng_scratch.clear();
-        for slot in &mut self.shards {
-            self.rng_scratch.append(&mut slot.rngs);
-        }
-        self.partition.refit(ranges);
-        let mut rngs = self.rng_scratch.drain(..);
-        for (s, slot) in self.shards.iter_mut().enumerate() {
-            let (start, end) = self.partition.range(s);
-            slot.rngs.extend(rngs.by_ref().take((end - start) as usize));
-            slot.intents.clear();
-            slot.spans.clear();
-            slot.evaluated = false;
-            slot.dirty = old_dirty.iter().any(|&(lo, hi)| lo < end && start < hi);
-        }
-        drop(rngs);
-        for (base, slot) in self.repartition_base.iter_mut().zip(&self.shards) {
-            *base = slot.accum.nodes_evaluated;
-        }
-        self.repartitions += 1;
+        self.books.repartitions
     }
 
     /// One balance round: the full pipeline when something can happen at
-    /// this round's tick (a dirty shard, a due event, decaying work, a
-    /// fault process or churn) or when the layout does not skip; otherwise
-    /// a closed-form fast-forward.
+    /// this round's tick, otherwise a closed-form fast-forward.
     ///
     /// The fast-forward is byte-exact against the full pipeline: with no
     /// event due at or before `t`, no resident work to consume, no fault
@@ -616,55 +230,33 @@ impl Engine {
         // Draining may have carried the clock past the scheduled tick.
         let t = self.next_tick.max(self.time);
         if self.round_has_effect(t) {
-            self.skip_cov = None;
-            self.executed_rounds += 1;
+            self.books.invalidate();
+            self.books.executed_rounds += 1;
             self.process_events_until(t);
             self.advance_time_to(t);
             self.fire_tick();
         } else {
             self.round += 1;
             self.time = self.time.max(t);
-            let cov = match self.skip_cov {
-                Some(c) => c,
-                None => {
-                    let c = self.state.cov();
-                    self.skip_cov = Some(c);
-                    c
-                }
-            };
-            self.series.push(self.time, cov);
+            self.books.sample_skipped(self.time, &self.state);
         }
         self.next_tick = self.time + self.config.tick;
-    }
-
-    /// Whether effect-free work may be skipped: clean shards inside a
-    /// round ([`Engine::collect_decisions`]) and whole rounds
-    /// ([`Engine::round_has_effect`]). Shard-level activity tracking only
-    /// has resolution at `K ≥ 2`, so `K = 1` stays the skip-free
-    /// sequential reference; and a policy without the quiescence-stable
-    /// contract may mutate state or draw randomness in
-    /// `begin_round`/`decide` even when clean.
-    fn skipping(&self) -> bool {
-        self.shards.len() >= 2 && self.balancer.quiescence_stable()
     }
 
     /// Whether the round at tick time `t` must run the full pipeline
     /// rather than the closed-form fast-forward.
     fn round_has_effect(&self, t: f64) -> bool {
         // The fault process draws engine RNG per edge every round.
-        if !self.skipping() || self.config.fault_model.is_some() {
+        if !self.sweep.skipping(&*self.balancer) || self.config.fault_model.is_some() {
             return true;
         }
         // A churn event due at this round's tick mutates membership (and
         // possibly drains a queue); the fast-forward must not straddle it.
-        if self.churn_next < self.churn.len() && self.churn[self.churn_next].round <= self.round + 1
-        {
+        if self.membership.churn_due(self.round + 1) {
             return true;
         }
         // Resident work decays between rounds; the O(1) counter gates the
-        // consumption sweep (n/64 word tests plus the consumers). On
-        // an empty system the sweep is a no-op: `consume_work` on a
-        // task-less node mutates nothing.
+        // consumption sweep. On an empty system the sweep is a no-op.
         if self.config.consume_rate > 0.0 && self.state.resident_tasks() > 0 {
             return true;
         }
@@ -684,8 +276,8 @@ impl Engine {
     fn next_wake_at(&self, t: f64) -> Option<f64> {
         // A dirty shard must be swept at the upcoming tick; a clean one
         // sleeps until something it can observe marks it dirty.
-        let sweep = self.shards.iter().any(|s| s.dirty).then_some(t);
-        match (sweep, self.queue.peek_time()) {
+        let sweep = self.sweep.any_dirty().then_some(t);
+        match (sweep, self.flights.queue.peek_time()) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
         }
@@ -716,7 +308,7 @@ impl Engine {
     /// `extra_time` without firing further balance rounds — used to drain
     /// the network at the end of a run.
     pub fn drain(&mut self, extra_time: f64) -> &mut Self {
-        self.skip_cov = None;
+        self.books.invalidate();
         let deadline = self.time + extra_time;
         self.process_events_until(deadline);
         // Consume work up to the next scheduled tick, but never rewind.
@@ -732,17 +324,18 @@ impl Engine {
             rounds: self.round,
             time: self.time,
             final_imbalance: Imbalance::of(self.state.height_slice()),
-            series: self.series.clone(),
-            ledger: self.ledger.clone(),
+            series: self.books.series.clone(),
+            ledger: self.flights.ledger.clone(),
             total_load: self.state.total_load(),
-            in_flight_load: self.in_flight_load,
-            completed_tasks: self.completed_tasks,
+            in_flight_load: self.flights.in_flight_load,
+            completed_tasks: self.books.completed_tasks,
         }
     }
 
     /// Captures the complete dynamic state of the engine as a versioned
     /// [`Checkpoint`] — see the [`checkpoint`](crate::checkpoint) module
-    /// docs for exactly what is (and is not) included.
+    /// docs for exactly what is (and is not) included. Each part writes
+    /// the fields it owns.
     ///
     /// Must be taken *between* balance rounds (which is the only vantage
     /// point the public API exposes: after `run_rounds`/`drain` return).
@@ -751,90 +344,46 @@ impl Engine {
     /// threads)` layout.
     pub fn checkpoint(&self) -> Checkpoint {
         let n = self.state.node_count();
-        let mut node_rngs = Vec::with_capacity(n);
-        for (s, slot) in self.shards.iter().enumerate() {
-            debug_assert_eq!(self.partition.range(s).0 as usize, node_rngs.len());
-            node_rngs.extend(slot.rngs.iter().map(|r| r.state()));
-        }
-        let (queue_seq, queue) = self.queue.snapshot();
-        Checkpoint {
+        let mut cp = Checkpoint {
             nodes: n,
             edges: self.state.topo.edge_count(),
-            trace_len: self.trace.len(),
             balancer: self.balancer.name().to_string(),
             time: self.time,
             next_tick: self.next_tick,
             round: self.round,
             engine_rng: self.engine_rng.state(),
-            node_rngs,
             node_tasks: (0..n)
                 .map(|i| self.state.node(NodeId(i as u32)).tasks().to_vec())
                 .collect(),
             node_heights: self.state.height_slice().to_vec(),
             stats: self.state.stat_snapshot(),
-            idgen_next: self.idgen.position(),
-            down_words: self.down_links.words().to_vec(),
-            flights: self
-                .flights
-                .iter()
-                .map(|f| {
-                    f.map(|f| FlightSnap {
-                        task: f.load.task,
-                        flag: f.load.flag,
-                        hops: f.load.hops,
-                        source: f.load.source.0,
-                        from: f.from.0,
-                        to: f.to.0,
-                        link_weight: f.link_weight,
-                        heat: f.heat,
-                        attempts: f.attempts,
-                        bounced: f.bounced,
-                    })
-                })
-                .collect(),
-            free_slots: self.free_slots.clone(),
-            in_flight_load: self.in_flight_load,
-            completed_tasks: self.completed_tasks,
-            queue_seq,
-            queue,
-            ledger: self.ledger.records().to_vec(),
-            series: self.series.points().to_vec(),
-            shard_layout_k: self.shards.len(),
-            shard_dirty: self.shards.iter().map(|s| s.dirty).collect(),
-            shard_accums: self.shards.iter().map(|s| s.accum).collect(),
             balancer_state: self.balancer.save_state(),
-            churn_len: self.churn.len(),
-        }
+            ..Checkpoint::default()
+        };
+        self.membership.capture(&mut cp);
+        self.sweep.capture(&mut cp);
+        self.flights.capture(&mut cp);
+        self.books.capture(&mut cp);
+        cp
     }
 
     /// Overwrites this engine's dynamic state with a [`Checkpoint`],
     /// resuming the captured run exactly. The engine must have been built
     /// from the same configuration the checkpoint was written under; the
-    /// fingerprint (node/edge counts, trace length, balancer name) is
-    /// checked and a mismatch — like any structurally invalid snapshot —
-    /// returns `Err` without touching the engine. Never panics on corrupt
-    /// input: every index and float the snapshot carries is validated
-    /// before anything is applied.
+    /// fingerprint (node/edge counts, trace length, churn plan length,
+    /// balancer name) is checked and a mismatch — like any structurally
+    /// invalid snapshot — returns `Err` without touching the engine. Never
+    /// panics on corrupt input: every part validates the fields it owns and
+    /// builds its restored value first, and nothing is assigned until every
+    /// part has passed.
     pub fn restore(&mut self, cp: &Checkpoint) -> Result<(), String> {
         let n = self.state.node_count();
-        // --- Validation phase: no engine state is touched until all of it
-        // passes, so a bad checkpoint leaves the engine fully usable.
-        if cp.nodes != n {
-            return Err(format!("checkpoint has {} nodes, engine has {n}", cp.nodes));
-        }
-        if cp.edges != self.state.topo.edge_count() {
-            return Err(format!(
-                "checkpoint has {} edges, engine has {}",
-                cp.edges,
-                self.state.topo.edge_count()
-            ));
-        }
-        if cp.trace_len != self.trace.len() {
-            return Err(format!(
-                "checkpoint replays a {}-record trace, engine has {} records",
-                cp.trace_len,
-                self.trace.len()
-            ));
+        for (what, theirs, ours) in
+            [("nodes", cp.nodes, n), ("edges", cp.edges, self.state.topo.edge_count())]
+        {
+            if theirs != ours {
+                return Err(format!("checkpoint has {theirs} {what}, engine has {ours}"));
+            }
         }
         if cp.balancer != self.balancer.name() {
             return Err(format!(
@@ -843,21 +392,12 @@ impl Engine {
                 self.balancer.name()
             ));
         }
-        if cp.churn_len != self.churn.len() {
-            return Err(format!(
-                "checkpoint was written under a {}-event churn plan, engine has {} events",
-                cp.churn_len,
-                self.churn.len()
-            ));
-        }
-        if cp.node_rngs.len() != n || cp.node_tasks.len() != n || cp.node_heights.len() != n {
+        if cp.node_tasks.len() != n || cp.node_heights.len() != n {
             return Err("checkpoint per-node vectors do not match the node count".into());
         }
-        // Seeding never produces the all-zero xoshiro state (it is the
-        // generator's fixed point); a zeroed entry can only be a corrupted
-        // snapshot, so reject it here rather than let `from_state`'s
-        // defense-in-depth repair substitute a different stream silently.
-        if cp.engine_rng == [0; 4] || cp.node_rngs.contains(&[0; 4]) {
+        // A zeroed state is the generator's fixed point, never seeded:
+        // reject it rather than let `from_state` repair it silently.
+        if cp.engine_rng == [0; 4] {
             return Err("checkpoint carries an all-zero RNG state (corrupt snapshot)".into());
         }
         for (key, v) in [("time", cp.time), ("next_tick", cp.next_tick)] {
@@ -865,122 +405,25 @@ impl Engine {
                 return Err(format!("checkpoint `{key}` = {v} must be finite and non-negative"));
             }
         }
-        // The in-flight total is an accumulated sum, so with every load
-        // landed it can read a few ulps below zero. That drift is exact
-        // state and restores verbatim; anything further below is corrupt.
-        let floor = -IN_FLIGHT_DRIFT_TOLERANCE * cp.stats.height_sum.abs().max(1.0);
-        if !(cp.in_flight_load.is_finite() && cp.in_flight_load >= floor) {
-            return Err(format!(
-                "checkpoint `in_flight_load` = {} must be finite and at least {floor} \
-                 (float drift below zero)",
-                cp.in_flight_load
-            ));
-        }
         if cp.node_heights.iter().any(|h| !h.is_finite()) {
             return Err("checkpoint node heights must be finite".into());
         }
-        let down_links =
-            EdgeBitSet::from_words(self.state.topo.edge_count(), cp.down_words.clone())
-                .map_err(|e| format!("checkpoint down-link bitset: {e}"))?;
-        let queue = EventQueue::from_entries(cp.queue_seq, &cp.queue)
-            .map_err(|e| format!("checkpoint event queue: {e}"))?;
-        // Event payload indices: every pending load arrival must name a
-        // distinct occupied flight slot (handle_arrival takes the slot), and
-        // trace replays must stay inside the trace table. Temporal
-        // consistency: no pending event may predate the clock (a legit
-        // engine always drains events up to `time` before they can linger),
-        // or the post-restore event loop would run the clock backwards.
-        let mut arrival_seen = vec![false; cp.flights.len()];
-        for &(et, _, event) in &cp.queue {
-            if et < cp.time {
-                return Err(format!("pending event at t={et} predates the clock t={}", cp.time));
-            }
-            match event {
-                Event::LoadArrival { flight } => {
-                    if flight >= cp.flights.len() || cp.flights[flight].is_none() {
-                        return Err(format!("pending arrival names invalid flight slot {flight}"));
-                    }
-                    if std::mem::replace(&mut arrival_seen[flight], true) {
-                        return Err(format!("flight slot {flight} has two pending arrivals"));
-                    }
-                }
-                Event::TraceArrival { record } => {
-                    if record >= self.trace.len() {
-                        return Err(format!("pending trace arrival names invalid record {record}"));
-                    }
-                }
-                Event::TaskArrival => {}
-            }
-        }
-        // The inverse direction: every occupied slot must have exactly one
-        // pending arrival, or the load would sit in the slab (and in
-        // `in_flight_load`) forever without ever landing.
-        if let Some(orphan) =
-            (0..cp.flights.len()).find(|&i| cp.flights[i].is_some() && !arrival_seen[i])
-        {
-            return Err(format!("flight slot {orphan} is occupied but has no pending arrival"));
-        }
-        let mut free_seen = vec![false; cp.flights.len()];
-        for &s in &cp.free_slots {
-            if s >= cp.flights.len() || cp.flights[s].is_some() {
-                return Err(format!("free list names non-empty flight slot {s}"));
-            }
-            if std::mem::replace(&mut free_seen[s], true) {
-                return Err(format!("flight slot {s} listed free twice"));
-            }
-        }
-        // And every empty slot must be on the free list, or the slab leaks
-        // it and later allocations pop different slot indices than the
-        // uninterrupted run — silent divergence instead of a clean error.
-        if let Some(leak) =
-            (0..cp.flights.len()).find(|&i| cp.flights[i].is_none() && !free_seen[i])
-        {
-            return Err(format!("empty flight slot {leak} is missing from the free list"));
-        }
-        // The per-shard activity vectors must be self-consistent with the
-        // capture layout regardless of this engine's layout.
-        if cp.shard_dirty.len() != cp.shard_layout_k || cp.shard_accums.len() != cp.shard_layout_k {
-            return Err(format!(
-                "checkpoint shard vectors do not match shard_layout_k = {}",
-                cp.shard_layout_k
-            ));
-        }
-        for f in cp.flights.iter().flatten() {
-            if f.from as usize >= n || f.to as usize >= n || f.source as usize >= n {
-                return Err("flight references a node out of range".into());
-            }
-            if !(f.flag.is_finite() && f.link_weight.is_finite() && f.heat.is_finite()) {
-                return Err("flight floats must be finite".into());
-            }
-            if !(f.task.size.is_finite() && f.task.size > 0.0 && f.task.work.is_finite())
-                || f.task.work < 0.0
-            {
-                return Err("flight task size/work out of range".into());
-            }
-        }
         // Floats that feed accumulated totals or later arithmetic: a single
         // non-finite value would restore Ok and silently poison every
-        // subsequent report, so reject it here (JSON carrying `1e999`
-        // parses to infinity).
-        if ![
-            cp.stats.height_sum,
-            cp.stats.height_sq_sum,
-            cp.stats.stat_peak_sum,
-            cp.stats.stat_peak_sq,
-        ]
-        .iter()
-        .all(|v| v.is_finite())
+        // subsequent report (JSON carrying `1e999` parses to infinity).
+        let s = cp.stats;
+        if ![s.height_sum, s.height_sq_sum, s.stat_peak_sum, s.stat_peak_sq]
+            .iter()
+            .all(|v| v.is_finite())
         {
             return Err("checkpoint imbalance statistics must be finite".into());
         }
-        for tasks in &cp.node_tasks {
-            for t in tasks {
-                if !(t.size.is_finite() && t.size > 0.0 && t.work.is_finite())
-                    || t.work < 0.0
-                    || !t.created_at.is_finite()
-                {
-                    return Err("checkpoint task size/work/created_at out of range".into());
-                }
+        for t in cp.node_tasks.iter().flatten() {
+            if !(t.size.is_finite() && t.size > 0.0 && t.work.is_finite())
+                || t.work < 0.0
+                || !t.created_at.is_finite()
+            {
+                return Err("checkpoint task size/work/created_at out of range".into());
             }
         }
         // A finite size can still be too large to move: a hop lands at
@@ -999,204 +442,55 @@ impl Engine {
                  non-finite time"
             ));
         }
-        for rec in &cp.ledger {
-            if ![rec.time, rec.size, rec.link_weight, rec.heat].iter().all(|v| v.is_finite()) {
-                return Err("checkpoint ledger records must be finite".into());
-            }
-        }
-        if cp.series.windows(2).any(|w| w[1].0 < w[0].0)
-            || cp.series.iter().any(|&(t, v)| !t.is_finite() || !v.is_finite())
-        {
-            return Err("checkpoint series must be finite with non-decreasing times".into());
-        }
-        // A legit capture's last sample was pushed at (or before) the
-        // clock; a later one would make the next tick's push violate the
-        // series' time-order assertion — reject it here instead of
-        // panicking there.
-        if let Some(&(last, _)) = cp.series.last() {
-            if last > cp.time {
-                return Err(format!(
-                    "checkpoint series runs to t={last}, beyond the clock t={}",
-                    cp.time
-                ));
-            }
-        }
-        // --- Balancer state next: it only touches the policy, and a
-        // failure here still leaves the engine's own state untouched.
+        let membership = self.membership.restored(cp, &self.state.topo)?;
+        let flights = self.flights.restored(cp)?;
+        self.sweep.check(cp)?;
+        let books = self.books.restored(cp)?;
+        // The balancer last: it only touches the policy, and a failure
+        // here still leaves the engine's own state untouched.
         if let Some(state) = &cp.balancer_state {
             self.balancer
                 .load_state(state, n)
                 .map_err(|e| format!("balancer `{}` state: {e}", self.balancer.name()))?;
         }
         // --- Apply phase (infallible from here on).
-        for i in 0..n {
-            let v = NodeId(i as u32);
-            self.state.restore_node(v, cp.node_tasks[i].clone(), cp.node_heights[i]);
+        for (i, tasks) in cp.node_tasks.iter().enumerate() {
+            self.state.restore_node(NodeId(i as u32), tasks.clone(), cp.node_heights[i]);
         }
         self.state.restore_stats(cp.stats);
         self.engine_rng = StdRng::from_state(cp.engine_rng);
-        // Vector lengths were validated against shard_layout_k above, so
-        // the K comparison decides whether the flags carry over — unless
-        // adaptive repartitioning is on, where equal K no longer implies
-        // equal ranges (the writer may have been mid-adaptation), so the
-        // flags are meaningless and the conservative all-dirty path is the
-        // only sound one.
-        let same_layout =
-            cp.shard_layout_k == self.shards.len() && self.config.repartition.is_none();
-        for (s, slot) in self.shards.iter_mut().enumerate() {
-            let (start, end) = self.partition.range(s);
-            for (k, i) in (start..end).enumerate() {
-                slot.rngs[k] = StdRng::from_state(cp.node_rngs[i as usize]);
-            }
-            slot.intents.clear();
-            slot.spans.clear();
-            slot.evaluated = false;
-            // Same layout: resume the activity tracking exactly. Different
-            // layout: conservatively mark everything dirty — report-exact
-            // either way (evaluating a clean shard of a quiescence-stable
-            // policy emits nothing and draws nothing; ADR-004), only the
-            // diagnostic skip counters differ.
-            if same_layout {
-                slot.dirty = cp.shard_dirty[s];
-                slot.accum = cp.shard_accums[s];
-            } else {
-                slot.dirty = true;
-                slot.accum = ShardAccum::new();
-            }
-        }
-        // The memoized skip CoV belongs to the abandoned timeline, and so
-        // do the repartition load window and the consume memo (the restored
-        // flags need not back its bits).
-        self.skip_cov = None;
-        self.consume_marked.fill(0);
-        for (base, slot) in self.repartition_base.iter_mut().zip(&self.shards) {
-            *base = slot.accum.nodes_evaluated;
-        }
-        self.queue = queue;
-        self.flights = cp
-            .flights
-            .iter()
-            .map(|f| {
-                f.as_ref().map(|f| Flight {
-                    load: MigratingLoad {
-                        task: f.task,
-                        flag: f.flag,
-                        hops: f.hops,
-                        source: NodeId(f.source),
-                    },
-                    from: NodeId(f.from),
-                    to: NodeId(f.to),
-                    link_weight: f.link_weight,
-                    heat: f.heat,
-                    attempts: f.attempts,
-                    bounced: f.bounced,
-                })
-            })
-            .collect();
-        self.free_slots = cp.free_slots.clone();
-        self.in_flight_load = cp.in_flight_load;
-        self.completed_tasks = cp.completed_tasks;
-        self.idgen = TaskIdGen::starting_at(cp.idgen_next);
-        self.down_links = down_links;
-        // Membership is a pure function of the plan prefix applied so far,
-        // so it is re-derived rather than stored: replay every event with
-        // round ≤ the restored round (flags only — the drains those events
-        // performed are already baked into the restored node queues), then
-        // rebuild the mask as down links ∪ edges incident to down nodes.
-        self.down_nodes.fill(0);
-        let mut next = 0;
-        while next < self.churn.len() && self.churn[next].round <= cp.round {
-            let ev = self.churn[next];
-            set_node_bit(&mut self.down_nodes, ev.node as usize, ev.leave);
-            next += 1;
-        }
-        self.churn_next = next;
-        self.masked_links = self.down_links.clone();
-        for i in 0..n {
-            let v = NodeId(i as u32);
-            if self.node_up(v) {
-                continue;
-            }
-            for &u in self.state.topo.neighbors(v) {
-                let e = self.state.topo.edge_index(v, u).expect("CSR neighbour edge");
-                self.masked_links.insert(e);
-            }
-        }
-        // Rebuild the ledger and series by replaying the identical record
-        // sequence, so the running totals reproduce the captured
-        // accumulation bit-for-bit.
-        self.ledger = TrafficLedger::new();
-        for rec in &cp.ledger {
-            self.ledger.record(*rec);
-        }
-        self.series = TimeSeries::new();
-        for &(t, v) in &cp.series {
-            self.series.push(t, v);
-        }
-        self.time = cp.time;
-        self.next_tick = cp.next_tick;
-        self.round = cp.round;
+        self.sweep.restore(cp, self.config.repartition.is_some());
+        (self.membership, self.flights, self.books) = (membership, flights, books);
+        self.books.rebase(&self.sweep);
+        (self.time, self.next_tick, self.round) = (cp.time, cp.next_tick, cp.round);
         Ok(())
     }
 
+    /// The flight phase's part, the sweep, and the rest it touches.
+    fn flight_env(&mut self) -> (&mut Flights, &mut Sweep, Env<'_>) {
+        let Engine { state, balancer, config, engine_rng, membership, sweep, flights, .. } = self;
+        let (balancer, time, round) = (&**balancer, self.time, self.round);
+        (flights, sweep, Env { state, membership, balancer, engine_rng, config, time, round })
+    }
+
+    /// Handles every event due at or before `t`, consuming work up to each.
     fn process_events_until(&mut self, t: f64) {
-        while let Some(et) = self.queue.peek_time() {
-            if et > t {
-                break;
-            }
-            let (et, event) = self.queue.pop().expect("peeked");
+        while let Some((et, event)) = self.flights.pop_due(t) {
             self.advance_time_to(et);
-            match event {
-                Event::LoadArrival { flight } => self.handle_arrival(flight),
-                Event::TaskArrival => self.handle_task_arrival(),
-                Event::TraceArrival { record } => self.handle_trace_arrival(record),
-            }
+            let (flights, sweep, mut env) = self.flight_env();
+            flights.handle(event, sweep, &mut env);
         }
     }
 
-    /// Advances the clock to `t`, consuming work on every up node that
-    /// holds any (scaled by the node's speed multiplier when heterogeneous
-    /// speeds are set).
-    ///
-    /// Consuming on an empty node is a no-op (nothing completes, nothing is
-    /// used, nothing is marked dirty), so the sweep is skipped outright
-    /// while no task is resident, and otherwise runs word by word over the
-    /// occupancy bitset: `occupied & !down` picks a word's consumers (a
-    /// churned-out node's frozen tasks wait for it to rejoin), and
-    /// [`SystemState::consume_word`] steps them in ascending id order,
-    /// exactly as a node-by-node `consume_work` scan would. Then, once per
-    /// word, the consumers not yet in the memo mark their shards dirty.
-    fn advance_time_to(&mut self, t: f64) {
-        let dt = t - self.time;
-        debug_assert!(dt >= -1e-9, "time went backwards: {} -> {}", self.time, t);
-        if dt > 0.0 && self.config.consume_rate > 0.0 && self.state.resident_tasks() > 0 {
-            let amount = dt * self.config.consume_rate;
-            for w in 0..self.down_nodes.len() {
-                let live = self.state.occupied_words()[w] & !self.down_nodes[w];
-                if live == 0 {
-                    continue;
-                }
-                let (stepped, done) = self.state.consume_word(w, live, amount, &self.speeds);
-                self.completed_tasks += done;
-                // Marking is idempotent until the next sweep clears the
-                // flags, so each consumer marks once per window.
-                let mut fresh = stepped & !self.consume_marked[w];
-                self.consume_marked[w] |= fresh;
-                while fresh != 0 {
-                    let k = fresh.trailing_zeros() as usize;
-                    fresh &= fresh - 1;
-                    self.mark_node_dirty(NodeId((w * NODE_WORD + k) as u32));
-                }
-            }
-        }
-        self.time = self.time.max(t);
-    }
-
+    /// The tick: churn and faults, the policy's per-round refresh, the
+    /// decision sweep, the commit, and the round's CoV sample.
     fn fire_tick(&mut self) {
         self.round += 1;
-        self.apply_churn();
-        self.update_faults();
-
+        self.membership.apply_churn(self.round, &mut self.state, &mut self.sweep);
+        if let Some(fm) = self.config.fault_model {
+            let topo = &self.state.topo;
+            self.membership.update_faults(fm, &mut self.engine_rng, topo, &mut self.sweep);
+        }
         let global = GlobalView {
             topo: &self.state.topo,
             heights: self.state.height_slice(),
@@ -1204,725 +498,25 @@ impl Engine {
             time: self.time,
         };
         self.balancer.begin_round(&global);
-
-        self.collect_decisions();
-        // Commit phase — the batched halo exchange: drain the evaluated
-        // shards' outboxes in fixed shard order. Shards are contiguous
-        // ascending id ranges, so this is exactly the flat engine's
-        // ascending-node launch order, and every cross-shard (halo) effect
-        // lands here, after the barrier, never mid-sweep. Skipped shards
-        // hold no intents (their outboxes were drained the last time they
-        // were evaluated). Arenas are swapped out so `launch` may mutate
-        // state while we drain them; they (and their capacity) come back
-        // after.
-        for s in 0..self.shards.len() {
-            if !self.shards[s].evaluated || self.shards[s].intents.is_empty() {
-                continue;
-            }
-            let (start, _) = self.partition.range(s);
-            let intents = std::mem::take(&mut self.shards[s].intents);
-            let spans = std::mem::take(&mut self.shards[s].spans);
-            let mut next = 0usize;
-            for &(k, end) in &spans {
-                let node = NodeId(start + k);
-                for &intent in &intents[next..end as usize] {
-                    self.launch(node, intent);
-                }
-                next = end as usize;
-            }
-            let slot = &mut self.shards[s];
-            slot.intents = intents;
-            slot.intents.clear();
-            slot.spans = spans;
-            slot.spans.clear();
-        }
-        self.series.push(self.time, self.state.cov());
-    }
-
-    /// Applies every churn event scheduled at or before the current round,
-    /// in plan order. Runs at the very top of the tick — before the fault
-    /// process and the decision sweep — and draws no randomness, so churned
-    /// runs stay byte-identical across every `(shards, threads)` layout and
-    /// both simulation strategies.
-    fn apply_churn(&mut self) {
-        while self.churn_next < self.churn.len() && self.churn[self.churn_next].round <= self.round
-        {
-            let ev = self.churn[self.churn_next];
-            self.churn_next += 1;
-            let v = NodeId(ev.node);
-            if ev.leave {
-                self.node_leave(v);
-            } else {
-                self.node_join(v);
-            }
-        }
-    }
-
-    /// Takes node `v` out of the system: masks its incident edges and
-    /// drains its resident tasks round-robin over the up neighbours
-    /// reachable across non-faulted links (ascending node order — the CSR
-    /// order every other sweep uses). With no live receiver (every
-    /// neighbour down or every incident link faulted) the tasks freeze in
-    /// place until the node rejoins; they are not consumed meanwhile.
-    fn node_leave(&mut self, v: NodeId) {
-        set_node_bit(&mut self.down_nodes, v.idx(), true);
-        let mut receivers: Vec<NodeId> = Vec::new();
-        for &u in self.state.topo.neighbors(v) {
-            let e = self.state.topo.edge_index(v, u).expect("CSR neighbour edge exists");
-            self.masked_links.insert(e);
-            if self.node_up(u) && !self.down_links.contains(e) {
-                receivers.push(u);
-            }
-        }
-        self.mark_node_dirty(v);
-        if receivers.is_empty() {
-            return;
-        }
-        let ids: Vec<_> = self.state.node(v).tasks().iter().map(|t| t.id).collect();
-        for (i, id) in ids.into_iter().enumerate() {
-            let task = self.state.remove_task(v, id).expect("drained task is resident");
-            self.state.add_task(receivers[i % receivers.len()], task);
-        }
-        for &u in &receivers {
-            self.mark_node_dirty(u);
-        }
-    }
-
-    /// Brings node `v` back cold: unmasks its incident edges (except those
-    /// whose other endpoint is still down, and those the fault process
-    /// holds down) and wakes the shards that can observe it.
-    fn node_join(&mut self, v: NodeId) {
-        set_node_bit(&mut self.down_nodes, v.idx(), false);
-        let unmask: Vec<EdgeId> = self
-            .state
-            .topo
-            .neighbors(v)
-            .iter()
-            .filter(|&&u| self.node_up(u))
-            .map(|&u| self.state.topo.edge_index(v, u).expect("CSR neighbour edge exists"))
-            .filter(|&e| !self.down_links.contains(e))
-            .collect();
-        for e in unmask {
-            self.masked_links.remove(e);
-        }
-        self.mark_node_dirty(v);
-    }
-
-    fn update_faults(&mut self) {
-        let Some(fm) = self.config.fault_model else { return };
-        for e in 0..self.state.topo.edge_count() as u32 {
-            let e = EdgeId(e);
-            let flipped = if self.down_links.contains(e) {
-                let up = self.engine_rng.gen_bool(fm.p_up);
-                if up {
-                    self.down_links.remove(e);
-                    // The mask lifts only if neither endpoint is down.
-                    let (u, v) = self.state.topo.edge_endpoints(e);
-                    if self.node_up(u) && self.node_up(v) {
-                        self.masked_links.remove(e);
-                    }
-                }
-                up
-            } else {
-                let down = self.engine_rng.gen_bool(fm.p_down);
-                if down {
-                    self.down_links.insert(e);
-                    self.masked_links.insert(e);
-                }
-                down
-            };
-            if flipped {
-                // A link flip changes only its two endpoints' views.
-                let (u, v) = self.state.topo.edge_endpoints(e);
-                let su = self.partition.shard_of(u);
-                let sv = self.partition.shard_of(v);
-                self.shards[su].dirty = true;
-                self.shards[sv].dirty = true;
-            }
-        }
-    }
-
-    /// The live edge between `u` and `v`, if the edge exists, its link is
-    /// up, and neither endpoint has churned out.
-    fn live_edge(&self, u: NodeId, v: NodeId) -> Option<EdgeId> {
-        self.state.topo.edge_index(u, v).filter(|&e| !self.masked_links.contains(e))
-    }
-
-    /// Fills each shard's decision buffers with its nodes' migration
-    /// intents for this tick. Decisions are pure functions of the
-    /// tick-start height snapshot (nothing mutates state until the launch
-    /// phase) and every node draws from its own RNG stream, so evaluating
-    /// shards inline, across the worker pool, or skipping provably
-    /// quiescent ones yields identical results.
-    fn collect_decisions(&mut self) {
-        let round = self.round;
-        let time = self.time;
-        // `eval_shard` is about to clear dirty flags, so the consume memo's
-        // invariant no longer holds for what it recorded.
-        self.consume_marked.fill(0);
-        let skip_ok = self.skipping();
-        let mut pending = 0usize;
-        for slot in &mut self.shards {
-            slot.evaluated = slot.dirty || !skip_ok;
-            if slot.evaluated {
-                pending += 1;
-            } else {
-                slot.accum.record_skipped();
-            }
-        }
-        if pending == 0 {
-            return;
-        }
-
-        let blocked = &self.masked_links;
-        let state = &self.state;
-        let heights = state.height_slice();
-        let links = LinkView {
-            attrs: state.links().attrs(),
-            weights: Some(&self.link_weights),
-            weight_c: self.config.weight_c,
-            down: if blocked.none_set() { None } else { Some(blocked) },
-        };
-        let balancer = &*self.balancer;
-        let partition = &self.partition;
-
-        if self.threads > 1 && pending > 1 {
-            let threads = self.threads;
-            let k = self.shards.len();
-            let pool = self.pool.get_or_insert_with(|| ShardPool::new(threads, k));
-            // Every shard runs on the worker that owns it — same worker
-            // every round, so the slot's arena, scratch and RNG cache lines
-            // never migrate between cores. The pool hands each worker
-            // disjoint `&mut ShardSlot`s; no locks, no per-shard messages,
-            // one barrier wake per round. Skipped shards cost their owner
-            // one flag read.
-            pool.run_shards(&mut self.shards, &|s, slot| {
-                if !slot.evaluated {
-                    return;
-                }
-                let (start, end) = partition.range(s);
-                // Pull the halo's height words onto this core before the
-                // decision loop: neighbouring shards' workers dirtied them
-                // last round, and streaming them in one batch beats
-                // faulting them in one cache miss at a time mid-decision.
-                // Pooled path only — with a single worker every line is
-                // already local and the touch would be pure overhead.
-                prefetch_halo(state, heights, start, end);
-                eval_shard(slot, start, end, state, heights, &links, balancer, round, time);
-            });
-        } else {
-            for s in 0..self.shards.len() {
-                if !self.shards[s].evaluated {
-                    continue;
-                }
-                let (start, end) = self.partition.range(s);
-                eval_shard(
-                    &mut self.shards[s],
-                    start,
-                    end,
-                    state,
-                    heights,
-                    &links,
-                    balancer,
-                    round,
-                    time,
-                );
-            }
-        }
-    }
-
-    /// Validates and launches one migration from `from`.
-    fn launch(&mut self, from: NodeId, intent: MigrationIntent) {
-        // Destination must be a live neighbour.
-        let Some(edge) = self.live_edge(from, intent.to) else {
-            return;
-        };
-        // Task must still be resident (a node might double-propose).
-        let Some(task) = self.state.remove_task(from, intent.task) else {
-            return;
-        };
-        self.mark_node_dirty(from);
-        let load = MigratingLoad { task, flag: intent.flag, hops: 0, source: from };
-        self.launch_load(from, intent.to, edge, load, intent.heat);
-    }
-
-    fn launch_load(
-        &mut self,
-        from: NodeId,
-        to: NodeId,
-        edge: EdgeId,
-        mut load: MigratingLoad,
-        heat: f64,
-    ) {
-        let attrs = self.state.links().get(edge);
-        let duration = attrs.transfer_time(load.task.size);
-        // Attempts until first success are geometric in the per-try success
-        // probability; sample the count directly with one uniform draw
-        // instead of one Bernoulli draw per retry, then cap at the budget.
-        // `G = 1 + ⌊ln(1−U)/ln(1−p)⌋`; the transfer bounces iff G exceeds
-        // the budget.
-        let p_ok = attrs.success_probability(duration).max(1e-12);
-        let budget = self.config.max_attempts.max(1);
-        let (attempts, bounced) = if p_ok >= 1.0 {
-            (1, false)
-        } else {
-            let u: f64 = self.engine_rng.gen_range(0.0..1.0);
-            let g = 1.0 + ((1.0 - u).ln() / (1.0 - p_ok).ln()).floor();
-            if g > budget as f64 {
-                (budget, true)
-            } else {
-                (g as u32, false)
-            }
-        };
-        let (dest, bounced) = if bounced { (from, true) } else { (to, false) };
-        load.hops += 1;
-        let flight = Flight {
-            load,
-            from,
-            to: dest,
-            link_weight: self.link_weights[edge.idx()],
-            heat,
-            attempts,
-            bounced,
-        };
-        self.in_flight_load += load.task.size;
-        let slot = if let Some(s) = self.free_slots.pop() {
-            self.flights[s] = Some(flight);
-            s
-        } else {
-            self.flights.push(Some(flight));
-            self.flights.len() - 1
-        };
-        self.queue
-            .push(self.time + duration * attempts as f64, Event::LoadArrival { flight: slot });
-    }
-
-    fn handle_arrival(&mut self, slot: usize) {
-        let flight = self.flights[slot].take().expect("dangling flight");
-        self.free_slots.push(slot);
-        self.in_flight_load -= flight.load.task.size;
-
-        self.ledger.record(MigrationRecord {
-            time: self.time,
-            from: flight.from.0,
-            to: flight.to.0,
-            size: flight.load.task.size,
-            link_weight: flight.link_weight,
-            heat: flight.heat,
-            faulted: flight.attempts > 1 || flight.bounced,
-        });
-
-        if flight.bounced {
-            // The transfer failed for good; the load stays at its source
-            // (or, if the source churned out mid-flight, the nearest live
-            // node standing in for it).
-            let dest = self.deposit_node(flight.to);
-            self.state.add_task(dest, flight.load.task);
-            self.mark_node_dirty(dest);
-            return;
-        }
-
-        // A landing node that churned out mid-flight cannot decide (its
-        // RNG stream must not advance for a node that is not there): the
-        // load deposits at the nearest live node instead.
-        if !self.node_up(flight.to) {
-            let dest = self.deposit_node(flight.to);
-            self.state.add_task(dest, flight.load.task);
-            self.mark_node_dirty(dest);
-            return;
-        }
-
-        // In-motion decision: may the load keep sliding (§5.1)? The view
-        // is built into the landing shard's scratch and the draw comes from
-        // the landing node's own RNG stream, exactly as the flat engine
-        // did.
-        let blocked = &self.masked_links;
-        let links = LinkView {
-            attrs: self.state.links().attrs(),
-            weights: Some(&self.link_weights),
-            weight_c: self.config.weight_c,
-            down: if blocked.none_set() { None } else { Some(blocked) },
-        };
-        let s = self.partition.shard_of(flight.to);
-        let local = (flight.to.0 - self.partition.range(s).0) as usize;
-        let slot = &mut self.shards[s];
-        let view = build_view(
-            &mut slot.scratch,
-            &self.state,
-            flight.to,
-            self.state.height_slice(),
-            &links,
-            self.round,
-            self.time,
-        );
-        let onward = self.balancer.on_arrival(&view, &flight.load, &mut slot.rngs[local]);
-        match onward {
-            Some(intent) => match self.live_edge(flight.to, intent.to) {
-                Some(edge) => {
-                    let mut load = flight.load;
-                    load.flag = intent.flag;
-                    self.launch_load(flight.to, intent.to, edge, load, intent.heat);
-                }
-                None => {
-                    self.state.add_task(flight.to, flight.load.task);
-                    self.mark_node_dirty(flight.to);
-                }
-            },
-            None => {
-                self.state.add_task(flight.to, flight.load.task);
-                self.mark_node_dirty(flight.to);
-            }
-        }
-    }
-
-    fn handle_task_arrival(&mut self) {
-        let n = self.state.node_count();
-        if let Some((next, size)) = self.config.arrival.next_after(self.time, &mut self.engine_rng)
-        {
-            // Current arrival: the process picks the target (uniform for
-            // all processes except the moving hotspot).
-            let node = NodeId(self.config.arrival.target_node(self.time, n, &mut self.engine_rng));
-            // A down target redirects to the next live node cyclically —
-            // the draw itself is unchanged, so the engine stream position
-            // stays a pure function of time, never of membership.
-            let node = if self.node_up(node) { node } else { self.next_up_node(node) };
-            let task = Task::new(self.idgen.next_id(), size, node.0).created_at(self.time);
-            self.state.add_task(node, task);
-            self.mark_node_dirty(node);
-            self.queue.push(next, Event::TaskArrival);
-        }
-    }
-
-    fn handle_trace_arrival(&mut self, record: usize) {
-        let ev = self.trace[record];
-        let node = NodeId(ev.node);
-        let node = if self.node_up(node) { node } else { self.next_up_node(node) };
-        let task = Task::new(self.idgen.next_id(), ev.size, node.0).created_at(self.time);
-        self.state.add_task(node, task);
-        self.mark_node_dirty(node);
-    }
-
-    /// Where a load addressed at `v` is deposited: `v` itself when up,
-    /// otherwise `v`'s first up neighbour (ascending — the node the load is
-    /// physically closest to), otherwise the next up node cyclically.
-    fn deposit_node(&self, v: NodeId) -> NodeId {
-        if self.node_up(v) {
-            return v;
-        }
-        if let Some(&u) = self.state.topo.neighbors(v).iter().find(|&&u| self.node_up(u)) {
-            return u;
-        }
-        self.next_up_node(v)
-    }
-
-    /// The first up node after `v` in cyclic node-id order. The churn plan
-    /// never empties the system, so this always finds one.
-    fn next_up_node(&self, v: NodeId) -> NodeId {
-        let n = self.state.node_count() as u32;
-        for step in 1..=n {
-            let u = NodeId((v.0 + step) % n);
-            if self.node_up(u) {
-                return u;
-            }
-        }
-        v
-    }
-}
-
-/// Touches the height words of one shard's halo — neighbours of its nodes
-/// owned by *other* shards — so the decision sweep reads warm lines instead
-/// of pulling each cross-shard height over the interconnect mid-loop. The
-/// reads feed a `black_box`ed sum so the touch cannot be optimised away;
-/// the value itself is discarded, so this cannot affect what is computed.
-#[inline]
-fn prefetch_halo(state: &SystemState, heights: &[f64], start: u32, end: u32) {
-    let mut touched = 0.0f64;
-    for v in start..end {
-        for &j in state.topo.neighbors(NodeId(v)) {
-            let j = j.0;
-            if j < start || j >= end {
-                touched += heights[j as usize];
-            }
-        }
-    }
-    std::hint::black_box(touched);
-}
-
-/// Sweeps one shard: evaluates `decide` for every owned node that holds a
-/// task into the shard's decision buffers, using the shard's scratch and
-/// per-node RNGs. Shared by the inline and pooled paths, so both are
-/// trivially identical.
-///
-/// An empty node is never asked: an intent moves one of the deciding
-/// node's own tasks, and the [`LoadBalancer`] contract has a policy draw
-/// nothing from its RNG when `view.tasks` is empty, so skipping the view
-/// build and the call changes no intent and no RNG stream (ADR-004 §3).
-/// The shard's counters still record every owned node as evaluated.
-#[allow(clippy::too_many_arguments)] // one hot call site, flat args beat a context struct
-fn eval_shard(
-    slot: &mut ShardSlot,
-    start: u32,
-    end: u32,
-    state: &SystemState,
-    heights: &[f64],
-    links: &LinkView<'_>,
-    balancer: &dyn LoadBalancer,
-    round: u64,
-    time: f64,
-) {
-    slot.intents.clear();
-    slot.spans.clear();
-    for i in OccupiedWalk::new(state.occupied_words(), start as usize, end as usize) {
-        let (node, k) = (NodeId(i as u32), i - start as usize);
-        let view = build_view(&mut slot.scratch, state, node, heights, links, round, time);
-        let before = slot.intents.len();
-        balancer.decide_into(&view, &mut slot.rngs[k], &mut slot.intents);
-        if slot.intents.len() > before {
-            slot.spans.push((k as u32, slot.intents.len() as u32));
-        }
-    }
-    let intents = slot.intents.len() as u64;
-    slot.accum.record_evaluated((end - start) as u64, intents);
-    // An all-empty sweep leaves the shard clean: for a quiescence-stable
-    // policy it stays skippable until a mutation it can observe re-marks
-    // it. (When the policy is not quiescence-stable `dirty` is ignored —
-    // every shard is evaluated every tick.)
-    slot.dirty = intents > 0;
-}
-
-/// Builder for [`Engine`].
-pub struct EngineBuilder {
-    topo: Topology,
-    links: Option<LinkMap>,
-    workload: Option<Workload>,
-    task_graph: TaskGraph,
-    resources: ResourceMatrix,
-    balancer: Option<Box<dyn LoadBalancer>>,
-    config: EngineConfig,
-    speeds: Vec<f64>,
-    trace: Vec<TraceEvent>,
-    churn: ChurnPlan,
-    seed: u64,
-}
-
-impl EngineBuilder {
-    /// Starts a builder for the given topology.
-    pub fn new(topo: Topology) -> Self {
-        EngineBuilder {
-            topo,
-            links: None,
-            workload: None,
-            task_graph: TaskGraph::new(),
-            resources: ResourceMatrix::none(),
-            balancer: None,
-            config: EngineConfig::default(),
-            speeds: Vec::new(),
-            trace: Vec::new(),
-            churn: ChurnPlan::default(),
-            seed: 0,
-        }
-    }
-
-    /// Sets link attributes (default: uniform unit links).
-    pub fn links(mut self, links: LinkMap) -> Self {
-        self.links = Some(links);
-        self
-    }
-
-    /// Sets the initial workload (default: empty system).
-    pub fn workload(mut self, w: Workload) -> Self {
-        self.workload = Some(w);
-        self
-    }
-
-    /// Sets the task dependency graph.
-    pub fn task_graph(mut self, g: TaskGraph) -> Self {
-        self.task_graph = g;
-        self
-    }
-
-    /// Sets the resource matrix.
-    pub fn resources(mut self, r: ResourceMatrix) -> Self {
-        self.resources = r;
-        self
-    }
-
-    /// Sets the balancing policy (required).
-    pub fn balancer<B: LoadBalancer + 'static>(mut self, b: B) -> Self {
-        self.balancer = Some(Box::new(b));
-        self
-    }
-
-    /// Sets the boxed balancing policy.
-    pub fn balancer_boxed(mut self, b: Box<dyn LoadBalancer>) -> Self {
-        self.balancer = Some(b);
-        self
-    }
-
-    /// Sets the engine configuration.
-    pub fn config(mut self, c: EngineConfig) -> Self {
-        self.config = c;
-        self
-    }
-
-    /// Sets per-node speed multipliers on `consume_rate` — heterogeneous
-    /// processors where some nodes retire work faster than others. An empty
-    /// vector (the default) means homogeneous unit speed.
-    pub fn node_speeds(mut self, speeds: Vec<f64>) -> Self {
-        self.speeds = speeds;
-        self
-    }
-
-    /// Schedules a recorded arrival trace for replay: every record becomes
-    /// one arrival event at its absolute time, on its node, with its size.
-    /// Composes with the dynamic [`ArrivalProcess`] (both inject tasks).
-    pub fn arrival_trace(mut self, trace: Vec<TraceEvent>) -> Self {
-        self.trace = trace;
-        self
-    }
-
-    /// Schedules a node join/leave plan (default: no churn). The plan was
-    /// drawn from its own seeded RNG at construction, so attaching it
-    /// perturbs no engine stream.
-    pub fn churn(mut self, plan: ChurnPlan) -> Self {
-        self.churn = plan;
-        self
-    }
-
-    /// Sets the master seed for all randomness.
-    pub fn seed(mut self, s: u64) -> Self {
-        self.seed = s;
-        self
-    }
-
-    /// Builds the engine.
-    ///
-    /// # Panics
-    /// Panics if no balancer was provided, the workload size does not match
-    /// the topology, the speed vector has the wrong length or non-positive
-    /// entries, or the arrival trace fails validation.
-    pub fn build(self) -> Engine {
-        let balancer = self.balancer.expect("a balancer is required");
-        if !self.speeds.is_empty() {
-            assert_eq!(
-                self.speeds.len(),
-                self.topo.node_count(),
-                "speed vector length must match the topology"
-            );
-            assert!(
-                self.speeds.iter().all(|&s| s.is_finite() && s > 0.0),
-                "node speeds must be finite and positive"
-            );
-        }
-        validate_trace(&self.trace, self.topo.node_count()).expect("invalid arrival trace");
-        self.churn.validate(self.topo.node_count()).expect("invalid churn plan");
-        let links =
-            self.links.unwrap_or_else(|| LinkMap::uniform(&self.topo, LinkAttrs::default()));
-        let mut state = SystemState::new(self.topo, links, self.task_graph, self.resources);
-        let mut idgen = TaskIdGen::new();
-        if let Some(w) = self.workload {
-            assert_eq!(
-                w.tasks.len(),
-                state.node_count(),
-                "workload node count must match the topology"
-            );
-            idgen = w.idgen.clone();
-            for (i, tasks) in w.tasks.into_iter().enumerate() {
-                for t in tasks {
-                    state.add_task(NodeId(i as u32), t);
-                }
-            }
-        }
-        let n = state.node_count();
-        let link_weights = state.links().weights(self.config.weight_c);
-        let edge_count = state.topo.edge_count();
-        let mix = |i: u64| -> u64 {
-            // SplitMix64-style mixing for independent per-node streams.
-            let mut z = self.seed.wrapping_add(i.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        };
-        let engine_rng = StdRng::seed_from_u64(mix(0));
-        // Resolve the shard layout: explicit `shards` wins; auto is 1, the
-        // sequential reference.
-        let avail = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
-        let k = self.config.shards.clamp(1, n.max(1));
-        let partition = Partition::new(&state.topo, k);
-        let k = partition.shard_count();
-        let threads =
-            if self.config.threads == 0 { avail.min(k) } else { self.config.threads.min(k) }.max(1);
-        // Per-node RNG seeds depend only on the node id, never the layout,
-        // so every (K, threads) choice sees identical streams.
-        let shards = (0..k)
-            .map(|s| {
-                let (start, end) = partition.range(s);
-                ShardSlot {
-                    intents: Vec::new(),
-                    spans: Vec::with_capacity((end - start) as usize),
-                    rngs: (start..end).map(|i| StdRng::seed_from_u64(mix(i as u64 + 1))).collect(),
-                    scratch: ViewScratch::new(),
-                    accum: ShardAccum::new(),
-                    dirty: true,
-                    evaluated: false,
-                }
-            })
-            .collect();
-        let mut engine = Engine {
-            state,
-            balancer,
-            config: self.config,
-            queue: EventQueue::new(),
-            time: 0.0,
-            next_tick: self.config.tick,
-            round: 0,
-            flights: Vec::new(),
-            free_slots: Vec::new(),
-            engine_rng,
-            ledger: TrafficLedger::new(),
-            series: TimeSeries::new(),
-            idgen,
-            down_links: EdgeBitSet::new(edge_count),
-            link_weights,
-            partition,
-            shards,
-            skip_cov: None,
-            threads,
-            pool: None,
-            executed_rounds: 0,
-            repartition_base: vec![0; k],
-            repartitions: 0,
-            rng_scratch: Vec::new(),
-            down_nodes: vec![0; n.div_ceil(NODE_WORD)],
-            masked_links: EdgeBitSet::new(edge_count),
-            churn: self.churn.into_events(),
-            churn_next: 0,
-            speeds: self.speeds,
-            trace: self.trace,
-            consume_marked: if self.config.consume_rate > 0.0 {
-                vec![0; n.div_ceil(NODE_WORD)]
-            } else {
-                Vec::new()
-            },
-            in_flight_load: 0.0,
-            completed_tasks: 0,
-        };
-        engine.series.push(0.0, engine.state.cov());
-        if !matches!(engine.config.arrival, ArrivalProcess::Quiescent) {
-            engine.queue.push(0.0, Event::TaskArrival);
-        }
-        for (record, ev) in engine.trace.iter().enumerate() {
-            engine.queue.push(ev.time, Event::TraceArrival { record });
-        }
-        engine
+        let links = self.membership.links(&self.state);
+        self.sweep.collect_decisions(&self.state, &links, &*self.balancer, self.round, self.time);
+        let (flights, sweep, mut env) = self.flight_env();
+        sweep.commit(|sweep, from, intent| flights.launch(from, intent, sweep, &mut env));
+        self.books.sample(self.time, &self.state);
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::sweep::OccupiedWalk;
     use super::*;
-    use crate::balancer::{NodeView, NullBalancer};
-    use pp_tasking::task::TaskId;
+    use crate::balancer::{MigrationIntent, NodeView, NullBalancer};
+    use crate::events::Event;
+    use crate::state::{node_bit, NODE_WORD};
+    use pp_tasking::task::{Task, TaskId};
+    use pp_tasking::workload::{ArrivalProcess, TraceEvent, Workload};
+    use pp_topology::graph::Topology;
+    use pp_topology::links::{LinkAttrs, LinkMap};
 
     /// Moves one unit-size task to the lowest neighbour whenever the height
     /// difference exceeds 1 — a minimal working policy for engine tests.
@@ -1931,16 +525,22 @@ mod tests {
         fn name(&self) -> &str {
             "greedy-one"
         }
-        fn decide(&self, view: &NodeView<'_>, _rng: &mut StdRng) -> Vec<MigrationIntent> {
-            let Some(task) = view.tasks.first() else { return Vec::new() };
+        fn decide_into(
+            &self,
+            view: &NodeView<'_>,
+            _rng: &mut StdRng,
+            out: &mut Vec<MigrationIntent>,
+        ) {
+            let Some(task) = view.tasks.first() else { return };
             let h = view.nbr_heights;
-            let Some(k) = (0..h.len()).min_by(|&a, &b| h[a].total_cmp(&h[b])) else {
-                return Vec::new();
-            };
+            let Some(k) = (0..h.len()).min_by(|&a, &b| h[a].total_cmp(&h[b])) else { return };
             if view.height - h[k] > 1.0 {
-                vec![MigrationIntent { task: task.id, to: view.neighbors[k], flag: 0.0, heat: 0.0 }]
-            } else {
-                Vec::new()
+                out.push(MigrationIntent {
+                    task: task.id,
+                    to: view.neighbors[k],
+                    flag: 0.0,
+                    heat: 0.0,
+                });
             }
         }
     }
@@ -2464,12 +1064,12 @@ mod tests {
         let mut straight = busy_engine(1, 1);
         straight.run_rounds(9);
         straight.drain(20.0);
-        assert!(straight.flights.iter().all(Option::is_none), "slab must be empty");
-        straight.in_flight_load = -2.2e-12;
+        assert!(straight.flights.slab.iter().all(Option::is_none), "slab must be empty");
+        straight.flights.in_flight_load = -2.2e-12;
         let cp = Checkpoint::from_json(&straight.checkpoint().to_json()).expect("round trip");
         let mut resumed = busy_engine(1, 1);
         resumed.restore(&cp).expect("drift within tolerance restores");
-        assert_eq!(resumed.in_flight_load.to_bits(), (-2.2e-12f64).to_bits());
+        assert_eq!(resumed.in_flight_load().to_bits(), (-2.2e-12f64).to_bits());
         for e in [&mut straight, &mut resumed] {
             e.run_rounds(15);
             e.drain(20.0);
@@ -2610,16 +1210,21 @@ mod tests {
         assert_eq!(fresh.round(), 6);
     }
 
-    /// [`GreedyOne`] with the quiescence-stable contract: `decide` is a
-    /// pure, draw-free function of the view, so a clean shard re-emits
+    /// [`GreedyOne`] with the quiescence-stable contract: `decide_into` is
+    /// a pure, draw-free function of the view, so a clean shard re-emits
     /// nothing — which also makes it a legal skipper at `K ≥ 2`.
     struct GreedyStable;
     impl LoadBalancer for GreedyStable {
         fn name(&self) -> &str {
             "greedy-stable"
         }
-        fn decide(&self, view: &NodeView<'_>, rng: &mut StdRng) -> Vec<MigrationIntent> {
-            GreedyOne.decide(view, rng)
+        fn decide_into(
+            &self,
+            view: &NodeView<'_>,
+            rng: &mut StdRng,
+            out: &mut Vec<MigrationIntent>,
+        ) {
+            GreedyOne.decide_into(view, rng, out);
         }
         fn quiescence_stable(&self) -> bool {
             true
@@ -2759,26 +1364,26 @@ mod tests {
                 .build()
         };
         let mut ev = build(4);
-        let s = ev.partition.shard_of(NodeId(5));
+        let s = ev.partition().shard_of(NodeId(5));
         ev.run_rounds(2);
-        assert!(ev.shards.iter().all(|slot| !slot.dirty), "zero intents leave every shard clean");
-        assert!(ev.consume_marked.iter().all(|&w| w == 0), "the sweep clears the memo");
+        assert!(!ev.sweep.any_dirty(), "zero intents leave every shard clean");
+        assert!(ev.sweep.consume_marked.iter().all(|&w| w == 0), "the sweep clears the memo");
         let cp = ev.checkpoint();
 
         // The next window: consuming on node 5 must mark its shard again.
         let t = ev.time + 0.5;
         ev.advance_time_to(t);
-        assert!(ev.shards[s].dirty, "consumption after a clean sweep re-dirties the shard");
-        assert_eq!(ev.consume_marked[0], 1 << 5);
+        assert!(ev.sweep.shards[s].dirty, "consumption after a clean sweep re-dirties the shard");
+        assert_eq!(ev.sweep.consume_marked[0], 1 << 5);
 
         // A restore between windows drops the memo with the timeline, so
         // the first consumption after it marks the (restored clean) shard.
         ev.restore(&cp).unwrap();
-        assert!(ev.consume_marked.iter().all(|&w| w == 0), "restore clears the memo");
-        assert!(!ev.shards[s].dirty);
-        let swept = ev.shards[s].accum.ticks_evaluated;
+        assert!(ev.sweep.consume_marked.iter().all(|&w| w == 0), "restore clears the memo");
+        assert!(!ev.sweep.shards[s].dirty);
+        let swept = ev.sweep.shards[s].accum.ticks_evaluated;
         ev.run_rounds(1);
-        assert_eq!(ev.shards[s].accum.ticks_evaluated, swept + 1, "the consumer's shard ran");
+        assert_eq!(ev.sweep.shards[s].accum.ticks_evaluated, swept + 1, "the consumer's shard ran");
 
         ev.run_rounds(37);
         ev.drain(5.0);
@@ -2827,7 +1432,7 @@ mod tests {
         // Both shards went clean on round 1; the only pending wake is the
         // trace arrival, exactly as queued.
         assert_eq!(e.next_wake(), Some(7.3));
-        assert_eq!(e.next_wake(), e.queue.peek_time());
+        assert_eq!(e.next_wake(), e.flights.queue.peek_time());
         // Still quiescent right before the arrival: the wake stays the
         // queued event, earlier than the upcoming tick at t = 8.
         e.run_rounds(5);
@@ -2852,7 +1457,7 @@ mod tests {
             .build();
         busy.run_rounds(1);
         let tick = busy.next_tick;
-        assert_eq!(busy.next_wake(), Some(tick.min(busy.queue.peek_time().unwrap())));
+        assert_eq!(busy.next_wake(), Some(tick.min(busy.flights.queue.peek_time().unwrap())));
     }
 
     #[test]
@@ -3118,17 +1723,17 @@ mod tests {
             let amount = dt * e.config.consume_rate;
             for i in 0..e.state.node_count() {
                 let v = NodeId(i as u32);
-                if e.state.node(v).task_count() == 0 || !e.node_up(v) {
+                if e.state.node(v).task_count() == 0 || !e.membership.node_up(v) {
                     continue;
                 }
                 let scaled = if e.speeds.is_empty() { amount } else { amount * e.speeds[i] };
                 if scaled > 0.0 {
                     let (done, used) = e.state.consume_work(v, scaled);
-                    e.completed_tasks += done;
+                    e.books.completed_tasks += done;
                     let (word, bit) = (i / NODE_WORD, 1u64 << (i % NODE_WORD));
-                    if (done > 0 || used > 0.0) && e.consume_marked[word] & bit == 0 {
-                        e.consume_marked[word] |= bit;
-                        e.mark_node_dirty(v);
+                    if (done > 0 || used > 0.0) && e.sweep.consume_marked[word] & bit == 0 {
+                        e.sweep.consume_marked[word] |= bit;
+                        e.sweep.mark_node_dirty(&e.state.topo, v);
                     }
                 }
             }
@@ -3168,7 +1773,7 @@ mod tests {
                 e.state.restore_node(v, tasks, h);
             }
             for v in [5, 64, 71] {
-                set_node_bit(&mut e.down_nodes, v, true);
+                e.membership.set_down_bit(v);
             }
             e
         };
@@ -3182,8 +1787,9 @@ mod tests {
                 })
                 .collect();
             let heights: Vec<u64> = e.state.height_slice().iter().map(|h| h.to_bits()).collect();
-            let dirty: Vec<bool> = e.shards.iter().map(|slot| slot.dirty).collect();
-            (stats, s.stat_ops, tasks, heights, dirty, e.completed_tasks, e.consume_marked.clone())
+            let dirty: Vec<bool> = e.sweep.shards.iter().map(|slot| slot.dirty).collect();
+            let memo = e.sweep.consume_marked.clone();
+            (stats, s.stat_ops, tasks, heights, dirty, e.books.completed_tasks, memo)
         };
         // The least subnormal speed: a step below 0.5 rounds to zero.
         let tiny = f64::from_bits(1);
@@ -3199,8 +1805,8 @@ mod tests {
                     // What a decision sweep leaves behind: clean shards and
                     // a cleared memo.
                     for e in [&mut kernel, &mut reference] {
-                        e.shards.iter_mut().for_each(|slot| slot.dirty = false);
-                        e.consume_marked.fill(0);
+                        e.sweep.shards.iter_mut().for_each(|slot| slot.dirty = false);
+                        e.sweep.consume_marked.fill(0);
                     }
                 }
                 t += dt;
@@ -3209,7 +1815,7 @@ mod tests {
                 assert_eq!(bits(&kernel), bits(&reference), "step {step}, t = {t}");
                 assert_eq!(kernel.state.occupied_words(), reference.state.occupied_words());
             }
-            assert!(kernel.completed_tasks > 0);
+            assert!(kernel.books.completed_tasks > 0);
             assert_eq!(kernel.state.resident_tasks(), kernel.state.total_tasks());
         }
     }
@@ -3257,7 +1863,7 @@ mod tests {
         }
         from.sort_unstable();
         assert_eq!(from, occupied, "one launch from each emitting node");
-        for (slot, &(start, end)) in e.shards.iter().zip(&ranges) {
+        for (slot, &(start, end)) in e.sweep.shards.iter().zip(&ranges) {
             assert_eq!(slot.accum.nodes_evaluated, u64::from(end - start), "the whole shard");
             assert_eq!(slot.accum.ticks_evaluated, 1);
         }
@@ -3332,16 +1938,16 @@ mod tests {
             // The rebuilt bitsets match the per-node truth at every node:
             // membership replayed from the plan, occupancy from the tasks.
             let mut down = [false; 64];
-            for ev in writer.churn.iter().filter(|ev| ev.round <= writer.round) {
+            for ev in writer.membership.churn.iter().filter(|ev| ev.round <= writer.round) {
                 down[ev.node as usize] = ev.leave;
             }
             for (i, &d) in down.iter().enumerate() {
                 let v = NodeId(i as u32);
-                assert_eq!(resumed.node_up(v), !d, "down bit of node {i} (K={k})");
+                assert_eq!(resumed.membership.node_up(v), !d, "down bit of node {i} (K={k})");
                 let occupied = node_bit(resumed.state.occupied_words(), i);
                 assert_eq!(occupied, resumed.state.node(v).task_count() != 0, "node {i}");
             }
-            assert_eq!(resumed.down_nodes, writer.down_nodes);
+            assert_eq!(resumed.membership.down_words(), writer.membership.down_words());
             resumed.run_rounds(25);
             resumed.drain(20.0);
             assert_eq!(resumed.report(), want, "churned resume under K={k} threads={t}");

@@ -2,19 +2,16 @@
 //! configurations out over worker threads and collect results in input
 //! order.
 //!
-//! Work pickup is **lock-free**: instead of the old channel pair (every
-//! item enqueued, claimed, and its result sent back — four queue
-//! operations per item), workers claim indices off one shared atomic
-//! cursor and write results into disjoint pre-sized slots. One `fetch_add`
-//! per item is the entire coordination cost; the only lock is the failure
-//! list, touched exclusively on the panic path.
+//! Workers claim indices off one shared atomic cursor. Each index has a
+//! `Mutex` cell for its item and one for its result, and only the worker
+//! that claimed the index locks them, so no lock is ever contended: one
+//! `fetch_add` and two uncontended locks per item, and no raw pointers. The
+//! failure list is locked only on the panic path.
 //!
 //! This is the harness the benchmark binaries use to evaluate parameter
 //! grids; each simulation is single-threaded and deterministic, parallelism
 //! is across configurations, so results are identical regardless of thread
 //! count.
-
-#![allow(unsafe_code)] // disjoint-slot hand-off, justified inline
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -72,47 +69,27 @@ where
         return items.into_iter().map(f).collect();
     }
 
-    let mut items = items;
-    let mut results: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    /// Raw slot base made `Sync`; soundness rests on the cursor handing
-    /// every index to exactly one worker (same disjointness argument as
-    /// the shard pool's slot hand-off).
-    struct Base<U>(*mut U);
-    // SAFETY: workers dereference disjoint offsets only (each index is
-    // claimed by exactly one `fetch_add` winner) and both allocations
-    // outlive the scope below.
-    unsafe impl<U: Send> Sync for Base<U> {}
-    let item_base = Base(items.as_mut_ptr());
-    let result_base = Base(results.as_mut_ptr());
-    // The workers move every element out of the item buffer by raw read;
-    // drop the vec's claim on them (capacity stays owned and is freed on
-    // return) so nothing is dropped twice.
-    // SAFETY: 0 ≤ capacity, and every element is moved out exactly once
-    // below — the cursor loop only stops once the counter passes `n`.
-    unsafe { items.set_len(0) };
+    let items: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
+    let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let cursor = AtomicUsize::new(0);
     // Failure indices; cold path only — locked iff an item panicked.
     let failed = Mutex::new(Vec::new());
 
     std::thread::scope(|s| {
         for _ in 0..threads {
-            let (item_base, result_base) = (&item_base, &result_base);
-            let (cursor, failed, f) = (&cursor, &failed, &f);
+            let (items, results, cursor, failed, f) = (&items, &results, &cursor, &failed, &f);
             s.spawn(move || loop {
                 let i = cursor.fetch_add(1, Ordering::Relaxed);
                 if i >= n {
                     break;
                 }
-                // SAFETY: this thread won index `i`; the element is read
-                // out exactly once (the vec's len is already 0).
-                let item = unsafe { std::ptr::read(item_base.0.add(i)) };
+                // This thread won index `i`, so it alone takes the item.
+                let item = items[i].lock().expect("item cell").take().expect("item claimed once");
                 // Catch per item: one poisoned configuration must not kill
                 // the worker (stranding the cursor's remaining range) or
                 // surface as an indexless scope panic.
                 match catch_unwind(AssertUnwindSafe(|| f(item))) {
-                    // SAFETY: slot `i` belongs to this thread alone; the
-                    // scope join publishes the write to the caller.
-                    Ok(r) => unsafe { *result_base.0.add(i) = Some(r) },
+                    Ok(r) => *results[i].lock().expect("result cell") = Some(r),
                     Err(_) => failed.lock().expect("failure list").push(i),
                 }
             });
@@ -124,7 +101,10 @@ where
         failed.sort_unstable();
         panic!("par_map: f panicked on item(s) {failed:?} of {n}");
     }
-    results.into_iter().map(|r| r.expect("worker delivered")).collect()
+    results
+        .into_iter()
+        .map(|r| r.into_inner().expect("result cell").expect("worker delivered"))
+        .collect()
 }
 
 #[cfg(test)]

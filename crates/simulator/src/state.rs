@@ -479,7 +479,7 @@ impl SystemState {
 
 /// The five incremental imbalance statistics of a [`SystemState`], captured
 /// exactly for checkpoint/resume (see [`SystemState::stat_snapshot`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StatSnapshot {
     /// Incremental `Σh`.
     pub height_sum: f64,

@@ -11,6 +11,16 @@ use pp_sim::prelude::*;
 use pp_tasking::workload::Workload;
 use pp_topology::graph::Topology;
 
+/// The one-task greedy step: toward the lowest live neighbour, when the
+/// node stands more than `threshold` above it.
+fn greedy(view: &NodeView<'_>, threshold: f64) -> Option<MigrationIntent> {
+    let task = view.tasks.first()?;
+    let h = view.nbr_heights;
+    let k = (0..h.len()).min_by(|&a, &b| h[a].total_cmp(&h[b]))?;
+    let intent = MigrationIntent { task: task.id, to: view.neighbors[k], flag: 0.0, heat: 0.0 };
+    (view.height - h[k] > threshold).then_some(intent)
+}
+
 /// A quiescence-stable greedy policy (pure, draw-free `decide`), so the
 /// K ≥ 2 layouts actually get to skip rounds around the churn events.
 struct GreedyStable;
@@ -18,17 +28,13 @@ impl LoadBalancer for GreedyStable {
     fn name(&self) -> &str {
         "greedy-stable"
     }
-    fn decide(&self, view: &NodeView<'_>, _rng: &mut rand::rngs::StdRng) -> Vec<MigrationIntent> {
-        let Some(task) = view.tasks.first() else { return Vec::new() };
-        let h = view.nbr_heights;
-        let Some(k) = (0..h.len()).min_by(|&a, &b| h[a].total_cmp(&h[b])) else {
-            return Vec::new();
-        };
-        if view.height - h[k] > 1.0 {
-            vec![MigrationIntent { task: task.id, to: view.neighbors[k], flag: 0.0, heat: 0.0 }]
-        } else {
-            Vec::new()
-        }
+    fn decide_into(
+        &self,
+        view: &NodeView<'_>,
+        _rng: &mut rand::rngs::StdRng,
+        out: &mut Vec<MigrationIntent>,
+    ) {
+        out.extend(greedy(view, 1.0));
     }
     fn quiescence_stable(&self) -> bool {
         true

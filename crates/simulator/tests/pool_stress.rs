@@ -16,6 +16,16 @@ use pp_topology::graph::Topology;
 use rand::rngs::StdRng;
 use rand::Rng;
 
+/// The one-task greedy step: toward the lowest live neighbour, when the
+/// node stands more than `threshold` above it.
+fn greedy(view: &NodeView<'_>, threshold: f64) -> Option<MigrationIntent> {
+    let task = view.tasks.first()?;
+    let h = view.nbr_heights;
+    let k = (0..h.len()).min_by(|&a, &b| h[a].total_cmp(&h[b]))?;
+    let intent = MigrationIntent { task: task.id, to: view.neighbors[k], flag: 0.0, heat: 0.0 };
+    (view.height - h[k] > threshold).then_some(intent)
+}
+
 /// Moves one task toward the lowest neighbour, but draws from the node's
 /// RNG stream on *every* decision of an occupied node (the engine never
 /// asks an empty one) — never quiescence-stable, so every shard is
@@ -27,20 +37,11 @@ impl LoadBalancer for NoisyGreedy {
         "noisy-greedy"
     }
 
-    fn decide(&self, view: &NodeView<'_>, rng: &mut StdRng) -> Vec<MigrationIntent> {
+    fn decide_into(&self, view: &NodeView<'_>, rng: &mut StdRng, out: &mut Vec<MigrationIntent>) {
         // The draw happens whenever the node is asked: per-node streams make
         // the outcome layout-independent, the non-stability makes it dense.
         let threshold = 1.0 + rng.gen_range(0.0..0.25);
-        let Some(task) = view.tasks.first() else { return Vec::new() };
-        let h = view.nbr_heights;
-        let Some(k) = (0..h.len()).min_by(|&a, &b| h[a].total_cmp(&h[b])) else {
-            return Vec::new();
-        };
-        if view.height - h[k] > threshold {
-            vec![MigrationIntent { task: task.id, to: view.neighbors[k], flag: 0.0, heat: 0.0 }]
-        } else {
-            Vec::new()
-        }
+        out.extend(greedy(view, threshold));
     }
 }
 
@@ -54,17 +55,8 @@ impl LoadBalancer for LazyGreedy {
         "lazy-greedy"
     }
 
-    fn decide(&self, view: &NodeView<'_>, _rng: &mut StdRng) -> Vec<MigrationIntent> {
-        let Some(task) = view.tasks.first() else { return Vec::new() };
-        let h = view.nbr_heights;
-        let Some(k) = (0..h.len()).min_by(|&a, &b| h[a].total_cmp(&h[b])) else {
-            return Vec::new();
-        };
-        if view.height - h[k] > 1.0 {
-            vec![MigrationIntent { task: task.id, to: view.neighbors[k], flag: 0.0, heat: 0.0 }]
-        } else {
-            Vec::new()
-        }
+    fn decide_into(&self, view: &NodeView<'_>, _rng: &mut StdRng, out: &mut Vec<MigrationIntent>) {
+        out.extend(greedy(view, 1.0));
     }
 
     fn quiescence_stable(&self) -> bool {
@@ -185,11 +177,11 @@ impl LoadBalancer for PanicOnce {
         "panic-once"
     }
 
-    fn decide(&self, view: &NodeView<'_>, rng: &mut StdRng) -> Vec<MigrationIntent> {
+    fn decide_into(&self, view: &NodeView<'_>, rng: &mut StdRng, out: &mut Vec<MigrationIntent>) {
         if view.round == 5 && view.node.0 == 13 {
             panic!("injected decide failure");
         }
-        LazyGreedy.decide(view, rng)
+        LazyGreedy.decide_into(view, rng, out);
     }
 }
 

@@ -19,6 +19,16 @@ use pp_topology::partition::{Partition, RepartitionPolicy};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 
+/// The one-task greedy step: toward the lowest live neighbour, when the
+/// node stands more than `threshold` above it.
+fn greedy(view: &NodeView<'_>, threshold: f64) -> Option<MigrationIntent> {
+    let task = view.tasks.first()?;
+    let h = view.nbr_heights;
+    let k = (0..h.len()).min_by(|&a, &b| h[a].total_cmp(&h[b]))?;
+    let intent = MigrationIntent { task: task.id, to: view.neighbors[k], flag: 0.0, heat: 0.0 };
+    (view.height - h[k] > threshold).then_some(intent)
+}
+
 /// Quiescence-stable greedy diffusion: moves one task toward the lowest
 /// neighbour past a unit height gap. Deterministic per node view, so
 /// shard-level skipping is live — exactly the regime repartitioning
@@ -30,17 +40,8 @@ impl LoadBalancer for GreedyDiffusion {
         "greedy-diffusion"
     }
 
-    fn decide(&self, view: &NodeView<'_>, _rng: &mut StdRng) -> Vec<MigrationIntent> {
-        let Some(task) = view.tasks.first() else { return Vec::new() };
-        let h = view.nbr_heights;
-        let Some(k) = (0..h.len()).min_by(|&a, &b| h[a].total_cmp(&h[b])) else {
-            return Vec::new();
-        };
-        if view.height - h[k] > 1.0 {
-            vec![MigrationIntent { task: task.id, to: view.neighbors[k], flag: 0.0, heat: 0.0 }]
-        } else {
-            Vec::new()
-        }
+    fn decide_into(&self, view: &NodeView<'_>, _rng: &mut StdRng, out: &mut Vec<MigrationIntent>) {
+        out.extend(greedy(view, 1.0));
     }
 
     fn quiescence_stable(&self) -> bool {
