@@ -91,6 +91,12 @@ impl TrafficLedger {
         &self.records
     }
 
+    /// The record list itself, shared: the ledger copies it only if it
+    /// records again while the returned handle is alive.
+    pub fn shared_records(&self) -> Arc<Vec<MigrationRecord>> {
+        Arc::clone(&self.records)
+    }
+
     /// Pearson correlation between per-record heat and weighted traffic;
     /// `None` if fewer than two records or zero variance. Claim E10 of `lab
     /// paper` expects this to be ≈ 1 for the particle-plane balancer.

@@ -1094,8 +1094,11 @@ impl Default for DurationSpec {
 /// and replace `path` only once fully written, so a crash or full disk
 /// mid-write can never destroy the previous good checkpoint — losing the
 /// last restart point to an interruption is the exact failure checkpoints
-/// exist to survive. The JSON streams through a buffered writer straight
-/// from the checkpoint, never held whole in memory. The file is fsynced
+/// exist to survive. The JSON streams through a 64 KiB buffered writer
+/// straight from the checkpoint, never held whole in memory: the buffer
+/// keeps the number of `write` calls, and with them the kernel's per-call
+/// cost, small beside the cost of formatting the bytes (the default 8 KiB
+/// made one call per ~44 ledger records). The file is fsynced
 /// before the rename and, on Unix, its directory after it, so once this
 /// returns `Ok` a power loss keeps the new checkpoint. If writing or the
 /// rename fails, the `.tmp` sibling is removed and `path` keeps its
@@ -1141,13 +1144,20 @@ fn sync_parent(_: &std::path::Path) -> Result<(), String> {
     Ok(())
 }
 
+/// The block size [`write_checkpoint`] hands the kernel. A 9.4 MB churn
+/// checkpoint takes about 143 `write` calls at 64 KiB against 1,144 at the
+/// default 8 KiB, and writing it cost 1.7–3.2 ms of CPU against 6.6–7.6
+/// ms on a 2-core x86-64 host. 256 KiB saved about 0.4 ms more, under 1%
+/// of a checkpointing run.
+const CHECKPOINT_WRITE_BUF: usize = 64 * 1024;
+
 /// Streams `cp` into a new file at `tmp` and fsyncs it: without the sync a
 /// power loss can journal the rename ahead of the data blocks and leave a
 /// zero-length file at the target (process crashes and full disks are
 /// covered by the rename alone).
 fn write_synced(cp: &Checkpoint, tmp: &std::path::Path) -> Result<(), String> {
     let f = std::fs::File::create(tmp).map_err(|e| format!("cannot create {tmp:?}: {e}"))?;
-    let mut out = std::io::BufWriter::new(f);
+    let mut out = std::io::BufWriter::with_capacity(CHECKPOINT_WRITE_BUF, f);
     cp.write_json(&mut out).map_err(|e| format!("cannot write {tmp:?}: {e}"))?;
     // `into_inner` flushes and reports a failed flush; dropping the writer
     // would swallow it.

@@ -59,8 +59,9 @@ use pp_metrics::ledger::MigrationRecord;
 use pp_metrics::shard::ShardAccum;
 use pp_tasking::task::{Task, TaskId};
 use serde::{Deserialize, Value};
-use serde_json::Writer;
+use serde_json::{Hole, Line, Writer};
 use std::io;
+use std::sync::Arc;
 
 /// The current checkpoint format version. Bump on any incompatible change
 /// to the serialized shape and teach [`Checkpoint::from_json`] to either
@@ -153,8 +154,10 @@ pub struct Checkpoint {
     /// Pending events as `(time, seq, event)` in pop order.
     pub queue: Vec<(f64, u64, Event)>,
     /// Every migration record so far (totals are rebuilt by replaying the
-    /// identical addition sequence).
-    pub ledger: Vec<MigrationRecord>,
+    /// identical addition sequence). Capture shares the engine's own list;
+    /// an engine that records again while this checkpoint is alive copies
+    /// the list first.
+    pub ledger: Arc<Vec<MigrationRecord>>,
     /// The CoV time series recorded so far.
     pub series: Vec<(f64, f64)>,
     /// Shard count `K` the activity flags below were captured under. A
@@ -184,15 +187,39 @@ impl Checkpoint {
     /// diff cleanly). Same engine state ⇒ identical bytes. These are the
     /// bytes [`Checkpoint::write_json`] streams.
     pub fn to_json(&self) -> String {
-        let mut buf = Vec::new();
+        let mut buf = Vec::with_capacity(self.size_hint());
         self.write_json(&mut buf).expect("writing to a Vec cannot fail");
         String::from_utf8(buf).expect("the JSON writer emits UTF-8")
+    }
+
+    /// A little over the rendering's length, from the per-item sizes of a
+    /// 4,096-node churn checkpoint (a ledger record takes about 187 bytes,
+    /// a node's RNG quad, height and task list about 140), so `to_json`
+    /// fills its buffer without regrowing it.
+    fn size_hint(&self) -> usize {
+        let tasks: usize = self.node_tasks.iter().map(Vec::len).sum();
+        let flying = self.flights.iter().flatten().count();
+        let words = self.free_slots.len() + self.down_words.len() + self.shard_dirty.len();
+        4096 + 200 * self.ledger.len()
+            + 160 * self.node_rngs.len()
+            + 140 * tasks
+            + 16 * self.flights.len()
+            + 380 * flying
+            + 100 * self.queue.len()
+            + 64 * self.series.len()
+            + 24 * words
+            + 160 * self.shard_accums.len()
     }
 
     /// Streams the canonical rendering (see [`Checkpoint::to_json`]) into
     /// `out` straight from the engine state: no intermediate JSON tree and
     /// no whole-document buffer, so writing a checkpoint costs memory
     /// independent of its size. Fails only when `out` does.
+    ///
+    /// The many fixed-shape items (RNG quads, tasks, flights and ledger
+    /// records) render from a [`Layout`](serde_json::Layout) the writer
+    /// derives once per shape at that shape's depth, so each costs its
+    /// values' digits plus one copy of the text between them.
     pub fn write_json(&self, out: impl io::Write) -> io::Result<()> {
         let mut w = Writer::pretty(out);
         w.begin_object()?;
@@ -208,16 +235,22 @@ impl Checkpoint {
         w.scalars(self.engine_rng)?;
         w.key("node_rngs")?;
         w.begin_array()?;
+        let mut quad = w.layout(|w| w.scalars([Hole; 4]));
         for words in &self.node_rngs {
-            w.scalars(words)?;
+            w.record(&mut quad, |l| {
+                l.value(words[0]).value(words[1]).value(words[2]).value(words[3]);
+            })?;
         }
         w.end_array()?;
         w.key("node_tasks")?;
         w.begin_array()?;
+        // Tasks sit one level inside their node's list.
+        let mut task = None;
         for list in &self.node_tasks {
             w.begin_array()?;
             for t in list {
-                write_task(&mut w, t)?;
+                let task = task.get_or_insert_with(|| w.layout(task_shape));
+                w.record(task, |l| fill_task(l, t))?;
             }
             w.end_array()?;
         }
@@ -238,9 +271,24 @@ impl Checkpoint {
         w.scalars(&self.down_words)?;
         w.key("flights")?;
         w.begin_array()?;
+        let mut flight = w.layout(|w| {
+            w.begin_object()?;
+            w.key("task")?;
+            task_shape(w)?;
+            for key in ["flag", "hops", "source", "from", "to", "link_weight", "heat"] {
+                w.field(key, Hole)?;
+            }
+            w.field("attempts", Hole)?;
+            w.field("bounced", Hole)?;
+            w.end_object()
+        });
         for f in &self.flights {
             match f {
-                Some(f) => write_flight(&mut w, f)?,
+                Some(f) => w.record(&mut flight, |l| {
+                    fill_task(l, &f.task);
+                    l.value(f.flag).value(f.hops).value(f.source).value(f.from).value(f.to);
+                    l.value(f.link_weight).value(f.heat).value(f.attempts).value(f.bounced);
+                })?,
                 None => w.value(&Value::Null)?,
             }
         }
@@ -262,16 +310,18 @@ impl Checkpoint {
         w.end_array()?;
         w.key("ledger")?;
         w.begin_array()?;
-        for r in &self.ledger {
+        let mut record = w.layout(|w| {
             w.begin_object()?;
-            w.field("time", r.time)?;
-            w.field("from", r.from)?;
-            w.field("to", r.to)?;
-            w.field("size", r.size)?;
-            w.field("link_weight", r.link_weight)?;
-            w.field("heat", r.heat)?;
-            w.field("faulted", r.faulted)?;
-            w.end_object()?;
+            for key in ["time", "from", "to", "size", "link_weight", "heat", "faulted"] {
+                w.field(key, Hole)?;
+            }
+            w.end_object()
+        });
+        for r in self.ledger.iter() {
+            w.record(&mut record, |l| {
+                l.value(r.time).value(r.from).value(r.to).value(r.size);
+                l.value(r.link_weight).value(r.heat).value(r.faulted);
+            })?;
         }
         w.end_array()?;
         w.key("series")?;
@@ -316,32 +366,6 @@ impl Checkpoint {
     }
 }
 
-fn write_task<W: io::Write>(w: &mut Writer<W>, t: &Task) -> io::Result<()> {
-    w.begin_object()?;
-    w.field("id", t.id.0)?;
-    w.field("size", t.size)?;
-    w.field("work", t.work)?;
-    w.field("created_at", t.created_at)?;
-    w.field("origin", t.origin)?;
-    w.end_object()
-}
-
-fn write_flight<W: io::Write>(w: &mut Writer<W>, f: &FlightSnap) -> io::Result<()> {
-    w.begin_object()?;
-    w.key("task")?;
-    write_task(w, &f.task)?;
-    w.field("flag", f.flag)?;
-    w.field("hops", f.hops)?;
-    w.field("source", f.source)?;
-    w.field("from", f.from)?;
-    w.field("to", f.to)?;
-    w.field("link_weight", f.link_weight)?;
-    w.field("heat", f.heat)?;
-    w.field("attempts", f.attempts)?;
-    w.field("bounced", f.bounced)?;
-    w.end_object()
-}
-
 /// Events serialize as `{"kind": ..., "idx": ...}`.
 fn write_event<W: io::Write>(w: &mut Writer<W>, e: &Event) -> io::Result<()> {
     let (kind, idx) = match *e {
@@ -353,6 +377,19 @@ fn write_event<W: io::Write>(w: &mut Writer<W>, e: &Event) -> io::Result<()> {
     w.field("kind", kind)?;
     w.field("idx", idx)?;
     w.end_object()
+}
+
+/// A task's shape: its values in [`fill_task`]'s order.
+fn task_shape(w: &mut Writer<Vec<u8>>) -> io::Result<()> {
+    w.begin_object()?;
+    for key in ["id", "size", "work", "created_at", "origin"] {
+        w.field(key, Hole)?;
+    }
+    w.end_object()
+}
+
+fn fill_task(l: &mut Line, t: &Task) {
+    l.value(t.id.0).value(t.size).value(t.work).value(t.created_at).value(t.origin);
 }
 
 fn task_from_value(v: &Value) -> Result<Task, String> {
@@ -482,6 +519,7 @@ impl Deserialize for Checkpoint {
             .collect::<Result<Vec<_>, String>>()?;
         let ledger =
             list("ledger")?.iter().map(record_from_value).collect::<Result<Vec<_>, String>>()?;
+        let ledger = Arc::new(ledger);
         let shard_accums = list("shard_accums")?
             .iter()
             .map(accum_from_value)
@@ -577,7 +615,7 @@ mod tests {
             completed_tasks: 4,
             queue_seq: 6,
             queue: vec![(3.75, 4, Event::LoadArrival { flight: 1 }), (4.5, 5, Event::TaskArrival)],
-            ledger: vec![MigrationRecord {
+            ledger: Arc::new(vec![MigrationRecord {
                 time: 2.0,
                 from: 0,
                 to: 1,
@@ -585,7 +623,7 @@ mod tests {
                 link_weight: 1.0,
                 heat: 0.5,
                 faulted: true,
-            }],
+            }]),
             series: vec![(0.0, 1.0), (1.0, 0.5)],
             shard_layout_k: 2,
             shard_dirty: vec![true, false],
@@ -636,11 +674,72 @@ mod tests {
     fn streamed_bytes_keep_the_renderers_canonical_layout() {
         // `write_json` bypasses the `Value` tree, so pin it to the one
         // renderer: re-rendering the parsed text must reproduce it byte for
-        // byte, across the shapes the committed fixture does not cover.
+        // byte, across the shapes the committed fixture does not cover. The
+        // fixed-shape items (quads, tasks, flights, ledger records) render
+        // from layouts, so every number kernel path and
+        // the largest integers go through them here.
         let mut empty = tiny_checkpoint();
         empty.node_tasks = vec![vec![], vec![]];
         empty.flights = vec![None, None];
         empty.free_slots = vec![0, 1];
+        empty.queue = vec![];
+        empty.ledger = Arc::default();
+        // Integral, Ryu, negative zero, subnormal and ≥ 1e16 floats.
+        let odd = [3.0, -7.0, 0.1 + 0.2, -0.0, 5e-324, f64::MIN_POSITIVE / 8.0, 1e16, 2.5e300];
+        let positive = [3.0, 0.1 + 0.2, 5e-324, 9_007_199_254_740_994.0, 1e16, 2.5e300];
+        let task = |i: usize| Task {
+            id: TaskId(u64::MAX - i as u64),
+            size: positive[i % positive.len()],
+            work: positive[(i + 1) % positive.len()],
+            created_at: odd[i % odd.len()],
+            origin: u32::MAX,
+        };
+        let mut records = tiny_checkpoint();
+        records.engine_rng = [u64::MAX; 4];
+        records.node_rngs = vec![[u64::MAX; 4], [0, 1, u64::MAX, u64::MAX - 1]];
+        records.node_tasks = vec![(0..positive.len()).map(task).collect(), vec![task(9)]];
+        records.flights = odd
+            .iter()
+            .enumerate()
+            .map(|(i, &x)| {
+                Some(FlightSnap {
+                    task: task(i),
+                    flag: x,
+                    hops: u32::MAX,
+                    source: i as u32,
+                    from: u32::MAX,
+                    to: 0,
+                    link_weight: -x,
+                    heat: x,
+                    attempts: u32::MAX,
+                    bounced: i % 2 == 0,
+                })
+            })
+            .chain([None])
+            .collect();
+        records.queue = odd
+            .iter()
+            .zip(
+                [Event::LoadArrival { flight: 1 }, Event::TraceArrival { record: 0 }]
+                    .iter()
+                    .cycle(),
+            )
+            .map(|(&x, &e)| (x.abs(), u64::MAX, e))
+            .collect();
+        records.ledger = Arc::new(
+            odd.iter()
+                .enumerate()
+                .map(|(i, &x)| MigrationRecord {
+                    time: x,
+                    from: i as u32,
+                    to: u32::MAX,
+                    size: -x,
+                    link_weight: x,
+                    heat: odd[(i + 3) % odd.len()],
+                    faulted: i % 3 != 1,
+                })
+                .collect(),
+        );
         let mut floats = tiny_checkpoint();
         floats.node_heights = vec![-0.0, f64::MIN_POSITIVE / 8.0];
         floats.in_flight_load = 1.0 + f64::EPSILON;
@@ -664,6 +763,7 @@ mod tests {
         let variants = [
             ("tiny", tiny_checkpoint()),
             ("empty", empty),
+            ("records", records),
             ("floats", floats),
             ("nested", nested),
             ("stateless", stateless),

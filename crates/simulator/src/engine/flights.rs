@@ -224,7 +224,7 @@ impl Flights {
         cp.free_slots = self.free_slots.clone();
         cp.in_flight_load = self.in_flight_load;
         (cp.queue_seq, cp.queue) = self.queue.snapshot();
-        cp.ledger = self.ledger.records().to_vec();
+        cp.ledger = self.ledger.shared_records();
     }
 
     /// The flight phase at a checkpoint, once the trace fingerprint, the
@@ -318,7 +318,7 @@ impl Flights {
             }
         }
         let mut ledger = TrafficLedger::new();
-        for rec in &cp.ledger {
+        for rec in cp.ledger.iter() {
             if ![rec.time, rec.size, rec.link_weight, rec.heat].iter().all(|v| v.is_finite()) {
                 return Err("checkpoint ledger records must be finite".into());
             }

@@ -1155,7 +1155,7 @@ mod tests {
 
         let mut bad = good.clone();
         assert!(!bad.ledger.is_empty(), "busy engine must have migrated");
-        bad.ledger[0].heat = f64::INFINITY;
+        std::sync::Arc::make_mut(&mut bad.ledger)[0].heat = f64::INFINITY;
         assert!(fresh.restore(&bad).is_err(), "non-finite ledger record");
 
         let mut bad = good.clone();

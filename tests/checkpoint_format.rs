@@ -16,9 +16,10 @@
 //! ```
 
 use pp_scenario::registry;
-use pp_scenario::spec::ScenarioSpec;
+use pp_scenario::spec::{write_checkpoint, ScenarioSpec};
 use pp_sim::checkpoint::{Checkpoint, CHECKPOINT_VERSION};
 use pp_sim::engine::Engine;
+use pp_topology::spec::TopologySpec;
 use support::VALUES;
 
 #[path = "../crates/scenario/tests/support/mod.rs"]
@@ -62,6 +63,44 @@ fn fixture_parses_resumes_and_stays_byte_stable() {
     let straight = spec.run().expect("straight run");
     let resumed = spec.run_from_checkpoint(&cp).expect("resume from fixture");
     assert_eq!(resumed, straight);
+}
+
+/// Where two texts first differ (`None` when equal), so a mismatch in a
+/// multi-megabyte checkpoint reports a byte offset instead of both texts.
+fn first_difference(a: &str, b: &str) -> Option<usize> {
+    let common = a.bytes().zip(b.bytes()).position(|(x, y)| x != y);
+    common.or((a.len() != b.len()).then(|| a.len().min(b.len())))
+}
+
+#[test]
+fn churn_checkpoint_bytes_agree_three_ways() {
+    // A full-size `churn-faults` engine (64×64) after 20 rounds: tens of
+    // thousands of ledger records, faulted ones among them, down nodes and
+    // links, tasks part-consumed. The file `write_checkpoint` streams, the
+    // `to_json` text and the `Value`-path re-render of that text must be
+    // the same bytes.
+    let mut spec = registry::by_name("churn-faults").expect("registered");
+    spec.topology = TopologySpec::Torus { dims: vec![64, 64] };
+    let mut engine = spec.build_engine().expect("engine");
+    engine.run_rounds(20);
+    let cp = engine.checkpoint();
+    assert!(cp.churn_len > 0 && engine.down_node_count() > 0, "the run churns");
+    assert!(cp.ledger.iter().any(|r| r.faulted), "some hops were faulted");
+    assert!(cp.ledger.iter().any(|r| !r.faulted), "some hops were not");
+
+    let text = cp.to_json();
+    let path = concat!(env!("CARGO_TARGET_TMPDIR"), "/churn-faults-64x64-round20.ckpt.json");
+    write_checkpoint(&cp, path).expect("writes the checkpoint");
+    let file = std::fs::read_to_string(path).expect("reads it back");
+    assert_eq!(first_difference(&file, &text), None, "write_checkpoint against to_json");
+    let tree = serde_json::from_str(&text).expect("parses");
+    let rendered = serde_json::to_string_pretty(&tree).expect("renders") + "\n";
+    assert_eq!(first_difference(&rendered, &text), None, "Value-path re-render against to_json");
+    // And every value sits under its own key: the text lifts back to the
+    // captured state.
+    let lifted = Checkpoint::from_json(&text).expect("lifts");
+    assert!(lifted == cp, "the text does not lift back to the captured checkpoint");
+    std::fs::remove_file(path).expect("removes the file");
 }
 
 #[test]
