@@ -1,8 +1,7 @@
 //! BENCH_9 — tick-throughput benchmark for the sharded tick pipeline, the
 //! `K ≥ 2` round fast-forward, the pinned-worker thread scaling
-//! of the decision sweep, adaptive online repartitioning, and — new in
-//! BENCH_9 — the cache-conscious dense-sweep kernel and the lock-free
-//! epoch barrier.
+//! of the decision sweep, and — new in BENCH_9 — the cache-conscious
+//! dense-sweep kernel and the lock-free epoch barrier.
 //!
 //! Measures steady-state balance-round throughput (rounds/sec) and
 //! per-node decision cost (ns/node-decision) for the particle-plane
@@ -40,16 +39,6 @@
 //! the first ≥ 4-core run of the `t4 > t1` gate inherits a known barrier
 //! cost instead of re-deriving it from scratch.
 //!
-//! From BENCH_8: the **adaptive repartitioning pair** —
-//! `hotspot16384_{static,adaptive}`, a 16 384-node torus under a slowly
-//! drifting arrival hotspot (redistribution only: `consume_rate = 0`, so
-//! the per-round cost is exactly the dirty-shard sweep). Both rows run the
-//! identical system and emit identical report bytes (the `lab --verify`
-//! gate proves it); the only difference is the `repartition`
-//! knob, which lets the adaptive row shrink its shards around the dirty
-//! frontier and skip the wide quiescent ones. The enforced expectation is
-//! adaptive ≥ 1.3× static rounds/sec (ADR-008).
-//!
 //! The JSON header records `host_parallelism` and whether the
 //! thread-scaling gate was enforced, so a 1-core container can never again
 //! masquerade as parallel speedup.
@@ -63,20 +52,18 @@
 //! * `--enforce`    exit non-zero unless the scaling expectations hold:
 //!   sharded ≥ 1× sequential at 1 024 nodes, ≥ 1.5× at 16 384, the
 //!   fast-forward ≥ 5× the `K = 1` reference on the sparse 65 536 pair,
-//!   adaptive repartitioning
-//!   ≥ 1.3× static on the hotspot pair, the dense-kernel gate
-//!   (`dense16384_t1` ≥ 1.25× the embedded BENCH_7 ns-per-node-decision
-//!   baseline, enforced everywhere), and — on hosts with ≥ 4 cores —
-//!   `dense16384_t4` strictly faster than `dense16384_t1`. On smaller
-//!   hosts the thread gate is skipped with a visible annotation
-//!   (`::notice::` under GitHub Actions, a plain note elsewhere) and
-//!   recorded as such in the JSON. Failures print the measured ratio, the
+//!   the dense-kernel gate (`dense16384_t1` ≥ 1.25× the embedded BENCH_7
+//!   ns-per-node-decision baseline, enforced everywhere), and — on hosts
+//!   with ≥ 4 cores — `dense16384_t4` strictly faster than
+//!   `dense16384_t1`. On smaller hosts the thread gate is skipped with a
+//!   visible annotation (`::notice::` under GitHub Actions, a plain note
+//!   elsewhere) and recorded as such in the JSON. Failures print the measured ratio, the
 //!   requirement, and both raw values — never a bare pass/fail.
 //! * `--dense`      run only the dense thread matrix, the barrier
 //!   measurement, and the dense-kernel gate (the CI `dense-kernel` job's
 //!   fast path; cross-pair expectations need rows this mode skips, so
 //!   `--enforce` then gates on the dense kernel alone). The differential
-//!   checks still run in their miniature form.
+//!   check still runs in its miniature form.
 //! * `--shards K`   override the shard count of every `*_shard` scenario
 //! * `--threads T`  override the sweep worker-thread count everywhere
 //!   (including the thread matrix — useful only for debugging)
@@ -95,8 +82,8 @@
 use pp_core::balancer::ParticlePlaneBalancer;
 use pp_core::jitter::FrictionJitter;
 use pp_core::params::PhysicsConfig;
-use pp_sim::engine::{EngineBuilder, EngineConfig, RepartitionConfig, RunReport};
-use pp_tasking::workload::{ArrivalProcess, Workload};
+use pp_sim::engine::{EngineBuilder, EngineConfig, RunReport};
+use pp_tasking::workload::Workload;
 use pp_topology::graph::Topology;
 use serde::{Serialize, Value};
 use std::time::Instant;
@@ -134,13 +121,6 @@ struct Scenario {
     /// — nothing ever happens, but the `K = 1` reference still runs every
     /// round in full.
     sparse: bool,
-    /// Drifting-hotspot variant: no resident workload, no consumption, a
-    /// [`ArrivalProcess::MovingHotspot`] that drifts one diagonal step per
-    /// dwell — the dirty frontier stays compact while it wanders, which is
-    /// the regime adaptive repartitioning exists for.
-    moving: bool,
-    /// Adaptive online repartitioning knob (the BENCH_8 variable).
-    repartition: Option<RepartitionConfig>,
 }
 
 /// A dense redistribution scenario (the BENCH_4 set).
@@ -162,8 +142,6 @@ const fn dense(
         threads: 0,
         jitter: false,
         sparse: false,
-        moving: false,
-        repartition: None,
     }
 }
 
@@ -180,27 +158,6 @@ const fn matrix(name: &'static str, threads: usize) -> Scenario {
         threads,
         jitter: true,
         sparse: false,
-        moving: false,
-        repartition: None,
-    }
-}
-
-/// An adaptive-repartitioning row: 16 384 nodes, K = 64, a drifting
-/// arrival hotspot, redistribution only. The pair differs in exactly the
-/// `repartition` knob.
-const fn hotspot(name: &'static str, repartition: Option<RepartitionConfig>) -> Scenario {
-    Scenario {
-        name,
-        side: 128,
-        warm: 40,
-        rounds: 300,
-        smoke_rounds: 2,
-        shards: 64,
-        threads: 0,
-        jitter: false,
-        sparse: false,
-        moving: true,
-        repartition,
     }
 }
 
@@ -226,8 +183,6 @@ const SCENARIOS: &[Scenario] = &[
         threads: 0,
         jitter: false,
         sparse: true,
-        moving: false,
-        repartition: None,
     },
     Scenario {
         name: "sparse65536_event",
@@ -239,8 +194,6 @@ const SCENARIOS: &[Scenario] = &[
         threads: 0,
         jitter: false,
         sparse: true,
-        moving: false,
-        repartition: None,
     },
     // The dense thread matrix: identical systems, identical bytes out
     // (the differential suites prove it), only the worker count varies.
@@ -248,10 +201,6 @@ const SCENARIOS: &[Scenario] = &[
     matrix("dense16384_t2", 2),
     matrix("dense16384_t4", 4),
     matrix("dense16384_t8", 8),
-    // The adaptive repartitioning pair: identical systems, identical bytes
-    // out (`lab --verify` proves it), only the knob varies.
-    hotspot("hotspot16384_static", None),
-    hotspot("hotspot16384_adaptive", Some(RepartitionConfig { every: 16, skew_threshold: 2.0 })),
 ];
 
 #[derive(Serialize)]
@@ -275,9 +224,6 @@ struct Measurement {
     /// Fraction of shard-ticks skipped as quiescent during the whole run
     /// (warm-up included) — 0 for the sequential reference.
     skip_ratio: f64,
-    /// Adaptive repartitions applied over the whole run (warm-up included)
-    /// — 0 everywhere except the `hotspot16384_adaptive` row.
-    repartitions: u64,
 }
 
 #[derive(Serialize)]
@@ -371,9 +317,6 @@ struct Output {
     dense_kernel: DenseKernelGate,
     scenarios: Vec<Measurement>,
     reports_identical: bool,
-    /// Adaptive-vs-static differential (miniature): repartitioning must be
-    /// outcome-invisible. The full-size gate is `lab --verify`.
-    repartition_identical: bool,
     expectations: Vec<Expectation>,
     baseline: Option<Vec<Measurement>>,
     speedup_rounds_per_sec: Option<Vec<(String, f64)>>,
@@ -397,47 +340,25 @@ fn physics(jitter: bool) -> PhysicsConfig {
     }
 }
 
-#[allow(clippy::too_many_arguments)] // bench scenario axes, called from one table
 fn engine_with(
     side: usize,
     shards: usize,
     threads: usize,
     sparse: bool,
     jitter: bool,
-    moving: bool,
-    repartition: Option<RepartitionConfig>,
 ) -> pp_sim::engine::Engine {
     let topo = Topology::torus(&[side, side]);
     let n = topo.node_count();
-    let w = if sparse || moving {
+    let w = if sparse {
         Workload::from_loads(&vec![0.0; n], 1.0)
     } else {
         Workload::uniform_random(n, LOAD_PER_NODE, SEED)
     };
     let consume_rate = if sparse { 0.5 } else { 0.0 };
-    // `side + 1` = one diagonal step per dwell: the hotspot drifts instead
-    // of teleporting, so the dirty frontier stays one compact wandering
-    // blob — narrow shards around it pay off, wide quiescent ones skip.
-    // The sparse rate keeps the blob small relative to a uniform shard:
-    // that gap (nodes a static layout sweeps but an adaptive one does not)
-    // is exactly what the BENCH_8 gate measures, and a heavy blob erodes
-    // it by making even the adaptive layout's hot shards wide.
-    let arrival = if moving {
-        ArrivalProcess::MovingHotspot { rate: 1.5, size: 1.0, dwell: 10.0, stride: side as u32 + 1 }
-    } else {
-        ArrivalProcess::Quiescent
-    };
     EngineBuilder::new(topo)
         .workload(w)
         .balancer(ParticlePlaneBalancer::new(physics(jitter)))
-        .config(EngineConfig {
-            shards,
-            threads,
-            consume_rate,
-            arrival,
-            repartition,
-            ..Default::default()
-        })
+        .config(EngineConfig { shards, threads, consume_rate, ..Default::default() })
         .seed(SEED)
         .build()
 }
@@ -449,8 +370,7 @@ fn measure(sc: &Scenario, smoke: bool, shards_override: usize, threads_flag: usi
     // `--threads` overrides everything (debugging escape hatch).
     let threads = if threads_flag > 0 { threads_flag } else { sc.threads };
     let n = sc.side * sc.side;
-    let mut engine =
-        engine_with(sc.side, shards, threads, sc.sparse, sc.jitter, sc.moving, sc.repartition);
+    let mut engine = engine_with(sc.side, shards, threads, sc.sparse, sc.jitter);
     // Warm up: converge past the initial migration burst so the measured
     // window is dominated by steady-state tick cost, and warm caches/pools.
     engine.run_rounds(warm.max(1));
@@ -479,7 +399,6 @@ fn measure(sc: &Scenario, smoke: bool, shards_override: usize, threads_flag: usi
             Some(elapsed.as_nanos() as f64 / evaluated as f64)
         },
         skip_ratio: engine.shard_stats().skip_ratio(),
-        repartitions: engine.repartitions(),
     }
 }
 
@@ -503,7 +422,7 @@ fn report_digest(r: &RunReport) -> String {
 fn seq_shard_identical(smoke: bool) -> bool {
     let rounds = if smoke { 3 } else { 60 };
     let run = |shards: usize, threads: usize, jitter: bool| {
-        let mut e = engine_with(32, shards, threads, false, jitter, false, None);
+        let mut e = engine_with(32, shards, threads, false, jitter);
         e.run_rounds(rounds).drain(50.0);
         report_digest(&e.report())
     };
@@ -514,21 +433,6 @@ fn seq_shard_identical(smoke: bool) -> bool {
         && seq == run(5, 3, false)
         && dense == run(16, 4, true)
         && dense == run(16, 8, true)
-}
-
-/// The adaptive pair in miniature: a repartitioning run must be
-/// outcome-identical to its static twin for the same seed (and must
-/// actually repartition, or the comparison verifies nothing).
-fn adaptive_static_identical(smoke: bool) -> bool {
-    let rounds = if smoke { 6 } else { 60 };
-    let run = |rp: Option<RepartitionConfig>| {
-        let mut e = engine_with(32, 16, 2, false, false, true, rp);
-        e.run_rounds(rounds).drain(50.0);
-        (report_digest(&e.report()), e.repartitions())
-    };
-    let (static_digest, _) = run(None);
-    let (adaptive_digest, fired) = run(Some(RepartitionConfig { every: 2, skew_threshold: 1.5 }));
-    adaptive_digest == static_digest && (smoke || fired > 0)
 }
 
 fn extract_baseline(path: &str) -> Result<Vec<Measurement>, String> {
@@ -554,8 +458,6 @@ fn extract_baseline(path: &str) -> Result<Vec<Measurement>, String> {
             // A BENCH_6 `0.0` meant "nothing executed"; normalize to null.
             ns_per_node_decision: field("ns_per_node_decision").filter(|&x| x > 0.0),
             skip_ratio: field("skip_ratio").unwrap_or(0.0),
-            // Pre-BENCH_8 baselines had no repartition column.
-            repartitions: field("repartitions").unwrap_or(0.0) as u64,
         });
     }
     Ok(out)
@@ -564,10 +466,9 @@ fn extract_baseline(path: &str) -> Result<Vec<Measurement>, String> {
 /// The scaling contract: sharded ≥ sequential at 1 024 nodes, ≥ 1.5× at
 /// 16 384 (the two scales BENCH_2 showed the work-stealing path *losing*),
 /// the `K = 128` fast-forward ≥ 5× the skip-free `K = 1` reference on the
-/// sparse-activity 65 536-node pair, 4 pinned workers strictly faster than 1 on the dense
-/// (never-skipping) 16 384-node matrix (enforced only where the host
-/// actually has ≥ 4 cores), and — the BENCH_8 addition — adaptive
-/// repartitioning ≥ 1.3× static on the drifting-hotspot pair.
+/// sparse-activity 65 536-node pair, and 4 pinned workers strictly faster
+/// than 1 on the dense (never-skipping) 16 384-node matrix (enforced only
+/// where the host actually has ≥ 4 cores).
 fn expectations(scenarios: &[Measurement], cores: usize) -> Vec<Expectation> {
     let rps = |name: &str| {
         scenarios.iter().find(|m| m.name == name).map(|m| m.rounds_per_sec).unwrap_or(0.0)
@@ -577,7 +478,6 @@ fn expectations(scenarios: &[Measurement], cores: usize) -> Vec<Expectation> {
         (16384, "torus16384_seq", "torus16384_shard", 1.5, true),
         (65536, "sparse65536_seq", "sparse65536_event", 5.0, true),
         (16384, "dense16384_t1", "dense16384_t4", 1.0, cores >= GATE_MIN_CORES),
-        (16384, "hotspot16384_static", "hotspot16384_adaptive", 1.3, true),
     ]
     .into_iter()
     .map(|(nodes, reference, candidate, required, enforced)| {
@@ -654,8 +554,8 @@ fn main() {
         "full"
     };
     println!(
-        "=== BENCH_9: sharded tick + fast-forward + thread-scaling + adaptive-repartition + \
-         dense-kernel throughput ({mode}, {cores} cores)"
+        "=== BENCH_9: sharded tick + fast-forward + thread-scaling + dense-kernel throughput \
+         ({mode}, {cores} cores)"
     );
     let barrier_ns = measure_barrier(smoke);
     println!("  barrier (4 workers x 64 shards, no-op job): {barrier_ns:.1} ns/round");
@@ -679,15 +579,11 @@ fn main() {
         scenarios.push(m);
     }
 
-    // In --dense mode the differentials run in their miniature (smoke)
-    // form: still a real byte-identity check, small enough for a fast job.
+    // In --dense mode the differential runs in its miniature (smoke) form:
+    // still a real byte-identity check, small enough for a fast job.
     let identical = seq_shard_identical(smoke || dense_only);
     println!("  seq/sharded reports identical: {identical}");
     assert!(identical, "sharded decision sweep diverged from sequential");
-
-    let repart_identical = adaptive_static_identical(smoke || dense_only);
-    println!("  adaptive/static reports identical: {repart_identical}");
-    assert!(repart_identical, "adaptive repartitioning diverged from the static layout");
 
     // Cross-pair expectations need rows --dense does not run; the dense
     // mode gates on the dense-kernel ratio alone.
@@ -751,9 +647,8 @@ fn main() {
 
     let output = Output {
         bench: "BENCH_9 sharded tick + fast-forward + pinned-worker thread scaling + \
-                adaptive repartitioning + SoA dense kernel + lock-free epoch barrier \
-                (quiescent redistribution + jittered dense matrix + drifting hotspot, \
-                particle-plane)"
+                SoA dense kernel + lock-free epoch barrier (quiescent redistribution + \
+                jittered dense matrix, particle-plane)"
             .into(),
         mode: mode.into(),
         host_parallelism: cores,
@@ -762,7 +657,6 @@ fn main() {
         dense_kernel,
         scenarios,
         reports_identical: identical,
-        repartition_identical: repart_identical,
         expectations: expect,
         baseline,
         speedup_rounds_per_sec: speedups,

@@ -58,14 +58,18 @@
 //! few rounds, runs under the layouts `(1, 1)`, `(4, 2)`, `(8, 1)`,
 //! `(8, 4)` and its own, straight and resumed from a half-way checkpoint
 //! under the next layout (so splits cross from `K = 1` to `K ≥ 2` and
-//! back), and — when it sets a repartition knob — with the knob off, its
-//! own and frozen. Each report must match the sequential `K = 1` reference
-//! byte for byte; a mismatch names the scenario, the variant and the first
+//! back). Each report must match the sequential `K = 1` reference byte for
+//! byte; a mismatch names the scenario, the variant and the first
 //! diverging round.
 //!
 //! An unknown flag, a value flag given without its value, or a scenario
 //! name that no command uses prints the usage and exits 1 rather than
 //! being ignored.
+//!
+//! Everything `lab` prints to stdout goes through one writer (`say!`):
+//! when the reader closes the pipe early (`lab --spec NAME | head -1`) the
+//! rest of the output is dropped, where `println!` would panic, and the
+//! command still writes its files and exits with its own status.
 //!
 //! `--smoke` caps every run at a few rounds so the whole registry finishes
 //! in CI seconds; reports are byte-identical across same-seed runs (the
@@ -80,8 +84,35 @@ use pp_scenario::report::GoldenReport;
 use pp_scenario::spec::{CheckpointSpec, ScenarioSpec};
 use pp_scenario::stats::{self, StatsReport};
 use pp_sim::engine::{RunReport, ShardLayout};
+use std::fmt;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::sync::atomic::{AtomicBool, Ordering};
+
+/// Set once a write to stdout has failed with `BrokenPipe`.
+static STDOUT_CLOSED: AtomicBool = AtomicBool::new(false);
+
+/// `println!` for `lab`'s stdout, through [`write_line`].
+macro_rules! say {
+    ($($arg:tt)*) => {
+        write_line(&mut io::stdout().lock(), &STDOUT_CLOSED, format_args!($($arg)*))
+    };
+}
+
+/// Writes one line to `out`. After a write fails with `BrokenPipe` the
+/// reader is gone: `closed` is set and every later line is dropped. Any
+/// other write error panics, as `println!` does.
+fn write_line(out: &mut impl Write, closed: &AtomicBool, line: fmt::Arguments<'_>) {
+    if closed.load(Ordering::Relaxed) {
+        return;
+    }
+    match writeln!(out, "{line}") {
+        Ok(()) => {}
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => closed.store(true, Ordering::Relaxed),
+        Err(e) => panic!("failed printing to stdout: {e}"),
+    }
+}
 
 /// Smoke caps: enough rounds to exercise arrivals/faults/speeds, few
 /// enough that all scenarios finish in seconds.
@@ -118,9 +149,7 @@ const VERIFY_LAYOUTS: &[(usize, usize)] = &[(1, 1), (4, 2), (8, 1), (8, 4)];
 /// machine-dependent. Threads are omitted for the same reason.
 fn finish_report(spec: &ScenarioSpec, report: &RunReport, layout: ShardLayout) -> GoldenReport {
     let mut g = GoldenReport::from_run(&spec.name, spec.seed, spec.topology.node_count(), report);
-    // Adaptive repartitioning makes the shard layout time-varying: there is
-    // no single `(shards, boundary)` pair to record (ADR-008).
-    if spec.engine.shards >= 2 && spec.engine.repartition.is_none() {
+    if spec.engine.shards >= 2 {
         g = g.with_shard_layout(format!(
             "shards={} boundary={}",
             layout.shards, layout.boundary_nodes
@@ -139,11 +168,11 @@ fn write_file(path: &Path, text: &str) -> Result<(), String> {
 
 fn cmd_list() -> ExitCode {
     let all = registry::registry();
-    println!("{} registered scenarios:\n", all.len());
+    say!("{} registered scenarios:\n", all.len());
     for s in &all {
-        println!("  {}", s.summary());
+        say!("  {}", s.summary());
     }
-    println!("\nrun one with: lab <name> [--smoke] [--out PATH]");
+    say!("\nrun one with: lab <name> [--smoke] [--out PATH]");
     ExitCode::SUCCESS
 }
 
@@ -155,7 +184,7 @@ fn cmd_check(path: &str) -> ExitCode {
         }
         Ok(text) => match GoldenReport::check_text(&text) {
             Ok(name) => {
-                println!("{path}: OK (golden report for `{name}`)");
+                say!("{path}: OK (golden report for `{name}`)");
                 ExitCode::SUCCESS
             }
             Err(e) => {
@@ -169,7 +198,7 @@ fn cmd_check(path: &str) -> ExitCode {
 fn cmd_spec(name: &str) -> ExitCode {
     match registry::by_name(name) {
         Some(s) => {
-            println!("{}", s.to_json_pretty());
+            say!("{}", s.to_json_pretty());
             ExitCode::SUCCESS
         }
         None => {
@@ -194,12 +223,12 @@ fn run_to_report(
     if let Some(path) = resume {
         let cp = ScenarioSpec::read_checkpoint(path)?;
         engine.restore(&cp)?;
-        println!("[resumed `{}` from {path} at round {}]", spec.name, cp.round);
+        say!("[resumed `{}` from {path} at round {}]", spec.name, cp.round);
     }
     // Announce checkpointing up front: a long run's operator must know the
     // restart point is being written *before* waiting hours for the run.
     if let Some(ck) = &spec.checkpoint {
-        println!("[checkpointing every {} rounds to {}]", ck.every, ck.path);
+        say!("[checkpointing every {} rounds to {}]", ck.every, ck.path);
     }
     // The interval-write loop lives in one place (ScenarioSpec::
     // finish_engine), so this CLI path can never checkpoint differently
@@ -216,16 +245,20 @@ fn cmd_run(spec: &ScenarioSpec, smoke: bool, out: Option<&str>, resume: Option<&
     }
     match run_to_report(spec, smoke, resume) {
         Ok(g) => {
-            println!(
+            say!(
                 "{}: {} rounds, final cov {:.4}, {} migrations, traffic {:.1}",
-                g.scenario, g.rounds, g.final_cov, g.migrations, g.weighted_traffic
+                g.scenario,
+                g.rounds,
+                g.final_cov,
+                g.migrations,
+                g.weighted_traffic
             );
             if let Some(path) = out {
                 if let Err(e) = write_file(Path::new(path), &g.to_canonical_json()) {
                     eprintln!("error: {e}");
                     return ExitCode::FAILURE;
                 }
-                println!("[golden report: {path}]");
+                say!("[golden report: {path}]");
             }
             ExitCode::SUCCESS
         }
@@ -248,13 +281,16 @@ fn cmd_all(
             return code;
         }
     }
-    println!("running {} scenarios ({}):", all.len(), if smoke { "smoke" } else { "full" });
+    say!("running {} scenarios ({}):", all.len(), if smoke { "smoke" } else { "full" });
     for s in &all {
         match run_to_report(s, smoke, None) {
             Ok(g) => {
-                println!(
+                say!(
                     "  {:28} rounds={:4} cov={:8.4} migrations={:6}",
-                    g.scenario, g.rounds, g.final_cov, g.migrations
+                    g.scenario,
+                    g.rounds,
+                    g.final_cov,
+                    g.migrations
                 );
                 if let Some(dir) = out_dir {
                     let path = PathBuf::from(dir).join(format!("{}.json", s.name));
@@ -271,7 +307,7 @@ fn cmd_all(
         }
     }
     if let Some(dir) = out_dir {
-        println!("[reports under {dir}/]");
+        say!("[reports under {dir}/]");
     }
     ExitCode::SUCCESS
 }
@@ -292,7 +328,7 @@ fn cmd_emit_golden(dir: &str) -> ExitCode {
                     eprintln!("error: {e}");
                     return ExitCode::FAILURE;
                 }
-                println!("wrote {}", path.display());
+                say!("wrote {}", path.display());
             }
             Err(e) => {
                 eprintln!("error: {}: {e}", spec.name);
@@ -324,14 +360,14 @@ fn cmd_verify_golden(dir: &str) -> ExitCode {
             }
         };
         if fresh == committed {
-            println!("  {:28} OK", spec.name);
+            say!("  {:28} OK", spec.name);
         } else {
             eprintln!("  {:28} DRIFT (report differs from {})", spec.name, path.display());
             drifted.push(spec.name.clone());
         }
     }
     if drifted.is_empty() {
-        println!("all {} pinned goldens match", PINNED.len());
+        say!("all {} pinned goldens match", PINNED.len());
         ExitCode::SUCCESS
     } else {
         eprintln!(
@@ -345,19 +381,16 @@ fn cmd_verify_golden(dir: &str) -> ExitCode {
 /// The invariance gate: every registered scenario, horizon-capped, run
 /// under the [`VERIFY_LAYOUTS`] plus its own layout, straight and split at
 /// half-way (resumed under the next layout, so one split crosses from
-/// `K = 1` to `K ≥ 2` and the last crosses back), and — for a spec with a
-/// repartition knob — with the knob off, its own and frozen. Every
-/// variant's report must match the `K = 1` reference byte for byte (see
-/// [`pp_scenario::differential`]). A knob spec gets 24 rounds so its
-/// `every = 8` knob fires several times.
+/// `K = 1` to `K ≥ 2` and the last crosses back). Every variant's report
+/// must match the `K = 1` reference byte for byte (see
+/// [`pp_scenario::differential`]).
 fn cmd_verify() -> ExitCode {
     let all = registry::registry();
     let mut broken = Vec::new();
     let start = std::time::Instant::now();
     let mut total = 0;
     for base in &all {
-        let cap = if base.engine.repartition.is_some() { 24 } else { SMOKE_ROUNDS };
-        let spec = base.smoke(cap, SMOKE_DRAIN);
+        let spec = base.smoke(SMOKE_ROUNDS, SMOKE_DRAIN);
         let mut layouts = VERIFY_LAYOUTS.to_vec();
         let own = (spec.engine.shards, spec.engine.threads);
         if !layouts.contains(&own) {
@@ -368,7 +401,7 @@ fn cmd_verify() -> ExitCode {
         match differential::check(&spec, &matrix) {
             Ok(variants) => {
                 total += variants;
-                println!("  {:28} OK ({variants} variants)", spec.name);
+                say!("  {:28} OK ({variants} variants)", spec.name);
             }
             Err(e) => {
                 eprintln!("  MISMATCH {e}");
@@ -377,7 +410,7 @@ fn cmd_verify() -> ExitCode {
         }
     }
     if broken.is_empty() {
-        println!(
+        say!(
             "all {} scenarios are invariant under the verify matrix ({total} variants, {:.1} s)",
             all.len(),
             start.elapsed().as_secs_f64()
@@ -399,15 +432,15 @@ fn cmd_paper(args: &[String]) -> ExitCode {
     };
     let claims = pp_bench::paper::run_all();
     for c in &claims {
-        println!("{}", c.render());
+        say!("{}", c.render());
     }
-    println!("summary:\n{}", pp_bench::paper::summary(&claims));
+    say!("summary:\n{}", pp_bench::paper::summary(&claims));
     if let Some(path) = out {
         if let Err(e) = write_file(Path::new(path), &pp_bench::paper::to_json(&claims)) {
             eprintln!("error: {e}");
             return ExitCode::FAILURE;
         }
-        println!("[claims: {path}]");
+        say!("[claims: {path}]");
     }
     ExitCode::from(pp_bench::paper::exit_status(&claims))
 }
@@ -435,7 +468,7 @@ fn cmd_stats(args: &[String]) -> ExitCode {
             .and_then(|text| StatsReport::check_text(&text))
         {
             Ok(set) => {
-                println!("{path}: OK (stats report for set `{set}`)");
+                say!("{path}: OK (stats report for set `{set}`)");
                 ExitCode::SUCCESS
             }
             Err(e) => {
@@ -445,11 +478,11 @@ fn cmd_stats(args: &[String]) -> ExitCode {
         };
     }
     if flag("--list") || opt("--set").is_none() {
-        println!("named stats sets:\n");
+        say!("named stats sets:\n");
         for set in stats::sets() {
-            println!("  {:12} {:50} {:?}", set.name, set.description, set.scenarios);
+            say!("  {:12} {:50} {:?}", set.name, set.description, set.scenarios);
         }
-        println!("\nrun one with: lab stats --set <name> --seeds R [--smoke] [--out PATH]");
+        say!("\nrun one with: lab stats --set <name> --seeds R [--smoke] [--out PATH]");
         return if flag("--list") { ExitCode::SUCCESS } else { ExitCode::FAILURE };
     }
     let set = opt("--set").expect("checked above");
@@ -469,7 +502,7 @@ fn cmd_stats(args: &[String]) -> ExitCode {
     };
     match stats::run_stats(set, seeds, smoke, layout) {
         Ok(report) => {
-            println!(
+            say!(
                 "stats set `{}`: {} scenarios x {} balancers x {} seeds{}",
                 report.set,
                 report.scenarios.len(),
@@ -479,7 +512,7 @@ fn cmd_stats(args: &[String]) -> ExitCode {
             );
             for cell in &report.cells {
                 let s = cell.summary;
-                println!(
+                say!(
                     "  {:20} {:18} {:18} mean={:12.4} ci95={:10.4} [{:10.4}, {:10.4}]",
                     cell.scenario,
                     cell.balancer,
@@ -490,9 +523,9 @@ fn cmd_stats(args: &[String]) -> ExitCode {
                     s.max
                 );
             }
-            println!("pairwise Welch verdicts (a relative to b, 95% level):");
+            say!("pairwise Welch verdicts (a relative to b, 95% level):");
             for c in &report.comparisons {
-                println!(
+                say!(
                     "  {:20} {:18} {:18} vs {:18} {} (df={})",
                     c.scenario,
                     c.metric,
@@ -507,7 +540,7 @@ fn cmd_stats(args: &[String]) -> ExitCode {
                     eprintln!("error: {e}");
                     return ExitCode::FAILURE;
                 }
-                println!("[stats report: {path}]");
+                say!("[stats report: {path}]");
             }
             ExitCode::SUCCESS
         }
@@ -830,5 +863,36 @@ mod tests {
         };
         assert_eq!(stats("--seeds 3 --set churn --smoke --seeds 9"), Ok((true, Some("3".into()))));
         assert_eq!(stats("--set churn --all").err(), Some("unknown flag `--all`".into()));
+    }
+
+    /// A stdout whose reader has gone: every write fails with `BrokenPipe`.
+    struct ClosedPipe {
+        writes: usize,
+    }
+
+    impl Write for ClosedPipe {
+        fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            Err(io::ErrorKind::BrokenPipe.into())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_closed_stdout_silences_the_rest_without_a_panic() {
+        let closed = AtomicBool::new(false);
+        let mut open = Vec::new();
+        write_line(&mut open, &closed, format_args!("{} rounds", 8));
+        assert_eq!(open, b"8 rounds\n");
+        assert!(!closed.load(Ordering::Relaxed));
+
+        let mut pipe = ClosedPipe { writes: 0 };
+        write_line(&mut pipe, &closed, format_args!("first"));
+        assert!(closed.load(Ordering::Relaxed), "the broken pipe is remembered");
+        write_line(&mut pipe, &closed, format_args!("second"));
+        assert_eq!(pipe.writes, 1, "later lines are dropped without a write");
     }
 }

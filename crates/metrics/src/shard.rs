@@ -107,22 +107,6 @@ impl BarrierSample {
     }
 }
 
-/// Max/mean skew of a per-shard load vector: `1.0` is perfectly balanced,
-/// `k` is "all load in one of `k` shards". Returns `0.0` for an empty
-/// vector or a non-positive total, where no skew is defined — callers
-/// comparing against a threshold ≥ 1 then correctly see "not skewed".
-/// Non-finite entries count as zero so a poisoned counter can never
-/// trigger (or suppress) a repartition nondeterministically.
-pub fn load_skew(loads: &[f64]) -> f64 {
-    let clean = |w: f64| if w.is_finite() && w > 0.0 { w } else { 0.0 };
-    let total: f64 = loads.iter().map(|&w| clean(w)).sum();
-    if loads.is_empty() || total <= 0.0 {
-        return 0.0;
-    }
-    let mean = total / loads.len() as f64;
-    loads.iter().fold(0.0f64, |m, &w| m.max(clean(w))) / mean
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -203,23 +187,6 @@ mod tests {
         other.record(200, 160_000);
         s.merge(&other);
         assert_eq!(s.ns_per_round(), Some(600.0));
-    }
-
-    #[test]
-    fn load_skew_basics() {
-        assert_eq!(load_skew(&[]), 0.0);
-        assert_eq!(load_skew(&[0.0, 0.0]), 0.0);
-        assert_eq!(load_skew(&[4.0, 4.0, 4.0, 4.0]), 1.0);
-        // All load in one of four shards: skew = k.
-        assert_eq!(load_skew(&[12.0, 0.0, 0.0, 0.0]), 4.0);
-        // max 6, mean 3 → 2.
-        assert_eq!(load_skew(&[6.0, 2.0, 2.0, 2.0]), 2.0);
-    }
-
-    #[test]
-    fn load_skew_ignores_poisoned_entries() {
-        assert_eq!(load_skew(&[f64::NAN, f64::INFINITY, -3.0]), 0.0);
-        assert_eq!(load_skew(&[f64::NAN, 5.0]), 2.0);
     }
 
     #[test]

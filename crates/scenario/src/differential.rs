@@ -1,12 +1,12 @@
 //! The differential harness: a scenario's report must not depend on how
 //! the run was executed. One [`check`] runs a [`ScenarioSpec`] under every
 //! [`Variant`] of a [`Matrix`] — `(shards, threads)` layout × resume split
-//! × repartition knob — and compares each against a single reference run:
-//! `K = 1`, `T = 1` (the skip-free sequential pipeline), straight through,
-//! repartitioning off and the checkpoint knob off (the harness never
-//! writes files). A `K ≥ 2` variant with a quiescence-stable policy skips
-//! clean shards and fast-forwards effect-free rounds, so the comparison
-//! checks that skipping too.
+//! — and compares each against a single reference run: `K = 1`, `T = 1`
+//! (the skip-free sequential pipeline), straight through, and the
+//! checkpoint knob off (the harness never writes files). A `K ≥ 2`
+//! variant with a quiescence-stable policy skips clean shards and
+//! fast-forwards effect-free rounds, so the comparison checks that
+//! skipping too.
 //! Equality means byte-identical canonical [`GoldenReport`] JSON, without
 //! the layout metadata line, *and* an equal [`RunReport`] (every
 //! migration-ledger record included).
@@ -17,13 +17,6 @@
 //! — from `K = 1` to `K ≥ 2` and back, when the matrix lists both — costs
 //! no extra runs. Random split points turn a matrix into a kill-and-resume
 //! chaos test.
-//!
-//! For a spec that sets a repartition knob the matrix gains a fourth axis:
-//! the knob off, the spec's own knob, and [`FROZEN`] (measures skew every
-//! round, never fires). Two more checks ride on it: a frozen run never
-//! repartitions, and the spec's own knob fires at least once when run
-//! straight at the spec's own layout — a gate whose knob never fires
-//! verifies nothing.
 //!
 //! On a mismatch the error names the scenario, the variant and the first
 //! diverging round (the first unequal `cov_series` sample); when the series
@@ -42,15 +35,10 @@
 use crate::report::GoldenReport;
 use crate::spec::ScenarioSpec;
 use pp_sim::checkpoint::Checkpoint;
-use pp_sim::engine::{RepartitionConfig, RunReport};
+use pp_sim::engine::RunReport;
 use std::fmt;
 
-/// The repartition knob that measures load skew every round and can never
-/// fire (ADR-008's frozen configuration).
-pub const FROZEN: RepartitionConfig = RepartitionConfig { every: 1, skew_threshold: f64::INFINITY };
-
-/// The axes [`check`] runs a spec under. The repartition axis is implied:
-/// it applies only to specs that set a knob.
+/// The axes [`check`] runs a spec under.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
     /// `(shards, threads)` layouts (`0` = auto, as in the spec knobs).
@@ -60,17 +48,6 @@ pub struct Matrix {
     pub splits: Vec<Option<u64>>,
 }
 
-/// Which repartition knob a variant runs with.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Repartition {
-    /// No repartitioning (the reference).
-    Off,
-    /// The spec's own knob, whatever it is.
-    Own,
-    /// [`FROZEN`].
-    Frozen,
-}
-
 /// One way of executing a spec.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Variant {
@@ -78,24 +55,18 @@ pub struct Variant {
     pub layout: (usize, usize),
     /// `(round, layout)` the second half resumes at and under.
     pub resume: Option<(u64, (usize, usize))>,
-    /// The repartition knob (the same in both halves).
-    pub repartition: Repartition,
 }
 
 /// The reference every variant is compared with.
-const REFERENCE: Variant = Variant { layout: (1, 1), resume: None, repartition: Repartition::Off };
+const REFERENCE: Variant = Variant { layout: (1, 1), resume: None };
 
 impl fmt::Display for Variant {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let (k, t) = self.layout;
         write!(f, "K={k} T={t}")?;
-        if let Some((at, (k, t))) = self.resume {
-            write!(f, ", split at {at} -> K={k} T={t}")?;
-        }
-        match self.repartition {
-            Repartition::Own => Ok(()),
-            Repartition::Off => f.write_str(", knob off"),
-            Repartition::Frozen => f.write_str(", knob frozen"),
+        match self.resume {
+            Some((at, (k, t))) => write!(f, ", split at {at} -> K={k} T={t}"),
+            None => Ok(()),
         }
     }
 }
@@ -104,20 +75,14 @@ impl Matrix {
     /// Every variant of `spec` the matrix spans, in a fixed order, less the
     /// one that is the reference itself.
     pub fn variants(&self, spec: &ScenarioSpec) -> Vec<Variant> {
-        let modes: &[Repartition] = match spec.engine.repartition {
-            Some(_) => &[Repartition::Off, Repartition::Own, Repartition::Frozen],
-            None => &[Repartition::Own],
-        };
         let mut all = Vec::new();
-        for &repartition in modes {
-            for (i, &layout) in self.layouts.iter().enumerate() {
-                let next = self.layouts[(i + 1) % self.layouts.len()];
-                for &split in &self.splits {
-                    let resume = split.map(|at| (at, next));
-                    let v = Variant { layout, resume, repartition };
-                    if resume.is_some() || spec_for(spec, &v) != spec_for(spec, &REFERENCE) {
-                        all.push(v);
-                    }
+        for (i, &layout) in self.layouts.iter().enumerate() {
+            let next = self.layouts[(i + 1) % self.layouts.len()];
+            for &split in &self.splits {
+                let resume = split.map(|at| (at, next));
+                let v = Variant { layout, resume };
+                if resume.is_some() || spec_for(spec, &v) != spec_for(spec, &REFERENCE) {
+                    all.push(v);
                 }
             }
         }
@@ -130,31 +95,22 @@ fn spec_for(spec: &ScenarioSpec, v: &Variant) -> ScenarioSpec {
     let mut s = spec.clone();
     s.checkpoint = None;
     (s.engine.shards, s.engine.threads) = v.layout;
-    s.engine.repartition = match v.repartition {
-        Repartition::Off => None,
-        Repartition::Own => spec.engine.repartition,
-        Repartition::Frozen => Some(FROZEN),
-    };
     s
 }
 
-/// Runs `spec` as `v` describes; returns the report and the adaptive
-/// repartitions summed over both halves of a split run.
-pub fn run_variant(spec: &ScenarioSpec, v: &Variant) -> Result<(RunReport, u64), String> {
+/// Runs `spec` as `v` describes and returns the report.
+pub fn run_variant(spec: &ScenarioSpec, v: &Variant) -> Result<RunReport, String> {
     let first = spec_for(spec, v);
     let mut engine = first.build_engine()?;
-    let mut repartitions = 0;
     if let Some((at, layout)) = v.resume {
         engine.run_rounds(at.min(first.duration.rounds));
         let text = engine.checkpoint().to_json();
-        repartitions += engine.repartitions();
         drop(engine);
-        let second = spec_for(spec, &Variant { layout, resume: None, ..*v });
-        engine = second.build_engine()?;
+        engine = spec_for(spec, &Variant { layout, resume: None }).build_engine()?;
         engine.restore(&Checkpoint::from_json(&text)?)?;
     }
     first.finish_engine(&mut engine)?;
-    Ok((engine.report(), repartitions + engine.repartitions()))
+    Ok(engine.report())
 }
 
 /// Runs `spec` under every variant of `matrix` and compares each with the
@@ -169,31 +125,21 @@ pub fn check(spec: &ScenarioSpec, matrix: &Matrix) -> Result<usize, String> {
 pub fn check_with(
     spec: &ScenarioSpec,
     matrix: &Matrix,
-    run: impl Fn(&ScenarioSpec, &Variant) -> Result<(RunReport, u64), String>,
+    run: impl Fn(&ScenarioSpec, &Variant) -> Result<RunReport, String>,
 ) -> Result<usize, String> {
     let text = |r: &RunReport| {
         GoldenReport::from_run(&spec.name, spec.seed, spec.topology.node_count(), r)
             .to_canonical_json()
     };
     let fail = |v: &Variant, why: String| format!("scenario `{}` [{v}]: {why}", spec.name);
-    let (want, _) = run(spec, &REFERENCE).map_err(|e| fail(&REFERENCE, e))?;
+    let want = run(spec, &REFERENCE).map_err(|e| fail(&REFERENCE, e))?;
     let want_text = text(&want);
     let variants = matrix.variants(spec);
     for v in &variants {
-        let (got, fired) = run(spec, v).map_err(|e| fail(v, e))?;
+        let got = run(spec, v).map_err(|e| fail(v, e))?;
         let got_text = text(&got);
         if got_text != want_text || got != want {
             return Err(fail(v, divergence((&want_text, &want), (&got_text, &got))));
-        }
-        let native = v.layout == (spec.engine.shards, spec.engine.threads) && v.resume.is_none();
-        match v.repartition {
-            Repartition::Frozen if fired > 0 => {
-                return Err(fail(v, format!("frozen knob repartitioned {fired} times")));
-            }
-            Repartition::Own if spec.engine.repartition.is_some() && native && fired == 0 => {
-                return Err(fail(v, "the knob never fired at the spec's own layout".into()));
-            }
-            _ => {}
         }
     }
     Ok(variants.len())
@@ -241,16 +187,11 @@ mod tests {
         assert_eq!(all.len(), 3);
         assert!(!all.contains(&REFERENCE));
         // A split resumes under the next layout: K ≥ 2 → K = 1 and back.
-        let split =
-            Variant { layout: (4, 2), resume: Some((3, (1, 1))), repartition: Repartition::Own };
+        let split = Variant { layout: (4, 2), resume: Some((3, (1, 1))) };
         assert!(all.contains(&split));
         assert_eq!(split.to_string(), "K=4 T=2, split at 3 -> K=1 T=1");
-        let back =
-            Variant { layout: (1, 1), resume: Some((3, (4, 2))), repartition: Repartition::Own };
+        let back = Variant { layout: (1, 1), resume: Some((3, (4, 2))) };
         assert!(all.contains(&back));
-        // A knob adds the off / own / frozen axis.
-        let adaptive = registry::by_name("hotspot16k-adaptive").expect("registered");
-        assert_eq!(m.variants(&adaptive).len(), 3 * 4 - 1);
     }
 
     #[test]
@@ -281,11 +222,11 @@ mod tests {
         let spec = registry::by_name("hotspot-torus").expect("registered").smoke(3, 5.0);
         let m = Matrix { layouts: vec![(3, 1)], splits: vec![None] };
         let err = check_with(&spec, &m, |s, v| {
-            let (mut report, fired) = run_variant(s, v)?;
+            let mut report = run_variant(s, v)?;
             if v.layout == (3, 1) {
                 report.completed_tasks += 1;
             }
-            Ok((report, fired))
+            Ok(report)
         })
         .expect_err("an extra completed task must be caught");
         assert!(err.ends_with("cov_series agrees; first unequal field `completed_tasks`"), "{err}");

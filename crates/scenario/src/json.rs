@@ -8,7 +8,6 @@ use crate::spec::{
     EngineKnobs, FaultPlanSpec, LinkSpec, ResourceSpec, ScenarioSpec, SpeedSpec, TaskGraphSpec,
     WorkloadSpec,
 };
-use pp_sim::engine::RepartitionConfig;
 use serde::{Deserialize, Serialize, Value};
 
 /// Builds a tagged object: `{"kind": kind, ...fields}`.
@@ -510,41 +509,20 @@ impl Deserialize for ChurnSpec {
 
 impl Serialize for EngineKnobs {
     fn to_value(&self) -> Value {
-        let mut entries = vec![
+        Value::Object(vec![
             entry("tick", self.tick),
             entry("weight_c", self.weight_c),
             entry("consume_rate", self.consume_rate),
             entry("max_attempts", self.max_attempts),
             entry("shards", self.shards),
             entry("threads", self.threads),
-        ];
-        // Omitted (not null) when off, so spec JSON written before the
-        // adaptive-repartitioning knob existed stays canonical.
-        if let Some(rp) = self.repartition {
-            entries.push(entry(
-                "repartition",
-                Value::Object(vec![
-                    entry("every", rp.every),
-                    entry("skew_threshold", rp.skew_threshold),
-                ]),
-            ));
-        }
-        Value::Object(entries)
+        ])
     }
 }
 
 impl Deserialize for EngineKnobs {
     fn from_value(v: &Value) -> Result<Self, String> {
         let d = EngineKnobs::default();
-        let repartition = match v.field_opt::<Value>("repartition")? {
-            None => None,
-            Some(rp) => Some(RepartitionConfig {
-                every: rp.field("every").map_err(|e| format!("field `repartition`: {e}"))?,
-                skew_threshold: rp
-                    .field("skew_threshold")
-                    .map_err(|e| format!("field `repartition`: {e}"))?,
-            }),
-        };
         Ok(EngineKnobs {
             tick: v.field_opt("tick")?.unwrap_or(d.tick),
             weight_c: v.field_opt("weight_c")?.unwrap_or(d.weight_c),
@@ -552,7 +530,6 @@ impl Deserialize for EngineKnobs {
             max_attempts: v.field_opt("max_attempts")?.unwrap_or(d.max_attempts),
             shards: v.field_opt("shards")?.unwrap_or(d.shards),
             threads: v.field_opt("threads")?.unwrap_or(d.threads),
-            repartition,
         })
     }
 }

@@ -16,7 +16,7 @@
 //!   used by the CI scenario matrix and the committed `golden/` files;
 //! * [`differential`] — the one invariance harness (`pp-lab --verify`):
 //!   report bytes must not depend on the `(shards, threads)` layout
-//!   (and with it on skipping), resume split or repartitioning;
+//!   (and with it on skipping) or a resume split;
 //! * [`stats`] — the statistical comparison harness (`pp-lab stats`):
 //!   scenario sets × balancer panel × seeds, reduced to Student-t CIs
 //!   and pairwise Welch verdicts in a byte-stable [`stats::StatsReport`].

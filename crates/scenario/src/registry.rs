@@ -10,7 +10,6 @@ use crate::spec::{
     EngineKnobs, FaultPlanSpec, LinkSpec, ResourceSpec, ScenarioSpec, SpeedSpec, TaskGraphSpec,
     WorkloadSpec,
 };
-use pp_sim::engine::RepartitionConfig;
 use pp_tasking::workload::{record_trace, ArrivalProcess};
 use pp_topology::spec::TopologySpec;
 
@@ -248,24 +247,19 @@ pub fn registry() -> Vec<ScenarioSpec> {
                 "1,048,576-node torus over 50,000 rounds via event-driven time skipping",
             )
         },
-        // 22./23. The adaptive-repartitioning A/B pair: a moving hotspot on
-        // the 16k-node torus, 64 shards, redistribution only (consume_rate
-        // 0 — consumption re-dirties every working node's shard each round
-        // and would blur the sweep savings the pair exists to measure). The
-        // specs differ in exactly one knob, so their reports are
-        // byte-identical (repartitioning is unobservable in report bytes,
-        // ADR-008); only the sweep cost — what BENCH_8 measures — differs.
-        hotspot16k(
-            "hotspot16k-static",
-            "moving hotspot on the 64-shard 16k torus, fixed uniform layout",
-            None,
-        ),
-        hotspot16k(
-            "hotspot16k-adaptive",
-            "moving hotspot on the 64-shard 16k torus, adaptive repartitioning",
-            Some(RepartitionConfig { every: 8, skew_threshold: 2.0 }),
-        ),
-        // 24. Irregular topology I: preferential-attachment hubs. The
+        // 22. A moving hotspot on the 16k-node torus, 64 shards,
+        // redistribution only (consume_rate 0), so most shards stay clean
+        // while the dirty frontier drifts. The name is kept from the
+        // adaptive-repartitioning era (ADR-008, superseded): the benchmark
+        // loads the spec by it.
+        ScenarioSpec {
+            topology: TopologySpec::Torus { dims: vec![128, 128] },
+            arrival: ArrivalSpec::MovingHotspot { rate: 24.0, size: 1.0, dwell: 8.0, stride: 4097 },
+            engine: EngineKnobs { shards: 64, ..EngineKnobs::default() },
+            duration: DurationSpec { rounds: 200, drain: 100.0 },
+            ..base("hotspot16k-adaptive", "moving hotspot on the 64-shard 16k torus")
+        },
+        // 23. Irregular topology I: preferential-attachment hubs. The
         // hotspot's escape routes all funnel through a few high-degree
         // nodes — the opposite of the torus's uniform degree.
         ScenarioSpec {
@@ -274,7 +268,7 @@ pub fn registry() -> Vec<ScenarioSpec> {
             duration: DurationSpec { rounds: 300, drain: 100.0 },
             ..base("scalefree-hotspot", "256-unit hotspot on a 256-node scale-free graph (m=3)")
         },
-        // 25. Irregular topology II: a random-geometric field (uneven
+        // 24. Irregular topology II: a random-geometric field (uneven
         // degree, long shortest paths) under diurnal arrivals.
         ScenarioSpec {
             topology: TopologySpec::Geometric { n: 128, radius: 0.18, seed: 25 },
@@ -289,7 +283,7 @@ pub fn registry() -> Vec<ScenarioSpec> {
             duration: DurationSpec { rounds: 400, drain: 100.0 },
             ..base("geometric-diurnal", "diurnal arrivals on a 128-node random-geometric graph")
         },
-        // 26. Node churn on the torus: Markov join/leave membership under
+        // 25. Node churn on the torus: Markov join/leave membership under
         // Poisson arrivals — leavers drain their queues to live neighbours,
         // joiners start cold (ADR-010).
         ScenarioSpec {
@@ -301,7 +295,7 @@ pub fn registry() -> Vec<ScenarioSpec> {
             duration: DurationSpec { rounds: 300, drain: 100.0 },
             ..base("torus-churn", "Markov node join/leave churn on the torus under arrivals")
         },
-        // 27. The everything-fails case: node churn *and* the Markov link
+        // 26. The everything-fails case: node churn *and* the Markov link
         // up/down process *and* per-transfer link faults, simultaneously.
         ScenarioSpec {
             topology: TopologySpec::Torus { dims: vec![8, 8] },
@@ -315,19 +309,6 @@ pub fn registry() -> Vec<ScenarioSpec> {
         },
     ];
     all
-}
-
-/// The shared body of the `hotspot16k-{static,adaptive}` pair — one
-/// constructor so the two specs can never drift apart in anything but the
-/// repartition knob.
-fn hotspot16k(name: &str, desc: &str, repartition: Option<RepartitionConfig>) -> ScenarioSpec {
-    ScenarioSpec {
-        topology: TopologySpec::Torus { dims: vec![128, 128] },
-        arrival: ArrivalSpec::MovingHotspot { rate: 24.0, size: 1.0, dwell: 8.0, stride: 4097 },
-        engine: EngineKnobs { shards: 64, repartition, ..EngineKnobs::default() },
-        duration: DurationSpec { rounds: 200, drain: 100.0 },
-        ..base(name, desc)
-    }
 }
 
 /// Looks a scenario up by name.
@@ -349,7 +330,7 @@ mod tests {
     #[test]
     fn registry_is_large_and_unique() {
         let all = registry();
-        assert!(all.len() >= 27, "registry has only {} scenarios", all.len());
+        assert!(all.len() >= 26, "registry has only {} scenarios", all.len());
         let names: HashSet<&str> = all.iter().map(|s| s.name.as_str()).collect();
         assert_eq!(names.len(), all.len(), "duplicate scenario names");
         // The ROADMAP-mandated workload families are all present.
@@ -363,7 +344,6 @@ mod tests {
             "torus16k-checkpointed",
             "torus1m-event",
             "hotspot16k-adaptive",
-            "hotspot16k-static",
             "scalefree-hotspot",
             "geometric-diurnal",
             "torus-churn",
@@ -400,34 +380,6 @@ mod tests {
     /// One run at `layout`, split at round `at`.
     fn split_at(at: u64, layout: (usize, usize)) -> Matrix {
         Matrix { layouts: vec![layout], splits: vec![Some(at)] }
-    }
-
-    #[test]
-    fn hotspot16k_pair_is_identical_but_for_the_knob() {
-        let stat = by_name("hotspot16k-static").expect("registered");
-        let adap = by_name("hotspot16k-adaptive").expect("registered");
-        assert!(stat.engine.repartition.is_none());
-        assert_eq!(
-            adap.engine.repartition,
-            Some(RepartitionConfig { every: 8, skew_threshold: 2.0 })
-        );
-        // The shared constructor means the pair can differ in nothing else.
-        let strip = |spec: &ScenarioSpec| {
-            let mut s = spec.clone();
-            s.name = String::new();
-            s.description = String::new();
-            s.engine.repartition = None;
-            s
-        };
-        assert_eq!(strip(&stat), strip(&adap));
-        // In miniature: the adaptive run actually moves the layout, without
-        // moving a byte of the report (the ADR-008 contract).
-        let mut a = adap.smoke(24, 10.0).build_engine().expect("builds");
-        let mut s = stat.smoke(24, 10.0).build_engine().expect("builds");
-        a.run_rounds(24);
-        s.run_rounds(24);
-        assert!(a.repartitions() > 0, "adaptive hotspot16k engine never repartitioned");
-        assert_eq!(a.report(), s.report());
     }
 
     #[test]

@@ -15,9 +15,7 @@ use pp_core::params::PhysicsConfig;
 use pp_sim::balancer::{LoadBalancer, NullBalancer};
 use pp_sim::checkpoint::Checkpoint;
 use pp_sim::churn::ChurnPlan;
-use pp_sim::engine::{
-    Engine, EngineBuilder, EngineConfig, FaultModel, RepartitionConfig, RunReport,
-};
+use pp_sim::engine::{Engine, EngineBuilder, EngineConfig, FaultModel, RunReport};
 use pp_tasking::graph::TaskGraph;
 use pp_tasking::resources::ResourceMatrix;
 use pp_tasking::task::TaskId;
@@ -986,10 +984,6 @@ pub struct EngineKnobs {
     pub shards: usize,
     /// Sweep worker threads (0 = auto: one per core, capped at `K`).
     pub threads: usize,
-    /// Adaptive online repartitioning of the shard decomposition (`None` =
-    /// the build-time uniform layout stays fixed). Repartitioning never
-    /// reaches the report bytes — it only changes per-round sweep cost.
-    pub repartition: Option<RepartitionConfig>,
 }
 
 impl Default for EngineKnobs {
@@ -1002,7 +996,6 @@ impl Default for EngineKnobs {
             max_attempts: d.max_attempts,
             shards: d.shards,
             threads: d.threads,
-            repartition: d.repartition,
         }
     }
 }
@@ -1023,21 +1016,6 @@ impl EngineKnobs {
         }
         if self.max_attempts == 0 {
             return Err("need at least one transfer attempt".into());
-        }
-        if let Some(rp) = self.repartition {
-            if rp.every == 0 {
-                return Err("repartition interval must be > 0 rounds".into());
-            }
-            // Negated so a NaN threshold fails validation; +∞ is legal (the
-            // measure-but-never-fire configuration the differential gate
-            // uses).
-            #[allow(clippy::neg_cmp_op_on_partial_ord)]
-            if !(rp.skew_threshold >= 1.0) {
-                return Err(format!(
-                    "repartition skew_threshold {} must be ≥ 1 (max/mean skew)",
-                    rp.skew_threshold
-                ));
-            }
         }
         Ok(())
     }
@@ -1316,7 +1294,6 @@ impl ScenarioSpec {
             threads: self.engine.threads,
             fault_model: self.faults.build(),
             arrival,
-            repartition: self.engine.repartition,
         };
         let balancer = self.balancer.build(&topo);
         Ok(EngineBuilder::new(topo)
@@ -1441,9 +1418,9 @@ mod tests {
 
     #[test]
     fn retired_parallel_decide_key_is_ignored() {
-        // Spec files written while the `parallel_decide` alias or the
-        // `strategy` knob existed still parse, to the same spec and the
-        // same report bytes (at K = 1 and at K ≥ 2).
+        // Spec files written while the `parallel_decide` alias, the
+        // `strategy` knob or the `repartition` knob existed still parse, to
+        // the same spec and the same report bytes (at K = 1 and at K ≥ 2).
         let bytes = |s: &ScenarioSpec| {
             let report = s.run().expect("runs");
             GoldenReport::from_run(&s.name, s.seed, s.topology.node_count(), &report)
@@ -1454,9 +1431,12 @@ mod tests {
         for spec in [busy_spec(), sharded] {
             let text = spec.to_json_pretty();
             let want = bytes(&spec);
-            for key in
-                ["\"parallel_decide\": true", "\"strategy\": \"tick\"", "\"strategy\": \"event\""]
-            {
+            for key in [
+                "\"parallel_decide\": true",
+                "\"strategy\": \"tick\"",
+                "\"strategy\": \"event\"",
+                "\"repartition\": {\"every\": 8, \"skew_threshold\": 2.0}",
+            ] {
                 let name = key.split(':').next().unwrap();
                 assert!(!text.contains(name));
                 let legacy = text.replace("\"shards\":", &format!("{key},\n    \"shards\":"));

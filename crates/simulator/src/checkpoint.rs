@@ -160,15 +160,16 @@ pub struct Checkpoint {
     pub ledger: Arc<Vec<MigrationRecord>>,
     /// The CoV time series recorded so far.
     pub series: Vec<(f64, f64)>,
-    /// Shard count `K` the activity flags below were captured under. A
-    /// restore into a different `K` discards them (all shards dirty), which
-    /// is report-exact: evaluating a clean shard of a quiescence-stable
-    /// policy emits nothing and draws nothing (ADR-004's skip-safety
-    /// argument, run in reverse).
+    /// Shard count `K` the shard vectors below were captured under.
     pub shard_layout_k: usize,
-    /// Per-shard dirty flags under `shard_layout_k`.
+    /// Per-shard dirty flags under `shard_layout_k`. Written for the
+    /// format, never read back: restore marks every shard dirty, which is
+    /// report-exact (evaluating a clean shard of a quiescence-stable policy
+    /// emits nothing and draws nothing, ADR-004), while the flags belong to
+    /// ranges the format does not record.
     pub shard_dirty: Vec<bool>,
-    /// Per-shard sweep accumulators under `shard_layout_k`.
+    /// Per-shard sweep accumulators under `shard_layout_k`, resumed by a
+    /// restore into the same `K` and restarted otherwise.
     pub shard_accums: Vec<ShardAccum>,
     /// Opaque balancer-internal state from
     /// [`LoadBalancer::save_state`](crate::balancer::LoadBalancer::save_state).

@@ -28,24 +28,6 @@ pub struct FaultModel {
     pub p_up: f64,
 }
 
-/// Adaptive online repartitioning of the shard decomposition: every
-/// `every` rounds the engine compares the max/mean skew of the per-shard
-/// sweep load accumulated since the last check against `skew_threshold`,
-/// and when it is exceeded asks
-/// [`RepartitionPolicy`](pp_topology::partition::RepartitionPolicy) for a better-skewed
-/// contiguous layout. Repartitioning mutates no simulation state and draws
-/// no randomness, so reports stay byte-identical to a static run — only
-/// the per-round sweep cost changes (see `docs/adr/ADR-008-adaptive-
-/// repartitioning.md`).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RepartitionConfig {
-    /// Rounds between skew checks (a check is O(K); 0 disables checking).
-    pub every: u64,
-    /// Fire when max/mean per-shard load skew exceeds this (1.0 is
-    /// perfectly balanced; `f64::INFINITY` measures but never fires).
-    pub skew_threshold: f64,
-}
-
 /// Engine configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct EngineConfig {
@@ -58,11 +40,12 @@ pub struct EngineConfig {
     /// Transfer attempts per hop before the load bounces back.
     pub max_attempts: u32,
     /// Number of spatial shards `K` the decision sweep is partitioned into
-    /// (0 = auto: 1). Clamped to the node count. `K = 1` is the skip-free
-    /// sequential reference: every round runs in full. `K ≥ 2` with a
-    /// [`LoadBalancer::quiescence_stable`] policy skips clean shards inside
-    /// a round and fast-forwards effect-free rounds in closed form
-    /// (byte-identical reports either way — see
+    /// (0 = auto: 1): contiguous node-id bands within ±1 node of each
+    /// other, fixed for the engine's lifetime. Clamped to the node count.
+    /// `K = 1` is the skip-free sequential reference: every round runs in
+    /// full. `K ≥ 2` with a [`LoadBalancer::quiescence_stable`] policy
+    /// skips clean shards inside a round and fast-forwards effect-free
+    /// rounds in closed form (byte-identical reports either way — see
     /// `docs/adr/ADR-006-event-strategy.md`).
     pub shards: usize,
     /// Worker threads for the shard sweep (0 = auto: one per available
@@ -73,9 +56,6 @@ pub struct EngineConfig {
     pub fault_model: Option<FaultModel>,
     /// Dynamic task arrivals.
     pub arrival: ArrivalProcess,
-    /// Adaptive online repartitioning (None = the build-time uniform
-    /// layout stays fixed for the life of the engine).
-    pub repartition: Option<RepartitionConfig>,
 }
 
 impl Default for EngineConfig {
@@ -89,7 +69,6 @@ impl Default for EngineConfig {
             threads: 0,
             fault_model: None,
             arrival: ArrivalProcess::Quiescent,
-            repartition: None,
         }
     }
 }
@@ -250,7 +229,7 @@ impl EngineBuilder {
         Engine {
             membership: Membership::new(&state, self.churn, c.weight_c),
             flights: Flights::new(idgen, self.trace, arrivals),
-            books: Bookkeeping::new(sweep.shards.len(), state.cov()),
+            books: Bookkeeping::new(state.cov()),
             sweep,
             state,
             balancer,

@@ -11,14 +11,15 @@
 //! | decide | `sweep` | partition, shard slots (outboxes, node RNGs, counters), pool, dirty flags, consume memo | a clean shard re-emits nothing; a memo bit implies dirty shards |
 //! | commit and events | `flights` | event queue, flight slab and free list, in-flight total, ledger, arrivals | free list = empty slots; one pending arrival per occupied slot |
 //! | consume | `consume` | nothing; steps resident work | a consumer marks its shards once per sweep window |
-//! | bookkeeping | `bookkeeping` | CoV series and skip memo, repartition window, counters | one sample per round; memo = `cov()` of unchanged state |
+//! | bookkeeping | `bookkeeping` | CoV series and skip memo, counters | one sample per round; memo = `cov()` of unchanged state |
 //!
 //! This module is the one round driver, and `builder` holds the
 //! configuration and [`EngineBuilder`]. A round runs in full when something
 //! can happen at its tick — the events due before it, each preceded by
 //! consumption, then churn, faults, `begin_round`, the sweep, the commit
-//! and a CoV sample — and is fast-forwarded in closed form otherwise; the
-//! repartition check follows every round. Only `K ≥ 2` with a
+//! and a CoV sample — and is fast-forwarded in closed form otherwise. The
+//! shard layout is the uniform split of [`Partition::new`], fixed for the
+//! engine's lifetime. Only `K ≥ 2` with a
 //! [`LoadBalancer::quiescence_stable`] policy skips (clean shards, quiet
 //! rounds), provably without observable effect (ADR-004, ADR-006); `K = 1`
 //! is the skip-free reference. Checkpoint capture and [`Engine::restore`]
@@ -31,7 +32,7 @@ mod flights;
 mod membership;
 mod sweep;
 
-pub use builder::{EngineBuilder, EngineConfig, FaultModel, RepartitionConfig};
+pub use builder::{EngineBuilder, EngineConfig, FaultModel};
 
 use crate::balancer::{GlobalView, LoadBalancer};
 use crate::checkpoint::Checkpoint;
@@ -204,14 +205,14 @@ impl Engine {
     pub fn run_rounds(&mut self, n: u64) -> &mut Self {
         for _ in 0..n {
             self.run_round();
-            self.books.maybe_repartition(&self.config, self.round, &mut self.sweep);
         }
         self
     }
 
-    /// Adaptive repartitions applied so far.
+    /// Always 0: the shard layout never changes after build. Kept because
+    /// benchmark harnesses still read it.
     pub fn repartitions(&self) -> u64 {
-        self.books.repartitions
+        0
     }
 
     /// One balance round: the full pipeline when something can happen at
@@ -459,9 +460,8 @@ impl Engine {
         }
         self.state.restore_stats(cp.stats);
         self.engine_rng = StdRng::from_state(cp.engine_rng);
-        self.sweep.restore(cp, self.config.repartition.is_some());
+        self.sweep.restore(cp);
         (self.membership, self.flights, self.books) = (membership, flights, books);
-        self.books.rebase(&self.sweep);
         (self.time, self.next_tick, self.round) = (cp.time, cp.next_tick, cp.round);
         Ok(())
     }
@@ -1034,8 +1034,10 @@ mod tests {
 
     #[test]
     fn checkpoint_preserves_quiescence_skip_state_on_same_layout() {
-        // A quiescence-stable policy asleep at capture time stays asleep
-        // after a same-layout restore (the dirty flags ride along).
+        // A quiescence-stable policy asleep at capture time is asleep again
+        // one sweep after a same-layout restore: the shard counters ride
+        // along, and restore marks every shard dirty, so each is evaluated
+        // once, emits nothing and goes clean.
         let build = || {
             EngineBuilder::new(Topology::torus(&[4, 4]))
                 .workload(Workload::hotspot(16, 0, 8.0))
@@ -1051,8 +1053,11 @@ mod tests {
         r.restore(&cp).expect("restore");
         r.run_rounds(6);
         e.run_rounds(6);
-        assert_eq!(r.shard_stats(), e.shard_stats());
-        assert_eq!(r.shard_stats().ticks_evaluated, 4, "no re-evaluation after restore");
+        let (rs, es) = (r.shard_stats(), e.shard_stats());
+        assert_eq!(es.ticks_evaluated, 4, "the straight run never wakes");
+        assert_eq!(rs.ticks_evaluated, 8, "one re-evaluation of each shard after restore");
+        assert_eq!(rs.ticks_skipped, es.ticks_skipped);
+        assert_eq!(r.report(), e.report());
     }
 
     #[test]
@@ -1317,7 +1322,7 @@ mod tests {
     #[test]
     fn occupied_walk_yields_every_set_bit_of_any_range_in_order() {
         // Ranges start and end on, just before and just after word edges,
-        // as a repartitioned shard's may.
+        // as a shard's range may.
         let mut x = 0x9E37_79B9_7F4A_7C15u64;
         let mut next = move || {
             x ^= x << 13;
@@ -1376,11 +1381,11 @@ mod tests {
         assert!(ev.sweep.shards[s].dirty, "consumption after a clean sweep re-dirties the shard");
         assert_eq!(ev.sweep.consume_marked[0], 1 << 5);
 
-        // A restore between windows drops the memo with the timeline, so
-        // the first consumption after it marks the (restored clean) shard.
+        // A restore between windows drops the memo with the timeline and
+        // marks every shard dirty, so the consumer's shard runs next round.
         ev.restore(&cp).unwrap();
         assert!(ev.sweep.consume_marked.iter().all(|&w| w == 0), "restore clears the memo");
-        assert!(!ev.sweep.shards[s].dirty);
+        assert!(ev.sweep.shards.iter().all(|slot| slot.dirty), "restore marks every shard");
         let swept = ev.sweep.shards[s].accum.ticks_evaluated;
         ev.run_rounds(1);
         assert_eq!(ev.sweep.shards[s].accum.ticks_evaluated, swept + 1, "the consumer's shard ran");
@@ -1486,106 +1491,37 @@ mod tests {
         }
     }
 
-    /// A moving-hotspot engine: arrivals concentrate on one walking node,
-    /// so per-shard sweep load is persistently skewed — the regime
-    /// adaptive repartitioning exists for.
-    fn hotspot_engine(
-        shards: usize,
-        threads: usize,
-        repartition: Option<RepartitionConfig>,
-    ) -> Engine {
-        EngineBuilder::new(Topology::torus(&[8, 8]))
-            .balancer(GreedyStable)
-            .config(EngineConfig {
-                shards,
-                threads,
-                repartition,
-                arrival: ArrivalProcess::MovingHotspot {
-                    rate: 6.0,
-                    size: 1.0,
-                    dwell: 8.0,
-                    stride: 13,
-                },
-                ..Default::default()
-            })
-            .seed(23)
-            .build()
-    }
-
-    const ADAPTIVE: RepartitionConfig = RepartitionConfig { every: 4, skew_threshold: 1.5 };
-
     #[test]
-    fn adaptive_repartition_fires_and_keeps_report_bytes() {
-        let mut adaptive = hotspot_engine(8, 1, Some(ADAPTIVE));
-        adaptive.run_rounds(60);
-        adaptive.drain(20.0);
-        assert!(adaptive.repartitions() > 0, "skewed hotspot load must trigger repartitioning");
-        // K is invariant under adaptation (only the cut points move), which
-        // is what lets the pinned pool keep its workers.
-        assert_eq!(adaptive.partition().shard_count(), 8);
-
-        let mut statik = hotspot_engine(8, 1, None);
-        statik.run_rounds(60);
-        statik.drain(20.0);
-        // Repartitioning mutates no simulation state and draws no RNG:
-        // every recorded artifact is identical to the static run's.
-        assert_eq!(adaptive.report(), statik.report());
-        assert_eq!(adaptive.heights(), statik.heights());
-    }
-
-    #[test]
-    fn adaptive_repartition_infinite_threshold_never_fires() {
-        // `pp-lab --verify`'s frozen knob: check every round,
-        // fire never. Must be byte-identical to static *and* apply zero
-        // repartitions.
-        let knob = RepartitionConfig { every: 1, skew_threshold: f64::INFINITY };
-        let mut measured = hotspot_engine(8, 1, Some(knob));
-        measured.run_rounds(40);
-        measured.drain(10.0);
-        assert_eq!(measured.repartitions(), 0);
-
-        let mut statik = hotspot_engine(8, 1, None);
-        statik.run_rounds(40);
-        statik.drain(10.0);
-        assert_eq!(measured.report(), statik.report());
-    }
-
-    #[test]
-    fn adaptive_repartition_crosses_layouts() {
-        let run = |k, t| {
-            let mut e = hotspot_engine(k, t, Some(ADAPTIVE));
-            e.run_rounds(50);
-            e.drain(20.0);
-            e.report()
+    fn restore_sweeps_every_shard_whatever_the_captured_flags() {
+        // The captured dirty flags belong to the writer's shard ranges,
+        // which the checkpoint does not record, so restore must not trust
+        // them. A hotspot drains over 12-unit links, so no landing re-marks
+        // its shard for rounds after the capture: resumed with forged
+        // all-clean flags, a restore that trusted them would skip it.
+        let build = || {
+            let topo = Topology::torus(&[8, 8]);
+            let slow = LinkAttrs { distance: 12.0, ..LinkAttrs::default() };
+            EngineBuilder::new(topo.clone())
+                .links(LinkMap::uniform(&topo, slow))
+                .workload(Workload::hotspot(64, 27, 24.0))
+                .balancer(GreedyStable)
+                .config(EngineConfig { shards: 4, threads: 1, ..Default::default() })
+                .seed(5)
+                .build()
         };
-        let want = run(1, 1);
-        for (k, t) in [(4, 1), (8, 2), (16, 4)] {
-            assert_eq!(want, run(k, t), "K={k} T={t}");
-        }
-    }
-
-    #[test]
-    fn checkpoint_crosses_adaptive_repartitioning() {
-        // Capture mid-run from an engine that has already repartitioned,
-        // resume under a different (shards, threads) execution layout with
-        // the knob still on: the report must land on the straight run's
-        // exact bytes.
-        let mut straight = hotspot_engine(8, 1, Some(ADAPTIVE));
-        straight.run_rounds(60);
-        straight.drain(20.0);
-        let want = straight.report();
-
-        let mut writer = hotspot_engine(8, 1, Some(ADAPTIVE));
-        writer.run_rounds(25);
-        assert!(writer.repartitions() > 0, "capture must happen after an adaptation");
-        let cp = Checkpoint::from_json(&writer.checkpoint().to_json()).expect("round trip");
-        for (k, t) in [(8, 1), (4, 2), (16, 4)] {
-            let mut resumed = hotspot_engine(k, t, Some(ADAPTIVE));
-            resumed.restore(&cp).expect("restore");
-            resumed.run_rounds(35);
-            resumed.drain(20.0);
-            assert_eq!(resumed.report(), want, "adaptive resume under K={k} threads={t}");
-        }
+        let mut straight = build();
+        straight.run_rounds(40);
+        straight.drain(40.0);
+        let mut writer = build();
+        writer.run_rounds(6);
+        let mut cp = writer.checkpoint();
+        assert!(cp.shard_dirty.contains(&true), "the capture must be busy");
+        cp.shard_dirty.fill(false);
+        let mut resumed = build();
+        resumed.restore(&cp).expect("restore");
+        resumed.run_rounds(34);
+        resumed.drain(40.0);
+        assert_eq!(resumed.report(), straight.report());
     }
 
     #[test]

@@ -23,9 +23,9 @@ use rand::rngs::StdRng;
 /// The one occupied-node walk of the decision sweep: yields, in ascending
 /// order, every node in `[start, end)` whose bit is set in a node bitset
 /// ([`NODE_WORD`] nodes per word, as [`SystemState::occupied_words`] lays
-/// it out). A shard's range need not be word-aligned after a repartition,
-/// so the first and last words are masked to the range. A walk over n
-/// nodes costs n/64 word loads plus O(occupied nodes).
+/// it out). A shard's range need not be word-aligned (`n/K` rarely is a
+/// multiple of 64), so the first and last words are masked to the range.
+/// A walk over n nodes costs n/64 word loads plus O(occupied nodes).
 #[derive(Debug)]
 pub(super) struct OccupiedWalk<'a> {
     words: &'a [u64],
@@ -114,14 +114,11 @@ pub(super) struct Sweep {
     /// Resolved sweep worker count (1 = inline, no pool).
     threads: usize,
     /// Lazily created persistent pool (only when `threads > 1`); its
-    /// affinity depends on `(threads, K)` alone, so it survives restores
-    /// and repartitions.
+    /// affinity depends on `(threads, K)` alone, so it survives restores.
     pool: Option<ShardPool>,
     /// Consumers already marked dirty in the current tick window, one bit
     /// per node in the occupancy layout (empty when `consume_rate` is 0).
     pub(super) consume_marked: Vec<u64>,
-    /// Reused staging buffer carrying the node streams across a refit.
-    rng_scratch: Vec<StdRng>,
 }
 
 impl Sweep {
@@ -150,7 +147,7 @@ impl Sweep {
             .collect();
         let memo = if c.consume_rate > 0.0 { n.div_ceil(NODE_WORD) } else { 0 };
         let consume_marked = vec![0; memo];
-        Sweep { partition, shards, threads, pool: None, consume_marked, rng_scratch: Vec::new() }
+        Sweep { partition, shards, threads, pool: None, consume_marked }
     }
 
     /// Whether clean shards and effect-free rounds may be skipped: only at
@@ -303,46 +300,6 @@ impl Sweep {
         }
     }
 
-    /// Swaps in a new contiguous layout with the same K, carrying the node
-    /// streams over by node id; nothing simulated changes. A new shard is
-    /// dirty iff it covers a node of an old dirty shard: with all outboxes
-    /// drained, one covering only clean nodes is provably quiescent.
-    /// (All-dirty would also be exact, but would sweep everything after
-    /// each repartition — the cost repartitioning exists to save.)
-    pub(super) fn refit(&mut self, ranges: Vec<(u32, u32)>) {
-        debug_assert_eq!(ranges.len(), self.shards.len());
-        let old_dirty: Vec<(u32, u32)> = (0..self.shards.len())
-            .filter(|&s| self.shards[s].dirty)
-            .map(|s| self.partition.range(s))
-            .collect();
-        let mut carried = std::mem::take(&mut self.rng_scratch);
-        for slot in &mut self.shards {
-            carried.append(&mut slot.rngs);
-        }
-        self.partition.refit(ranges);
-        self.reseat(carried.drain(..), |lo, hi| old_dirty.iter().any(|&(a, b)| a < hi && lo < b));
-        self.rng_scratch = carried;
-    }
-
-    /// The slot reset of a refit and a restore: streams from `rngs` in
-    /// node-id order, empty outboxes, and the flag `dirty(range)`.
-    fn reseat(&mut self, mut rngs: impl Iterator<Item = StdRng>, dirty: impl Fn(u32, u32) -> bool) {
-        for (s, slot) in self.shards.iter_mut().enumerate() {
-            let (start, end) = self.partition.range(s);
-            slot.rngs.clear();
-            slot.rngs.extend(rngs.by_ref().take((end - start) as usize));
-            slot.intents.clear();
-            slot.spans.clear();
-            slot.evaluated = false;
-            slot.dirty = dirty(start, end);
-        }
-    }
-
-    /// Per-shard `nodes_evaluated` totals, in shard order.
-    pub(super) fn evaluated(&self) -> impl Iterator<Item = u64> + '_ {
-        self.shards.iter().map(|s| s.accum.nodes_evaluated)
-    }
-
     /// Sweep counters merged over all shards, in fixed shard order.
     pub(super) fn stats(&self) -> ShardAccum {
         let mut total = ShardAccum::new();
@@ -387,15 +344,23 @@ impl Sweep {
         Ok(())
     }
 
-    /// Applies a checked checkpoint. The activity flags resume only on the
-    /// same K without adaptive repartitioning (which may have moved the
-    /// ranges); otherwise every shard goes dirty, which is report-exact
-    /// (ADR-004): only the diagnostic counters differ.
-    pub(super) fn restore(&mut self, cp: &Checkpoint, adaptive: bool) {
-        let same = cp.shard_layout_k == self.shards.len() && !adaptive;
-        self.reseat(cp.node_rngs.iter().map(|&s| StdRng::from_state(s)), |_, _| true);
+    /// Applies a checked checkpoint: the node streams by node id, empty
+    /// outboxes, and every shard dirty. Dirty-all is report-exact
+    /// (ADR-004): a sweep that finds nothing to do emits nothing and
+    /// re-cleans its shard. The captured flags are not trusted, because
+    /// format v1 does not record the ranges they were written under. The
+    /// shard counters resume on the same K and restart otherwise.
+    pub(super) fn restore(&mut self, cp: &Checkpoint) {
+        let same = cp.shard_layout_k == self.shards.len();
+        let mut rngs = cp.node_rngs.iter().map(|&s| StdRng::from_state(s));
         for (s, slot) in self.shards.iter_mut().enumerate() {
-            slot.dirty = !same || cp.shard_dirty[s];
+            let (start, end) = self.partition.range(s);
+            slot.rngs.clear();
+            slot.rngs.extend(rngs.by_ref().take((end - start) as usize));
+            slot.intents.clear();
+            slot.spans.clear();
+            slot.evaluated = false;
+            slot.dirty = true;
             slot.accum = if same { cp.shard_accums[s] } else { ShardAccum::new() };
         }
         self.consume_marked.fill(0);

@@ -34,7 +34,7 @@ pub mod prelude {
     pub use crate::checkpoint::{Checkpoint, CHECKPOINT_VERSION};
     pub use crate::churn::{ChurnEvent, ChurnPlan};
     pub use crate::engine::{
-        Engine, EngineBuilder, EngineConfig, FaultModel, RepartitionConfig, RunReport, ShardLayout,
+        Engine, EngineBuilder, EngineConfig, FaultModel, RunReport, ShardLayout,
     };
     pub use crate::parallel::par_map;
     pub use crate::pool::ShardPool;
