@@ -45,7 +45,7 @@
 //!
 //! ```text
 //! bench_ticks [--smoke] [--enforce] [--dense] [--shards K] [--threads T]
-//!             [--out PATH] [--baseline PATH] [--check PATH]
+//!             [--out PATH] [--baseline PATH] [--check PATH] [--help]
 //! ```
 //!
 //! * `--smoke`      few iterations (CI keep-alive; numbers are meaningless)
@@ -74,11 +74,16 @@
 //! * `--check PATH` parse PATH as JSON and exit (0 = parses, 1 = does
 //!   not, with a missing file reported as `NOT FOUND` rather than a parse
 //!   error); no benchmark is run
+//! * `--help`, `-h` print the usage and exit 0; no benchmark is run
+//!
+//! Any other argument, a malformed count, or `--smoke` with `--enforce`
+//! prints the usage and exits 2 without measuring or writing anything.
 //!
 //! The benchmark also verifies that the sequential and sharded pipelines
 //! produce identical run outcomes for the same seed (`reports_identical`),
 //! including multi-threaded sweeps and the jittered dense workload.
 
+use pp_bench::args::Args;
 use pp_core::balancer::ParticlePlaneBalancer;
 use pp_core::jitter::FrictionJitter;
 use pp_core::params::PhysicsConfig;
@@ -87,6 +92,74 @@ use pp_tasking::workload::Workload;
 use pp_topology::graph::Topology;
 use serde::{Serialize, Value};
 use std::time::Instant;
+
+const USAGE: &str = "usage: bench_ticks [--smoke] [--enforce] [--dense] [--shards K] \
+                     [--threads T]\n                   [--out PATH] [--baseline PATH] \
+                     [--check PATH] [--help]\n";
+
+/// Flags that take no value.
+const SWITCHES: &[&str] = &["--smoke", "--enforce", "--dense", "--help", "-h"];
+
+/// Flags that take a value.
+const VALUE_FLAGS: &[&str] = &["--shards", "--threads", "--out", "--baseline", "--check"];
+
+/// What a command line asks for.
+#[derive(Debug, PartialEq)]
+enum Command {
+    /// Print the usage.
+    Help,
+    /// Check that a file parses as JSON.
+    Check(String),
+    /// Run the benchmark.
+    Bench(Options),
+}
+
+/// The benchmark's settings (see the module docs).
+#[derive(Debug, PartialEq)]
+struct Options {
+    smoke: bool,
+    enforce: bool,
+    dense_only: bool,
+    /// `*_shard` shard count override (0 = each scenario's own).
+    shards: usize,
+    /// Worker-thread override (0 = each scenario's own).
+    threads: usize,
+    out: String,
+    baseline: Option<String>,
+}
+
+/// Parses the command line. Refuses an unknown flag, a stray argument, a
+/// count that does not parse, and `--enforce` with `--smoke`: smoke
+/// numbers are explicitly meaningless (warm-up is one round, the system
+/// never quiesces, and the ratio is noise), so they are never gated on.
+fn parse_args(args: &[String]) -> Result<Command, String> {
+    let a = Args::parse(args, SWITCHES, VALUE_FLAGS)?;
+    if let Some(extra) = a.names.first() {
+        return Err(format!("unexpected argument `{extra}`"));
+    }
+    if a.flag("--help") || a.flag("-h") {
+        return Ok(Command::Help);
+    }
+    if let Some(path) = a.opt("--check") {
+        return Ok(Command::Check(path.to_string()));
+    }
+    let count = |flag: &str| -> Result<usize, String> {
+        a.opt(flag).map_or(Ok(0), |v| v.parse().map_err(|_| format!("{flag} {v}: not a count")))
+    };
+    let o = Options {
+        smoke: a.flag("--smoke"),
+        enforce: a.flag("--enforce"),
+        dense_only: a.flag("--dense"),
+        shards: count("--shards")?,
+        threads: count("--threads")?,
+        out: a.opt("--out").unwrap_or("BENCH_9.json").to_string(),
+        baseline: a.opt("--baseline").map(String::from),
+    };
+    if o.smoke && o.enforce {
+        return Err("--enforce requires full measurement mode; drop --smoke".into());
+    }
+    Ok(Command::Bench(o))
+}
 
 const SEED: u64 = 42;
 const LOAD_PER_NODE: f64 = 10.0;
@@ -501,12 +574,13 @@ fn expectations(scenarios: &[Measurement], cores: usize) -> Vec<Expectation> {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let flag = |name: &str| args.iter().any(|a| a == name);
-    let opt =
-        |name: &str| args.iter().position(|a| a == name).and_then(|i| args.get(i + 1)).cloned();
-
-    if let Some(path) = opt("--check") {
-        match pp_bench::check_json_file(&path) {
+    let opts = match parse_args(&args) {
+        Ok(Command::Bench(opts)) => opts,
+        Ok(Command::Help) => {
+            print!("{USAGE}");
+            return;
+        }
+        Ok(Command::Check(path)) => match pp_bench::check_json_file(&path) {
             Ok(()) => {
                 println!("{path}: OK (valid JSON)");
                 return;
@@ -515,24 +589,15 @@ fn main() {
                 eprintln!("{path}: {e}");
                 std::process::exit(1);
             }
+        },
+        Err(e) => {
+            eprint!("error: {e}\n{USAGE}");
+            std::process::exit(2);
         }
-    }
-
-    let smoke = flag("--smoke");
-    let enforce = flag("--enforce");
-    let dense_only = flag("--dense");
-    if smoke && enforce {
-        // Smoke numbers are explicitly meaningless: warm-up is one round,
-        // the system never quiesces, and the ratio is noise. Refuse rather
-        // than gate on it.
-        eprintln!("error: --enforce requires full measurement mode; drop --smoke");
-        std::process::exit(2);
-    }
-    let shards_override: usize =
-        opt("--shards").map(|s| s.parse().expect("--shards N")).unwrap_or(0);
-    let threads: usize = opt("--threads").map(|s| s.parse().expect("--threads N")).unwrap_or(0);
-    let out_path = opt("--out").unwrap_or_else(|| "BENCH_9.json".to_string());
-    let baseline = opt("--baseline").map(|p| match extract_baseline(&p) {
+    };
+    let Options { smoke, enforce, dense_only, shards: shards_override, threads, .. } = opts;
+    let out_path = opts.out;
+    let baseline = opts.baseline.map(|p| match extract_baseline(&p) {
         Ok(b) => b,
         Err(e) => {
             eprintln!("error: {e}");
@@ -690,5 +755,50 @@ fn main() {
             );
         }
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Command, String> {
+        parse_args(&line.split_whitespace().map(String::from).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn help_and_bad_arguments_never_reach_the_benchmark() {
+        assert_eq!(parse("--help"), Ok(Command::Help));
+        assert_eq!(parse("-h --smoke"), Ok(Command::Help));
+        assert_eq!(parse("--check BENCH_9.json"), Ok(Command::Check("BENCH_9.json".into())));
+        assert_eq!(parse("--smok"), Err("unknown flag `--smok`".into()));
+        assert_eq!(parse("--smoke extra"), Err("unexpected argument `extra`".into()));
+        assert_eq!(parse("--out"), Err("--out requires a value".into()));
+        assert_eq!(parse("--shards four"), Err("--shards four: not a count".into()));
+        assert!(parse("--smoke --enforce").unwrap_err().contains("drop --smoke"));
+        // An unknown flag is refused even beside `--help`.
+        assert!(parse("--help --verbose").is_err());
+    }
+
+    #[test]
+    fn options_default_to_the_full_run() {
+        let full = Options {
+            smoke: false,
+            enforce: false,
+            dense_only: false,
+            shards: 0,
+            threads: 0,
+            out: "BENCH_9.json".into(),
+            baseline: None,
+        };
+        assert_eq!(parse(""), Ok(Command::Bench(full)));
+        let Ok(Command::Bench(o)) =
+            parse("--dense --enforce --shards 8 --threads 2 --out b.json --baseline BENCH_8.json")
+        else {
+            panic!("a valid command line");
+        };
+        assert!(o.dense_only && o.enforce && !o.smoke);
+        assert_eq!((o.shards, o.threads, o.out.as_str()), (8, 2, "b.json"));
+        assert_eq!(o.baseline.as_deref(), Some("BENCH_8.json"));
     }
 }

@@ -8,6 +8,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod args;
 pub mod paper;
 
 use pp_sim::balancer::LoadBalancer;

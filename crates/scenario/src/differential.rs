@@ -8,8 +8,8 @@
 //! fast-forwards effect-free rounds, so the comparison checks that
 //! skipping too.
 //! Equality means byte-identical canonical [`GoldenReport`] JSON, without
-//! the layout metadata line, *and* an equal [`RunReport`] (every
-//! migration-ledger record included).
+//! the layout metadata line, *and* an equal [`RunReport`] (the
+//! migration ledger's digest of every hop included).
 //!
 //! A split variant runs its first half under its own layout, checkpoints
 //! through the serialized JSON form, and resumes the second half in a
@@ -20,7 +20,8 @@
 //!
 //! On a mismatch the error names the scenario, the variant and the first
 //! diverging round (the first unequal `cov_series` sample); when the series
-//! agree it names the first unequal report field or ledger record.
+//! agree it names the first unequal report field, or says that the ledger
+//! digest differs.
 //!
 //! ```
 //! use pp_scenario::differential::{check, Matrix};
@@ -147,7 +148,7 @@ pub fn check_with(
 
 /// Names what differs between the reference and a variant: the first
 /// unequal CoV sample (sample `i` is taken after round `i`), else the first
-/// unequal report field, else the first unequal ledger record.
+/// unequal report field, else the ledger digest (which covers every hop).
 fn divergence(
     (want_text, want): (&str, &RunReport),
     (got_text, got): (&str, &RunReport),
@@ -165,11 +166,10 @@ fn divergence(
         let field = line.trim().split(':').next().unwrap_or(line).trim_matches('"');
         return format!("cov_series agrees; first unequal field `{field}`");
     }
-    let (a, b) = (want.ledger.records(), got.ledger.records());
-    match (0..a.len().max(b.len())).find(|&j| a.get(j) != b.get(j)) {
-        Some(j) => format!("reports agree but migration ledger record {j} differs"),
-        None => "reports differ outside the golden fields and the ledger".into(),
+    if want.ledger.digest() != got.ledger.digest() {
+        return "reports agree but the ledger digest differs".into();
     }
+    "reports differ outside the golden fields and the ledger digest".into()
 }
 
 #[cfg(test)]

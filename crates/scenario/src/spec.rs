@@ -1076,7 +1076,7 @@ impl Default for DurationSpec {
 /// straight from the checkpoint, never held whole in memory: the buffer
 /// keeps the number of `write` calls, and with them the kernel's per-call
 /// cost, small beside the cost of formatting the bytes (the default 8 KiB
-/// made one call per ~44 ledger records). The file is fsynced
+/// buffer makes eight times as many). The file is fsynced
 /// before the rename and, on Unix, its directory after it, so once this
 /// returns `Ok` a power loss keeps the new checkpoint. If writing or the
 /// rename fails, the `.tmp` sibling is removed and `path` keeps its

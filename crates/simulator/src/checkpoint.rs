@@ -8,16 +8,24 @@
 //! in-flight load slab and its free list, every RNG stream (the engine's
 //! own and the per-node decision streams, which are layout-independent),
 //! the dynamic link-fault bitset, the task-id generator position, the
-//! recorded metrics (CoV series and traffic ledger), per-shard activity
-//! flags, and opaque balancer-internal state via
+//! recorded metrics (CoV series and the traffic ledger's running state),
+//! the per-shard sweep counters, and opaque balancer-internal state via
 //! [`LoadBalancer::save_state`](crate::balancer::LoadBalancer::save_state).
+//!
+//! A checkpoint holds state, not history: the ledger is its constant-size
+//! [`LedgerState`] (totals, hop count, a digest of every hop, and the
+//! heat–traffic co-moments), so a checkpoint's size does not grow with
+//! the hops a run has made.
 //!
 //! What it deliberately does **not** capture is the static configuration —
 //! topology, link attributes, balancer construction, node speeds, the
-//! replay trace, engine knobs. A restore always targets an engine freshly
-//! built from the same spec; the checkpoint carries a fingerprint (node
-//! count, edge count, trace length, balancer name) so a mismatched restore
-//! fails loudly instead of corrupting silently.
+//! replay trace, the churn plan, engine knobs. A restore always targets an
+//! engine freshly built from the same spec; the checkpoint carries a
+//! fingerprint (node count, edge count, trace length, balancer name, and
+//! the count and digest of the churn events applied by its round) so a
+//! mismatched restore fails loudly instead of corrupting silently. The
+//! churn fingerprint covers only the applied prefix, so a checkpoint
+//! resumes a run of the same spec under a longer horizon too.
 //!
 //! **Execution layout is not state.** The worker count and the shard pool's
 //! shard→worker affinity map are deliberately excluded from both the
@@ -25,8 +33,8 @@
 //! restore into a `threads = 1` engine (and vice versa) with byte-identical
 //! continuation, because affinity only decides *where* a shard's sweep
 //! runs, never what it computes. Only `shard_layout_k` (the spatial K) is
-//! recorded, and then only to decide whether the activity flags carry over
-//! or everything conservatively re-marks dirty.
+//! recorded, to decide whether the shard counters carry over; a restore
+//! marks every shard dirty.
 //!
 //! ## Exactness
 //!
@@ -39,9 +47,8 @@
 //!    (`{:?}` shortest-round-trip rendering) and parser (correctly rounded
 //!    `str::parse::<f64>`);
 //! 2. accumulated values (node heights, `Σh`/`Σh²`, in-flight load, ledger
-//!    totals) are restored from their captured values — or rebuilt by
-//!    replaying the identical addition sequence — never recomputed by a
-//!    different summation order;
+//!    totals and co-moments) are restored from their captured values, never
+//!    recomputed by a different summation order;
 //! 3. RNG streams are captured as raw xoshiro256++ state words and resume
 //!    mid-stream.
 //!
@@ -50,23 +57,26 @@
 //! The JSON carries a leading `"version"` field, checked before anything
 //! else is parsed; unknown versions are rejected with an error (never a
 //! panic — checkpoint bytes are untrusted input, and corrupt or truncated
-//! files must fail cleanly too). See
+//! files must fail cleanly too). This build writes version 2 and still
+//! reads version 1, whose per-hop ledger records it folds through
+//! [`TrafficLedger::record`](pp_metrics::ledger::TrafficLedger::record) —
+//! the same additions in the same order, so the totals, digest and
+//! co-moments come out bit-identical to the run that wrote them. See
 //! `docs/adr/ADR-005-checkpoint-resume.md`.
 
 use crate::events::Event;
 use crate::state::StatSnapshot;
-use pp_metrics::ledger::MigrationRecord;
+use pp_metrics::ledger::{LedgerState, MigrationRecord, TrafficLedger};
 use pp_metrics::shard::ShardAccum;
 use pp_tasking::task::{Task, TaskId};
 use serde::{Deserialize, Value};
 use serde_json::{Hole, Line, Writer};
 use std::io;
-use std::sync::Arc;
 
 /// The current checkpoint format version. Bump on any incompatible change
 /// to the serialized shape and teach [`Checkpoint::from_json`] to either
 /// migrate or reject the older versions explicitly.
-pub const CHECKPOINT_VERSION: u32 = 1;
+pub const CHECKPOINT_VERSION: u32 = 2;
 
 /// How far below zero [`Engine::restore`](crate::engine::Engine::restore)
 /// accepts a checkpoint's accumulated `in_flight_load`, relative to its
@@ -101,6 +111,17 @@ pub struct FlightSnap {
     pub attempts: u32,
     /// Whether the transfer exhausted its attempt budget and bounced.
     pub bounced: bool,
+}
+
+/// The churn events an engine had applied when it was captured: how many,
+/// and a digest of them in plan order. A restore requires its own plan's
+/// prefix up to the checkpoint's round to match.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ChurnPrefix {
+    /// Events applied by the checkpoint's round.
+    pub events: usize,
+    /// Digest of those events (0 when there are none).
+    pub digest: u64,
 }
 
 /// A complete dynamic-state snapshot of a running engine. Build with
@@ -153,33 +174,22 @@ pub struct Checkpoint {
     pub queue_seq: u64,
     /// Pending events as `(time, seq, event)` in pop order.
     pub queue: Vec<(f64, u64, Event)>,
-    /// Every migration record so far (totals are rebuilt by replaying the
-    /// identical addition sequence). Capture shares the engine's own list;
-    /// an engine that records again while this checkpoint is alive copies
-    /// the list first.
-    pub ledger: Arc<Vec<MigrationRecord>>,
+    /// The traffic ledger's running state, verbatim.
+    pub ledger: LedgerState,
     /// The CoV time series recorded so far.
     pub series: Vec<(f64, f64)>,
-    /// Shard count `K` the shard vectors below were captured under.
+    /// Shard count `K` the shard counters below were captured under.
     pub shard_layout_k: usize,
-    /// Per-shard dirty flags under `shard_layout_k`. Written for the
-    /// format, never read back: restore marks every shard dirty, which is
-    /// report-exact (evaluating a clean shard of a quiescence-stable policy
-    /// emits nothing and draws nothing, ADR-004), while the flags belong to
-    /// ranges the format does not record.
-    pub shard_dirty: Vec<bool>,
     /// Per-shard sweep accumulators under `shard_layout_k`, resumed by a
     /// restore into the same `K` and restarted otherwise.
     pub shard_accums: Vec<ShardAccum>,
     /// Opaque balancer-internal state from
     /// [`LoadBalancer::save_state`](crate::balancer::LoadBalancer::save_state).
     pub balancer_state: Option<Value>,
-    /// Fingerprint: length of the engine's churn plan (0 = no churn).
-    /// Membership itself is a pure function of the plan prefix at the
-    /// restored round, so only the plan length is captured — and omitted
-    /// from the JSON entirely when zero, keeping churn-free checkpoint
-    /// fixtures byte-identical to the pre-churn format.
-    pub churn_len: usize,
+    /// Fingerprint: the churn events applied by `round`. Membership itself
+    /// is a pure function of that plan prefix, so nothing else of the plan
+    /// is captured.
+    pub churn_prefix: ChurnPrefix,
 }
 
 impl Checkpoint {
@@ -194,15 +204,14 @@ impl Checkpoint {
     }
 
     /// A little over the rendering's length, from the per-item sizes of a
-    /// 4,096-node churn checkpoint (a ledger record takes about 187 bytes,
-    /// a node's RNG quad, height and task list about 140), so `to_json`
-    /// fills its buffer without regrowing it.
+    /// 4,096-node churn checkpoint (a node's RNG quad, height and task list
+    /// take about 140 bytes), so `to_json` fills its buffer without
+    /// regrowing it.
     fn size_hint(&self) -> usize {
         let tasks: usize = self.node_tasks.iter().map(Vec::len).sum();
         let flying = self.flights.iter().flatten().count();
-        let words = self.free_slots.len() + self.down_words.len() + self.shard_dirty.len();
-        4096 + 200 * self.ledger.len()
-            + 160 * self.node_rngs.len()
+        let words = self.free_slots.len() + self.down_words.len();
+        4096 + 160 * self.node_rngs.len()
             + 140 * tasks
             + 16 * self.flights.len()
             + 380 * flying
@@ -217,10 +226,10 @@ impl Checkpoint {
     /// no whole-document buffer, so writing a checkpoint costs memory
     /// independent of its size. Fails only when `out` does.
     ///
-    /// The many fixed-shape items (RNG quads, tasks, flights and ledger
-    /// records) render from a [`Layout`](serde_json::Layout) the writer
-    /// derives once per shape at that shape's depth, so each costs its
-    /// values' digits plus one copy of the text between them.
+    /// The many fixed-shape items (RNG quads, tasks and flights) render
+    /// from a [`Layout`](serde_json::Layout) the writer derives once per
+    /// shape at that shape's depth, so each costs its values' digits plus
+    /// one copy of the text between them.
     pub fn write_json(&self, out: impl io::Write) -> io::Result<()> {
         let mut w = Writer::pretty(out);
         w.begin_object()?;
@@ -309,22 +318,21 @@ impl Checkpoint {
             w.end_array()?;
         }
         w.end_array()?;
+        let l = &self.ledger;
         w.key("ledger")?;
-        w.begin_array()?;
-        let mut record = w.layout(|w| {
-            w.begin_object()?;
-            for key in ["time", "from", "to", "size", "link_weight", "heat", "faulted"] {
-                w.field(key, Hole)?;
-            }
-            w.end_object()
-        });
-        for r in self.ledger.iter() {
-            w.record(&mut record, |l| {
-                l.value(r.time).value(r.from).value(r.to).value(r.size);
-                l.value(r.link_weight).value(r.heat).value(r.faulted);
-            })?;
-        }
-        w.end_array()?;
+        w.begin_object()?;
+        w.field("count", l.count)?;
+        w.field("faults", l.faults)?;
+        w.field("load_moved", l.load_moved)?;
+        w.field("weighted_traffic", l.weighted_traffic)?;
+        w.field("heat", l.heat)?;
+        w.field("digest", l.digest)?;
+        w.field("mean_heat", l.mean_heat)?;
+        w.field("mean_traffic", l.mean_traffic)?;
+        w.field("m2_heat", l.m2_heat)?;
+        w.field("m2_traffic", l.m2_traffic)?;
+        w.field("co_moment", l.co_moment)?;
+        w.end_object()?;
         w.key("series")?;
         w.begin_array()?;
         for &(t, cov) in &self.series {
@@ -332,8 +340,6 @@ impl Checkpoint {
         }
         w.end_array()?;
         w.field("shard_layout_k", self.shard_layout_k)?;
-        w.key("shard_dirty")?;
-        w.scalars(&self.shard_dirty)?;
         w.key("shard_accums")?;
         w.begin_array()?;
         for a in &self.shard_accums {
@@ -347,20 +353,21 @@ impl Checkpoint {
         w.end_array()?;
         w.key("balancer_state")?;
         w.value(self.balancer_state.as_ref().unwrap_or(&Value::Null))?;
-        // Omitted (not null) when zero: churn-free checkpoints keep the
-        // exact pre-churn byte layout, so committed fixtures never churn.
-        if self.churn_len > 0 {
-            w.field("churn_len", self.churn_len)?;
-        }
+        w.key("churn_prefix")?;
+        w.begin_object()?;
+        w.field("events", self.churn_prefix.events)?;
+        w.field("digest", self.churn_prefix.digest)?;
+        w.end_object()?;
         w.end_object()?;
         let mut out = w.into_inner();
         out.write_all(b"\n")?;
         out.flush()
     }
 
-    /// Parses a checkpoint from JSON text. Returns `Err` — never panics —
-    /// on malformed JSON, a missing or unsupported `version`, or any
-    /// missing/ill-typed field (truncated and bit-flipped files land here).
+    /// Parses a checkpoint from JSON text, of this version or version 1.
+    /// Returns `Err` — never panics — on malformed JSON, a missing or
+    /// unsupported `version`, or any missing/ill-typed field (truncated and
+    /// bit-flipped files land here).
     pub fn from_json(text: &str) -> Result<Self, String> {
         let v = serde_json::from_str(text).map_err(|e| format!("checkpoint: {e}"))?;
         Self::from_value(&v).map_err(|e| format!("checkpoint: {e}"))
@@ -409,16 +416,65 @@ fn task_from_value(v: &Value) -> Result<Task, String> {
     Ok(Task { id: TaskId(v.field("id")?), size, work, created_at, origin: v.field("origin")? })
 }
 
-fn record_from_value(v: &Value) -> Result<MigrationRecord, String> {
-    Ok(MigrationRecord {
-        time: v.field("time")?,
-        from: v.field("from")?,
-        to: v.field("to")?,
-        size: v.field("size")?,
-        link_weight: v.field("link_weight")?,
-        heat: v.field("heat")?,
-        faulted: v.field("faulted")?,
-    })
+/// The `"ledger"` object of a version-2 checkpoint `doc`.
+fn ledger_from_value(doc: &Value) -> Result<LedgerState, String> {
+    let v = doc.get("ledger").ok_or("missing field `ledger`")?;
+    let state = || -> Result<LedgerState, String> {
+        Ok(LedgerState {
+            count: v.field("count")?,
+            faults: v.field("faults")?,
+            load_moved: v.field("load_moved")?,
+            weighted_traffic: v.field("weighted_traffic")?,
+            heat: v.field("heat")?,
+            digest: v.field("digest")?,
+            mean_heat: v.field("mean_heat")?,
+            mean_traffic: v.field("mean_traffic")?,
+            m2_heat: v.field("m2_heat")?,
+            m2_traffic: v.field("m2_traffic")?,
+            co_moment: v.field("co_moment")?,
+        })
+    };
+    state().map_err(|e| format!("ledger: {e}"))
+}
+
+/// The version-1 parts a version-2 checkpoint stores differently: the
+/// ledger, as the per-hop record list it folds into the running state; the
+/// per-shard dirty flags, checked for length and dropped (a restore marks
+/// every shard dirty); and the churn plan's whole length. That length
+/// says nothing of the prefix applied by the checkpoint's round, so a
+/// version-1 checkpoint taken under churn is refused; without churn the
+/// prefix is empty.
+fn v1_parts(v: &Value, shard_layout_k: usize) -> Result<(LedgerState, ChurnPrefix), String> {
+    let records =
+        v.get("ledger").and_then(Value::as_array).ok_or("field `ledger`: expected array")?;
+    let mut ledger = TrafficLedger::new();
+    for r in records {
+        let rec = MigrationRecord {
+            time: r.field("time")?,
+            from: r.field("from")?,
+            to: r.field("to")?,
+            size: r.field("size")?,
+            link_weight: r.field("link_weight")?,
+            heat: r.field("heat")?,
+            faulted: r.field("faulted")?,
+        };
+        if ![rec.time, rec.size, rec.link_weight, rec.heat].iter().all(|x| x.is_finite()) {
+            return Err("checkpoint ledger records must be finite".into());
+        }
+        ledger.record(rec);
+    }
+    let dirty: Vec<bool> = v.field("shard_dirty")?;
+    if dirty.len() != shard_layout_k {
+        return Err(format!("`shard_dirty` does not match shard_layout_k = {shard_layout_k}"));
+    }
+    let churn_len: usize = v.field_opt("churn_len")?.unwrap_or(0);
+    if churn_len > 0 {
+        return Err(format!(
+            "a version 1 checkpoint records only its churn plan's length ({churn_len} events), \
+             not the events applied by its round; it cannot be checked against this engine"
+        ));
+    }
+    Ok((ledger.state(), ChurnPrefix::default()))
 }
 
 fn accum_from_value(v: &Value) -> Result<ShardAccum, String> {
@@ -452,6 +508,12 @@ impl Deserialize for StatSnapshot {
     }
 }
 
+impl Deserialize for ChurnPrefix {
+    fn from_value(v: &Value) -> Result<Self, String> {
+        Ok(ChurnPrefix { events: v.field("events")?, digest: v.field("digest")? })
+    }
+}
+
 impl Deserialize for FlightSnap {
     fn from_value(v: &Value) -> Result<Self, String> {
         Ok(FlightSnap {
@@ -475,9 +537,9 @@ impl Deserialize for Checkpoint {
         // Version gate FIRST: a future-format file must fail on the version,
         // not on whichever field happened to change shape.
         let version: u32 = v.field("version")?;
-        if version != CHECKPOINT_VERSION {
+        if version != CHECKPOINT_VERSION && version != 1 {
             return Err(format!(
-                "unsupported checkpoint version {version} (this build reads version \
+                "unsupported checkpoint version {version} (this build reads versions 1 and \
                  {CHECKPOINT_VERSION})"
             ));
         }
@@ -518,9 +580,12 @@ impl Deserialize for Checkpoint {
                 ))
             })
             .collect::<Result<Vec<_>, String>>()?;
-        let ledger =
-            list("ledger")?.iter().map(record_from_value).collect::<Result<Vec<_>, String>>()?;
-        let ledger = Arc::new(ledger);
+        let shard_layout_k = v.field("shard_layout_k")?;
+        let (ledger, churn_prefix) = if version == 1 {
+            v1_parts(v, shard_layout_k)?
+        } else {
+            (ledger_from_value(v)?, v.field("churn_prefix")?)
+        };
         let shard_accums = list("shard_accums")?
             .iter()
             .map(accum_from_value)
@@ -558,11 +623,10 @@ impl Deserialize for Checkpoint {
             queue,
             ledger,
             series: v.field("series")?,
-            shard_layout_k: v.field("shard_layout_k")?,
-            shard_dirty: v.field("shard_dirty")?,
+            shard_layout_k,
             shard_accums,
             balancer_state: v.field_nullable("balancer_state")?,
-            churn_len: v.field_opt("churn_len")?.unwrap_or(0),
+            churn_prefix,
         })
     }
 }
@@ -616,7 +680,7 @@ mod tests {
             completed_tasks: 4,
             queue_seq: 6,
             queue: vec![(3.75, 4, Event::LoadArrival { flight: 1 }), (4.5, 5, Event::TaskArrival)],
-            ledger: Arc::new(vec![MigrationRecord {
+            ledger: ledger_of(&[MigrationRecord {
                 time: 2.0,
                 from: 0,
                 to: 1,
@@ -627,24 +691,32 @@ mod tests {
             }]),
             series: vec![(0.0, 1.0), (1.0, 0.5)],
             shard_layout_k: 2,
-            shard_dirty: vec![true, false],
             shard_accums: vec![ShardAccum::new(), ShardAccum::new()],
             balancer_state: Some(Value::Object(vec![(
                 "current_class".to_string(),
                 Value::UInt(1),
             )])),
-            churn_len: 0,
+            churn_prefix: ChurnPrefix::default(),
         }
     }
 
+    /// The ledger state after recording `records` in order.
+    fn ledger_of(records: &[MigrationRecord]) -> LedgerState {
+        let mut l = TrafficLedger::new();
+        records.iter().for_each(|&r| l.record(r));
+        l.state()
+    }
+
+    const CHURNED: ChurnPrefix = ChurnPrefix { events: 7, digest: u64::MAX - 3 };
+
     #[test]
-    fn churn_len_round_trips_and_is_omitted_when_zero() {
-        let plain = tiny_checkpoint();
-        assert!(!plain.to_json().contains("churn_len"), "zero churn must not serialize");
+    fn churn_prefix_and_ledger_round_trip() {
         let mut churned = tiny_checkpoint();
-        churned.churn_len = 7;
+        churned.churn_prefix = CHURNED;
         let text = churned.to_json();
-        assert!(text.contains("\"churn_len\": 7"));
+        assert!(text.contains("\"churn_prefix\": {\n    \"events\": 7,"), "{text}");
+        assert!(text.contains("\"ledger\": {\n    \"count\": 1,\n    \"faults\": 1,"));
+        assert!(!text.contains("shard_dirty"), "version 2 drops the dirty flags");
         let back = Checkpoint::from_json(&text).expect("round trip");
         assert_eq!(back, churned);
         assert_eq!(back.to_json(), text);
@@ -652,10 +724,10 @@ mod tests {
 
     #[test]
     fn explicit_null_is_refused_except_for_a_stateless_balancer() {
-        let churned = Checkpoint { churn_len: 7, ..tiny_checkpoint() };
-        let text = churned.to_json().replacen("\"churn_len\": 7", "\"churn_len\": null", 1);
+        let churned = Checkpoint { churn_prefix: CHURNED, ..tiny_checkpoint() };
+        let text = churned.to_json().replacen("\"events\": 7", "\"events\": null", 1);
         let err = Checkpoint::from_json(&text).unwrap_err();
-        assert!(err.contains("field `churn_len`: null"), "{err}");
+        assert!(err.contains("field `events`: expected unsigned integer, got Null"), "{err}");
         let stateless = Checkpoint { balancer_state: None, ..tiny_checkpoint() };
         let text = stateless.to_json();
         assert!(text.contains("\"balancer_state\": null"));
@@ -684,7 +756,7 @@ mod tests {
         empty.flights = vec![None, None];
         empty.free_slots = vec![0, 1];
         empty.queue = vec![];
-        empty.ledger = Arc::default();
+        empty.ledger = LedgerState::default();
         // Integral, Ryu, negative zero, subnormal and ≥ 1e16 floats.
         let odd = [3.0, -7.0, 0.1 + 0.2, -0.0, 5e-324, f64::MIN_POSITIVE / 8.0, 1e16, 2.5e300];
         let positive = [3.0, 0.1 + 0.2, 5e-324, 9_007_199_254_740_994.0, 1e16, 2.5e300];
@@ -727,20 +799,19 @@ mod tests {
             )
             .map(|(&x, &e)| (x.abs(), u64::MAX, e))
             .collect();
-        records.ledger = Arc::new(
-            odd.iter()
-                .enumerate()
-                .map(|(i, &x)| MigrationRecord {
-                    time: x,
-                    from: i as u32,
-                    to: u32::MAX,
-                    size: -x,
-                    link_weight: x,
-                    heat: odd[(i + 3) % odd.len()],
-                    faulted: i % 3 != 1,
-                })
-                .collect(),
-        );
+        records.ledger = LedgerState {
+            count: usize::MAX,
+            faults: 5,
+            load_moved: odd[2],
+            weighted_traffic: odd[3],
+            heat: odd[4],
+            digest: u64::MAX,
+            mean_heat: odd[5],
+            mean_traffic: odd[6],
+            m2_heat: odd[7],
+            m2_traffic: odd[0],
+            co_moment: odd[1],
+        };
         let mut floats = tiny_checkpoint();
         floats.node_heights = vec![-0.0, f64::MIN_POSITIVE / 8.0];
         floats.in_flight_load = 1.0 + f64::EPSILON;
@@ -770,12 +841,12 @@ mod tests {
             ("stateless", stateless),
         ];
         for (name, base) in variants {
-            for churn_len in [0, 7] {
-                let cp = Checkpoint { churn_len, ..base.clone() };
+            for churn_prefix in [ChurnPrefix::default(), CHURNED] {
+                let cp = Checkpoint { churn_prefix, ..base.clone() };
                 let text = cp.to_json();
                 let tree = serde_json::from_str(&text).expect("streamed text parses");
                 let rendered = serde_json::to_string_pretty(&tree).expect("renders") + "\n";
-                assert_eq!(rendered, text, "{name}, churn_len {churn_len}");
+                assert_eq!(rendered, text, "{name}, {churn_prefix:?}");
                 assert_eq!(Checkpoint::from_json(&text).expect("lifts"), cp, "{name}");
             }
         }
@@ -784,11 +855,25 @@ mod tests {
     #[test]
     fn version_gate_rejects_future_formats() {
         let text = tiny_checkpoint().to_json();
-        let future = text.replacen("\"version\": 1", "\"version\": 99", 1);
+        let future = text.replacen("\"version\": 2", "\"version\": 99", 1);
         let err = Checkpoint::from_json(&future).unwrap_err();
         assert!(err.contains("version 99"), "{err}");
-        let missing = text.replacen("\"version\": 1,", "", 1);
+        let missing = text.replacen("\"version\": 2,", "", 1);
         assert!(Checkpoint::from_json(&missing).is_err());
+        // A version-2 body under a version-1 label: the v1 reader wants a
+        // record list where version 2 has an object.
+        let relabelled = text.replacen("\"version\": 2", "\"version\": 1", 1);
+        let err = Checkpoint::from_json(&relabelled).unwrap_err();
+        assert!(err.contains("ledger"), "{err}");
+    }
+
+    #[test]
+    fn a_non_finite_ledger_value_does_not_parse() {
+        // Non-finite floats render as `null`, which no ledger field takes.
+        let mut cp = tiny_checkpoint();
+        cp.ledger.co_moment = f64::NAN;
+        let err = Checkpoint::from_json(&cp.to_json()).unwrap_err();
+        assert!(err.contains("co_moment"), "{err}");
     }
 
     #[test]

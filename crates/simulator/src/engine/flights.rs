@@ -224,11 +224,11 @@ impl Flights {
         cp.free_slots = self.free_slots.clone();
         cp.in_flight_load = self.in_flight_load;
         (cp.queue_seq, cp.queue) = self.queue.snapshot();
-        cp.ledger = self.ledger.shared_records();
+        cp.ledger = self.ledger.state();
     }
 
     /// The flight phase at a checkpoint, once the trace fingerprint, the
-    /// slab invariants, the pending events and the ledger pass.
+    /// slab invariants, the pending events and the ledger state pass.
     pub(super) fn restored(&self, cp: &Checkpoint) -> Result<Self, String> {
         if cp.trace_len != self.trace.len() {
             return Err(format!(
@@ -317,15 +317,7 @@ impl Flights {
                 return Err("flight task size/work out of range".into());
             }
         }
-        let mut ledger = TrafficLedger::new();
-        for rec in cp.ledger.iter() {
-            if ![rec.time, rec.size, rec.link_weight, rec.heat].iter().all(|v| v.is_finite()) {
-                return Err("checkpoint ledger records must be finite".into());
-            }
-            // Replaying the identical record sequence reproduces the
-            // captured running totals bit-for-bit.
-            ledger.record(*rec);
-        }
+        let ledger = TrafficLedger::from_state(cp.ledger).map_err(|e| format!("checkpoint {e}"))?;
         Ok(Flights {
             queue,
             slab: cp.flights.clone(),

@@ -9,9 +9,10 @@
 use super::sweep::Sweep;
 use super::FaultModel;
 use crate::balancer::LinkView;
-use crate::checkpoint::Checkpoint;
+use crate::checkpoint::{Checkpoint, ChurnPrefix};
 use crate::churn::{ChurnEvent, ChurnPlan};
 use crate::state::{node_bit, set_node_bit, SystemState, NODE_WORD};
+use pp_metrics::ledger::digest_word;
 use pp_topology::edgeset::EdgeBitSet;
 use pp_topology::graph::{EdgeId, NodeId, Topology};
 use rand::rngs::StdRng;
@@ -21,7 +22,7 @@ use rand::Rng;
 #[derive(Clone)]
 pub(super) struct Membership {
     /// The join/leave schedule, sorted by `(round, node)`; static, so
-    /// checkpoints carry only its length.
+    /// checkpoints carry only a fingerprint of its applied prefix.
     pub(super) churn: Vec<ChurnEvent>,
     /// Next unapplied entry of `churn`.
     next: usize,
@@ -207,20 +208,15 @@ impl Membership {
 
     pub(super) fn capture(&self, cp: &mut Checkpoint) {
         cp.down_words = self.down_links.words().to_vec();
-        cp.churn_len = self.churn.len();
+        cp.churn_prefix = prefix(&self.churn[..self.next]);
     }
 
     /// Membership at a checkpoint: the down links verbatim, the down nodes
     /// replayed from the plan prefix (flags only — the drains are already
-    /// in the restored queues), the mask rebuilt from both.
+    /// in the restored queues), the mask rebuilt from both. The prefix
+    /// must be the one the checkpoint applied; the rest of the plan may
+    /// differ, so a run resumes under a longer horizon of the same spec.
     pub(super) fn restored(&self, cp: &Checkpoint, topo: &Topology) -> Result<Self, String> {
-        if cp.churn_len != self.churn.len() {
-            return Err(format!(
-                "checkpoint was written under a {}-event churn plan, engine has {} events",
-                cp.churn_len,
-                self.churn.len()
-            ));
-        }
         let down_links = EdgeBitSet::from_words(topo.edge_count(), cp.down_words.clone())
             .map_err(|e| format!("checkpoint down-link bitset: {e}"))?;
         let mut m = Membership { down_links, next: 0, ..self.clone() };
@@ -229,6 +225,14 @@ impl Membership {
             let ev = m.churn[m.next];
             set_node_bit(&mut m.down_nodes, ev.node as usize, ev.leave);
             m.next += 1;
+        }
+        let ours = prefix(&m.churn[..m.next]);
+        if cp.churn_prefix != ours {
+            return Err(format!(
+                "checkpoint applied {} churn events by round {} (digest {:#x}); this engine's \
+                 plan applies {} (digest {:#x})",
+                cp.churn_prefix.events, cp.round, cp.churn_prefix.digest, ours.events, ours.digest
+            ));
         }
         m.masked = m.down_links.clone();
         let down = &m.down_nodes;
@@ -239,6 +243,15 @@ impl Membership {
         }
         Ok(m)
     }
+}
+
+/// The fingerprint of an applied plan prefix: its length and a digest of
+/// its events in order.
+fn prefix(applied: &[ChurnEvent]) -> ChurnPrefix {
+    let digest = applied.iter().fold(0, |h, ev| {
+        digest_word(digest_word(h, ev.round), u64::from(ev.node) << 1 | u64::from(ev.leave))
+    });
+    ChurnPrefix { events: applied.len(), digest }
 }
 
 #[cfg(test)]

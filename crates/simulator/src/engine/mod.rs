@@ -834,24 +834,31 @@ mod tests {
     }
 
     #[test]
-    fn mid_run_report_leaves_the_run_unchanged() {
-        // A report shares the ledger's record list; the next hop copies it
-        // first, so the earlier report keeps its records and the finished
-        // run matches one that was never interrupted.
+    fn ledger_digest_catches_a_hop_that_no_total_reads() {
+        // The ledger keeps no records, yet a run whose hops differ only in
+        // a field no running total reads (the node a hop left from) must
+        // not report as equal: the digest covers every record's bits.
         let mut straight = busy_engine(1, 1);
         straight.run_rounds(24);
         straight.drain(20.0);
-
-        let mut e = busy_engine(1, 1);
-        e.run_rounds(9);
-        let mid = e.report();
-        let mid_records = mid.ledger.records().to_vec();
-        e.run_rounds(15);
-        e.drain(20.0);
-        assert_eq!(mid.ledger.records(), &mid_records[..]);
-        let end = e.report();
-        assert!(end.ledger.migration_count() > mid.ledger.migration_count());
-        assert_eq!(end, straight.report());
+        let mut writer = busy_engine(1, 1);
+        writer.run_rounds(6);
+        let mut cp = writer.checkpoint();
+        let f = cp.flights.iter_mut().flatten().next().expect("a load in flight");
+        f.from = (f.from + 1) % 64;
+        let mut resumed = busy_engine(1, 1);
+        resumed.restore(&cp).expect("still a valid node");
+        resumed.run_rounds(18);
+        resumed.drain(20.0);
+        let (want, got) = (straight.report(), resumed.report());
+        let totals = |r: &RunReport| {
+            let l = &r.ledger;
+            (l.migration_count(), l.fault_count(), l.total_load_moved(), l.total_heat())
+        };
+        assert_eq!(totals(&got), totals(&want));
+        assert_eq!((&got.series, got.time), (&want.series, want.time));
+        assert_ne!(got.ledger.digest(), want.ledger.digest());
+        assert_ne!(got, want, "report equality must see the changed hop");
     }
 
     #[test]
@@ -1158,10 +1165,16 @@ mod tests {
         bad.node_rngs[7] = [0; 4];
         assert!(fresh.restore(&bad).is_err(), "zeroed RNG state");
 
+        assert!(good.ledger.count > 0, "busy engine must have migrated");
         let mut bad = good.clone();
-        assert!(!bad.ledger.is_empty(), "busy engine must have migrated");
-        std::sync::Arc::make_mut(&mut bad.ledger)[0].heat = f64::INFINITY;
-        assert!(fresh.restore(&bad).is_err(), "non-finite ledger record");
+        bad.ledger.heat = f64::INFINITY;
+        assert!(fresh.restore(&bad).is_err(), "non-finite ledger total");
+        let mut bad = good.clone();
+        bad.ledger.faults = bad.ledger.count + 1;
+        assert!(fresh.restore(&bad).is_err(), "more ledger faults than hops");
+        let mut bad = good.clone();
+        bad.ledger.m2_traffic = -1.0;
+        assert!(fresh.restore(&bad).is_err(), "negative ledger second moment");
 
         let mut bad = good.clone();
         bad.series[1].1 = f64::NAN;
@@ -1203,11 +1216,11 @@ mod tests {
             assert!(fresh.restore(&bad).is_err(), "leaked free slot");
         }
 
-        // Shard vectors inconsistent with the recorded capture layout are
+        // Shard counters inconsistent with the recorded capture layout are
         // corruption, not a layout change.
         let mut bad = good.clone();
-        bad.shard_dirty.push(true);
-        assert!(fresh.restore(&bad).is_err(), "shard vector length mismatch");
+        bad.shard_accums.push(ShardAccum::new());
+        assert!(fresh.restore(&bad).is_err(), "shard counter length mismatch");
 
         // After all those rejections the engine is still fully usable and
         // accepts the good snapshot.
@@ -1492,12 +1505,12 @@ mod tests {
     }
 
     #[test]
-    fn restore_sweeps_every_shard_whatever_the_captured_flags() {
-        // The captured dirty flags belong to the writer's shard ranges,
-        // which the checkpoint does not record, so restore must not trust
-        // them. A hotspot drains over 12-unit links, so no landing re-marks
-        // its shard for rounds after the capture: resumed with forged
-        // all-clean flags, a restore that trusted them would skip it.
+    fn restore_sweeps_every_shard_whatever_the_engines_own_flags() {
+        // A checkpoint carries no dirty flags, so restore must mark every
+        // shard dirty, not keep the flags of the engine it lands in. A
+        // hotspot drains over 12-unit links, so no landing re-marks its
+        // shard for rounds after the capture: restored into an engine whose
+        // flags read all clean, a restore that kept them would skip it.
         let build = || {
             let topo = Topology::torus(&[8, 8]);
             let slow = LinkAttrs { distance: 12.0, ..LinkAttrs::default() };
@@ -1514,11 +1527,12 @@ mod tests {
         straight.drain(40.0);
         let mut writer = build();
         writer.run_rounds(6);
-        let mut cp = writer.checkpoint();
-        assert!(cp.shard_dirty.contains(&true), "the capture must be busy");
-        cp.shard_dirty.fill(false);
+        assert!(writer.sweep.shards.iter().any(|s| s.dirty), "the capture must be busy");
+        let cp = writer.checkpoint();
         let mut resumed = build();
+        resumed.sweep.shards.iter_mut().for_each(|s| s.dirty = false);
         resumed.restore(&cp).expect("restore");
+        assert!(resumed.sweep.shards.iter().all(|s| s.dirty));
         resumed.run_rounds(34);
         resumed.drain(40.0);
         assert_eq!(resumed.report(), straight.report());
@@ -1785,11 +1799,12 @@ mod tests {
             .config(EngineConfig { shards: 2, threads: 1, ..Default::default() })
             .seed(0)
             .build();
+        // Every launch is still in flight after the round.
         e.run_rounds(1);
-        e.drain(10.0);
 
-        let mut from: Vec<u32> = e.report().ledger.records().iter().map(|r| r.from).collect();
-        for r in e.report().ledger.records() {
+        let flights: Vec<_> = e.flights.slab.iter().flatten().collect();
+        let mut from: Vec<u32> = flights.iter().map(|f| f.from).collect();
+        for r in flights {
             assert_eq!(
                 loads[r.to as usize], 0.0,
                 "hop {} -> {} lands on an empty node",

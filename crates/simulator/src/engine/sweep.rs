@@ -319,27 +319,26 @@ impl Sweep {
         ShardLayout { shards: p.shard_count(), threads: self.threads, boundary_nodes }
     }
 
-    /// Writes the node streams (by node id) and the per-shard activity.
+    /// Writes the node streams (by node id) and the per-shard counters.
     pub(super) fn capture(&self, cp: &mut Checkpoint) {
         cp.node_rngs = Vec::with_capacity(cp.nodes);
         for slot in &self.shards {
             cp.node_rngs.extend(slot.rngs.iter().map(|r| r.state()));
         }
         cp.shard_layout_k = self.shards.len();
-        cp.shard_dirty = self.shards.iter().map(|s| s.dirty).collect();
         cp.shard_accums = self.shards.iter().map(|s| s.accum).collect();
     }
 
     /// Refuses a missing or all-zero node stream (seeding never yields
-    /// the generator's zero fixed point) and shard vectors that disagree
+    /// the generator's zero fixed point) and shard counters that disagree
     /// with the capture layout.
     pub(super) fn check(&self, cp: &Checkpoint) -> Result<(), String> {
         let k = cp.shard_layout_k;
         if cp.node_rngs.len() != cp.nodes || cp.node_rngs.contains(&[0; 4]) {
             return Err("checkpoint needs one non-zero RNG state per node".into());
         }
-        if cp.shard_dirty.len() != k || cp.shard_accums.len() != k {
-            return Err(format!("checkpoint shard vectors do not match shard_layout_k = {k}"));
+        if cp.shard_accums.len() != k {
+            return Err(format!("checkpoint shard counters do not match shard_layout_k = {k}"));
         }
         Ok(())
     }
@@ -347,8 +346,7 @@ impl Sweep {
     /// Applies a checked checkpoint: the node streams by node id, empty
     /// outboxes, and every shard dirty. Dirty-all is report-exact
     /// (ADR-004): a sweep that finds nothing to do emits nothing and
-    /// re-cleans its shard. The captured flags are not trusted, because
-    /// format v1 does not record the ranges they were written under. The
+    /// re-cleans its shard, so a checkpoint carries no dirty flags. The
     /// shard counters resume on the same K and restart otherwise.
     pub(super) fn restore(&mut self, cp: &Checkpoint) {
         let same = cp.shard_layout_k == self.shards.len();
