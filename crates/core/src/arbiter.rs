@@ -117,6 +117,18 @@ impl Arbiter {
     /// pairs; all candidates must already satisfy the feasibility
     /// criterion). Returns `None` for an empty candidate set.
     pub fn choose<T: Copy>(&self, scores: &[(T, f64)], t: f64, rng: &mut StdRng) -> Option<T> {
+        self.choose_with(scores, self.exploration(t), rng)
+    }
+
+    /// [`Arbiter::choose`] with the exploration probability `beta = β(t)`
+    /// already computed, so a caller choosing many times in one round pays
+    /// the `exp` once; the same choices and the same draws.
+    pub fn choose_with<T: Copy>(
+        &self,
+        scores: &[(T, f64)],
+        beta: f64,
+        rng: &mut StdRng,
+    ) -> Option<T> {
         if scores.is_empty() {
             return None;
         }
@@ -126,7 +138,6 @@ impl Arbiter {
         if scores.len() == 1 {
             return Some(best);
         }
-        let beta = self.exploration(t);
         if beta <= 0.0 || !rng.gen_bool(beta.min(1.0)) {
             return Some(self.steepest_untied(scores, a1, best, rng));
         }

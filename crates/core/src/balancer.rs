@@ -21,7 +21,9 @@ use crate::energy::{hop_heat, updated_flag};
 use crate::feasibility::{motion_candidates_soa_into, stationary_candidates_soa_into, Candidate};
 use crate::jitter::FrictionJitter;
 use crate::params::{kinetic_friction, static_friction, PhysicsConfig};
-use pp_sim::balancer::{LoadBalancer, MigratingLoad, MigrationIntent, NodeView};
+use pp_sim::balancer::{
+    GlobalView, LoadBalancer, MigratingLoad, MigrationIntent, NodeView, RestingNode,
+};
 use rand::rngs::StdRng;
 use std::cell::RefCell;
 
@@ -44,6 +46,26 @@ thread_local! {
     static SCRATCH: RefCell<DecideScratch> = RefCell::default();
 }
 
+/// The round-only terms of a decision, one `exp` each: the jitter
+/// amplitude `A(t)` and the arbiter's exploration probability `β(t)`.
+#[derive(Debug, Clone, Copy)]
+struct RoundTerms {
+    round: u64,
+    amp: Option<f64>,
+    beta: f64,
+}
+
+impl RoundTerms {
+    fn at(cfg: &PhysicsConfig, arbiter: &Arbiter, round: u64) -> Self {
+        let t = round as f64;
+        RoundTerms {
+            round,
+            amp: cfg.jitter.map(|j| j.amplitude_at(t)),
+            beta: arbiter.exploration(t),
+        }
+    }
+}
+
 /// The paper's balancer. Construct with [`ParticlePlaneBalancer::new`] or
 /// customise the arbiter/ablations via the builder methods.
 #[derive(Debug, Clone)]
@@ -51,6 +73,10 @@ pub struct ParticlePlaneBalancer {
     cfg: PhysicsConfig,
     arbiter: Arbiter,
     name: String,
+    /// The terms of the round `begin_round` last saw. A cache: every
+    /// entry equals [`RoundTerms::at`] for its round, so it changes no
+    /// decision and needs no checkpoint field.
+    terms: RoundTerms,
 }
 
 impl ParticlePlaneBalancer {
@@ -58,13 +84,16 @@ impl ParticlePlaneBalancer {
     /// (stochastic) arbiter.
     pub fn new(cfg: PhysicsConfig) -> Self {
         cfg.validate().expect("invalid physics configuration");
-        ParticlePlaneBalancer { cfg, arbiter: Arbiter::default(), name: "particle-plane".into() }
+        let arbiter = Arbiter::default();
+        let terms = RoundTerms::at(&cfg, &arbiter, 0);
+        ParticlePlaneBalancer { cfg, arbiter, name: "particle-plane".into(), terms }
     }
 
     /// Replaces the arbiter (e.g. [`Arbiter::Deterministic`] for the
     /// ablation).
     pub fn with_arbiter(mut self, arbiter: Arbiter) -> Self {
         self.arbiter = arbiter;
+        self.terms = RoundTerms::at(&self.cfg, &arbiter, self.terms.round);
         self
     }
 
@@ -84,17 +113,79 @@ impl ParticlePlaneBalancer {
         &self.arbiter
     }
 
+    /// Round `round`'s terms: the ones `begin_round` cached, or computed
+    /// afresh for another round (a direct caller, the first events after a
+    /// restore) — the same expressions on the same operands, so the same
+    /// bits either way.
+    #[inline]
+    fn terms(&self, round: u64) -> RoundTerms {
+        if self.terms.round == round {
+            self.terms
+        } else {
+            RoundTerms::at(&self.cfg, &self.arbiter, round)
+        }
+    }
+}
+
+impl LoadBalancer for ParticlePlaneBalancer {
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// Caches the round's `A(t)` and `β(t)`: effect-free in the
+    /// quiescence sense, since a decision reads the cache only for the
+    /// round it was filled for.
+    fn begin_round(&mut self, global: &GlobalView<'_>) {
+        self.terms = RoundTerms::at(&self.cfg, &self.arbiter, global.round);
+    }
+
+    /// Without friction jitter the balancer is quiescence-stable, which
+    /// lets the engine's sharded pipeline skip sweeps over untouched
+    /// shards: candidate sets are pure functions of (tasks, heights, live
+    /// links) — `round`/`time` reach the arbiter only *after* a non-empty
+    /// candidate set exists — and [`Arbiter::choose`] draws from the RNG
+    /// only for 2+ candidates and returns `None` only on an empty set, so
+    /// an empty decision implies every candidate set was empty and zero
+    /// draws occurred. With jitter enabled `µ_s` takes a per-task draw
+    /// every round, so skipping would desync the node's RNG stream.
+    fn quiescence_stable(&self) -> bool {
+        self.cfg.jitter.is_none()
+    }
+
+    /// The inert-node certificate on the node's flat inputs: the engine
+    /// asks this before building a view, so a resting node costs one pass
+    /// over its CSR neighbours and never walks its task list. It settles a
+    /// node with no task or no live link, where
+    /// [`LoadBalancer::decide_into`] returns before drawing, and a node
+    /// [`provably_inert`] certifies, replaying the sweep's jitter draws.
+    fn settle(&self, node: &RestingNode<'_>, rng: &mut StdRng) -> bool {
+        if node.tasks == 0 || node.live_neighbors().next().is_none() {
+            return true;
+        }
+        let amp = self.terms(node.round).amp;
+        if !provably_inert(&self.cfg, node.height, node.min_size, amp, node.live_neighbors()) {
+            return false;
+        }
+        // Nothing can move, so the only observable effect of the full sweep
+        // is its per-task jitter draws (the arbiter draws nothing on an
+        // empty candidate set): replay those.
+        if let Some(a) = amp {
+            FrictionJitter::skip_amp(a, node.tasks, rng);
+        }
+        true
+    }
+
     /// The full per-task sweep of a stationary node (§5.1): friction, the
     /// jitter draw, Eq. 1's candidate kernel and the arbiter for every
-    /// resident task, until each link has carried one load. `decide_into`
-    /// skips it for a [`provably_inert`] node; `jitter_amp` is `A(t)`.
-    fn sweep_into(
-        &self,
-        view: &NodeView<'_>,
-        jitter_amp: Option<f64>,
-        rng: &mut StdRng,
-        out: &mut Vec<MigrationIntent>,
-    ) {
+    /// resident task, until each link has carried one load. The engine
+    /// calls it only for a node that [`LoadBalancer::settle`] declined.
+    /// Intents append to the caller's arena (the engine passes the
+    /// shard-local outbox), so the sweep's steady state allocates nothing.
+    fn decide_into(&self, view: &NodeView<'_>, rng: &mut StdRng, out: &mut Vec<MigrationIntent>) {
+        if view.neighbors.is_empty() || view.tasks.is_empty() {
+            return;
+        }
+        let terms = self.terms(view.round);
         let cfg = &self.cfg;
         SCRATCH.with(|cell| {
             let scratch = &mut *cell.borrow_mut();
@@ -122,14 +213,14 @@ impl ParticlePlaneBalancer {
                     view.task_graph,
                     view.resources,
                 );
-                if let Some(a) = jitter_amp {
+                if let Some(a) = terms.amp {
                     mu_s = FrictionJitter::apply_amp(mu_s, a, rng);
                 }
                 let mu_k = kinetic_friction(cfg, mu_s);
                 stationary_candidates_soa_into(
                     cfg, task.size, mu_s, h_i, h_eff, weights, candidates,
                 );
-                let Some(pick) = self.arbiter.choose(candidates, view.round as f64, rng) else {
+                let Some(pick) = self.arbiter.choose_with(candidates, terms.beta, rng) else {
                     continue;
                 };
                 let e = weights[pick];
@@ -146,48 +237,6 @@ impl ParticlePlaneBalancer {
             }
         })
     }
-}
-
-impl LoadBalancer for ParticlePlaneBalancer {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Without friction jitter the balancer is quiescence-stable, which
-    /// lets the engine's sharded pipeline skip sweeps over untouched
-    /// shards: candidate sets are pure functions of (tasks, heights, live
-    /// links) — `round`/`time` reach the arbiter only *after* a non-empty
-    /// candidate set exists — and [`Arbiter::choose`] draws from the RNG
-    /// only for 2+ candidates and returns `None` only on an empty set, so
-    /// an empty decision implies every candidate set was empty and zero
-    /// draws occurred. With jitter enabled `µ_s` takes a per-task draw
-    /// every round, so skipping would desync the node's RNG stream.
-    fn quiescence_stable(&self) -> bool {
-        self.cfg.jitter.is_none()
-    }
-
-    /// Intents append to the caller's arena (the engine passes the
-    /// shard-local outbox), so the sweep's steady state allocates nothing.
-    fn decide_into(&self, view: &NodeView<'_>, rng: &mut StdRng, out: &mut Vec<MigrationIntent>) {
-        let cfg = &self.cfg;
-        if view.neighbors.is_empty() || view.tasks.is_empty() {
-            return;
-        }
-        // The jitter amplitude A(t) depends only on the round, so the `exp`
-        // is hoisted out of the per-task loop; `apply_amp` keeps the draw
-        // discipline (and the draws themselves) bitwise identical.
-        let jitter_amp = cfg.jitter.as_ref().map(|j| j.amplitude_at(view.round as f64));
-        if provably_inert(cfg, view, jitter_amp) {
-            // Nothing can move, so the only observable effect of the full
-            // sweep is its per-task jitter draws (the arbiter draws nothing
-            // on an empty candidate set): replay those and stop.
-            if let Some(a) = jitter_amp {
-                FrictionJitter::skip_amp(a, view.tasks.len(), rng);
-            }
-            return;
-        }
-        self.sweep_into(view, jitter_amp, rng, out);
-    }
 
     fn on_arrival(
         &self,
@@ -199,6 +248,7 @@ impl LoadBalancer for ParticlePlaneBalancer {
         if !cfg.in_motion || load.hops >= cfg.max_hops || view.neighbors.is_empty() {
             return None;
         }
+        let terms = self.terms(view.round);
         // Affinity is evaluated against the tasks resident where the load
         // just landed: dependencies here pull it to rest.
         let mut mu_s = static_friction(
@@ -209,8 +259,8 @@ impl LoadBalancer for ParticlePlaneBalancer {
             view.task_graph,
             view.resources,
         );
-        if let Some(j) = cfg.jitter {
-            mu_s = j.apply(mu_s, view.round as f64, rng);
+        if let Some(a) = terms.amp {
+            mu_s = FrictionJitter::apply_amp(mu_s, a, rng);
         }
         let mu_k = kinetic_friction(cfg, mu_s);
         SCRATCH.with(|cell| {
@@ -225,7 +275,7 @@ impl LoadBalancer for ParticlePlaneBalancer {
                 view.nbr_weights,
                 candidates,
             );
-            let pick = self.arbiter.choose(candidates, view.round as f64, rng)?;
+            let pick = self.arbiter.choose_with(candidates, terms.beta, rng)?;
             let e = view.nbr_weights[pick];
             Some(MigrationIntent {
                 task: load.task.id,
@@ -237,9 +287,10 @@ impl LoadBalancer for ParticlePlaneBalancer {
     }
 }
 
-/// The inert-node certificate: `true` only if no resident task of `view`
-/// can pass Eq. 1 this round, whatever its friction, jitter draw or place
-/// in the sweep.
+/// The inert-node certificate: `true` only if no resident task of a node
+/// at height `h_i` whose smallest task has size `s_min` can pass Eq. 1
+/// toward any of its live neighbours `nbrs` (`(h_j, e_j)` pairs) this
+/// round, whatever its friction, jitter draw or place in the sweep.
 ///
 /// It bounds every slope the per-task kernel could compute by the
 /// steepest one toward any neighbour for the smallest resident task,
@@ -258,22 +309,20 @@ impl LoadBalancer for ParticlePlaneBalancer {
 ///   `B_j` or `F` fails `B_j ≤ F`, which falls through to the full path.
 ///
 /// So when every `B_j ≤ F`, every task's candidate set is empty.
-fn provably_inert(cfg: &PhysicsConfig, view: &NodeView<'_>, jitter_amp: Option<f64>) -> bool {
+fn provably_inert(
+    cfg: &PhysicsConfig,
+    h_i: f64,
+    s_min: f64,
+    jitter_amp: Option<f64>,
+    mut nbrs: impl Iterator<Item = (f64, f64)>,
+) -> bool {
     let floor = match jitter_amp {
         Some(a) if a > 0.0 => cfg.mu_s_base * (1.0 - a),
         _ => cfg.mu_s_base,
     };
     // The kernel's own correction expression, at the smallest size.
-    let correction = if cfg.self_correction {
-        2.0 * view.tasks.iter().map(|t| t.size).fold(f64::INFINITY, f64::min)
-    } else {
-        0.0
-    };
-    let h_i = view.height;
-    view.nbr_heights
-        .iter()
-        .zip(view.nbr_weights)
-        .all(|(&h, &e)| (h_i - h - correction) / e <= floor)
+    let correction = if cfg.self_correction { 2.0 * s_min } else { 0.0 };
+    nbrs.all(|(h, e)| (h_i - h - correction) / e <= floor)
 }
 
 #[cfg(test)]
@@ -281,6 +330,7 @@ mod tests {
     use super::*;
     use crate::baselines::testutil::decide;
     use pp_sim::balancer::{build_view, LinkView, ViewScratch};
+    use pp_sim::engine::EngineBuilder;
     use pp_sim::state::SystemState;
     use pp_tasking::graph::TaskGraph;
     use pp_tasking::resources::ResourceMatrix;
@@ -510,16 +560,12 @@ mod tests {
         assert_eq!(rng.gen_range(0.0f64..1.0), witness.gen_range(0.0f64..1.0));
     }
 
-    /// `decide_into` without the inert-node certificate: the per-task
-    /// sweep for every node, the reference the certificate must match.
-    fn reference_decide_into(
-        b: &ParticlePlaneBalancer,
-        view: &NodeView<'_>,
-        rng: &mut StdRng,
-        out: &mut Vec<MigrationIntent>,
-    ) {
-        let amp = b.cfg.jitter.as_ref().map(|j| j.amplitude_at(view.round as f64));
-        b.sweep_into(view, amp, rng, out);
+    /// The certificate on a view's inputs.
+    fn view_inert(b: &ParticlePlaneBalancer, view: &NodeView<'_>) -> bool {
+        let s_min = view.tasks.iter().map(|t| t.size).fold(f64::INFINITY, f64::min);
+        let amp = b.cfg.jitter.map(|j| j.amplitude_at(view.round as f64));
+        let nbrs = view.nbr_heights.iter().copied().zip(view.nbr_weights.iter().copied());
+        provably_inert(&b.cfg, view.height, s_min, amp, nbrs)
     }
 
     fn intent_bits(out: &[MigrationIntent]) -> Vec<(TaskId, NodeId, u64, u64)> {
@@ -527,8 +573,10 @@ mod tests {
     }
 
     /// A 4×4 torus drawn from `seed`: 0–6 tasks per node with fractional
-    /// sizes, a sparse dependency graph and resource pins, non-uniform link
-    /// weights and a few links down.
+    /// sizes (some removed again, so the state's smallest sizes are kept
+    /// through removals too), a sparse dependency graph and resource pins,
+    /// non-uniform link weights, a few links down and, for half the seeds,
+    /// every link of one node down.
     fn random_instance(seed: u64) -> (SystemState, Vec<f64>, EdgeBitSet) {
         use rand::Rng;
         let mut r = StdRng::seed_from_u64(seed);
@@ -543,6 +591,13 @@ mod tests {
                 let size = if r.gen_bool(0.3) { 1.0 } else { r.gen_range(0.05..3.0) };
                 s.add_task(NodeId(v as u32), Task::new(TaskId(id), size, v as u32));
                 id += 1;
+            }
+            for _ in 0..r.gen_range(0..=1usize) {
+                let tasks = s.node(NodeId(v as u32)).tasks();
+                if !tasks.is_empty() {
+                    let gone = tasks[r.gen_range(0..tasks.len())].id;
+                    s.remove_task(NodeId(v as u32), gone);
+                }
             }
         }
         let mut tg = TaskGraph::new();
@@ -570,39 +625,74 @@ mod tests {
                 down.insert(EdgeId(e as u32));
             }
         }
+        if r.gen_bool(0.5) {
+            for &e in s.topo.neighbor_edge_ids(NodeId(r.gen_range(0..n) as u32)) {
+                down.insert(e);
+            }
+        }
         (s, weights, down)
     }
 
-    /// Runs `decide_into` and the reference on every node of instance
-    /// `seed` and asserts identical intents and RNG states. Returns how
-    /// many deciding nodes (tasks and a live link) were certified inert
-    /// and how many took the full sweep.
-    fn check_certificate(b: &ParticlePlaneBalancer, seed: u64, round: u64) -> (usize, usize) {
+    /// What one certificate check saw among nodes holding tasks.
+    #[derive(Debug, Default)]
+    struct Coverage {
+        /// Certified inert with a live link.
+        inert: usize,
+        /// Needed the full sweep.
+        full: usize,
+        /// Settled with every link down.
+        all_down: usize,
+        /// Settled on a smallest task that is not first in the list.
+        min_not_first: usize,
+    }
+
+    /// Runs every node of instance `seed` the engine's way (`settle` on the
+    /// node's flat inputs, `decide_into` only if it declines) and the
+    /// reference way (`decide_into`, the full sweep, for every node). The
+    /// intents and RNG states must agree. `settle` must settle exactly the
+    /// nodes with no task, no live link or a certificate on the view's
+    /// inputs; a settled node's sweep must emit nothing, and a declined
+    /// node must have drawn nothing before its sweep.
+    fn check_certificate(b: &ParticlePlaneBalancer, seed: u64, round: u64) -> Coverage {
         let (s, weights, down) = random_instance(seed);
         let h = s.heights();
-        let links =
-            LinkView { weights: Some(&weights), down: Some(&down), ..LinkView::all_up(&s, 1.0) };
-        let amp = b.cfg.jitter.as_ref().map(|j| j.amplitude_at(round as f64));
-        let (mut inert, mut full) = (0, 0);
+        // Every fourth seed computes link weights on the fly.
+        let weights = (!seed.is_multiple_of(4)).then_some(&weights[..]);
+        let links = LinkView { weights, down: Some(&down), ..LinkView::all_up(&s, 1.0) };
+        let mut cover = Coverage::default();
         let mut scratch = ViewScratch::new();
         for v in 0..s.node_count() {
-            let view = build_view(&mut scratch, &s, NodeId(v as u32), &h, &links, round, 0.0);
-            let mut rng = StdRng::seed_from_u64(seed ^ (v as u64) << 32);
-            let mut witness = rng.clone();
+            let node = NodeId(v as u32);
+            let view = build_view(&mut scratch, &s, node, &h, &links, round, 0.0);
+            let fresh = StdRng::seed_from_u64(seed ^ (v as u64) << 32);
+            let (mut rng, mut witness) = (fresh.clone(), fresh.clone());
             let (mut got, mut want) = (Vec::new(), Vec::new());
-            b.decide_into(&view, &mut rng, &mut got);
-            reference_decide_into(b, &view, &mut witness, &mut want);
+            b.decide_into(&view, &mut witness, &mut want);
+            let rest = RestingNode::of(&s, node, &h, links, round);
+            let settled = b.settle(&rest, &mut rng);
+            if settled {
+                assert!(want.is_empty(), "seed {seed} node {v}: settled a node that moves");
+            } else {
+                assert_eq!(rng.state(), fresh.state(), "seed {seed} node {v}: declined, drew");
+                b.decide_into(&view, &mut rng, &mut got);
+            }
             assert_eq!(intent_bits(&got), intent_bits(&want), "seed {seed} node {v}");
             assert_eq!(rng.state(), witness.state(), "seed {seed} node {v}");
-            if !view.tasks.is_empty() && !view.neighbors.is_empty() {
-                if provably_inert(&b.cfg, &view, amp) {
-                    inert += 1;
-                } else {
-                    full += 1;
-                }
+
+            let live = !view.neighbors.is_empty();
+            let inert = live && !view.tasks.is_empty() && view_inert(b, &view);
+            let expect = view.tasks.is_empty() || !live || inert;
+            assert_eq!(settled, expect, "seed {seed} node {v}");
+            if view.tasks.is_empty() {
+                continue;
             }
+            let min_first = view.tasks[0].size.to_bits() == rest.min_size.to_bits();
+            cover.inert += usize::from(inert);
+            cover.full += usize::from(!expect);
+            cover.all_down += usize::from(!live);
+            cover.min_not_first += usize::from(inert && !min_first);
         }
-        (inert, full)
+        cover
     }
 
     /// The balancer for one combination of the soundness test's knobs.
@@ -653,18 +743,52 @@ mod tests {
                 for mu_base in 0..3 {
                     for stochastic in [false, true] {
                         let b = knob_balancer(sc, jitter, mu_base, stochastic);
-                        let (mut inert, mut full) = (0, 0);
+                        let mut total = Coverage::default();
                         for seed in 0..24 {
-                            let (i, f) = check_certificate(&b, seed, seed * 7);
-                            inert += i;
-                            full += f;
+                            let c = check_certificate(&b, seed, seed * 7);
+                            total.inert += c.inert;
+                            total.full += c.full;
+                            total.all_down += c.all_down;
+                            total.min_not_first += c.min_not_first;
                         }
                         let knobs = (sc, jitter, mu_base, stochastic);
-                        assert!(inert > 0 && full > 0, "{knobs:?}: {inert} inert, {full} full");
+                        let Coverage { inert, full, all_down, min_not_first } = total;
+                        assert!(
+                            inert > 0 && full > 0 && all_down > 0 && min_not_first > 0,
+                            "{knobs:?}: {inert} inert, {full} full, {all_down} all down, \
+                             {min_not_first} inert on a smallest task not first"
+                        );
                     }
                 }
             }
         }
+    }
+
+    #[test]
+    fn cached_round_terms_equal_the_direct_expressions_bit_for_bit() {
+        let cfg = PhysicsConfig {
+            jitter: Some(FrictionJitter::new(0.3, 3.0, 20_000.0)),
+            ..PhysicsConfig::default()
+        };
+        let arbiter = Arbiter::Stochastic { beta0: 0.3, c: 3.0, t_max: 20_000.0 };
+        let mut b = ParticlePlaneBalancer::new(cfg).with_arbiter(arbiter);
+        let topo = Topology::ring(4);
+        let heights = [0.0; 4];
+        let bits = |t: RoundTerms| (t.round, t.amp.map(f64::to_bits), t.beta.to_bits());
+        for round in 0..100_000u64 {
+            b.begin_round(&GlobalView { topo: &topo, heights: &heights, round, time: 0.0 });
+            assert_eq!(b.terms.round, round, "begin_round caches its round");
+            let t = round as f64;
+            let amp = cfg.jitter.map(|j| j.amplitude_at(t).to_bits());
+            let direct = (round, amp, arbiter.exploration(t).to_bits());
+            assert_eq!(bits(b.terms(round)), direct, "round {round}");
+            assert_eq!(bits(RoundTerms::at(&cfg, &arbiter, round)), direct, "round {round}");
+        }
+        // A view from another round falls back to the direct expressions.
+        let t = 7.0;
+        let other = b.terms(7);
+        assert_eq!(other.amp, Some(cfg.jitter.unwrap().amplitude_at(t)));
+        assert_eq!(other.beta.to_bits(), arbiter.exploration(t).to_bits());
     }
 
     #[test]
@@ -679,7 +803,7 @@ mod tests {
             let mut scratch = ViewScratch::new();
             let view =
                 build_view(&mut scratch, &s, NodeId(0), &h, &LinkView::all_up(&s, 1.0), 0, 0.0);
-            assert_eq!(provably_inert(&b.cfg, &view, None), !moves, "h_0 = {h0}");
+            assert_eq!(view_inert(&b, &view), !moves, "h_0 = {h0}");
             let mut rng = StdRng::seed_from_u64(0);
             assert_eq!(decide(&b, &view, &mut rng).len(), usize::from(moves), "h_0 = {h0}");
         }
@@ -689,9 +813,9 @@ mod tests {
     fn certificate_fires_on_a_converged_dense_sweep_torus() {
         // The dense-sweep shape: a uniform-random torus under annealed
         // jitter, where nearly every decision emits nothing. Once the
-        // surface has settled, the certificate must clear most nodes, and
-        // each cleared node must still advance its RNG one draw per task.
-        use pp_sim::engine::EngineBuilder;
+        // surface has settled, `settle` must clear most nodes from the
+        // engine's own flat state, and each cleared node must still advance
+        // its RNG as the full sweep does, one draw per task.
         use pp_tasking::workload::Workload;
         let cfg = PhysicsConfig {
             jitter: Some(FrictionJitter::new(0.3, 1.0, 1e9)),
@@ -708,24 +832,22 @@ mod tests {
         let b = ParticlePlaneBalancer::new(cfg);
         let h = s.heights();
         let links = LinkView::all_up(s, 1.0);
-        let amp = cfg.jitter.map(|j| j.amplitude_at(round as f64));
         let mut scratch = ViewScratch::new();
         let mut inert = 0;
         for v in 0..s.node_count() {
-            let view = build_view(&mut scratch, s, NodeId(v as u32), &h, &links, round, 0.0);
-            if !provably_inert(&b.cfg, &view, amp) {
+            let node = NodeId(v as u32);
+            let fresh = StdRng::seed_from_u64(v as u64);
+            let (mut rng, mut witness) = (fresh.clone(), fresh.clone());
+            if !b.settle(&RestingNode::of(s, node, &h, links, round), &mut rng) {
                 continue;
             }
             inert += 1;
-            let mut rng = StdRng::seed_from_u64(v as u64);
-            let mut witness = rng.clone();
+            let view = build_view(&mut scratch, s, node, &h, &links, round, 0.0);
             let mut out = Vec::new();
-            b.decide_into(&view, &mut rng, &mut out);
-            assert!(out.is_empty());
-            for _ in view.tasks {
-                FrictionJitter::apply_amp(1.0, amp.unwrap(), &mut witness);
-            }
+            b.decide_into(&view, &mut witness, &mut out);
+            assert!(out.is_empty(), "node {v}");
             assert_eq!(rng.state(), witness.state(), "node {v}");
+            assert_ne!(rng.state(), fresh.state(), "node {v} drew nothing");
         }
         assert!(
             inert * 10 >= s.node_count() * 9,

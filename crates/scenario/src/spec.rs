@@ -1279,6 +1279,13 @@ impl ScenarioSpec {
 
     /// Builds a ready-to-run engine from the spec (validating first).
     pub fn build_engine(&self) -> Result<Engine, String> {
+        Ok(self.engine_builder()?.build())
+    }
+
+    /// The validated spec's engine, not yet built: everything
+    /// [`ScenarioSpec::build_engine`] sets, so a caller can still replace a
+    /// part (a test wraps the spec's balancer, say) before building.
+    pub fn engine_builder(&self) -> Result<EngineBuilder, String> {
         self.validate()?;
         let topo = self.topology.build();
         let n = topo.node_count();
@@ -1306,8 +1313,7 @@ impl ScenarioSpec {
             .node_speeds(self.speeds.build(n))
             .arrival_trace(trace)
             .churn(self.churn.build(n, self.duration.rounds))
-            .seed(self.seed)
-            .build())
+            .seed(self.seed))
     }
 
     /// Runs the scenario to completion: `duration.rounds` balance rounds

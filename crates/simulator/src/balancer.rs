@@ -1,10 +1,12 @@
 //! The balancer interface: what any load-balancing policy (the paper's
 //! particle-plane algorithm or a baseline) sees and may do.
 //!
-//! Policies are *node-local*: at each balance tick the engine calls
-//! [`LoadBalancer::decide_into`] once per node that holds a task, with that
-//! node's [`NodeView`] (its own tasks plus neighbour heights/link weights —
-//! exactly the information a decentralized agent would have). Once per tick,
+//! Policies are *node-local*: at each balance tick the engine first offers
+//! every node that holds a task to [`LoadBalancer::settle`], with that
+//! node's flat [`RestingNode`] inputs; a node the policy cannot settle
+//! there gets its [`NodeView`] (its own tasks plus neighbour heights/link
+//! weights — exactly the information a decentralized agent would have) and
+//! a [`LoadBalancer::decide_into`] call. Once per tick,
 //! [`LoadBalancer::begin_round`] lets a policy refresh internal per-round
 //! state (e.g. the gradient model's propagated pressure map) from the
 //! round's global snapshot — modelling the per-round neighbour message
@@ -19,7 +21,7 @@ use pp_tasking::graph::TaskGraph;
 use pp_tasking::resources::ResourceMatrix;
 use pp_tasking::task::{Task, TaskId};
 use pp_topology::edgeset::EdgeBitSet;
-use pp_topology::graph::{NodeId, Topology};
+use pp_topology::graph::{EdgeId, NodeId, Topology};
 use pp_topology::links::LinkAttrs;
 use rand::rngs::StdRng;
 
@@ -96,8 +98,76 @@ impl<'a> LinkView<'a> {
 
     /// Whether the edge is currently up.
     #[inline]
-    pub fn is_up(&self, e: pp_topology::graph::EdgeId) -> bool {
+    pub fn is_up(&self, e: EdgeId) -> bool {
         self.down.is_none_or(|d| !d.contains(e))
+    }
+
+    /// The weight `e_{i,j}` of edge `e`.
+    #[inline]
+    pub fn weight(&self, e: EdgeId) -> f64 {
+        match self.weights {
+            Some(w) => w[e.idx()],
+            None => self.attrs[e.idx()].weight(self.weight_c),
+        }
+    }
+}
+
+/// A node's decision inputs as flat per-node data, read before any
+/// [`NodeView`] is built: what [`LoadBalancer::settle`] decides from. Its
+/// live neighbours, in CSR order, are exactly the ones its view would
+/// list, at the same heights over the same weights.
+#[derive(Debug, Clone, Copy)]
+pub struct RestingNode<'a> {
+    /// The deciding node's height `h(v_i)`.
+    pub height: f64,
+    /// Its smallest resident task size (`+∞` when it holds none).
+    pub min_size: f64,
+    /// Its resident task count.
+    pub tasks: usize,
+    /// Its CSR neighbours, links that are down included.
+    pub neighbors: &'a [NodeId],
+    /// The edge toward each neighbour, index-aligned with `neighbors`.
+    pub edges: &'a [EdgeId],
+    /// Every node's height, indexed by node id.
+    pub heights: &'a [f64],
+    /// Link weights and the live-link mask.
+    pub links: LinkView<'a>,
+    /// Balance round counter.
+    pub round: u64,
+}
+
+impl<'a> RestingNode<'a> {
+    /// Node `node`'s flat inputs from `state`'s per-node arrays and CSR
+    /// slices (shared by the engine and by balancer unit tests).
+    #[inline]
+    pub fn of(
+        state: &'a SystemState,
+        node: NodeId,
+        heights: &'a [f64],
+        links: LinkView<'a>,
+        round: u64,
+    ) -> Self {
+        RestingNode {
+            height: heights[node.idx()],
+            min_size: state.min_task_sizes()[node.idx()],
+            tasks: state.node(node).task_count(),
+            neighbors: state.topo.neighbors(node),
+            edges: state.topo.neighbor_edge_ids(node),
+            heights,
+            links,
+            round,
+        }
+    }
+
+    /// `(h_j, e_{i,j})` for each live neighbour, in the order its
+    /// [`NodeView`] would list them.
+    #[inline]
+    pub fn live_neighbors(&self) -> impl Iterator<Item = (f64, f64)> + '_ {
+        self.neighbors
+            .iter()
+            .zip(self.edges)
+            .filter(|&(_, &e)| self.links.is_up(e))
+            .map(|(&j, &e)| (self.heights[j.idx()], self.links.weight(e)))
     }
 }
 
@@ -154,6 +224,15 @@ pub struct MigrationIntent {
 /// RNG when `view.tasks` is empty: then not asking an empty node is
 /// unobservable — no intent and no RNG stream differs from asking it.
 /// Every policy in `pp-core` returns before touching its RNG in that case.
+///
+/// **Settle contract.** Before building a node's view the engine offers it
+/// to [`LoadBalancer::settle`], which sees only the node's flat inputs
+/// ([`RestingNode`]). A policy returns `true` only when `decide_into` on
+/// that node's view would append nothing, and then it has already made
+/// exactly the RNG draws `decide_into` would have made, in the same order;
+/// the engine builds no view and does not call `decide_into`. So a settled
+/// node is unobservable as such: every intent and every RNG stream is what
+/// the full path gives.
 pub trait LoadBalancer: Send + Sync {
     /// Human-readable policy name (used in reports and tables).
     fn name(&self) -> &str;
@@ -161,9 +240,20 @@ pub trait LoadBalancer: Send + Sync {
     /// Per-round refresh from the global snapshot (optional).
     fn begin_round(&mut self, _global: &GlobalView<'_>) {}
 
+    /// Settles a resting node from its flat inputs, or declines (see the
+    /// settle contract above): `true` means `decide_into` would emit
+    /// nothing for this node and its draws are already made; `false`
+    /// means nothing was drawn and the engine goes on to build the view.
+    /// Called only for a node with at least one resident task. The
+    /// default declines, which is always safe.
+    fn settle(&self, _node: &RestingNode<'_>, _rng: &mut StdRng) -> bool {
+        false
+    }
+
     /// Appends a stationary node's migration decisions at a balance tick
     /// to `out`. Called only for a node with at least one resident task
-    /// (see the empty-node contract above).
+    /// (see the empty-node contract above) that [`LoadBalancer::settle`]
+    /// declined.
     ///
     /// The engine hands every node of a shard the *same* shard-local arena,
     /// so a policy writes straight into memory owned by the worker that
@@ -178,11 +268,12 @@ pub trait LoadBalancer: Send + Sync {
     /// and `time` fields, which keep advancing.
     ///
     /// A stable policy's [`LoadBalancer::begin_round`] must additionally be
-    /// **effect-free**: no internal state mutation, no RNG, no observable
-    /// side effect. The sharded pipeline calls it in every round it runs,
-    /// but at `K ≥ 2` it fast-forwards whole quiescent rounds —
-    /// `begin_round` included — and byte-exactness of the skip relies on
-    /// those calls having been no-ops.
+    /// **effect-free**: no RNG, no observable side effect, and no internal
+    /// state mutation beyond a cache keyed by round whose every entry
+    /// equals what the policy computes without it. The sharded pipeline
+    /// calls it in every round it runs, but at `K ≥ 2` it fast-forwards
+    /// whole quiescent rounds — `begin_round` included — and
+    /// byte-exactness of the skip relies on those calls having been no-ops.
     ///
     /// The engine's sharded tick pipeline uses this to skip the decision
     /// sweep over shards whose state (and halo) has not changed, with
@@ -278,13 +369,9 @@ pub fn build_view<'a>(
         if !links.is_up(e) {
             continue;
         }
-        let link_weight = match links.weights {
-            Some(w) => w[e.idx()],
-            None => links.attrs[e.idx()].weight(links.weight_c),
-        };
         scratch.neighbors.push(j);
         scratch.nbr_heights.push(heights[j.idx()]);
-        scratch.nbr_weights.push(link_weight);
+        scratch.nbr_weights.push(links.weight(e));
     }
     NodeView {
         node,

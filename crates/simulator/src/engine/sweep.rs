@@ -11,7 +11,9 @@
 //! flag, so every sweep and every restore clears the memo).
 
 use super::{EngineConfig, ShardLayout};
-use crate::balancer::{build_view, LinkView, LoadBalancer, MigrationIntent, ViewScratch};
+use crate::balancer::{
+    build_view, LinkView, LoadBalancer, MigrationIntent, RestingNode, ViewScratch,
+};
 use crate::checkpoint::Checkpoint;
 use crate::pool::ShardPool;
 use crate::state::{SystemState, NODE_WORD};
@@ -384,10 +386,16 @@ fn prefetch_halo(state: &SystemState, heights: &[f64], start: u32, end: u32) {
     std::hint::black_box(touched);
 }
 
-/// Sweeps one shard: evaluates `decide_into` for every owned node that
-/// holds a task into the shard's outbox, using the shard's scratch and
-/// per-node RNGs. Shared by the inline and pooled paths, so both are
-/// trivially identical.
+/// Sweeps one shard: offers every owned node that holds a task to
+/// `settle`, and evaluates `decide_into` into the shard's outbox only for
+/// the nodes it declines, using the shard's scratch and per-node RNGs.
+/// Shared by the inline and pooled paths, so both are trivially
+/// identical.
+///
+/// A settled node gets no view: the settle contract has the policy make
+/// exactly the draws `decide_into` would make and settle only when it
+/// would emit nothing, so skipping the view build and the call changes no
+/// intent and no RNG stream.
 ///
 /// An empty node is never asked: an intent moves one of the deciding
 /// node's own tasks, and the [`LoadBalancer`] contract has a policy draw
@@ -410,6 +418,10 @@ fn eval_shard(
     slot.spans.clear();
     for i in OccupiedWalk::new(state.occupied_words(), start as usize, end as usize) {
         let (node, k) = (NodeId(i as u32), i - start as usize);
+        let rest = RestingNode::of(state, node, heights, *links, round);
+        if balancer.settle(&rest, &mut slot.rngs[k]) {
+            continue;
+        }
         let view = build_view(&mut slot.scratch, state, node, heights, links, round, time);
         let before = slot.intents.len();
         balancer.decide_into(&view, &mut slot.rngs[k], &mut slot.intents);

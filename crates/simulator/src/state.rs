@@ -86,20 +86,14 @@ impl NodeState {
     /// of completed task ids and the amount of work actually consumed.
     pub fn consume_work(&mut self, amount: f64) -> (Vec<TaskId>, f64) {
         let mut done = Vec::new();
-        let (_, consumed) = self.consume_work_with(amount, |id| done.push(id));
+        let (_, consumed) = self.consume_work_with(amount, |t| done.push(t.id));
         (done, consumed)
-    }
-
-    /// Allocation-free [`NodeState::consume_work`]: returns only the number
-    /// of completed tasks and the work consumed.
-    pub fn consume_work_counted(&mut self, amount: f64) -> (usize, f64) {
-        self.consume_work_with(amount, |_| {})
     }
 
     fn consume_work_with(
         &mut self,
         mut amount: f64,
-        mut on_done: impl FnMut(TaskId),
+        mut on_done: impl FnMut(&Task),
     ) -> (usize, f64) {
         let mut completed = 0usize;
         let mut consumed = 0.0;
@@ -112,10 +106,10 @@ impl NodeState {
             }
             amount -= front.work;
             consumed += front.work;
-            on_done(front.id);
             completed += 1;
             let t = self.tasks.remove(0);
             self.height -= t.size;
+            on_done(&t);
         }
         if self.height < 0.0 {
             self.height = 0.0;
@@ -142,6 +136,12 @@ pub struct SystemState {
     /// sweeps read "does node `i` hold work?" 64 nodes per load instead of
     /// striding over [`NodeState`] records (and their task vectors).
     occupied: Vec<u64>,
+    /// Each node's smallest resident task size (`+∞` on an empty node),
+    /// mirrored from its task list like `heights`: the inert-node
+    /// certificate's one per-task input, so a resting node is settled
+    /// without walking its tasks. Derived state — never checkpointed,
+    /// rebuilt by [`SystemState::restore_node`].
+    min_sizes: Vec<f64>,
     /// Total resident task count, maintained incrementally — the round
     /// fast-forward's O(1) "is there any work to consume?" gate.
     resident_tasks: usize,
@@ -186,6 +186,7 @@ impl SystemState {
             nodes: (0..n).map(|_| NodeState::default()).collect(),
             heights: vec![0.0; n],
             occupied: vec![0; n.div_ceil(NODE_WORD)],
+            min_sizes: vec![f64::INFINITY; n],
             resident_tasks: 0,
             height_sum: 0.0,
             height_sq_sum: 0.0,
@@ -214,6 +215,8 @@ impl SystemState {
     /// statistics.
     pub fn add_task(&mut self, v: NodeId, task: Task) {
         let old = self.nodes[v.idx()].height;
+        let min = &mut self.min_sizes[v.idx()];
+        *min = min.min(task.size);
         self.nodes[v.idx()].add_task(task);
         self.resident_tasks += 1;
         self.sync_occupancy(v.idx());
@@ -225,7 +228,10 @@ impl SystemState {
     pub fn remove_task(&mut self, v: NodeId, id: TaskId) -> Option<Task> {
         let old = self.nodes[v.idx()].height;
         let task = self.nodes[v.idx()].remove_task(id);
-        if task.is_some() {
+        if let Some(t) = &task {
+            if t.size == self.min_sizes[v.idx()] {
+                self.rescan_min(v.idx());
+            }
             self.resident_tasks -= 1;
             self.sync_occupancy(v.idx());
             self.refresh_height(v, old);
@@ -236,8 +242,12 @@ impl SystemState {
     /// Consumes up to `amount` of work on node `v`; returns the number of
     /// tasks completed and the work consumed. Allocation-free.
     pub fn consume_work(&mut self, v: NodeId, amount: f64) -> (usize, f64) {
-        let old = self.nodes[v.idx()].height;
-        let out = self.nodes[v.idx()].consume_work_counted(amount);
+        let (old, min) = (self.nodes[v.idx()].height, self.min_sizes[v.idx()]);
+        let mut at_min = false;
+        let out = self.nodes[v.idx()].consume_work_with(amount, |t| at_min |= t.size == min);
+        if at_min {
+            self.rescan_min(v.idx());
+        }
         self.resident_tasks -= out.0;
         if out.0 > 0 {
             self.sync_occupancy(v.idx());
@@ -310,6 +320,23 @@ impl SystemState {
         (stepped, completed)
     }
 
+    /// Refreshes node `i`'s smallest size after a task at that size left.
+    /// Every remaining size is at least the old minimum, so the scan stops
+    /// at the first task still at it: a removal from a run of equal sizes
+    /// (a hotspot of unit tasks) costs one comparison, and only the last
+    /// task at the minimum pays a full pass.
+    fn rescan_min(&mut self, i: usize) {
+        let old = self.min_sizes[i];
+        let mut min = f64::INFINITY;
+        for t in &self.nodes[i].tasks {
+            if t.size == old {
+                return;
+            }
+            min = min.min(t.size);
+        }
+        self.min_sizes[i] = min;
+    }
+
     /// Sets or clears node `i`'s occupancy bit to match its task list.
     #[inline]
     fn sync_occupancy(&mut self, i: usize) {
@@ -348,6 +375,14 @@ impl SystemState {
     #[inline]
     pub fn occupied_words(&self) -> &[u64] {
         &self.occupied
+    }
+
+    /// Each node's smallest resident task size, `+∞` on an empty node —
+    /// the flat input [`LoadBalancer::settle`](crate::balancer::LoadBalancer::settle)
+    /// reads instead of the task list.
+    #[inline]
+    pub fn min_task_sizes(&self) -> &[f64] {
+        &self.min_sizes
     }
 
     /// The height map as an owned vector (prefer
@@ -463,13 +498,15 @@ impl SystemState {
     }
 
     /// Replaces node `v`'s resident tasks and height wholesale without
-    /// touching the incremental statistics (checkpoint plumbing). `height`
+    /// touching the incremental statistics (checkpoint plumbing); the
+    /// smallest task size is recomputed from `tasks`. `height`
     /// is the *accumulated* height recorded at capture time — it may differ
     /// from `Σ size` in the last ulp, which is exactly why it is restored
     /// verbatim instead of being recomputed.
     pub fn restore_node(&mut self, v: NodeId, tasks: Vec<Task>, height: f64) {
         let slot = &mut self.nodes[v.idx()];
         self.resident_tasks = self.resident_tasks - slot.tasks.len() + tasks.len();
+        self.min_sizes[v.idx()] = tasks.iter().map(|t| t.size).fold(f64::INFINITY, f64::min);
         slot.tasks = tasks;
         slot.height = height;
         self.heights[v.idx()] = height;
@@ -548,18 +585,18 @@ mod tests {
     }
 
     #[test]
-    fn consume_work_counted_matches_listing() {
-        let mut a = NodeState::default();
-        let mut b = NodeState::default();
+    fn system_consume_count_matches_node_listing() {
+        let mut node = NodeState::default();
+        let mut s = small_state();
         for i in 0..3 {
-            a.add_task(task(i, 1.0));
-            b.add_task(task(i, 1.0));
+            node.add_task(task(i, 1.0));
+            s.add_task(NodeId(0), task(i, 1.0));
         }
-        let (done, used_a) = a.consume_work(2.5);
-        let (count, used_b) = b.consume_work_counted(2.5);
+        let (done, used_a) = node.consume_work(2.5);
+        let (count, used_b) = s.consume_work(NodeId(0), 2.5);
         assert_eq!(done.len(), count);
         assert_eq!(used_a, used_b);
-        assert_eq!(a.height(), b.height());
+        assert_eq!(node.height(), s.node(NodeId(0)).height());
     }
 
     #[test]
@@ -742,8 +779,14 @@ mod tests {
     }
 
     /// Asserts that node `i`'s occupancy bit is `task_count() != 0` at
-    /// every node, and that the padding bits past the last node are clear.
+    /// every node, and that the padding bits past the last node are clear;
+    /// and that each node's smallest task size is its task list's.
     fn assert_occupancy_mirrors(s: &SystemState, when: &str) {
+        for v in 0..s.node_count() {
+            let tasks = s.node(NodeId(v as u32)).tasks();
+            let min = tasks.iter().map(|t| t.size).fold(f64::INFINITY, f64::min);
+            assert_eq!(s.min_task_sizes()[v], min, "smallest size of node {v} {when}");
+        }
         let words = s.occupied_words();
         assert_eq!(words.len(), s.node_count().div_ceil(NODE_WORD), "{when}");
         for i in 0..words.len() * NODE_WORD {

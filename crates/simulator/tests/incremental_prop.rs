@@ -1,7 +1,8 @@
 //! Property test: the incrementally maintained height cache and imbalance
 //! sufficient statistics (`Σh`, `Σh²`) must agree with a from-scratch
 //! recompute after *any* interleaving of task adds, removals (migrations),
-//! and work consumption.
+//! and work consumption; and so must each node's smallest task size, also
+//! across `restore_node`.
 
 use pp_metrics::imbalance::Imbalance;
 use pp_sim::state::SystemState;
@@ -107,5 +108,50 @@ proptest! {
         }
         // Everything consumed: flat surface, zero CoV.
         prop_assert!(s.cov().abs() < 1e-9, "cov {}", s.cov());
+    }
+
+    /// Ops are `(selector, node, size index, amount)`: selector % 4 == 0 →
+    /// add a task of size `SIZES[size index]`; 1 → remove the task at
+    /// position `size index` (mod the count), not only the front; 2 →
+    /// consume `amount` (completing tasks now and then); 3 → restore the
+    /// node with every other of its tasks and its height. The few sizes
+    /// make ties at the minimum common, so removing one tied task must
+    /// keep the minimum, and removing the last one must raise it.
+    #[test]
+    fn smallest_task_size_matches_recompute(
+        ops in prop::collection::vec((0u8..4, 0usize..NODES, 0usize..8, 0.0f64..3.0), 1..=160),
+    ) {
+        const SIZES: [f64; 8] = [0.5, 1.0, 1.0, 2.0, 0.25, 1.0, 3.5, 0.5];
+        let mut s = fresh_state();
+        let mut next_id = 0u64;
+        for (sel, node, pick, amount) in ops {
+            let v = NodeId(node as u32);
+            let tasks = s.node(v).tasks().to_vec();
+            match sel {
+                0 => {
+                    s.add_task(v, Task::new(TaskId(next_id), SIZES[pick], v.0));
+                    next_id += 1;
+                }
+                1 if !tasks.is_empty() => {
+                    let id = tasks[pick % tasks.len()].id;
+                    s.remove_task(v, id).expect("resident task");
+                }
+                2 => {
+                    s.consume_work(v, amount);
+                }
+                3 => {
+                    let kept: Vec<Task> = tasks.iter().copied().step_by(2).collect();
+                    let height = kept.iter().map(|t| t.size).sum();
+                    s.restore_node(v, kept, height);
+                }
+                _ => {}
+            }
+            for i in 0..NODES {
+                let tasks = s.node(NodeId(i as u32)).tasks();
+                let expect = tasks.iter().map(|t| t.size).fold(f64::INFINITY, f64::min);
+                let got = s.min_task_sizes()[i];
+                prop_assert_eq!(got.to_bits(), expect.to_bits(), "node {} of {:?}", i, tasks);
+            }
+        }
     }
 }
